@@ -1,14 +1,19 @@
 """Satisfiability of ground clause sets with witnesses and conflict subsets.
 
-The solver is plain unit propagation plus chronological backtracking with a
-fixed branching order (lowest unassigned variable, true first): these
-problems are tiny, and determinism plus explainable refutations matter more
-than speed. Solver runs are independent; inputs and outputs are immutable.
+The solver is depth-first search with chronological backtracking and a fixed
+branching order (lowest unassigned variable, true first); the decision
+budget counts decisions and flips. Unit propagation uses two watched
+literals per clause, as in Chaff and MiniSat, but it evaluates clauses in
+the order of a Gauss-Seidel sweep over the clause list. That order decides
+which clause propagates each variable and which conflict is found first, so
+conflict explanations do not depend on how propagation is implemented.
+Solver runs are independent; inputs and outputs are immutable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .logic import Atom, GroundClauseSet, LogicError
 
@@ -89,97 +94,146 @@ def _verified(model: Model, cs: GroundClauseSet) -> Model:
 def solve(cs: GroundClauseSet, budget: int = DEFAULT_BUDGET) -> SatResult:
     """Decide a clause set, returning a verified witness or a conflict subset.
 
-    Deterministic: branches on the lowest unassigned variable, true first.
-    Raises BudgetExhausted once more than `budget` decisions (including
-    flips) have been made; it never returns a wrong answer.
+    Deterministic: branches on the lowest unassigned variable, true first,
+    and backtracks chronologically. Raises BudgetExhausted once more than
+    `budget` decisions (including flips) have been made; it never returns a
+    wrong answer.
+
+    Unit propagation uses two watched literals per clause but visits clauses
+    in the order of a sweep: passes over the clauses in index order, each
+    evaluating a clause under the assignment made so far, until a pass
+    changes nothing. A clause counts each occurrence of a literal, so
+    `x or x` with `x` unassigned is not unit. The first conflict clause, the
+    antecedent of every propagated variable and therefore the conflict
+    explanation are those of that sweep.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
     n = cs.num_vars
     clauses = cs.clauses
+    m = len(clauses)
 
-    assign: list[bool | None] = [None] * n
-    antecedent: list[int | None] = [None] * n  # clause that propagated the var
-    trail: list[int] = []  # var indices in assignment order
-    is_decision: list[bool] = []
+    # value[lit] is the truth value of literal lit (None when unassigned);
+    # a negative literal indexes the upper half of the list.
+    value: list[bool | None] = [None] * (2 * n + 1)
+    trail: list[int] = []  # literals made true, in assignment order
+    reasons: list[int | None] = []  # clause that propagated each, None for decisions
     flipped: list[bool] = []
     used: set[int] = set()
     decisions = 0
+    lowest_free = 1  # every variable below it is assigned
 
-    def lit_value(lit: int) -> bool | None:
-        v = assign[abs(lit) - 1]
-        if v is None:
-            return None
-        return v if lit > 0 else not v
+    # Positions 0 and 1 of watched[ci] are the clause's watches, and
+    # watches[lit] lists each clause once per watch on lit. While a clause
+    # is neither satisfied nor pending, both its watches are unassigned, so
+    # it can only become unit or false when one of them becomes false.
+    # Single-literal clauses are not watched: they are pending from the
+    # start, so the first propagation sets them before any decision, and
+    # backtracking never unsets them.
+    watched = [list(cl) for cl in clauses]
+    watches: list[list[int]] = [[] for _ in range(2 * n + 1)]
+    # Clauses that may be unit or false, as a heap of keys pass * m + index:
+    # the position at which the sweep reaches the clause next.
+    pending: list[int] = []
+    for ci, cl in enumerate(clauses):
+        if len(cl) == 1:
+            pending.append(ci)  # ascending keys already form a heap
+        else:
+            watches[cl[0]].append(ci)
+            watches[cl[1]].append(ci)
+    base = 0  # key of index 0 in the current pass
+    pos = -1  # index of the clause being evaluated; -1 before a pass
 
-    def push(var: int, value: bool, ante: int | None, decision: bool, was_flip: bool) -> None:
-        assign[var] = value
-        antecedent[var] = ante
-        trail.append(var)
-        is_decision.append(decision)
+    def assign(lit: int, reason: int | None, was_flip: bool) -> None:
+        value[lit] = True
+        value[-lit] = False
+        trail.append(lit)
+        reasons.append(reason)
         flipped.append(was_flip)
+        false_lit = -lit
+        kept = []
+        for ci in watches[false_lit]:
+            lits = watched[ci]
+            if lits[0] == false_lit:
+                lits[0] = lits[1]
+                lits[1] = false_lit
+            if value[lits[0]] is True:
+                kept.append(ci)
+                continue
+            for k in range(2, len(lits)):
+                other = lits[k]
+                if value[other] is not False:
+                    lits[1] = other
+                    lits[k] = false_lit
+                    watches[other].append(ci)
+                    break
+            else:
+                kept.append(ci)
+                # A clause behind the sweep position waits for the next pass.
+                heappush(pending, base + ci if ci > pos else base + m + ci)
+        watches[false_lit] = kept
 
-    def pop() -> tuple[int, bool, bool]:
-        var = trail.pop()
-        dec = is_decision.pop()
+    def unassign() -> tuple[int, bool]:
+        nonlocal lowest_free
+        lit = trail.pop()
+        decision = reasons.pop() is None
         flip = flipped.pop()
-        value = assign[var]
-        assign[var] = None
-        antecedent[var] = None
-        return var, bool(value), dec and not flip
+        value[lit] = value[-lit] = None
+        lowest_free = min(lowest_free, abs(lit))
+        return lit, decision and not flip
 
     def propagate() -> int | None:
-        changed = True
-        while changed:
-            changed = False
-            for ci, cl in enumerate(clauses):
-                unassigned = None
+        # Evaluates each pending clause as the sweep would, in sweep order.
+        nonlocal base, pos
+        try:
+            while pending:
+                key = heappop(pending)
+                pos = key % m
+                base = key - pos
+                unassigned = 0
                 count = 0
-                satisfied = False
-                for lit in cl:
-                    v = lit_value(lit)
+                for lit in clauses[pos]:
+                    v = value[lit]
                     if v is True:
-                        satisfied = True
                         break
                     if v is None:
                         unassigned = lit
                         count += 1
-                if satisfied:
-                    continue
-                if count == 0:
-                    return ci
-                if count == 1:
-                    assert unassigned is not None
-                    push(abs(unassigned) - 1, unassigned > 0, ci, False, False)
-                    changed = True
-        return None
+                else:
+                    if count == 0:
+                        return pos
+                    if count == 1:
+                        assign(unassigned, pos, False)
+            return None
+        finally:
+            pending.clear()
+            base, pos = 0, -1
 
     def record_refutation_path(conflict_ci: int) -> None:
         # Resolve the conflict clause backwards through propagation
         # antecedents until only decision variables remain; every clause
         # used in that walk supports the refutation of this branch.
         used.add(conflict_ci)
-        pending = {abs(lit) - 1 for lit in clauses[conflict_ci]}
-        for pos in range(len(trail) - 1, -1, -1):
-            var = trail[pos]
-            ante = antecedent[var]
-            if var in pending and ante is not None:
-                used.add(ante)
-                pending.discard(var)
-                pending |= {abs(lit) - 1 for lit in clauses[ante] if abs(lit) - 1 != var}
+        open_vars = {abs(lit) for lit in clauses[conflict_ci]}
+        for at in range(len(trail) - 1, -1, -1):
+            var = abs(trail[at])
+            reason = reasons[at]
+            if var in open_vars and reason is not None:
+                used.add(reason)
+                open_vars.discard(var)
+                open_vars |= {abs(lit) for lit in clauses[reason] if abs(lit) != var}
 
     while True:
         conflict = propagate()
         if conflict is not None:
             record_refutation_path(conflict)
-            retry_var = None
-            retry_value = None
+            retry = 0
             while trail:
-                var, value, can_flip = pop()
+                lit, can_flip = unassign()
                 if can_flip:
-                    retry_var, retry_value = var, value
+                    retry = -lit
                     break
-            if retry_var is None:
+            if not retry:
                 return SatResult(
                     satisfiable=False,
                     conflict=ConflictExplanation(tuple(sorted(used))),
@@ -187,17 +241,18 @@ def solve(cs: GroundClauseSet, budget: int = DEFAULT_BUDGET) -> SatResult:
             decisions += 1
             if decisions > budget:
                 raise BudgetExhausted(decisions)
-            push(retry_var, not retry_value, None, True, True)
+            assign(retry, None, True)
             continue
 
-        free = next((i for i in range(n) if assign[i] is None), None)
-        if free is None:
-            model = Model(tuple(bool(v) for v in assign))
+        while lowest_free <= n and value[lowest_free] is not None:
+            lowest_free += 1
+        if lowest_free > n:
+            model = Model(tuple(bool(value[v]) for v in range(1, n + 1)))
             return SatResult(satisfiable=True, model=_verified(model, cs))
         decisions += 1
         if decisions > budget:
             raise BudgetExhausted(decisions)
-        push(free, True, None, True, False)
+        assign(lowest_free, None, False)
 
 
 def brute_force(cs: GroundClauseSet) -> SatResult:

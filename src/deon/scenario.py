@@ -19,6 +19,7 @@ from .logic import (
     Formula,
     ForAll,
     Implies,
+    OBJECT,
     Possible,
     Required,
     SignedAtom,
@@ -312,6 +313,9 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
                 check_atom(element, node.atom, bound)
                 return
             if isinstance(node, ForAll):
+                if node.var.sort == OBJECT and not scenario.objects:
+                    add(element, "no-object-constants",
+                        f"quantified object variable {node.var.name} ranges over no object constants")
                 go(node.body, bound | {node.var})
                 return
             for c in children(node):

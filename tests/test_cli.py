@@ -108,6 +108,22 @@ def test_validate_ok_files(capsys, paths):
     assert out.count(": OK") == len(paths)
 
 
+@pytest.mark.parametrize("command", ["validate", "check"])
+def test_quantifier_over_empty_object_domain_is_invalid(capsys, tmp_path, command):
+    source = tmp_path / "empty_domain.deon"
+    source.write_text(
+        "scenario empty_domain\n\n"
+        "agents a\n\n"
+        "predicates\n  safe(object),\n  ready(agent),\n  go(agent) action\n\n"
+        "physics {\n  forall y. safe(y);\n}\n\n"
+        "plan p agent a:\n  reasons { ready(a) }\n  action { go(a) }\n"
+    )
+    code, _, err = run(capsys, command, str(source))
+    assert code == EXIT_INVALID
+    assert "[no-object-constants]" in err
+    assert "Traceback" not in err
+
+
 # -- rendering ------------------------------------------------------------------
 
 
