@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Protocol, Sequence
+from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
 AGENT = "agent"
 OBJECT = "object"
@@ -563,112 +563,183 @@ class GroundClauseSet:
         return "\n".join(lines) + "\n"
 
 
+class _Encoder:
+    """Definitional clause encoding against a given numbering.
+
+    Atom `a` is variable `index[a] + 1`; aux variables are numbered from
+    `first_aux` on, in the order the encoding asks for them. Which clauses
+    come out, in which order and with which labels, depends only on the
+    formulas; the numbering only names the variables. So encoding a
+    fragment once with its own numbering (atoms 1..k, aux from k + 1) and
+    renaming its variables (`splice`) gives exactly the clauses that
+    encoding the same formulas in the query's numbering gives.
+    """
+
+    def __init__(self, index: Mapping[Atom, int], first_aux: int) -> None:
+        self.index = index
+        self.next_var = first_aux
+        self.clauses: list[tuple[int, ...]] = []
+        self.labels: list[str] = []
+
+    def _new_aux(self) -> int:
+        lit = self.next_var
+        self.next_var += 1
+        return lit
+
+    def _emit(self, lits: Sequence[int], label: str) -> None:
+        self.clauses.append(tuple(lits))
+        self.labels.append(label)
+
+    def encode(self, f: Formula, label: str) -> int:
+        if isinstance(f, AtomF):
+            return self.index[f.atom] + 1
+        if isinstance(f, Not):
+            return -self.encode(f.body, label)
+        if isinstance(f, Implies):
+            return self.encode(Or((Not(f.antecedent), f.consequent)), label)
+        if isinstance(f, And):
+            if not f.parts:
+                v = self._new_aux()
+                self._emit([v], label)
+                return v
+            lits = [self.encode(p, label) for p in f.parts]
+            if len(lits) == 1:
+                return lits[0]
+            v = self._new_aux()
+            for lit in lits:
+                self._emit([-v, lit], label)
+            self._emit([v] + [-lit for lit in lits], label)
+            return v
+        if isinstance(f, Or):
+            if not f.parts:
+                v = self._new_aux()
+                self._emit([v], label)
+                self._emit([-v], label)
+                return v
+            lits = [self.encode(p, label) for p in f.parts]
+            if len(lits) == 1:
+                return lits[0]
+            v = self._new_aux()
+            self._emit([-v] + lits, label)
+            for lit in lits:
+                self._emit([v, -lit], label)
+            return v
+        raise LogicError(f"cannot encode {type(f).__name__} node")
+
+    def assert_top(self, f: Formula, label: str) -> None:
+        # Keep top-level structure flat: conjunctions split into their
+        # parts and a top disjunction/implication becomes one clause.
+        if isinstance(f, And):
+            for p in f.parts:
+                self.assert_top(p, label)
+            return
+        if isinstance(f, Implies):
+            self.assert_top(Or((Not(f.antecedent), f.consequent)), label)
+            return
+        if isinstance(f, Or) and f.parts:
+            self._emit([self.encode(p, label) for p in f.parts], label)
+            return
+        if isinstance(f, Or):  # empty disjunction: unsatisfiable
+            v = self._new_aux()
+            self._emit([v], label)
+            self._emit([-v], label)
+            return
+        self._emit([self.encode(f, label)], label)
+
+    def splice(self, fragment: GroundClauseSet) -> None:
+        """Append a fragment's clauses, renamed into this numbering.
+
+        Its atoms go to their variables in `index`; its aux variables
+        become the next `fragment.aux_count` aux variables here.
+        """
+        rename: dict[int, int] = {}
+        for i, atom in enumerate(fragment.atoms):
+            rename[i + 1] = self.index[atom] + 1
+        for k in range(fragment.aux_count):
+            rename[len(fragment.atoms) + k + 1] = self.next_var + k
+        self.next_var += fragment.aux_count
+        rename.update([(-lit, -var) for lit, var in rename.items()])
+        get = rename.__getitem__
+        self.clauses.extend([tuple(map(get, cl)) for cl in fragment.clauses])
+        self.labels.extend(fragment.labels or [""] * len(fragment.clauses))
+
+
+def _check_ground(formula: Formula) -> None:
+    for node in walk(formula):
+        if isinstance(node, _MODAL_NODES):
+            raise LogicError("modal operator encountered in clause conversion")
+        if isinstance(node, (ForAll, UniversalizedPlan)):
+            raise LogicError("clause conversion requires a ground formula")
+        if isinstance(node, AtomF) and not node.atom.is_ground():
+            raise LogicError(f"non-ground atom {node.atom} in clause conversion")
+
+
+def _assemble(parts: Sequence[tuple[Formula, str] | GroundClauseSet]) -> GroundClauseSet:
+    # Atoms are numbered by first occurrence across the parts, in order,
+    # and aux variables after all atoms, in encoding order.
+    index: dict[Atom, int] = {}
+    for part in parts:
+        atoms = part.atoms if isinstance(part, GroundClauseSet) else atoms_of(part[0])
+        for atom in atoms:
+            if atom not in index:
+                index[atom] = len(index)
+    encoder = _Encoder(index, len(index) + 1)
+    for part in parts:
+        if isinstance(part, GroundClauseSet):
+            encoder.splice(part)
+        else:
+            encoder.assert_top(*part)
+    return GroundClauseSet(
+        tuple(index), encoder.next_var - len(index) - 1,
+        tuple(encoder.clauses), tuple(encoder.labels),
+    )
+
+
+def compile_fragment(parts: Iterable[tuple[Formula, str]]) -> GroundClauseSet:
+    """The clause set of labeled ground formulas, numbered on its own.
+
+    This is what `ClauseBuilder` would build from the same parts, made
+    without a builder: a fragment compiled once and added to many builders
+    with `ClauseBuilder.add_fragment`.
+    """
+    parts = list(parts)
+    for formula, _ in parts:
+        _check_ground(formula)
+    return _assemble(parts)
+
+
 class ClauseBuilder:
     """Accumulates labeled ground formulas into one equisatisfiable clause set.
 
     Conversion is definitional: fresh atoms name compound subformulas instead
     of distributing disjunctions, so size stays linear. Satisfiability, not
     logical equivalence, is the contract.
+
+    A part may also be a fragment made by `compile_fragment`. `build`
+    renames only the fragments' variables, and the result is identical to
+    adding the fragment's formulas in its place. Atoms are numbered by
+    first occurrence across the parts, and a fragment lists its atoms in
+    first-occurrence order, so scanning that list numbers them as scanning
+    its formulas would. Aux variables come after all atoms, in encoding
+    order, and a fragment's aux variables are in its own encoding order,
+    so they take the next block of aux numbers as encoding in place would.
     """
 
     def __init__(self) -> None:
-        self._parts: list[tuple[Formula, str]] = []
+        self._parts: list[tuple[Formula, str] | GroundClauseSet] = []
 
     def add(self, formula: Formula, label: str = "") -> "ClauseBuilder":
-        for node in walk(formula):
-            if isinstance(node, _MODAL_NODES):
-                raise LogicError("modal operator encountered in clause conversion")
-            if isinstance(node, (ForAll, UniversalizedPlan)):
-                raise LogicError("clause conversion requires a ground formula")
-            if isinstance(node, AtomF) and not node.atom.is_ground():
-                raise LogicError(f"non-ground atom {node.atom} in clause conversion")
+        _check_ground(formula)
         self._parts.append((formula, label))
         return self
 
+    def add_fragment(self, fragment: GroundClauseSet) -> "ClauseBuilder":
+        """Add a clause set made by `compile_fragment`, as one part."""
+        self._parts.append(fragment)
+        return self
+
     def build(self) -> GroundClauseSet:
-        index: dict[Atom, int] = {}
-        atoms: list[Atom] = []
-        for f, _ in self._parts:
-            for atom in atoms_of(f):
-                if atom not in index:
-                    index[atom] = len(atoms)
-                    atoms.append(atom)
-
-        n_real = len(atoms)
-        aux_count = 0
-        clauses: list[tuple[int, ...]] = []
-        labels: list[str] = []
-
-        def new_aux() -> int:
-            nonlocal aux_count
-            lit = n_real + aux_count + 1
-            aux_count += 1
-            return lit
-
-        def emit(lits: Sequence[int], label: str) -> None:
-            clauses.append(tuple(lits))
-            labels.append(label)
-
-        def encode(f: Formula, label: str) -> int:
-            if isinstance(f, AtomF):
-                return index[f.atom] + 1
-            if isinstance(f, Not):
-                return -encode(f.body, label)
-            if isinstance(f, Implies):
-                return encode(Or((Not(f.antecedent), f.consequent)), label)
-            if isinstance(f, And):
-                if not f.parts:
-                    v = new_aux()
-                    emit([v], label)
-                    return v
-                lits = [encode(p, label) for p in f.parts]
-                if len(lits) == 1:
-                    return lits[0]
-                v = new_aux()
-                for lit in lits:
-                    emit([-v, lit], label)
-                emit([v] + [-lit for lit in lits], label)
-                return v
-            if isinstance(f, Or):
-                if not f.parts:
-                    v = new_aux()
-                    emit([v], label)
-                    emit([-v], label)
-                    return v
-                lits = [encode(p, label) for p in f.parts]
-                if len(lits) == 1:
-                    return lits[0]
-                v = new_aux()
-                emit([-v] + lits, label)
-                for lit in lits:
-                    emit([v, -lit], label)
-                return v
-            raise LogicError(f"cannot encode {type(f).__name__} node")
-
-        def assert_top(f: Formula, label: str) -> None:
-            # Keep top-level structure flat: conjunctions split into their
-            # parts and a top disjunction/implication becomes one clause.
-            if isinstance(f, And):
-                for p in f.parts:
-                    assert_top(p, label)
-                return
-            if isinstance(f, Implies):
-                assert_top(Or((Not(f.antecedent), f.consequent)), label)
-                return
-            if isinstance(f, Or) and f.parts:
-                emit([encode(p, label) for p in f.parts], label)
-                return
-            if isinstance(f, Or):  # empty disjunction: unsatisfiable
-                v = new_aux()
-                emit([v], label)
-                emit([-v], label)
-                return
-            emit([encode(f, label)], label)
-
-        for f, label in self._parts:
-            assert_top(f, label)
-
-        return GroundClauseSet(tuple(atoms), aux_count, tuple(clauses), tuple(labels))
+        return _assemble(self._parts)
 
 
 def to_clauses(f: Formula) -> GroundClauseSet:

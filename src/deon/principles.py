@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .logic import (
     Atom,
@@ -21,6 +22,7 @@ from .logic import (
     GroundClauseSet,
     TRUE,
     UniversalizedPlan,
+    compile_fragment,
     ground,
 )
 from .sat import DEFAULT_BUDGET, BudgetExhausted, ConflictExplanation, Model, SatResult, solve
@@ -220,13 +222,78 @@ def _decide(
 # Query construction
 
 
-def _constraint_parts(scenario: Scenario, agent: str) -> list[tuple[Formula, str]]:
-    n_physical = len(scenario.constraints.physical)
-    parts = []
-    for i, f in enumerate(belief_theory(scenario, agent)):
-        label = "physical constraint" if i < n_physical else f"rational constraint of agent {agent}"
-        parts.append((f, label))
-    return parts
+class QueryCompiler:
+    """Builds the satisfiability queries of one scenario.
+
+    Only the plan-side parts change from query to query; each agent's
+    rational-constraint theory is fixed. So the physical constraints are
+    grounded and compiled to a clause fragment once, and each agent's
+    belief constraints once per agent, on first use. Queries add the
+    fragments after their plan parts and get exactly the clause sets that
+    grounding and converting the whole theory each time would give.
+
+    One compiler serves one scenario: `evaluate` makes a fresh one per call
+    and drops it on return, so nothing carries over between scenarios.
+    """
+
+    def __init__(self, scenario: Scenario) -> None:
+        self.scenario = scenario
+        self._physics: GroundClauseSet | None = None
+        self._beliefs: dict[str, GroundClauseSet] = {}
+
+    def _compile(self, formulas: Iterable[Formula], label: str) -> GroundClauseSet:
+        agents, objects = self.scenario.agents, self.scenario.objects
+        return compile_fragment((ground(f, agents, objects), label) for f in formulas)
+
+    def _with_theory(self, builder: ClauseBuilder, agent: str) -> GroundClauseSet:
+        """Build `builder`'s plan parts followed by the agent's theory."""
+        if self._physics is None:
+            self._physics = self._compile(
+                self.scenario.constraints.physical, "physical constraint"
+            )
+        beliefs = self._beliefs.get(agent)
+        if beliefs is None:
+            n_physical = len(self.scenario.constraints.physical)
+            beliefs = self._beliefs[agent] = self._compile(
+                belief_theory(self.scenario, agent)[n_physical:],
+                f"rational constraint of agent {agent}",
+            )
+        return builder.add_fragment(self._physics).add_fragment(beliefs).build()
+
+    def generalization(self, plan: ActionPlan) -> GroundClauseSet:
+        """See `generalization_query`."""
+        scenario = self.scenario
+        agents, objects = scenario.agents, scenario.objects
+        builder = ClauseBuilder()
+        builder.add(
+            ground(UniversalizedPlan(plan.id), agents, objects, scenario.plan_map()),
+            f"universal adoption of plan {plan.id}",
+        )
+        effects = effects_for(scenario, plan.id)
+        if effects != TRUE:
+            builder.add(
+                ground(effects, agents, objects),
+                f"universalization effect of plan {plan.id}",
+            )
+        builder.add(
+            ground(plan.commitment_formula(), agents, objects),
+            f"reasons and action of plan {plan.id}",
+        )
+        return self._with_theory(builder, plan.agent.name)
+
+    def autonomy_pair(
+        self, plan: ActionPlan, other: ActionPlan
+    ) -> tuple[GroundClauseSet, GroundClauseSet]:
+        """See `autonomy_pair_queries`."""
+        agents, objects = self.scenario.agents, self.scenario.objects
+        actions = ClauseBuilder()
+        actions.add(ground(plan.action_formula(), agents, objects), f"action of plan {plan.id}")
+        actions.add(ground(other.action_formula(), agents, objects), f"action of plan {other.id}")
+        reasons = ClauseBuilder()
+        reasons.add(ground(plan.reasons_formula(), agents, objects), f"reasons of plan {plan.id}")
+        reasons.add(ground(other.reasons_formula(), agents, objects), f"reasons of plan {other.id}")
+        agent = plan.agent.name
+        return self._with_theory(actions, agent), self._with_theory(reasons, agent)
 
 
 def generalization_query(plan: ActionPlan, scenario: Scenario) -> GroundClauseSet:
@@ -237,25 +304,7 @@ def generalization_query(plan: ActionPlan, scenario: Scenario) -> GroundClauseSe
     effects, the plan's own reasons and action, and the agent's
     rational-constraint theory. The plan passes iff this is satisfiable.
     """
-    agents, objects, plans = scenario.agents, scenario.objects, scenario.plan_map()
-    builder = ClauseBuilder()
-    builder.add(
-        ground(UniversalizedPlan(plan.id), agents, objects, plans),
-        f"universal adoption of plan {plan.id}",
-    )
-    effects = effects_for(scenario, plan.id)
-    if effects != TRUE:
-        builder.add(
-            ground(effects, agents, objects),
-            f"universalization effect of plan {plan.id}",
-        )
-    builder.add(
-        ground(plan.commitment_formula(), agents, objects),
-        f"reasons and action of plan {plan.id}",
-    )
-    for f, label in _constraint_parts(scenario, plan.agent.name):
-        builder.add(ground(f, agents, objects), label)
-    return builder.build()
+    return QueryCompiler(scenario).generalization(plan)
 
 
 def autonomy_pair_queries(
@@ -267,22 +316,7 @@ def autonomy_pair_queries(
     satisfiable). Second: both plans' reasons together with the same theory
     (pass if unsatisfiable: the plans can never come into conflict).
     """
-    agents, objects = scenario.agents, scenario.objects
-    constraints = _constraint_parts(scenario, plan.agent.name)
-
-    actions = ClauseBuilder()
-    actions.add(ground(plan.action_formula(), agents, objects), f"action of plan {plan.id}")
-    actions.add(ground(other.action_formula(), agents, objects), f"action of plan {other.id}")
-    for f, label in constraints:
-        actions.add(ground(f, agents, objects), label)
-
-    reasons = ClauseBuilder()
-    reasons.add(ground(plan.reasons_formula(), agents, objects), f"reasons of plan {plan.id}")
-    reasons.add(ground(other.reasons_formula(), agents, objects), f"reasons of plan {other.id}")
-    for f, label in constraints:
-        reasons.add(ground(f, agents, objects), label)
-
-    return actions.build(), reasons.build()
+    return QueryCompiler(scenario).autonomy_pair(plan, other)
 
 
 # --------------------------------------------------------------------------
@@ -294,10 +328,14 @@ def check_generalization(
     scenario: Scenario,
     budget: int = DEFAULT_BUDGET,
     query_log: list[ModalQuery] | None = None,
+    queries: QueryCompiler | None = None,
 ) -> PrincipleVerdict:
     """Can the agent rationally believe everyone could adopt the plan while
-    the agent's reasons still apply and the action still happens?"""
-    cs = generalization_query(plan, scenario)
+    the agent's reasons still apply and the action still happens?
+
+    `queries` is a compiler for `scenario` to reuse (None makes one).
+    """
+    cs = (queries or QueryCompiler(scenario)).generalization(plan)
     result = _decide(cs, budget, query_log, f"generalization:{plan.id}", plan.agent.name)
     if result is None:
         return PrincipleVerdict(
@@ -365,16 +403,17 @@ def check_autonomy_pair(
     scenario: Scenario,
     budget: int = DEFAULT_BUDGET,
     query_log: list[ModalQuery] | None = None,
+    queries: QueryCompiler | None = None,
 ) -> PrincipleVerdict:
     """Is `plan` consistent with one other agent's plan?
 
     Passes if the agent can rationally believe both actions can hold
     together, or can rationally believe the two plans' reasons cannot
-    jointly apply.
+    jointly apply. `queries` is as for `check_generalization`.
     """
     if plan.agent == other.agent:
         raise ScenarioError("autonomy is checked between plans of distinct agents")
-    cs_actions, cs_reasons = autonomy_pair_queries(plan, other, scenario)
+    cs_actions, cs_reasons = (queries or QueryCompiler(scenario)).autonomy_pair(plan, other)
     tag = f"autonomy:{plan.id}:{other.id}"
     d1 = _decide(cs_actions, budget, query_log, f"{tag}:actions", plan.agent.name)
     if d1 is None:
@@ -409,13 +448,16 @@ def check_autonomy(
     protected: frozenset[str] | None = None,
     budget: int = DEFAULT_BUDGET,
     query_log: list[ModalQuery] | None = None,
+    queries: QueryCompiler | None = None,
 ) -> PrincipleVerdict:
     """Check `plan` against every protected plan of every other agent.
 
     The first failing pair decides a fail; plans of the agent itself are
     never checked against each other. `protected` is the set of plan ids
-    still in the clear (None protects everything).
+    still in the clear (None protects everything). `queries` is as for
+    `check_generalization`.
     """
+    queries = queries or QueryCompiler(scenario)
     pairs: list[tuple[str, object]] = []
     indeterminate: PrincipleVerdict | None = None
     for other in scenario.plans:
@@ -423,7 +465,7 @@ def check_autonomy(
             continue
         if protected is not None and other.id not in protected:
             continue
-        verdict = check_autonomy_pair(plan, other, scenario, budget, query_log)
+        verdict = check_autonomy_pair(plan, other, scenario, budget, query_log, queries)
         if verdict.status == FAIL:
             return verdict
         if verdict.status == INDETERMINATE and indeterminate is None:
@@ -475,11 +517,12 @@ def _check_plan(
     eligible: frozenset[tuple[str, Atom]],
     budget: int,
     query_log: list[ModalQuery] | None,
+    queries: QueryCompiler,
 ) -> PlanVerdict:
     checks = (
-        check_generalization(plan, scenario, budget, query_log),
+        check_generalization(plan, scenario, budget, query_log, queries),
         check_utility(plan, scenario, eligible, query_log),
-        check_autonomy(plan, scenario, protected, budget, query_log),
+        check_autonomy(plan, scenario, protected, budget, query_log, queries),
     )
     if any(c.status == FAIL for c in checks):
         overall = UNETHICAL
@@ -517,6 +560,7 @@ def evaluate(
     current: list[PlanVerdict] = []
     statuses: dict[str, str] = dict(assumed)
     last_in: dict[str, str] = dict(assumed)
+    queries = QueryCompiler(scenario)
 
     while rounds < max_rounds:
         rounds += 1
@@ -525,7 +569,8 @@ def evaluate(
         )
         eligible = eligible_actions(scenario, protected)
         current = [
-            _check_plan(p, scenario, protected, eligible, budget, query_log) for p in plans
+            _check_plan(p, scenario, protected, eligible, budget, query_log, queries)
+            for p in plans
         ]
         statuses = {pv.plan_id: pv.overall for pv in current}
         if statuses == assumed:

@@ -252,6 +252,27 @@ def test_structured_output_matches_frozen_snapshot(capsys, paths):
         assert out == frozen.read_text()
 
 
+@pytest.mark.parametrize("name", ["ambulance", "merge", "bus"])
+def test_structured_output_of_other_goldens_matches_frozen_snapshot(capsys, paths, name):
+    from pathlib import Path
+
+    _, out, _ = run(capsys, "check", "--format", "json", paths[name])
+    assert out == (Path(__file__).parent / "snapshots" / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "name, check_id",
+    [("theft", "gen:steal"), ("bus", "aut:pull:cross"), ("pedestrian", "aut:brake:cross")],
+)
+def test_sat_debug_dimacs_matches_frozen_snapshot(capsys, paths, name, check_id):
+    from pathlib import Path
+
+    code, out, _ = run(capsys, "sat-debug", paths[name], "--clauses", check_id)
+    assert code == EXIT_OK
+    frozen = Path(__file__).parent / "snapshots" / f"{name}.{check_id.replace(':', '-')}.dimacs"
+    assert out == frozen.read_text()
+
+
 def test_pedestrian_snapshot_has_opposite_statuses():
     import json
     from pathlib import Path

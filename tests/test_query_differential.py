@@ -1,0 +1,223 @@
+"""Queries built from compiled theory fragments against the original builder.
+
+`reference_logic` builds every query from scratch: it grounds and converts
+the whole theory each time. The engine compiles each agent's theory once
+and splices it in. Both must give equal clause sets (atoms in the same
+order, aux count, clauses and labels) on every plan and every ordered pair
+of plans of distinct agents, on every query `evaluate` asks, and on seeded
+random formulas. Compilers must not share state between scenarios or
+threads.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+import threading
+
+import pytest
+import reference_logic
+from test_sat_differential import CHAIN_RULE
+
+from deon import scenarios
+from deon.dsl import parse_scenario
+from deon.logic import (
+    And,
+    Atom,
+    AtomF,
+    ClauseBuilder,
+    Formula,
+    Implies,
+    Not,
+    Or,
+    agent_const,
+    compile_fragment,
+)
+from deon.principles import (
+    ModalQuery,
+    QueryCompiler,
+    autonomy_pair_queries,
+    evaluate,
+    generalization_query,
+)
+
+
+def fixpoint_chain(n: int) -> str:
+    """n agents; agent i believes its action excludes agent i+1's, and the
+    last plan's universalization effect denies its own reasons."""
+    preds = []
+    for i in range(n):
+        preds += [f"want{i}(agent)", f"act{i}(agent) action"]
+    beliefs = "".join(
+        f"belief ag{i} {{\n  not (act{i}(ag{i}) and act{i + 1}(ag{i + 1}));\n}}\n"
+        for i in range(n - 1)
+    )
+    plans = "".join(
+        f"plan p{i} agent ag{i}:\n  reasons {{ want{i}(ag{i}) }}\n  action {{ act{i}(ag{i}) }}\n"
+        for i in range(n)
+    )
+    return (
+        f"scenario fixpoint_{n}\n\nagents {', '.join(f'ag{i}' for i in range(n))}\n\n"
+        "predicates\n  " + ",\n  ".join(preds) + "\n\n" + beliefs + "\n" + plans
+        + f"\non_universalized p{n - 1} {{\n  forall x. not want{n - 1}(x);\n}}\n"
+    )
+
+
+SOURCES = {name: scenarios.source(name) for name in scenarios.NAMES}
+SOURCES["chain_rule"] = CHAIN_RULE
+SOURCES["fixpoint_12"] = fixpoint_chain(12)
+
+
+def load(name: str):
+    parsed = parse_scenario(SOURCES[name])
+    assert parsed.ok, [str(d) for d in parsed.diagnostics]
+    return parsed.scenario
+
+
+@pytest.mark.parametrize("name", SOURCES)
+def test_every_plan_and_pair_matches_reference(name):
+    scenario = load(name)
+    shared = QueryCompiler(scenario)
+    for plan in scenario.plans:
+        expected = reference_logic.generalization_query(plan, scenario)
+        assert generalization_query(plan, scenario) == expected
+        assert shared.generalization(plan) == expected
+        for other in scenario.plans:
+            if other.agent == plan.agent:
+                continue
+            expected_pair = reference_logic.autonomy_pair_queries(plan, other, scenario)
+            assert autonomy_pair_queries(plan, other, scenario) == expected_pair
+            assert shared.autonomy_pair(plan, other) == expected_pair
+
+
+def reference_query(check: str, scenario):
+    kind, *ids = check.split(":")
+    if kind == "generalization":
+        return reference_logic.generalization_query(scenario.plan(ids[0]), scenario)
+    plan_id, other_id, disjunct = ids
+    actions, reasons = reference_logic.autonomy_pair_queries(
+        scenario.plan(plan_id), scenario.plan(other_id), scenario
+    )
+    return actions if disjunct == "actions" else reasons
+
+
+@pytest.mark.parametrize("name", SOURCES)
+def test_every_engine_query_matches_reference(name):
+    scenario = load(name)
+    log: list[ModalQuery] = []
+    evaluate(scenario, query_log=log)
+    assert log
+    expected = {}
+    for query in log:
+        if query.check not in expected:
+            expected[query.check] = reference_query(query.check, scenario)
+        assert query.clause_set == expected[query.check], query.check
+
+
+# -- random formulas -----------------------------------------------------------------
+
+
+def random_formula(rng: random.Random, pool: list[Atom], depth: int) -> Formula:
+    """Empty and nonempty And/Or, nested Not/Implies, atoms from a small pool."""
+    if depth == 0 or rng.random() < 0.25:
+        return AtomF(rng.choice(pool))
+    kind = rng.choice(("not", "implies", "and", "or"))
+    if kind == "not":
+        return Not(random_formula(rng, pool, depth - 1))
+    if kind == "implies":
+        return Implies(random_formula(rng, pool, depth - 1), random_formula(rng, pool, depth - 1))
+    parts = tuple(random_formula(rng, pool, depth - 1) for _ in range(rng.choice((0, 1, 2, 3))))
+    return And(parts) if kind == "and" else Or(parts)
+
+
+def test_random_formulas_with_fragments_match_reference():
+    rng = random.Random(0x10C)
+    for _ in range(400):
+        pool = [Atom(f"q{i}", (agent_const("a"),)) for i in range(rng.randint(1, 6))]
+        parts = [
+            (random_formula(rng, pool, rng.randint(0, 4)), rng.choice(("", "plan", "theory")))
+            for _ in range(rng.randint(1, 6))
+        ]
+        reference = reference_logic.ClauseBuilder()
+        for formula, label in parts:
+            reference.add(formula, label)
+        expected = reference.build()
+
+        # Cut the parts into runs; each run is added as plain parts or as
+        # one fragment compiled on its own.
+        builder = ClauseBuilder()
+        i = 0
+        while i < len(parts):
+            j = rng.randint(i + 1, len(parts))
+            if rng.random() < 0.5:
+                builder.add_fragment(compile_fragment(parts[i:j]))
+            else:
+                for formula, label in parts[i:j]:
+                    builder.add(formula, label)
+            i = j
+        assert builder.build() == expected, parts
+        assert compile_fragment(parts) == expected, parts
+
+
+# -- no state between calls ------------------------------------------------------------
+
+
+def all_queries(scenario) -> list:
+    out = []
+    for plan in scenario.plans:
+        out.append(generalization_query(plan, scenario))
+        for other in scenario.plans:
+            if other.agent != plan.agent:
+                out.append(autonomy_pair_queries(plan, other, scenario))
+    return out
+
+
+def reference_queries(scenario) -> list:
+    out = []
+    for plan in scenario.plans:
+        out.append(reference_logic.generalization_query(plan, scenario))
+        for other in scenario.plans:
+            if other.agent != plan.agent:
+                out.append(reference_logic.autonomy_pair_queries(plan, other, scenario))
+    return out
+
+
+def test_scenarios_sharing_an_agent_name_do_not_leak():
+    # Both scenarios have an agent `a` with different beliefs.
+    theft, bus = load("theft"), load("bus")
+    assert "a" in theft.agent_names() and "a" in bus.agent_names()
+    for scenario in (theft, bus, theft, bus):
+        assert all_queries(scenario) == reference_queries(scenario)
+    assert evaluate(bus) == evaluate(load("bus"))
+    assert evaluate(bus).plan("pull").overall == "ethical"
+
+
+def test_concurrent_evaluations_equal_sequential_runs():
+    names = ("pedestrian", "bus")
+    expected = {name: evaluate(load(name)) for name in names}
+    results: dict[str, list] = {name: [] for name in names}
+    errors: list[Exception] = []
+
+    def work(name: str) -> None:
+        scenario = load(name)
+        try:
+            for _ in range(20):
+                results[name].append(evaluate(scenario))
+        except Exception as exc:  # surfaced in the main thread below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-query
+    try:
+        threads = [threading.Thread(target=work, args=(name,)) for name in names]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    for name in names:
+        assert len(results[name]) == 20
+        assert all(r == expected[name] for r in results[name])
