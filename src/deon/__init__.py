@@ -14,7 +14,6 @@ from .logic import (
     And,
     Atom,
     AtomF,
-    Believable,
     ClauseBuilder,
     ForAll,
     Formula,
@@ -24,8 +23,6 @@ from .logic import (
     LogicError,
     Not,
     Or,
-    Possible,
-    Required,
     SignedAtom,
     Term,
     TRUE,
@@ -40,7 +37,6 @@ from .logic import (
     substitute,
     to_clauses,
     universalization_trigger,
-    validate_modalities,
 )
 from .sat import (
     DEFAULT_BUDGET,

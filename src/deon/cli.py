@@ -9,12 +9,11 @@ indeterminate verdict is present, 3 the file failed to parse or validate,
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
 import click
 
-from .dsl import parse_scenario
+from .dsl import format_number, parse_scenario
 from .principles import (
     AutonomyClear,
     BudgetNote,
@@ -92,63 +91,56 @@ def _combine(codes: list[int]) -> int:
 # Rendering
 
 
-def _frac(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def _model_doc(clause_set, model) -> dict[str, bool]:
+    return {str(atom): value for atom, value in model.atom_values(clause_set).items()}
 
 
-def _model_items(clause_set, model) -> list[tuple[str, bool]]:
-    return [(str(atom), value) for atom, value in model.atom_values(clause_set).items()]
+def _pairs(model: dict[str, bool]) -> str:
+    return ", ".join(f"{name}={str(v).lower()}" for name, v in model.items())
 
 
-def _evidence_lines(evidence: object) -> list[str]:
-    if isinstance(evidence, Witness):
-        pairs = ", ".join(f"{name}={str(v).lower()}" for name, v in
-                          _model_items(evidence.clause_set, evidence.model))
-        return [f"witness: {pairs}"]
-    if isinstance(evidence, QueryConflict):
+def _evidence_lines(doc: dict) -> list[str]:
+    """Human text for an evidence document made by `_evidence_doc`."""
+    kind = doc["kind"]
+    if kind == "witness":
+        return [f"witness: {_pairs(doc['model'])}"]
+    if kind == "conflict":
         return ["query unsatisfiable; conflicting constraints:"] + [
-            f"  {line}" for line in evidence.conflict.render(evidence.clause_set)
+            f"  {line}" for line in doc["clauses"]
         ]
-    if isinstance(evidence, ReasonsContradiction):
-        return [f"reasons cannot jointly apply with plan {evidence.other_plan}:"] + [
-            f"  {line}" for line in evidence.conflict.render(evidence.clause_set)
+    if kind == "reasons-conflict":
+        return [f"reasons cannot jointly apply with plan {doc['with']}:"] + [
+            f"  {line}" for line in doc["clauses"]
         ]
-    if isinstance(evidence, PlanInterference):
-        pairs = ", ".join(f"{name}={str(v).lower()}" for name, v in
-                          _model_items(evidence.reasons_clause_set, evidence.reasons_model))
+    if kind == "plan-conflict":
         return (
-            [f"interferes with plan {evidence.other_plan}:",
+            [f"interferes with plan {doc['with']}:",
              "  the actions cannot hold together:"]
-            + [f"    {line}" for line in
-               evidence.actions_conflict.render(evidence.actions_clause_set)]
-            + [f"  and the reasons can jointly apply: {pairs}"]
+            + [f"    {line}" for line in doc["action_clauses"]]
+            + [f"  and the reasons can jointly apply: {_pairs(doc['reasons_model'])}"]
         )
-    if isinstance(evidence, Dominated):
+    if kind == "dominated":
         return [
-            f"{evidence.dominator} (utility {_frac(evidence.dominator_utility)}) beats "
-            f"{evidence.action} (utility {_frac(evidence.utility)}) in context {evidence.context}"
+            f"{doc['dominator']} (utility {doc['dominator_utility']}) beats "
+            f"{doc['action']} (utility {doc['utility']}) in context {doc['context']}"
         ]
-    if isinstance(evidence, UtilityComparison):
+    if kind == "utility-maximal":
         alts = ", ".join(
-            f"{atom}={_frac(u)}{'' if ok else ' (ineligible)'}"
-            for atom, u, ok in evidence.alternatives
+            f"{alt['action']}={alt['utility']}{'' if alt['eligible'] else ' (ineligible)'}"
+            for alt in doc["alternatives"]
         )
-        head = f"{evidence.action} (utility {_frac(evidence.utility)}) is maximal in context {evidence.context}"
+        head = f"{doc['action']} (utility {doc['utility']}) is maximal in context {doc['context']}"
         return [head if not alts else f"{head}; alternatives: {alts}"]
-    if isinstance(evidence, AutonomyClear):
-        lines = []
-        for other, pair_evidence in evidence.pairs:
-            if isinstance(pair_evidence, ReasonsContradiction):
-                how = "their reasons cannot jointly apply"
-            else:
-                how = "the actions can hold together"
-            lines.append(f"consistent with plan {other}: {how}")
-        return lines
-    if isinstance(evidence, (Note, BudgetNote)):
-        return [evidence.note]
-    return [repr(evidence)]
+    if kind == "clear":
+        return [
+            f"consistent with plan {pair['with']}: "
+            + ("their reasons cannot jointly apply" if pair["via"] == "reasons-conflict"
+               else "the actions can hold together")
+            for pair in doc["pairs"]
+        ]
+    if kind in ("budget", "note"):
+        return [doc["note"]]
+    return [doc["repr"]]
 
 
 def _failed_principle(pv: PlanVerdict) -> str | None:
@@ -177,7 +169,7 @@ def render_human(verdicts: VerdictSet, explain: bool = False) -> str:
         if explain:
             for check in pv.checks:
                 lines.append(f"    {check.principle}: {check.status}")
-                for entry in _evidence_lines(check.evidence):
+                for entry in _evidence_lines(_evidence_doc(check.evidence)):
                     lines.append(f"      {entry}")
     lines.append(f"rounds: {verdicts.rounds}  stable: {'yes' if verdicts.stable else 'no'}")
     return "\n".join(lines) + "\n"
@@ -185,11 +177,8 @@ def render_human(verdicts: VerdictSet, explain: bool = False) -> str:
 
 def _evidence_doc(evidence: object) -> dict:
     if isinstance(evidence, Witness):
-        return {
-            "kind": "witness",
-            "model": {name: value for name, value in
-                      _model_items(evidence.clause_set, evidence.model)},
-        }
+        return {"kind": "witness",
+                "model": _model_doc(evidence.clause_set, evidence.model)}
     if isinstance(evidence, QueryConflict):
         return {"kind": "conflict",
                 "clauses": evidence.conflict.render(evidence.clause_set)}
@@ -201,26 +190,25 @@ def _evidence_doc(evidence: object) -> dict:
             "kind": "plan-conflict",
             "with": evidence.other_plan,
             "action_clauses": evidence.actions_conflict.render(evidence.actions_clause_set),
-            "reasons_model": {name: value for name, value in
-                              _model_items(evidence.reasons_clause_set, evidence.reasons_model)},
+            "reasons_model": _model_doc(evidence.reasons_clause_set, evidence.reasons_model),
         }
     if isinstance(evidence, Dominated):
         return {
             "kind": "dominated",
             "context": evidence.context,
             "action": str(evidence.action),
-            "utility": _frac(evidence.utility),
+            "utility": format_number(evidence.utility),
             "dominator": str(evidence.dominator),
-            "dominator_utility": _frac(evidence.dominator_utility),
+            "dominator_utility": format_number(evidence.dominator_utility),
         }
     if isinstance(evidence, UtilityComparison):
         return {
             "kind": "utility-maximal",
             "context": evidence.context,
             "action": str(evidence.action),
-            "utility": _frac(evidence.utility),
+            "utility": format_number(evidence.utility),
             "alternatives": [
-                {"action": str(atom), "utility": _frac(u), "eligible": ok}
+                {"action": str(atom), "utility": format_number(u), "eligible": ok}
                 for atom, u, ok in evidence.alternatives
             ],
         }

@@ -4,8 +4,8 @@ The format is a keyword-introduced block grammar (suggested extension
 `.deon`): `agents`, `objects`, `predicates`, `plan`, `physics`, `belief`,
 `on_universalized`, `candidates` and `utility` sections, with `#` comments
 and `not`/`and`/`or`/`->`/`forall x.` formulas. Declarations must precede
-use. Modal operators have no surface syntax: the checker builds them,
-authors never write them.
+use. Modal operators have no surface syntax: the checker decides every modal
+question as a satisfiability query, so authors never write one.
 
 Parsing is a pure function of the input text and never raises on malformed
 input; failures come back as diagnostics with source spans.
@@ -961,7 +961,7 @@ def _formula_level(f: Formula) -> int:
 
 
 def format_formula(f: Formula, min_level: int = 0) -> str:
-    """Source syntax for a modal-free formula, minimal parentheses."""
+    """Source syntax for a formula, minimal parentheses."""
     if _formula_level(f) < min_level:
         return f"({format_formula(f, 0)})"
     if isinstance(f, ForAll):
@@ -1033,13 +1033,14 @@ def print_scenario(scenario: Scenario) -> str:
     for (context, atom), value in scenario.utilities.entries.items():
         by_context.setdefault(context, []).append((atom, value))
     for context, entries in by_context.items():
-        body = "\n".join(f"  {atom} = {_format_number(v)};" for atom, v in entries)
+        body = "\n".join(f"  {atom} = {format_number(v)};" for atom, v in entries)
         blocks.append(f"utility {context} {{\n{body}\n}}")
 
     return "\n\n".join(blocks) + "\n"
 
 
-def _format_number(value: Fraction) -> str:
+def format_number(value: Fraction) -> str:
+    """An exact rational as the format writes it: `2`, `-3` or `1/3`."""
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

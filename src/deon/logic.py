@@ -1,5 +1,9 @@
 """Formula representation, substitution, finite-domain grounding, clause form.
 
+There are no modal operators here. Possibility, rational belief and rational
+requirement are decided as satisfiability queries against an agent's theory
+(see `principles`), so a formula is always a plain first-order one.
+
 Everything here is immutable and every operation is a pure function, so
 formulas and clause sets can be shared between concurrent evaluations
 without coordination.
@@ -156,29 +160,6 @@ class ForAll(Formula):
 
 
 @dataclass(frozen=True)
-class Possible(Formula):
-    """Physical possibility of the body."""
-
-    body: Formula
-
-
-@dataclass(frozen=True)
-class Believable(Formula):
-    """The agent can rationally believe the body."""
-
-    agent: str
-    body: Formula
-
-
-@dataclass(frozen=True)
-class Required(Formula):
-    """Rationality requires the agent to accept the body."""
-
-    agent: str
-    body: Formula
-
-
-@dataclass(frozen=True)
 class UniversalizedPlan(Formula):
     """Hypothetical adoption of a declared plan by every agent."""
 
@@ -187,8 +168,6 @@ class UniversalizedPlan(Formula):
 
 #: The neutral true formula (empty conjunction).
 TRUE: Formula = And(())
-
-_MODAL_NODES = (Possible, Believable, Required)
 
 
 def conj(parts: Sequence[Formula]) -> Formula:
@@ -199,13 +178,6 @@ def conj(parts: Sequence[Formula]) -> Formula:
     if len(parts) == 1:
         return parts[0]
     return And(parts)
-
-
-def disj(parts: Sequence[Formula]) -> Formula:
-    parts = tuple(parts)
-    if len(parts) == 1:
-        return parts[0]
-    return Or(parts)
 
 
 def universalization_trigger(plan_id: str) -> Atom:
@@ -220,9 +192,7 @@ def children(f: Formula) -> tuple[Formula, ...]:
         return f.parts
     if isinstance(f, Implies):
         return (f.antecedent, f.consequent)
-    if isinstance(f, (ForAll, Possible)):
-        return (f.body,)
-    if isinstance(f, (Believable, Required)):
+    if isinstance(f, ForAll):
         return (f.body,)
     return ()
 
@@ -240,41 +210,6 @@ def atoms_of(f: Formula) -> Iterator[Atom]:
     for node in walk(f):
         if isinstance(node, AtomF):
             yield node.atom
-
-
-def is_modal_free(f: Formula) -> bool:
-    return not any(isinstance(n, _MODAL_NODES) for n in walk(f))
-
-
-def validate_modalities(f: Formula) -> None:
-    """Reject nested modal operators and misplaced universalized-plan nodes.
-
-    The supported shapes are a belief/requirement modality over an optional
-    possibility operator over a modal-free body, or a bare possibility
-    operator; universal-adoption nodes make sense only under a possibility
-    operator.
-    """
-
-    def go(node: Formula, state: int, under_possible: bool) -> None:
-        # state 0: outside modalities, 1: under belief/requirement, 2: under possibility
-        if isinstance(node, (Believable, Required)):
-            if state != 0:
-                raise LogicError("nested modal operators are not supported")
-            go(node.body, 1, False)
-            return
-        if isinstance(node, Possible):
-            if state == 2:
-                raise LogicError("nested modal operators are not supported")
-            go(node.body, 2, True)
-            return
-        if isinstance(node, UniversalizedPlan) and not under_possible:
-            raise LogicError(
-                "universalized-plan nodes may appear only under a possibility operator"
-            )
-        for c in children(node):
-            go(c, state, under_possible)
-
-    go(f, 0, False)
 
 
 # --------------------------------------------------------------------------
@@ -322,12 +257,6 @@ def substitute(f: Formula, binding: Mapping[Term, Term]) -> Formula:
     if isinstance(f, ForAll):
         inner = {v: c for v, c in binding.items() if v != f.var}
         return ForAll(f.var, substitute(f.body, inner)) if inner else f
-    if isinstance(f, Possible):
-        return Possible(substitute(f.body, binding))
-    if isinstance(f, Believable):
-        return Believable(f.agent, substitute(f.body, binding))
-    if isinstance(f, Required):
-        return Required(f.agent, substitute(f.body, binding))
     if isinstance(f, UniversalizedPlan):
         return f
     raise LogicError(f"unknown formula node {type(f).__name__}")
@@ -446,12 +375,6 @@ def ground(
                     f"empty {node.var.sort} domain for quantified variable {node.var.name}"
                 )
             return conj(tuple(go(substitute(node.body, {node.var: c})) for c in domain))
-        if isinstance(node, Possible):
-            return Possible(go(node.body))
-        if isinstance(node, Believable):
-            return Believable(node.agent, go(node.body))
-        if isinstance(node, Required):
-            return Required(node.agent, go(node.body))
         if isinstance(node, UniversalizedPlan):
             if plans is None or node.plan_id not in plans:
                 raise GroundingError(f"no plan named {node.plan_id!r} to expand")
@@ -486,7 +409,7 @@ def _ordered_free_vars(f: Formula) -> list[Term]:
 
 
 def evaluate_formula(f: Formula, assignment: Mapping[Atom, bool]) -> bool:
-    """Truth value of a ground, modal-free formula under a total assignment."""
+    """Truth value of a ground formula under a total assignment."""
     if isinstance(f, AtomF):
         if f.atom not in assignment:
             raise LogicError(f"assignment does not cover atom {f.atom}")
@@ -666,8 +589,6 @@ class _Encoder:
 
 def _check_ground(formula: Formula) -> None:
     for node in walk(formula):
-        if isinstance(node, _MODAL_NODES):
-            raise LogicError("modal operator encountered in clause conversion")
         if isinstance(node, (ForAll, UniversalizedPlan)):
             raise LogicError("clause conversion requires a ground formula")
         if isinstance(node, AtomF) and not node.atom.is_ground():
@@ -743,5 +664,5 @@ class ClauseBuilder:
 
 
 def to_clauses(f: Formula) -> GroundClauseSet:
-    """Equisatisfiable clause set for one ground, modal-free formula."""
+    """Equisatisfiable clause set for one ground formula."""
     return ClauseBuilder().add(f).build()

@@ -15,16 +15,14 @@ from .logic import (
     AgentId,
     Atom,
     AtomF,
-    Believable,
     Formula,
     ForAll,
     Implies,
     OBJECT,
-    Possible,
-    Required,
     SignedAtom,
     Term,
     TRUE,
+    UNIVERSALIZATION_PREDICATE,
     UniversalizedPlan,
     agent_const,
     agent_var,
@@ -165,12 +163,6 @@ class Scenario:
     def agent_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.agents)
 
-    def predicate(self, name: str) -> PredicateDecl | None:
-        for p in self.predicates:
-            if p.name == name:
-                return p
-        return None
-
     def plan(self, plan_id: str) -> ActionPlan:
         for p in self.plans:
             if p.id == plan_id:
@@ -179,12 +171,6 @@ class Scenario:
 
     def plan_map(self) -> dict[str, ActionPlan]:
         return {p.id: p for p in self.plans}
-
-    def candidate_set(self, context: str) -> CandidateSet:
-        for cs in self.candidates:
-            if cs.context == context:
-                return cs
-        raise ScenarioError(f"unknown candidate context {context!r}")
 
 
 def belief_theory(scenario: Scenario, agent: AgentId | str) -> list[Formula]:
@@ -270,9 +256,15 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
         add(f"object {name}", "name-clash", f"{name} is declared both as agent and object")
 
     predicates: dict[str, PredicateDecl] = {}
+    # The trigger atom prints without its "@", so a declared predicate of
+    # that name would give two atoms the same name in witnesses.
+    reserved = UNIVERSALIZATION_PREDICATE.lstrip("@")
     for decl in scenario.predicates:
         if decl.name in predicates:
             add(f"predicate {decl.name}", "duplicate", f"predicate {decl.name} declared more than once")
+        if decl.name == reserved:
+            add(f"predicate {decl.name}", "reserved-predicate",
+                f"predicate name {decl.name} is reserved for the universal-adoption trigger")
         predicates[decl.name] = decl
 
     def check_term(element: str, term: Term, expected_sort: str) -> None:
@@ -301,10 +293,6 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
 
     def check_formula(element: str, f: Formula) -> None:
         def go(node: Formula, bound: frozenset[Term]) -> None:
-            if isinstance(node, (Possible, Believable, Required)):
-                add(element, "modal-in-constraint",
-                    "constraint formulas must be modal-free")
-                return
             if isinstance(node, UniversalizedPlan):
                 add(element, "universalization-in-constraint",
                     "universal-adoption nodes are built by the checker, never authored")

@@ -4,8 +4,8 @@
 compiled fragment into every query; the clause sets must still be exactly
 what these functions build: the same atoms in the same order, the same
 aux count, clauses and labels. The bodies are the original builder and
-query functions, unchanged; they ground and convert the whole theory for
-every query.
+query functions, unchanged apart from the check for modal nodes, which
+no longer exist; they ground and convert the whole theory for every query.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from deon.logic import (
-    _MODAL_NODES,
     Atom,
     AtomF,
     And,
@@ -46,8 +45,6 @@ class ClauseBuilder:
 
     def add(self, formula: Formula, label: str = "") -> "ClauseBuilder":
         for node in walk(formula):
-            if isinstance(node, _MODAL_NODES):
-                raise LogicError("modal operator encountered in clause conversion")
             if isinstance(node, (ForAll, UniversalizedPlan)):
                 raise LogicError("clause conversion requires a ground formula")
             if isinstance(node, AtomF) and not node.atom.is_ground():

@@ -124,6 +124,25 @@ def test_quantifier_over_empty_object_domain_is_invalid(capsys, tmp_path, comman
     assert "Traceback" not in err
 
 
+
+@pytest.mark.parametrize("command", ["validate", "check"])
+def test_trigger_predicate_name_is_reserved(capsys, tmp_path, command):
+    # The trigger atom of plan `go` prints as universally_adopted(go).
+    source = tmp_path / "adopt.deon"
+    source.write_text(
+        "scenario adopt\n"
+        "agents a\n"
+        "objects go\n"
+        "predicates universally_adopted(object), want(agent), move(agent) action\n"
+        "plan go agent a: reasons { want(a) } action { move(a) }\n"
+        "physics { universally_adopted(go) -> want(a); }\n"
+    )
+    code, out, err = run(capsys, command, str(source))
+    assert code == EXIT_INVALID
+    assert "[reserved-predicate]" in err
+    assert "Traceback" not in err
+    assert out == ""
+
 # -- rendering ------------------------------------------------------------------
 
 
@@ -272,6 +291,48 @@ def test_sat_debug_dimacs_matches_frozen_snapshot(capsys, paths, name, check_id)
     frozen = Path(__file__).parent / "snapshots" / f"{name}.{check_id.replace(':', '-')}.dimacs"
     assert out == frozen.read_text()
 
+
+# Reaches the two evidence kinds no bundled scenario shows: a budget note
+# (the chain of `x`'s effects needs more than 3 decisions) and a maximal
+# action with an ineligible alternative (`y` fails generalization).
+FOGBANK = (
+    "scenario fogbank\n"
+    "agents a\n"
+    "predicates p1(), p2(), p3(), p4(), p5(), p6(), w(agent), act(agent) action, rush(agent) action\n"
+    "plan x agent a: reasons { w(a) } action { act(a) }\n"
+    "plan y agent a: reasons { w(a) } action { rush(a) }\n"
+    "on_universalized x { p1 or p2; p2 or p3; p3 or p4; p4 or p5; p5 or p6; }\n"
+    "on_universalized y { forall z. not w(z); }\n"
+    "candidates here given { w(a) } { act(a), rush(a) }\n"
+    "utility here { act(a) = 1/2; rush(a) = 2; }\n"
+)
+
+
+@pytest.mark.parametrize(
+    "name, fmt, expected",
+    [
+        ("theft", "human", EXIT_UNETHICAL),
+        ("ambulance", "human", EXIT_UNETHICAL),
+        ("merge", "human", EXIT_UNETHICAL),
+        ("bus", "human", EXIT_OK),
+        ("pedestrian", "human", EXIT_UNETHICAL),
+        ("fogbank", "human", EXIT_UNETHICAL),
+        ("fogbank", "json", EXIT_UNETHICAL),
+    ],
+)
+def test_explain_output_matches_frozen_snapshot(capsys, paths, tmp_path, name, fmt, expected):
+    from pathlib import Path
+
+    if name == "fogbank":
+        source = tmp_path / "fogbank.deon"
+        source.write_text(FOGBANK)
+        args = [str(source), "--budget", "3"]
+    else:
+        args = [paths[name]]
+    code, out, _ = run(capsys, "explain", "--format", fmt, *args)
+    assert code == expected
+    suffix = "explain.txt" if fmt == "human" else "json"
+    assert out == (Path(__file__).parent / "snapshots" / f"{name}.{suffix}").read_text()
 
 def test_pedestrian_snapshot_has_opposite_statuses():
     import json

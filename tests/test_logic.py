@@ -8,7 +8,6 @@ from deon.logic import (
     And,
     Atom,
     AtomF,
-    Believable,
     ClauseBuilder,
     ForAll,
     GroundingError,
@@ -16,8 +15,6 @@ from deon.logic import (
     LogicError,
     Not,
     Or,
-    Possible,
-    Required,
     SignedAtom,
     TRUE,
     UniversalizedPlan,
@@ -31,7 +28,6 @@ from deon.logic import (
     substitute,
     to_clauses,
     universalization_trigger,
-    validate_modalities,
 )
 from deon.sat import brute_force, solve
 from deon.scenario import ActionPlan
@@ -187,28 +183,6 @@ def test_ground_is_deterministic():
     assert len(runs) == 1
 
 
-# -- modality validation -------------------------------------------------------
-
-
-def test_validate_modalities_accepts_checker_shapes():
-    body = And((UniversalizedPlan("p"), atom("C", agent_const("a"))))
-    validate_modalities(Believable("a", Possible(body)))
-    validate_modalities(Required("a", Possible(atom("C", agent_const("a")))))
-
-
-def test_validate_modalities_rejects_nesting():
-    inner = Possible(atom("C", agent_const("a")))
-    with pytest.raises(LogicError):
-        validate_modalities(Believable("a", Believable("b", inner)))
-    with pytest.raises(LogicError):
-        validate_modalities(Possible(Possible(atom("C", agent_const("a")))))
-
-
-def test_validate_modalities_rejects_naked_universalization():
-    with pytest.raises(LogicError):
-        validate_modalities(UniversalizedPlan("p"))
-
-
 # -- clause conversion ----------------------------------------------------------
 
 
@@ -230,8 +204,6 @@ def test_to_clauses_modus_ponens_conflict_unsat():
 
 
 def test_to_clauses_rejects_modal_and_nonground():
-    with pytest.raises(LogicError):
-        to_clauses(Possible(atom("p")))
     with pytest.raises(LogicError):
         to_clauses(atom("C", x))
     with pytest.raises(LogicError):

@@ -11,7 +11,6 @@ from deon.logic import (
     ForAll,
     Implies,
     Not,
-    Possible,
     SignedAtom,
     TRUE,
     agent_const,
@@ -21,7 +20,6 @@ from deon.logic import (
     universalization_trigger,
 )
 from deon.scenario import (
-    ConstraintBase,
     ScenarioError,
     UtilityTable,
     belief_theory,
@@ -106,13 +104,6 @@ def test_candidate_set_must_contain_plans_own_action(golden):
 def test_single_mutations_yield_diagnostics(golden, mutate, expected_rule):
     mutated = mutate(golden["theft"])
     assert expected_rule in rules(validate(mutated))
-
-
-def test_modal_constraint_is_rejected(golden):
-    theft = golden["theft"]
-    bad = ConstraintBase(physical=(Possible(AtomF(Atom("wants_item", (agent_const("a"),)))),))
-    mutated = dataclasses.replace(theft, constraints=bad)
-    assert "modal-in-constraint" in rules(validate(mutated))
 
 
 def test_missing_utility_entry_diagnosed(golden):
