@@ -24,15 +24,14 @@ from .principles import (
     Note,
     PlanInterference,
     PlanVerdict,
+    QueryCompiler,
     QueryConflict,
     ReasonsContradiction,
     UNETHICAL,
     UtilityComparison,
     VerdictSet,
     Witness,
-    autonomy_pair_queries,
     evaluate,
-    generalization_query,
 )
 from .sat import DEFAULT_BUDGET
 from .scenario import Scenario
@@ -108,10 +107,6 @@ def _evidence_lines(doc: dict) -> list[str]:
         return ["query unsatisfiable; conflicting constraints:"] + [
             f"  {line}" for line in doc["clauses"]
         ]
-    if kind == "reasons-conflict":
-        return [f"reasons cannot jointly apply with plan {doc['with']}:"] + [
-            f"  {line}" for line in doc["clauses"]
-        ]
     if kind == "plan-conflict":
         return (
             [f"interferes with plan {doc['with']}:",
@@ -181,9 +176,6 @@ def _evidence_doc(evidence: object) -> dict:
                 "model": _model_doc(evidence.clause_set, evidence.model)}
     if isinstance(evidence, QueryConflict):
         return {"kind": "conflict",
-                "clauses": evidence.conflict.render(evidence.clause_set)}
-    if isinstance(evidence, ReasonsContradiction):
-        return {"kind": "reasons-conflict", "with": evidence.other_plan,
                 "clauses": evidence.conflict.render(evidence.clause_set)}
     if isinstance(evidence, PlanInterference):
         return {
@@ -379,7 +371,7 @@ def sat_debug(file: str, check_id: str) -> int:
     if parts[0] == "gen" and len(parts) == 2:
         if parts[1] not in plan_ids:
             raise click.UsageError(f"unknown plan {parts[1]!r} in --clauses")
-        cs = generalization_query(scenario.plan(parts[1]), scenario)
+        cs = QueryCompiler(scenario).generalization(scenario.plan(parts[1]))
         click.echo(f"c generalization query for plan {parts[1]}")
         click.echo(cs.to_dimacs(), nl=False)
         return EXIT_OK
@@ -390,7 +382,7 @@ def sat_debug(file: str, check_id: str) -> int:
         plan, other = scenario.plan(parts[1]), scenario.plan(parts[2])
         if plan.agent == other.agent:
             raise click.UsageError("autonomy checks need plans of distinct agents")
-        actions, reasons = autonomy_pair_queries(plan, other, scenario)
+        actions, reasons = QueryCompiler(scenario).autonomy_pair(plan, other)
         click.echo(f"c autonomy actions query for {parts[1]} against {parts[2]}")
         click.echo(actions.to_dimacs(), nl=False)
         click.echo(f"c autonomy reasons query for {parts[1]} against {parts[2]}")

@@ -929,7 +929,9 @@ def parse_scenario(
     scenario = parser.build()
     start = SourceSpan(filename, 1, 1, 1)
     for finding in validate(scenario):
-        diagnostics.append(ParseDiagnostic(start, "error", str(finding), "validation"))
+        diagnostics.append(
+            ParseDiagnostic(finding.span or start, "error", str(finding), "validation")
+        )
     if any(d.severity == "error" for d in diagnostics):
         return ParseResult(None, diagnostics)
     return ParseResult(scenario, diagnostics)

@@ -200,30 +200,12 @@ def rationally_required_to_deny_possible(cs: GroundClauseSet, budget: int = DEFA
     return not solve(cs, budget).satisfiable
 
 
-def _decide(
-    cs: GroundClauseSet,
-    budget: int,
-    query_log: list[ModalQuery] | None,
-    check: str,
-    agent: str,
-) -> SatResult | None:
-    try:
-        result = solve(cs, budget)
-    except BudgetExhausted:
-        if query_log is not None:
-            query_log.append(ModalQuery(check, agent, cs, None))
-        return None
-    if query_log is not None:
-        query_log.append(ModalQuery(check, agent, cs, result.satisfiable))
-    return result
-
-
 # --------------------------------------------------------------------------
-# Query construction
+# Queries and the checks that decide them
 
 
 class QueryCompiler:
-    """Builds the satisfiability queries of one scenario.
+    """Builds and decides the satisfiability queries of one evaluation.
 
     Only the plan-side parts change from query to query; each agent's
     rational-constraint theory is fixed. So the physical constraints are
@@ -232,12 +214,21 @@ class QueryCompiler:
     fragments after their plan parts and get exactly the clause sets that
     grounding and converting the whole theory each time would give.
 
-    One compiler serves one scenario: `evaluate` makes a fresh one per call
-    and drops it on return, so nothing carries over between scenarios.
+    Every query is decided under `budget` decisions and, when `query_log`
+    is a list, recorded in it. `evaluate` makes one compiler per call, and
+    each module-level check one per check, and drops it on return, so
+    nothing carries over between scenarios or calls.
     """
 
-    def __init__(self, scenario: Scenario) -> None:
+    def __init__(
+        self,
+        scenario: Scenario,
+        budget: int = DEFAULT_BUDGET,
+        query_log: list[ModalQuery] | None = None,
+    ) -> None:
         self.scenario = scenario
+        self.budget = budget
+        self.query_log = query_log
         self._physics: GroundClauseSet | None = None
         self._beliefs: dict[str, GroundClauseSet] = {}
 
@@ -261,7 +252,14 @@ class QueryCompiler:
         return builder.add_fragment(self._physics).add_fragment(beliefs).build()
 
     def generalization(self, plan: ActionPlan) -> GroundClauseSet:
-        """See `generalization_query`."""
+        """Ground query behind the generalization check.
+
+        Conjunction of: every agent adopting the plan (material conditionals
+        plus the universalization trigger), the plan's declared
+        universalization effects, the plan's own reasons and action, and the
+        agent's rational-constraint theory. The plan passes iff this is
+        satisfiable.
+        """
         scenario = self.scenario
         agents, objects = scenario.agents, scenario.objects
         builder = ClauseBuilder()
@@ -284,7 +282,13 @@ class QueryCompiler:
     def autonomy_pair(
         self, plan: ActionPlan, other: ActionPlan
     ) -> tuple[GroundClauseSet, GroundClauseSet]:
-        """See `autonomy_pair_queries`."""
+        """The two disjunct queries for one autonomy pair, from `plan`'s standpoint.
+
+        First: both actions together with the acting agent's theory (pass if
+        satisfiable). Second: both plans' reasons together with the same
+        theory (pass if unsatisfiable: the plans can never come into
+        conflict).
+        """
         agents, objects = self.scenario.agents, self.scenario.objects
         actions = ClauseBuilder()
         actions.add(ground(plan.action_formula(), agents, objects), f"action of plan {plan.id}")
@@ -295,65 +299,148 @@ class QueryCompiler:
         agent = plan.agent.name
         return self._with_theory(actions, agent), self._with_theory(reasons, agent)
 
+    def _decide(self, cs: GroundClauseSet, check: str, agent: str) -> SatResult | None:
+        """Solve `cs` under the budget, or None when the budget ran out."""
+        try:
+            result = solve(cs, self.budget)
+        except BudgetExhausted:
+            result = None
+        if self.query_log is not None:
+            satisfiable = None if result is None else result.satisfiable
+            self.query_log.append(ModalQuery(check, agent, cs, satisfiable))
+        return result
 
-def generalization_query(plan: ActionPlan, scenario: Scenario) -> GroundClauseSet:
-    """Ground query behind the generalization check.
+    def check_generalization(self, plan: ActionPlan) -> PrincipleVerdict:
+        """Can the agent rationally believe everyone could adopt the plan while
+        the agent's reasons still apply and the action still happens?"""
+        cs = self.generalization(plan)
+        result = self._decide(cs, f"generalization:{plan.id}", plan.agent.name)
+        if result is None:
+            return PrincipleVerdict(
+                GENERALIZATION, INDETERMINATE,
+                BudgetNote(f"decision budget exhausted on the generalization query for {plan.id}"),
+            )
+        if result.satisfiable:
+            assert result.model is not None
+            return PrincipleVerdict(GENERALIZATION, PASS, Witness(cs, result.model))
+        assert result.conflict is not None
+        return PrincipleVerdict(GENERALIZATION, FAIL, QueryConflict(cs, result.conflict))
 
-    Conjunction of: every agent adopting the plan (material conditionals plus
-    the universalization trigger), the plan's declared universalization
-    effects, the plan's own reasons and action, and the agent's
-    rational-constraint theory. The plan passes iff this is satisfiable.
-    """
-    return QueryCompiler(scenario).generalization(plan)
+    def check_autonomy_pair(self, plan: ActionPlan, other: ActionPlan) -> PrincipleVerdict:
+        """Is `plan` consistent with one other agent's plan?
 
+        Passes if the agent can rationally believe both actions can hold
+        together, or can rationally believe the two plans' reasons cannot
+        jointly apply. The reasons query is asked only when the actions
+        query is unsatisfiable.
+        """
+        if plan.agent == other.agent:
+            raise ScenarioError("autonomy is checked between plans of distinct agents")
+        cs_actions, cs_reasons = self.autonomy_pair(plan, other)
+        tag, agent = f"autonomy:{plan.id}:{other.id}", plan.agent.name
+        d1 = self._decide(cs_actions, f"{tag}:actions", agent)
+        if d1 is not None and d1.satisfiable:
+            assert d1.model is not None
+            return PrincipleVerdict(AUTONOMY, PASS, Witness(cs_actions, d1.model))
+        d2 = None if d1 is None else self._decide(cs_reasons, f"{tag}:reasons", agent)
+        if d1 is None or d2 is None:
+            return PrincipleVerdict(
+                AUTONOMY, INDETERMINATE,
+                BudgetNote(f"decision budget exhausted checking {plan.id} against {other.id}"),
+            )
+        if not d2.satisfiable:
+            assert d2.conflict is not None
+            return PrincipleVerdict(
+                AUTONOMY, PASS, ReasonsContradiction(other.id, cs_reasons, d2.conflict)
+            )
+        assert d1.conflict is not None and d2.model is not None
+        return PrincipleVerdict(
+            AUTONOMY, FAIL,
+            PlanInterference(other.id, cs_actions, d1.conflict, cs_reasons, d2.model),
+        )
 
-def autonomy_pair_queries(
-    plan: ActionPlan, other: ActionPlan, scenario: Scenario
-) -> tuple[GroundClauseSet, GroundClauseSet]:
-    """The two disjunct queries for one autonomy pair, from `plan`'s standpoint.
+    def check_autonomy(
+        self, plan: ActionPlan, protected: frozenset[str] | None
+    ) -> PrincipleVerdict:
+        """Check `plan` against every protected plan of every other agent.
 
-    First: both actions together with the acting agent's theory (pass if
-    satisfiable). Second: both plans' reasons together with the same theory
-    (pass if unsatisfiable: the plans can never come into conflict).
-    """
-    return QueryCompiler(scenario).autonomy_pair(plan, other)
+        The first failing pair decides a fail; plans of the agent itself are
+        never checked against each other. `protected` is the set of plan ids
+        still in the clear (None protects everything).
+        """
+        pairs: list[tuple[str, object]] = []
+        indeterminate: PrincipleVerdict | None = None
+        for other in self.scenario.plans:
+            if other.id == plan.id or other.agent == plan.agent:
+                continue
+            if protected is not None and other.id not in protected:
+                continue
+            verdict = self.check_autonomy_pair(plan, other)
+            if verdict.status == FAIL:
+                return verdict
+            if verdict.status == INDETERMINATE and indeterminate is None:
+                indeterminate = verdict
+            pairs.append((other.id, verdict.evidence))
+        if indeterminate is not None:
+            return indeterminate
+        if not pairs:
+            return PrincipleVerdict(
+                AUTONOMY, PASS, Note("no protected plans of other agents to conflict with")
+            )
+        return PrincipleVerdict(AUTONOMY, PASS, AutonomyClear(tuple(pairs)))
+
+    def _check_plan(
+        self,
+        plan: ActionPlan,
+        protected: frozenset[str],
+        eligible: frozenset[tuple[str, Atom]],
+    ) -> PlanVerdict:
+        checks = (
+            self.check_generalization(plan),
+            check_utility(plan, self.scenario, eligible),
+            self.check_autonomy(plan, protected),
+        )
+        if any(c.status == FAIL for c in checks):
+            overall = UNETHICAL
+        elif all(c.status == PASS for c in checks):
+            overall = ETHICAL
+        else:
+            overall = INDETERMINATE
+        return PlanVerdict(plan.id, checks, overall)
 
 
 # --------------------------------------------------------------------------
-# Principle checks
+# Principle checks of a single plan
 
 
 def check_generalization(
+    plan: ActionPlan, scenario: Scenario, budget: int = DEFAULT_BUDGET
+) -> PrincipleVerdict:
+    """`QueryCompiler.check_generalization` on a fresh compiler."""
+    return QueryCompiler(scenario, budget).check_generalization(plan)
+
+
+def check_autonomy_pair(
+    plan: ActionPlan, other: ActionPlan, scenario: Scenario, budget: int = DEFAULT_BUDGET
+) -> PrincipleVerdict:
+    """`QueryCompiler.check_autonomy_pair` on a fresh compiler."""
+    return QueryCompiler(scenario, budget).check_autonomy_pair(plan, other)
+
+
+def check_autonomy(
     plan: ActionPlan,
     scenario: Scenario,
+    protected: frozenset[str] | None = None,
     budget: int = DEFAULT_BUDGET,
-    query_log: list[ModalQuery] | None = None,
-    queries: QueryCompiler | None = None,
 ) -> PrincipleVerdict:
-    """Can the agent rationally believe everyone could adopt the plan while
-    the agent's reasons still apply and the action still happens?
-
-    `queries` is a compiler for `scenario` to reuse (None makes one).
-    """
-    cs = (queries or QueryCompiler(scenario)).generalization(plan)
-    result = _decide(cs, budget, query_log, f"generalization:{plan.id}", plan.agent.name)
-    if result is None:
-        return PrincipleVerdict(
-            GENERALIZATION, INDETERMINATE,
-            BudgetNote(f"decision budget exhausted on the generalization query for {plan.id}"),
-        )
-    if result.satisfiable:
-        assert result.model is not None
-        return PrincipleVerdict(GENERALIZATION, PASS, Witness(cs, result.model))
-    assert result.conflict is not None
-    return PrincipleVerdict(GENERALIZATION, FAIL, QueryConflict(cs, result.conflict))
+    """`QueryCompiler.check_autonomy` on a fresh compiler."""
+    return QueryCompiler(scenario, budget).check_autonomy(plan, protected)
 
 
 def check_utility(
     plan: ActionPlan,
     scenario: Scenario,
     eligible: frozenset[tuple[str, Atom]] | None = None,
-    query_log: list[ModalQuery] | None = None,
 ) -> PrincipleVerdict:
     """Does the action carry at least as much utility as every eligible
     alternative available under the same conditions?
@@ -397,89 +484,6 @@ def check_utility(
     )
 
 
-def check_autonomy_pair(
-    plan: ActionPlan,
-    other: ActionPlan,
-    scenario: Scenario,
-    budget: int = DEFAULT_BUDGET,
-    query_log: list[ModalQuery] | None = None,
-    queries: QueryCompiler | None = None,
-) -> PrincipleVerdict:
-    """Is `plan` consistent with one other agent's plan?
-
-    Passes if the agent can rationally believe both actions can hold
-    together, or can rationally believe the two plans' reasons cannot
-    jointly apply. `queries` is as for `check_generalization`.
-    """
-    if plan.agent == other.agent:
-        raise ScenarioError("autonomy is checked between plans of distinct agents")
-    cs_actions, cs_reasons = (queries or QueryCompiler(scenario)).autonomy_pair(plan, other)
-    tag = f"autonomy:{plan.id}:{other.id}"
-    d1 = _decide(cs_actions, budget, query_log, f"{tag}:actions", plan.agent.name)
-    if d1 is None:
-        return PrincipleVerdict(
-            AUTONOMY, INDETERMINATE,
-            BudgetNote(f"decision budget exhausted checking {plan.id} against {other.id}"),
-        )
-    if d1.satisfiable:
-        assert d1.model is not None
-        return PrincipleVerdict(AUTONOMY, PASS, Witness(cs_actions, d1.model))
-    d2 = _decide(cs_reasons, budget, query_log, f"{tag}:reasons", plan.agent.name)
-    if d2 is None:
-        return PrincipleVerdict(
-            AUTONOMY, INDETERMINATE,
-            BudgetNote(f"decision budget exhausted checking {plan.id} against {other.id}"),
-        )
-    if not d2.satisfiable:
-        assert d2.conflict is not None
-        return PrincipleVerdict(
-            AUTONOMY, PASS, ReasonsContradiction(other.id, cs_reasons, d2.conflict)
-        )
-    assert d1.conflict is not None and d2.model is not None
-    return PrincipleVerdict(
-        AUTONOMY, FAIL,
-        PlanInterference(other.id, cs_actions, d1.conflict, cs_reasons, d2.model),
-    )
-
-
-def check_autonomy(
-    plan: ActionPlan,
-    scenario: Scenario,
-    protected: frozenset[str] | None = None,
-    budget: int = DEFAULT_BUDGET,
-    query_log: list[ModalQuery] | None = None,
-    queries: QueryCompiler | None = None,
-) -> PrincipleVerdict:
-    """Check `plan` against every protected plan of every other agent.
-
-    The first failing pair decides a fail; plans of the agent itself are
-    never checked against each other. `protected` is the set of plan ids
-    still in the clear (None protects everything). `queries` is as for
-    `check_generalization`.
-    """
-    queries = queries or QueryCompiler(scenario)
-    pairs: list[tuple[str, object]] = []
-    indeterminate: PrincipleVerdict | None = None
-    for other in scenario.plans:
-        if other.id == plan.id or other.agent == plan.agent:
-            continue
-        if protected is not None and other.id not in protected:
-            continue
-        verdict = check_autonomy_pair(plan, other, scenario, budget, query_log, queries)
-        if verdict.status == FAIL:
-            return verdict
-        if verdict.status == INDETERMINATE and indeterminate is None:
-            indeterminate = verdict
-        pairs.append((other.id, verdict.evidence))
-    if indeterminate is not None:
-        return indeterminate
-    if not pairs:
-        return PrincipleVerdict(
-            AUTONOMY, PASS, Note("no protected plans of other agents to conflict with")
-        )
-    return PrincipleVerdict(AUTONOMY, PASS, AutonomyClear(tuple(pairs)))
-
-
 # --------------------------------------------------------------------------
 # Fixpoint engine
 
@@ -494,43 +498,16 @@ def eligible_actions(
     candidates with no declared plan are never demonstrated unethical, so
     they remain eligible.
     """
-    pairs: set[tuple[str, Atom]] = set()
-    for cs in scenario.candidates:
-        for act in cs.actions:
-            owners = [
-                p.id
-                for p in scenario.plans
-                if not p.action.negated
-                and p.instantiated_action().atom == act
-                and (ctx := plan_context(scenario, p)) is not None
-                and ctx.context == cs.context
-            ]
-            if all(pid in protected for pid in owners):
-                pairs.add((cs.context, act))
-    return frozenset(pairs)
-
-
-def _check_plan(
-    plan: ActionPlan,
-    scenario: Scenario,
-    protected: frozenset[str],
-    eligible: frozenset[tuple[str, Atom]],
-    budget: int,
-    query_log: list[ModalQuery] | None,
-    queries: QueryCompiler,
-) -> PlanVerdict:
-    checks = (
-        check_generalization(plan, scenario, budget, query_log, queries),
-        check_utility(plan, scenario, eligible, query_log),
-        check_autonomy(plan, scenario, protected, budget, query_log, queries),
-    )
-    if any(c.status == FAIL for c in checks):
-        overall = UNETHICAL
-    elif all(c.status == PASS for c in checks):
-        overall = ETHICAL
-    else:
-        overall = INDETERMINATE
-    return PlanVerdict(plan.id, checks, overall)
+    dropped = {
+        (ctx.context, p.instantiated_action().atom)
+        for p in scenario.plans
+        if p.id not in protected
+        and not p.action.negated
+        and (ctx := plan_context(scenario, p)) is not None
+    }
+    return frozenset(
+        (cs.context, act) for cs in scenario.candidates for act in cs.actions
+    ) - dropped
 
 
 def evaluate(
@@ -560,7 +537,7 @@ def evaluate(
     current: list[PlanVerdict] = []
     statuses: dict[str, str] = dict(assumed)
     last_in: dict[str, str] = dict(assumed)
-    queries = QueryCompiler(scenario)
+    queries = QueryCompiler(scenario, budget, query_log)
 
     while rounds < max_rounds:
         rounds += 1
@@ -568,10 +545,7 @@ def evaluate(
             pid for pid, status in assumed.items() if status in (ETHICAL, INDETERMINATE)
         )
         eligible = eligible_actions(scenario, protected)
-        current = [
-            _check_plan(p, scenario, protected, eligible, budget, query_log, queries)
-            for p in plans
-        ]
+        current = [queries._check_plan(p, protected, eligible) for p in plans]
         statuses = {pv.plan_id: pv.overall for pv in current}
         if statuses == assumed:
             stable = True

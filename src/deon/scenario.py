@@ -230,6 +230,7 @@ class Diagnostic:
     element: str
     rule: str
     message: str
+    span: "SourceSpan | None" = field(default=None, compare=False)  # the element's, if known
 
     def __str__(self) -> str:
         return f"{self.element}: {self.message} [{self.rule}]"
@@ -242,8 +243,8 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
     """
     out: list[Diagnostic] = []
 
-    def add(element: str, rule: str, message: str) -> None:
-        out.append(Diagnostic(element, rule, message))
+    def add(element: str, rule: str, message: str, span: SourceSpan | None = None) -> None:
+        out.append(Diagnostic(element, rule, message, span))
 
     agent_names = [a.name for a in scenario.agents]
     if not scenario.agents:
@@ -261,49 +262,56 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
     reserved = UNIVERSALIZATION_PREDICATE.lstrip("@")
     for decl in scenario.predicates:
         if decl.name in predicates:
-            add(f"predicate {decl.name}", "duplicate", f"predicate {decl.name} declared more than once")
+            add(f"predicate {decl.name}", "duplicate",
+                f"predicate {decl.name} declared more than once", decl.span)
         if decl.name == reserved:
             add(f"predicate {decl.name}", "reserved-predicate",
-                f"predicate name {decl.name} is reserved for the universal-adoption trigger")
+                f"predicate name {decl.name} is reserved for the universal-adoption trigger",
+                decl.span)
         predicates[decl.name] = decl
 
-    def check_term(element: str, term: Term, expected_sort: str) -> None:
+    def check_term(element: str, term: Term, expected_sort: str, span: SourceSpan | None) -> None:
         if term.sort != expected_sort:
             add(element, "kind-mismatch",
-                f"term {term.name} has {term.sort} kind where {expected_sort} is expected")
+                f"term {term.name} has {term.sort} kind where {expected_sort} is expected", span)
         if not term.is_var:
             pool = agent_names if term.sort == AGENT else scenario.objects
             if term.name not in pool:
                 add(element, "unknown-constant",
-                    f"unknown {term.sort} constant {term.name}")
+                    f"unknown {term.sort} constant {term.name}", span)
 
-    def check_atom(element: str, atom: Atom, bound: frozenset[Term] = frozenset()) -> None:
+    def check_atom(
+        element: str, atom: Atom, bound: frozenset[Term] = frozenset(),
+        span: SourceSpan | None = None,
+    ) -> None:
         decl = predicates.get(atom.predicate)
         if decl is None:
-            add(element, "unknown-predicate", f"unknown predicate {atom.predicate}")
+            add(element, "unknown-predicate", f"unknown predicate {atom.predicate}", span)
             return
         if len(atom.args) != decl.arity:
             add(element, "arity-mismatch",
-                f"predicate {atom.predicate} takes {decl.arity} arguments, got {len(atom.args)}")
+                f"predicate {atom.predicate} takes {decl.arity} arguments, got {len(atom.args)}",
+                span)
             return
         for term, sort in zip(atom.args, decl.arg_sorts):
-            check_term(element, term, sort)
+            check_term(element, term, sort, span)
             if term.is_var and term not in bound:
-                add(element, "unbound-variable", f"variable {term.name} is not bound here")
+                add(element, "unbound-variable", f"variable {term.name} is not bound here", span)
 
-    def check_formula(element: str, f: Formula) -> None:
+    def check_formula(element: str, f: Formula, span: SourceSpan | None = None) -> None:
         def go(node: Formula, bound: frozenset[Term]) -> None:
             if isinstance(node, UniversalizedPlan):
                 add(element, "universalization-in-constraint",
-                    "universal-adoption nodes are built by the checker, never authored")
+                    "universal-adoption nodes are built by the checker, never authored", span)
                 return
             if isinstance(node, AtomF):
-                check_atom(element, node.atom, bound)
+                check_atom(element, node.atom, bound, span)
                 return
             if isinstance(node, ForAll):
                 if node.var.sort == OBJECT and not scenario.objects:
                     add(element, "no-object-constants",
-                        f"quantified object variable {node.var.name} ranges over no object constants")
+                        f"quantified object variable {node.var.name} ranges over no object constants",
+                        span)
                 go(node.body, bound | {node.var})
                 return
             for c in children(node):
@@ -313,28 +321,30 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
 
     plan_ids: dict[str, ActionPlan] = {}
     for plan in scenario.plans:
-        element = f"plan {plan.id}"
+        element, span = f"plan {plan.id}", plan.span
         if plan.id in plan_ids:
-            add(element, "duplicate", f"plan id {plan.id} declared more than once")
+            add(element, "duplicate", f"plan id {plan.id} declared more than once", span)
         plan_ids[plan.id] = plan
         if plan.agent.name not in agent_names:
-            add(element, "unknown-agent", f"unknown agent {plan.agent.name}")
+            add(element, "unknown-agent", f"unknown agent {plan.agent.name}", span)
         if not plan.reasons:
-            add(element, "empty-reasons", "a plan needs at least one reason")
+            add(element, "empty-reasons", "a plan needs at least one reason", span)
         allowed_vars = frozenset((plan.agent_placeholder,) + plan.object_vars)
         for sa in plan.reasons + (plan.action,):
-            check_atom(element, sa.atom, bound=allowed_vars)
+            check_atom(element, sa.atom, allowed_vars, span)
             for term in sa.atom.args:
                 if term.is_var and term not in allowed_vars:
                     add(element, "unbound-variable",
-                        f"variable {term.name} is neither the plan agent nor a declared object variable")
+                        f"variable {term.name} is neither the plan agent nor a declared object variable",
+                        span)
         action_decl = predicates.get(plan.action.atom.predicate)
         if action_decl is not None and not action_decl.is_action:
             add(element, "not-an-action",
-                f"predicate {plan.action.atom.predicate} is not declared as an action")
+                f"predicate {plan.action.atom.predicate} is not declared as an action", span)
         if plan.object_vars and not scenario.objects:
             add(element, "no-object-constants",
-                "plan has free object variables but the scenario declares no object constants")
+                "plan has free object variables but the scenario declares no object constants",
+                span)
 
     for i, f in enumerate(scenario.constraints.physical):
         check_formula(f"physics constraint {i + 1}", f)
@@ -347,31 +357,33 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
     for effect in scenario.effects:
         element = f"on_universalized {effect.plan_id}"
         if effect.plan_id not in plan_ids:
-            add(element, "unknown-plan", f"unknown plan {effect.plan_id}")
-        check_formula(element, effect.consequence)
+            add(element, "unknown-plan", f"unknown plan {effect.plan_id}", effect.span)
+        check_formula(element, effect.consequence, effect.span)
 
     contexts: dict[str, CandidateSet] = {}
     for cs in scenario.candidates:
-        element = f"candidates {cs.context}"
+        element, span = f"candidates {cs.context}", cs.span
         if cs.context in contexts:
-            add(element, "duplicate", f"candidate context {cs.context} declared more than once")
+            add(element, "duplicate",
+                f"candidate context {cs.context} declared more than once", span)
         contexts[cs.context] = cs
         if not cs.actions:
-            add(element, "empty-candidates", "a candidate set needs at least one action")
+            add(element, "empty-candidates", "a candidate set needs at least one action", span)
         for sa in cs.condition:
-            check_atom(element, sa.atom)
+            check_atom(element, sa.atom, span=span)
         for atom in cs.actions:
-            check_atom(element, atom)
+            check_atom(element, atom, span=span)
             decl = predicates.get(atom.predicate)
             if decl is not None and not decl.is_action:
                 add(element, "not-an-action",
-                    f"candidate {atom} is not declared as an action")
+                    f"candidate {atom} is not declared as an action", span)
     seen_conditions: dict[frozenset[SignedAtom], str] = {}
     for cs in scenario.candidates:
         key = frozenset(cs.condition)
         if key in seen_conditions and seen_conditions[key] != cs.context:
             add(f"candidates {cs.context}", "ambiguous-context",
-                f"contexts {seen_conditions[key]} and {cs.context} share the same condition")
+                f"contexts {seen_conditions[key]} and {cs.context} share the same condition",
+                cs.span)
         seen_conditions.setdefault(key, cs.context)
 
     for (context, atom), value in scenario.utilities.entries.items():
@@ -396,10 +408,11 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
             continue
         if plan.action.negated:
             add(f"plan {plan.id}", "candidate-missing-action",
-                f"plan matches context {ctx.context} but its action is negated and cannot be a candidate")
+                f"plan matches context {ctx.context} but its action is negated and cannot be a candidate",
+                plan.span)
         elif plan.instantiated_action().atom not in ctx.actions:
             add(f"plan {plan.id}", "candidate-missing-action",
-                f"plan's own action is missing from candidate context {ctx.context}")
+                f"plan's own action is missing from candidate context {ctx.context}", plan.span)
 
     return out
 

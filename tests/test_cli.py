@@ -143,6 +143,37 @@ def test_trigger_predicate_name_is_reserved(capsys, tmp_path, command):
     assert "Traceback" not in err
     assert out == ""
 
+
+LOCATED_FINDINGS = {
+    # the plan starts at line 9
+    "plan": (
+        "scenario lone\n\nagents a\n\npredicates\n  ready(agent),\n  go(agent, object) action\n\n"
+        "plan p agent a forall y:\n  reasons { ready(a) }\n  action { go(a, y) }\n",
+        "plan p", 9, 1,
+    ),
+    # the predicate name starts at line 4, column 12
+    "predicate": (
+        "scenario adopt\nagents a\nobjects go\n"
+        "predicates universally_adopted(object), want(agent), move(agent) action\n"
+        "plan go agent a: reasons { want(a) } action { move(a) }\n",
+        "predicate universally_adopted", 4, 12,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", LOCATED_FINDINGS)
+def test_validation_finding_points_at_its_element(capsys, tmp_path, case):
+    text, element, line, column = LOCATED_FINDINGS[case]
+    source = tmp_path / "located.deon"
+    source.write_text(text)
+    code, _, err = run(capsys, "validate", str(source))
+    assert code == EXIT_INVALID
+    assert err.startswith(f"{source}:{line}:{column}: error: {element}: ")
+    code, out, _ = run(capsys, "validate", "--format", "json", str(source))
+    assert code == EXIT_INVALID
+    located = [(d["line"], d["column"]) for d in json.loads(out)["diagnostics"]]
+    assert located == [(line, column)]
+
 # -- rendering ------------------------------------------------------------------
 
 

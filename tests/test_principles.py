@@ -19,6 +19,7 @@ from deon.principles import (
     Note,
     PASS,
     PlanInterference,
+    QueryCompiler,
     QueryConflict,
     ReasonsContradiction,
     UNETHICAL,
@@ -32,7 +33,6 @@ from deon.principles import (
     check_utility,
     eligible_actions,
     evaluate,
-    generalization_query,
     rationally_required_to_deny_possible,
 )
 from deon.scenario import ScenarioError, UtilityTable
@@ -93,8 +93,8 @@ def test_universalization_conjunct_covers_domain_product(golden):
 
 def test_generalization_query_is_deterministic(golden):
     theft = golden["theft"]
-    first = generalization_query(theft.plan("steal"), theft)
-    second = generalization_query(theft.plan("steal"), theft)
+    first = QueryCompiler(theft).generalization(theft.plan("steal"))
+    second = QueryCompiler(theft).generalization(theft.plan("steal"))
     assert first == second
 
 
@@ -353,6 +353,37 @@ def test_budget_exhaustion_yields_indeterminate_and_stays_protected():
 
     generous = evaluate(fog, budget=10_000)
     assert generous.statuses() == {"x": ETHICAL, "y": ETHICAL}
+
+
+NOISE = (
+    "scenario noise\n"
+    "agents a, b\n"
+    "predicates want(agent), noise(agent), go(agent) action\n"
+    "physics { not (go(a) and go(b)); noise(a) or noise(b); }\n"
+    "plan pa agent a: reasons { want(a) } action { go(a) }\n"
+    "plan pb agent b: reasons { want(b) } action { go(b) }\n"
+)
+
+
+def test_budget_exhausted_on_the_reasons_disjunct_is_logged_as_undecided():
+    # The actions query is refuted by propagation alone; the reasons query
+    # needs more than two decisions, so the pair stops on its second query.
+    log: list[ModalQuery] = []
+    verdicts = evaluate(scen(NOISE), budget=2, query_log=log)
+    assert verdicts.statuses() == {"pa": INDETERMINATE, "pb": INDETERMINATE}
+    assert verdicts.rounds == 2 and verdicts.stable
+    assert verdicts.plan("pa").check(AUTONOMY).evidence == BudgetNote(
+        "decision budget exhausted checking pa against pb"
+    )
+    per_round = [
+        ("generalization:pa", True),
+        ("autonomy:pa:pb:actions", False),
+        ("autonomy:pa:pb:reasons", None),
+        ("generalization:pb", True),
+        ("autonomy:pb:pa:actions", False),
+        ("autonomy:pb:pa:reasons", None),
+    ]
+    assert [(q.check, q.satisfiable) for q in log] == per_round * 2
 
 
 # -- cross-cutting properties ------------------------------------------------------

@@ -36,9 +36,7 @@ from deon.logic import (
 from deon.principles import (
     ModalQuery,
     QueryCompiler,
-    autonomy_pair_queries,
     evaluate,
-    generalization_query,
 )
 
 
@@ -80,13 +78,13 @@ def test_every_plan_and_pair_matches_reference(name):
     shared = QueryCompiler(scenario)
     for plan in scenario.plans:
         expected = reference_logic.generalization_query(plan, scenario)
-        assert generalization_query(plan, scenario) == expected
+        assert QueryCompiler(scenario).generalization(plan) == expected
         assert shared.generalization(plan) == expected
         for other in scenario.plans:
             if other.agent == plan.agent:
                 continue
             expected_pair = reference_logic.autonomy_pair_queries(plan, other, scenario)
-            assert autonomy_pair_queries(plan, other, scenario) == expected_pair
+            assert QueryCompiler(scenario).autonomy_pair(plan, other) == expected_pair
             assert shared.autonomy_pair(plan, other) == expected_pair
 
 
@@ -165,10 +163,10 @@ def test_random_formulas_with_fragments_match_reference():
 def all_queries(scenario) -> list:
     out = []
     for plan in scenario.plans:
-        out.append(generalization_query(plan, scenario))
+        out.append(QueryCompiler(scenario).generalization(plan))
         for other in scenario.plans:
             if other.agent != plan.agent:
-                out.append(autonomy_pair_queries(plan, other, scenario))
+                out.append(QueryCompiler(scenario).autonomy_pair(plan, other))
     return out
 
 
