@@ -248,8 +248,8 @@ class _Parser:
         self.objects: list[str] = []
         self.predicates: dict[str, PredicateDecl] = {}
         self.plans: list[ActionPlan] = []
-        self.physical: list[Formula] = []
-        self.beliefs: dict[str, tuple[Formula, ...]] = {}
+        self.physical: list[tuple[Formula, SourceSpan]] = []
+        self.beliefs: dict[str, tuple[tuple[Formula, SourceSpan], ...]] = {}
         self.effects: list[UniversalizationEffect] = []
         self.utilities: dict[tuple[str, Atom], Fraction] = {}
         self.candidates: list[CandidateSet] = []
@@ -611,7 +611,7 @@ class _Parser:
         if formulas is None:
             self.sync_to_section()
             return
-        for f in formulas:
+        for f, _ in formulas:
             self.effects.append(
                 UniversalizationEffect(plan_tok.text, f, span=start.span(self.filename))
             )
@@ -694,11 +694,13 @@ class _Parser:
 
     # -- formulas -----------------------------------------------------------
 
-    def _formula_block(self) -> list[Formula] | None:
+    def _formula_block(self) -> list[tuple[Formula, SourceSpan]] | None:
+        """The formulas of a `{ f; ... }` block, each with the span of its first token."""
         if self.expect("LBRACE", "'{'") is None:
             return None
-        formulas: list[Formula] = []
+        formulas: list[tuple[Formula, SourceSpan]] = []
         while not self.at("RBRACE") and not self.at("EOF"):
+            span = self.peek().span(self.filename)
             raw = self._raw_formula(0)
             if raw is None:
                 return None
@@ -707,7 +709,7 @@ class _Parser:
             resolved = self._resolve_formula(raw, {})
             if resolved is None:
                 return None
-            formulas.append(resolved)
+            formulas.append((resolved, span))
         if self.expect("RBRACE", "'}'") is None:
             return None
         return formulas
@@ -896,7 +898,12 @@ class _Parser:
             objects=tuple(self.objects),
             predicates=tuple(self.predicates.values()),
             plans=tuple(self.plans),
-            constraints=ConstraintBase(tuple(self.physical), dict(self.beliefs)),
+            constraints=ConstraintBase(
+                tuple(f for f, _ in self.physical),
+                {agent: tuple(f for f, _ in fs) for agent, fs in self.beliefs.items()},
+                tuple(span for _, span in self.physical),
+                {agent: tuple(span for _, span in fs) for agent, fs in self.beliefs.items()},
+            ),
             effects=tuple(self.effects),
             utilities=UtilityTable(dict(self.utilities)),
             candidates=tuple(self.candidates),

@@ -47,17 +47,34 @@ class AgentId:
 
 @dataclass(frozen=True)
 class Term:
-    """An agent or object, either a constant or a variable."""
+    """An agent or object, either a constant or a variable.
+
+    The hash is cached on first use. Its value is the one the dataclass
+    would compute, `hash((sort, name, is_var))`, so set and dict order is
+    unchanged; a pickled term leaves the cached value behind.
+    """
 
     sort: str  # AGENT or OBJECT
     name: str
     is_var: bool = False
+    _hash = None  # the cached hash; not a field, since it has no annotation
 
     def __post_init__(self) -> None:
         if self.sort not in (AGENT, OBJECT):
             raise LogicError(f"unknown term sort {self.sort!r}")
         if not self.name:
             raise LogicError("term name must be a nonempty token")
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash((self.sort, self.name, self.is_var))
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __reduce__(self) -> tuple:
+        # String hashes differ between processes: rebuild, do not copy the cache.
+        return Term, (self.sort, self.name, self.is_var)
 
     def __str__(self) -> str:
         return self.name
@@ -81,10 +98,28 @@ def object_var(name: str) -> Term:
 
 @dataclass(frozen=True)
 class Atom:
-    """A predicate applied to terms. Ground when all args are constants."""
+    """A predicate applied to terms. Ground when all args are constants.
+
+    Atoms are hashed several times over while each query is assembled, so
+    the hash is cached on first use. Its value is the one the dataclass
+    would compute, `hash((predicate, args))`, so set and dict order is
+    unchanged; a pickled atom leaves the cached value behind.
+    """
 
     predicate: str
     args: tuple[Term, ...] = ()
+    _hash = None  # the cached hash; not a field, since it has no annotation
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash((self.predicate, self.args))
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __reduce__(self) -> tuple:
+        # String hashes differ between processes: rebuild, do not copy the cache.
+        return Atom, (self.predicate, self.args)
 
     def is_ground(self) -> bool:
         return all(not t.is_var for t in self.args)
@@ -439,6 +474,9 @@ class GroundClauseSet:
     variables are definitional atoms introduced by the conversion.
     A literal is +(index+1) or -(index+1). Labels record, per clause,
     which part of a query produced it (may be empty).
+
+    Construction checks every clause: each is nonempty and every literal
+    is nonzero and names one of the variables.
     """
 
     atoms: tuple[Atom, ...]
@@ -489,7 +527,7 @@ class GroundClauseSet:
 class _Encoder:
     """Definitional clause encoding against a given numbering.
 
-    Atom `a` is variable `index[a] + 1`; aux variables are numbered from
+    Atom `a` is variable `index[a]`; aux variables are numbered from
     `first_aux` on, in the order the encoding asks for them. Which clauses
     come out, in which order and with which labels, depends only on the
     formulas; the numbering only names the variables. So encoding a
@@ -515,7 +553,7 @@ class _Encoder:
 
     def encode(self, f: Formula, label: str) -> int:
         if isinstance(f, AtomF):
-            return self.index[f.atom] + 1
+            return self.index[f.atom]
         if isinstance(f, Not):
             return -self.encode(f.body, label)
         if isinstance(f, Implies):
@@ -573,15 +611,16 @@ class _Encoder:
         """Append a fragment's clauses, renamed into this numbering.
 
         Its atoms go to their variables in `index`; its aux variables
-        become the next `fragment.aux_count` aux variables here.
+        become the next `fragment.aux_count` aux variables here. The rename
+        table is one list indexed by the fragment's literals: `rename[v]`
+        is the new variable of variable v, and the negative literal -v
+        indexes the mirrored upper half, which holds its negation.
         """
-        rename: dict[int, int] = {}
-        for i, atom in enumerate(fragment.atoms):
-            rename[i + 1] = self.index[atom] + 1
-        for k in range(fragment.aux_count):
-            rename[len(fragment.atoms) + k + 1] = self.next_var + k
+        first_aux = self.next_var
         self.next_var += fragment.aux_count
-        rename.update([(-lit, -var) for lit, var in rename.items()])
+        variables = [*map(self.index.__getitem__, fragment.atoms)]
+        variables += range(first_aux, self.next_var)
+        rename = [0, *variables, *[-var for var in reversed(variables)]]
         get = rename.__getitem__
         self.clauses.extend([tuple(map(get, cl)) for cl in fragment.clauses])
         self.labels.extend(fragment.labels or [""] * len(fragment.clauses))
@@ -596,22 +635,21 @@ def _check_ground(formula: Formula) -> None:
 
 
 def _assemble(parts: Sequence[tuple[Formula, str] | GroundClauseSet]) -> GroundClauseSet:
-    # Atoms are numbered by first occurrence across the parts, in order,
-    # and aux variables after all atoms, in encoding order.
-    index: dict[Atom, int] = {}
-    for part in parts:
-        atoms = part.atoms if isinstance(part, GroundClauseSet) else atoms_of(part[0])
-        for atom in atoms:
-            if atom not in index:
-                index[atom] = len(index)
-    encoder = _Encoder(index, len(index) + 1)
+    # Atoms are numbered by first occurrence across the parts, in order
+    # (`dict.fromkeys` keeps the first of equal keys, in order), and aux
+    # variables after all atoms, in encoding order.
+    atoms = tuple(dict.fromkeys(itertools.chain.from_iterable(
+        part.atoms if isinstance(part, GroundClauseSet) else atoms_of(part[0])
+        for part in parts
+    )))
+    encoder = _Encoder(dict(zip(atoms, range(1, len(atoms) + 1))), len(atoms) + 1)
     for part in parts:
         if isinstance(part, GroundClauseSet):
             encoder.splice(part)
         else:
             encoder.assert_top(*part)
     return GroundClauseSet(
-        tuple(index), encoder.next_var - len(index) - 1,
+        atoms, encoder.next_var - len(atoms) - 1,
         tuple(encoder.clauses), tuple(encoder.labels),
     )
 

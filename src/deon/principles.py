@@ -289,15 +289,16 @@ class QueryCompiler:
         theory (pass if unsatisfiable: the plans can never come into
         conflict).
         """
+        return self._pair_query(plan, other, "action"), self._pair_query(plan, other, "reasons")
+
+    def _pair_query(self, plan: ActionPlan, other: ActionPlan, part: str) -> GroundClauseSet:
+        """One disjunct query of `autonomy_pair`: `part` is "action" or "reasons"."""
         agents, objects = self.scenario.agents, self.scenario.objects
-        actions = ClauseBuilder()
-        actions.add(ground(plan.action_formula(), agents, objects), f"action of plan {plan.id}")
-        actions.add(ground(other.action_formula(), agents, objects), f"action of plan {other.id}")
-        reasons = ClauseBuilder()
-        reasons.add(ground(plan.reasons_formula(), agents, objects), f"reasons of plan {plan.id}")
-        reasons.add(ground(other.reasons_formula(), agents, objects), f"reasons of plan {other.id}")
-        agent = plan.agent.name
-        return self._with_theory(actions, agent), self._with_theory(reasons, agent)
+        builder = ClauseBuilder()
+        for p in (plan, other):
+            formula = p.action_formula() if part == "action" else p.reasons_formula()
+            builder.add(ground(formula, agents, objects), f"{part} of plan {p.id}")
+        return self._with_theory(builder, plan.agent.name)
 
     def _decide(self, cs: GroundClauseSet, check: str, agent: str) -> SatResult | None:
         """Solve `cs` under the budget, or None when the budget ran out."""
@@ -331,18 +332,21 @@ class QueryCompiler:
 
         Passes if the agent can rationally believe both actions can hold
         together, or can rationally believe the two plans' reasons cannot
-        jointly apply. The reasons query is asked only when the actions
-        query is unsatisfiable.
+        jointly apply. The reasons query is built and asked only when the
+        actions query is unsatisfiable, so every query built is solved once.
         """
         if plan.agent == other.agent:
             raise ScenarioError("autonomy is checked between plans of distinct agents")
-        cs_actions, cs_reasons = self.autonomy_pair(plan, other)
         tag, agent = f"autonomy:{plan.id}:{other.id}", plan.agent.name
+        cs_actions = self._pair_query(plan, other, "action")
         d1 = self._decide(cs_actions, f"{tag}:actions", agent)
         if d1 is not None and d1.satisfiable:
             assert d1.model is not None
             return PrincipleVerdict(AUTONOMY, PASS, Witness(cs_actions, d1.model))
-        d2 = None if d1 is None else self._decide(cs_reasons, f"{tag}:reasons", agent)
+        d2 = None
+        if d1 is not None:
+            cs_reasons = self._pair_query(plan, other, "reasons")
+            d2 = self._decide(cs_reasons, f"{tag}:reasons", agent)
         if d1 is None or d2 is None:
             return PrincipleVerdict(
                 AUTONOMY, INDETERMINATE,

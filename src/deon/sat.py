@@ -38,7 +38,13 @@ class Model:
     values: tuple[bool, ...]
 
     def satisfies(self, cs: GroundClauseSet) -> bool:
-        return all(self.satisfies_clause(cl) for cl in cs.clauses)
+        # truth[lit] is the value of literal lit; a negative literal indexes
+        # the mirrored upper half, which holds the negated values.
+        if len(self.values) < cs.num_vars:
+            raise LogicError("model does not cover the clause set's variables")
+        truth = [False, *self.values, *[not v for v in reversed(self.values)]]
+        get = truth.__getitem__
+        return all(any(map(get, cl)) for cl in cs.clauses)
 
     def satisfies_clause(self, clause: tuple[int, ...]) -> bool:
         return any(self.values[abs(lit) - 1] == (lit > 0) for lit in clause)

@@ -104,10 +104,18 @@ class ActionPlan:
 
 @dataclass(frozen=True)
 class ConstraintBase:
-    """Global physical constraints plus per-agent rational-belief constraints."""
+    """Global physical constraints plus per-agent rational-belief constraints.
+
+    The span fields give each constraint's source location, index for index
+    with `physical` and `beliefs`; they are empty for constraints built in code.
+    """
 
     physical: tuple[Formula, ...] = ()
     beliefs: Mapping[str, tuple[Formula, ...]] = field(default_factory=dict)
+    physical_spans: "tuple[SourceSpan, ...]" = field(default=(), compare=False)
+    belief_spans: "Mapping[str, tuple[SourceSpan, ...]]" = field(
+        default_factory=dict, compare=False
+    )
 
 
 @dataclass(frozen=True)
@@ -346,13 +354,18 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
                 "plan has free object variables but the scenario declares no object constants",
                 span)
 
-    for i, f in enumerate(scenario.constraints.physical):
-        check_formula(f"physics constraint {i + 1}", f)
-    for agent, formulas in scenario.constraints.beliefs.items():
+    def span_at(spans: tuple[SourceSpan, ...], i: int) -> SourceSpan | None:
+        return spans[i] if i < len(spans) else None
+
+    constraints = scenario.constraints
+    for i, f in enumerate(constraints.physical):
+        check_formula(f"physics constraint {i + 1}", f, span_at(constraints.physical_spans, i))
+    for agent, formulas in constraints.beliefs.items():
         if agent not in agent_names:
             add(f"belief {agent}", "unknown-agent", f"unknown agent {agent}")
+        spans = constraints.belief_spans.get(agent, ())
         for i, f in enumerate(formulas):
-            check_formula(f"belief of {agent}, constraint {i + 1}", f)
+            check_formula(f"belief of {agent}, constraint {i + 1}", f, span_at(spans, i))
 
     for effect in scenario.effects:
         element = f"on_universalized {effect.plan_id}"

@@ -108,16 +108,19 @@ def test_validate_ok_files(capsys, paths):
     assert out.count(": OK") == len(paths)
 
 
+EMPTY_DOMAIN = (
+    "scenario empty_domain\n\n"
+    "agents a\n\n"
+    "predicates\n  safe(object),\n  ready(agent),\n  go(agent) action\n\n"
+    "physics {\n  forall y. safe(y);\n}\n\n"
+    "plan p agent a:\n  reasons { ready(a) }\n  action { go(a) }\n"
+)
+
+
 @pytest.mark.parametrize("command", ["validate", "check"])
 def test_quantifier_over_empty_object_domain_is_invalid(capsys, tmp_path, command):
     source = tmp_path / "empty_domain.deon"
-    source.write_text(
-        "scenario empty_domain\n\n"
-        "agents a\n\n"
-        "predicates\n  safe(object),\n  ready(agent),\n  go(agent) action\n\n"
-        "physics {\n  forall y. safe(y);\n}\n\n"
-        "plan p agent a:\n  reasons { ready(a) }\n  action { go(a) }\n"
-    )
+    source.write_text(EMPTY_DOMAIN)
     code, _, err = run(capsys, command, str(source))
     assert code == EXIT_INVALID
     assert "[no-object-constants]" in err
@@ -157,6 +160,16 @@ LOCATED_FINDINGS = {
         "predicates universally_adopted(object), want(agent), move(agent) action\n"
         "plan go agent a: reasons { want(a) } action { move(a) }\n",
         "predicate universally_adopted", 4, 12,
+    ),
+    # the physics constraint starts at line 11, column 3
+    "physics": (EMPTY_DOMAIN, "physics constraint 1", 11, 3),
+    # the third belief of agent a starts at line 6, column 22
+    "belief": (
+        "scenario believer\nagents a\n"
+        "predicates safe(object), ready(agent), go(agent) action\n"
+        "plan p agent a: reasons { ready(a) } action { go(a) }\n"
+        "belief a { ready(a) -> go(a);\n  go(a) -> ready(a); forall y. safe(y); }\n",
+        "belief of a, constraint 3", 6, 22,
     ),
 }
 

@@ -1,8 +1,13 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import deon
 from deon.logic import (
     AgentId,
     And,
@@ -14,9 +19,11 @@ from deon.logic import (
     Implies,
     LogicError,
     Not,
+    OBJECT,
     Or,
     SignedAtom,
     TRUE,
+    Term,
     UniversalizedPlan,
     agent_const,
     agent_var,
@@ -39,6 +46,50 @@ y = object_var("y")
 
 def atom(pred, *args):
     return AtomF(Atom(pred, tuple(args)))
+
+
+# -- atoms and terms -----------------------------------------------------------
+
+
+def test_atom_and_term_hash_is_the_field_tuple_hash():
+    a, y_const = agent_const("a"), object_const("y")
+    assert hash(a) == hash(("agent", "a", False))
+    assert hash(x) == hash(("agent", "x", True))
+    p = Atom("at", (a, y_const))
+    assert hash(p) == hash(("at", (a, y_const)))
+    assert hash(p) == hash(p)  # a cached hash stays the same
+    assert hash(Atom("rain")) == hash(("rain", ()))
+
+
+def test_equal_atoms_built_apart_share_a_dict_entry():
+    first = Atom("at", (agent_const("a"), object_const("y")))
+    second = Atom("at", (Term("agent", "a"), Term(OBJECT, "y")))
+    assert first is not second and first == second
+    table = {first: 1}
+    hash(first)  # cache the first atom's hash only
+    assert table[second] == 1
+    assert second in {first} and first in {second}
+
+
+def test_pickled_atom_hashes_like_a_fresh_one_in_another_process():
+    # String hashes differ between processes, so a hash cached here must
+    # not travel with the atom.
+    p = Atom("at", (agent_const("a"), object_const("y")))
+    hash(p)
+    check = (
+        "import pickle, sys\n"
+        "p = pickle.loads(sys.stdin.buffer.read())\n"
+        "assert hash(p) == hash((p.predicate, p.args)), 'stale atom hash'\n"
+        "assert hash(p.args[0]) == hash(('agent', 'a', False)), 'stale term hash'\n"
+        "assert p in {Atom('at', (agent_const('a'), object_const('y')))}\n"
+    )
+    src = os.path.dirname(os.path.dirname(deon.__file__))
+    env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", "from deon.logic import *\n" + check],
+        input=pickle.dumps(p), env=env, capture_output=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr.decode()
 
 
 # -- substitution -----------------------------------------------------------

@@ -19,7 +19,7 @@ import pytest
 import reference_logic
 from test_sat_differential import CHAIN_RULE
 
-from deon import scenarios
+from deon import principles, scenarios
 from deon.dsl import parse_scenario
 from deon.logic import (
     And,
@@ -110,6 +110,60 @@ def test_every_engine_query_matches_reference(name):
         if query.check not in expected:
             expected[query.check] = reference_query(query.check, scenario)
         assert query.clause_set == expected[query.check], query.check
+
+
+# -- work done per query ---------------------------------------------------------------
+
+# `pa` against `pb`: the actions clash, so the reasons query is asked too.
+# `pa` against `pw`: the actions can coexist, so it is not.
+CLASHING_AND_COEXISTING = (
+    "scenario clash\n"
+    "agents a, b\n"
+    "predicates want(agent), go(agent) action, wait(agent) action\n"
+    "physics { not (go(a) and go(b)); }\n"
+    "plan pa agent a: reasons { want(a) } action { go(a) }\n"
+    "plan pb agent b: reasons { want(b) } action { go(b) }\n"
+    "plan pw agent b: reasons { want(b) } action { wait(b) }\n"
+)
+
+
+@pytest.mark.parametrize("name", [*scenarios.NAMES, "clash"])
+def test_each_built_query_is_solved_once(name, monkeypatch):
+    source = CLASHING_AND_COEXISTING if name == "clash" else SOURCES[name]
+    parsed = parse_scenario(source)
+    assert parsed.ok, [str(d) for d in parsed.diagnostics]
+    scenario = parsed.scenario
+    built: list = []
+    solved: list = []
+
+    def counting_build(self):
+        built.append(build(self))
+        return built[-1]
+
+    def counting_solve(cs, budget):
+        solved.append(cs)
+        return solve(cs, budget)
+
+    build, solve = ClauseBuilder.build, principles.solve
+    monkeypatch.setattr(ClauseBuilder, "build", counting_build)
+    monkeypatch.setattr(principles, "solve", counting_solve)
+    log: list[ModalQuery] = []
+    evaluate(scenario, query_log=log)
+    assert solved and [q.clause_set for q in log] == solved
+    assert len(built) == len(solved)
+    assert all(b is s for b, s in zip(built, solved))
+    if name == "clash":
+        outcomes = {q.check: q.satisfiable for q in log}
+        assert outcomes["autonomy:pa:pw:actions"] is True
+        assert "autonomy:pa:pw:reasons" not in outcomes
+        assert outcomes["autonomy:pa:pb:actions"] is False
+        assert outcomes["autonomy:pa:pb:reasons"] is True
+        for plan in scenario.plans:
+            for other in scenario.plans:
+                if other.agent != plan.agent:
+                    assert QueryCompiler(scenario).autonomy_pair(plan, other) == (
+                        reference_logic.autonomy_pair_queries(plan, other, scenario)
+                    )
 
 
 # -- random formulas -----------------------------------------------------------------

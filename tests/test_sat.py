@@ -8,6 +8,7 @@ from deon.sat import (
     ConflictExplanation,
     Model,
     SatResult,
+    _verified,
     brute_force,
     solve,
 )
@@ -98,6 +99,48 @@ def test_clause_set_invariants():
         GroundClauseSet((Atom("p"),), 0, ((),))
     with pytest.raises(LogicError):
         GroundClauseSet((Atom("p"),), 0, ((2,),))
+
+
+# Two atoms and one aux variable: literals -3..3 without 0 are in range.
+BAD_CLAUSE_SETS = {
+    "empty clause": (((1, 2), ()), (), "clauses must be nonempty"),
+    "literal 0": (((1,), (2, 0)), (), "literal 0 out of range for 3 variables"),
+    "literal n+1": (((-3, 4),), (), "literal 4 out of range for 3 variables"),
+    "literal -(n+1)": (((3,), (-4, 1)), (), "literal -4 out of range for 3 variables"),
+    # the first bad clause names the error, whatever comes after it
+    "bad literal before empty clause": (((5,), ()), (), "literal 5 out of range for 3 variables"),
+    "empty clause before bad literal": (((), (5,)), (), "clauses must be nonempty"),
+    "label count": (((1,), (2,)), ("only one",), "clause labels must match clauses one to one"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CLAUSE_SETS)
+def test_clause_set_validation_names_the_first_bad_clause(case):
+    clauses, labels, message = BAD_CLAUSE_SETS[case]
+    with pytest.raises(LogicError) as raised:
+        GroundClauseSet((Atom("p"), Atom("q")), 1, clauses, labels)
+    assert str(raised.value) == message
+
+
+def test_clause_set_validation_accepts_every_literal_in_range():
+    cs = GroundClauseSet((Atom("p"), Atom("q")), 1, ((1, -1), (2, -2, 3), (-3,)), ("", "", ""))
+    assert cs.num_vars == 3
+
+
+def test_verified_rejects_a_model_failing_a_negative_clause():
+    cs = clause_set(3, [(1, 2), (-1, -3)])
+    assert _verified(Model((True, False, False)), cs).values == (True, False, False)
+    with pytest.raises(LogicError, match="witness fails a clause"):
+        _verified(Model((True, False, True)), cs)
+    with pytest.raises(LogicError, match="witness fails a clause"):
+        _verified(Model((False, False, False)), cs)
+
+
+def test_model_must_cover_every_variable():
+    cs = clause_set(3, [(1, 2), (-1, -3)])
+    with pytest.raises(LogicError, match="does not cover"):
+        Model((True, False)).satisfies(cs)
+    assert Model((True, False, False, True)).satisfies(cs)
 
 
 # -- randomized agreement with the exhaustive oracle ---------------------------
