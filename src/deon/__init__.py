@@ -26,7 +26,6 @@ from .logic import (
     SignedAtom,
     Term,
     TRUE,
-    UniversalizedPlan,
     agent_const,
     agent_var,
     evaluate_formula,

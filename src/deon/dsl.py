@@ -7,8 +7,11 @@ and `not`/`and`/`or`/`->`/`forall x.` formulas. Declarations must precede
 use. Modal operators have no surface syntax: the checker decides every modal
 question as a satisfiability query, so authors never write one.
 
-Parsing is a pure function of the input text and never raises on malformed
-input; failures come back as diagnostics with source spans.
+Parsing is one pass: formulas are built as `logic` formulas while they are
+read. A quantified variable takes the declared sort of the argument
+positions it fills; `forall x.` is accepted only when that is exactly one
+sort. Parsing is a pure function of the input text and never raises on
+malformed input; failures come back as diagnostics with source spans.
 """
 
 from __future__ import annotations
@@ -69,8 +72,17 @@ KEYWORDS = frozenset(
     + ("agent", "object", "forall", "reasons", "action", "given", "not", "and", "or")
 )
 
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+|/[0-9]+)?")
+# Blanks and comments match no named group; every other character matches
+# exactly one, with BAD taking any character the format has no use for.
+_TOKEN_RE = re.compile(
+    r"[ \t\r]+|#[^\n]*"
+    r"|(?P<NEWLINE>\n)"
+    r"|(?P<ARROW>->)"
+    r"|(?P<NUMBER>-?[0-9]+(?:\.[0-9]+|/[0-9]+)?)"
+    r"|(?P<IDENT>[A-Za-z][A-Za-z0-9_]*)"
+    r"|(?P<PUNCT>[{}(),;:.=])"
+    r"|(?P<BAD>.)"
+)
 
 _PUNCT = {
     "{": "LBRACE",
@@ -137,103 +149,30 @@ class _Token:
 def _lex(text: str, filename: str) -> tuple[list[_Token], list[ParseDiagnostic]]:
     tokens: list[_Token] = []
     diagnostics: list[ParseDiagnostic] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if ch == "-" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(_Token("ARROW", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m and (ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit())):
-            tokens.append(_Token("NUMBER", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(_Token("IDENT", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        diagnostics.append(
-            ParseDiagnostic(
-                SourceSpan(filename, line, col, 1),
-                "error",
-                f"unexpected character {ch!r}",
-                "lex",
-            )
-        )
-        i += 1
-        col += 1
-    tokens.append(_Token("EOF", "", line, col))
+        col = m.start() - line_start + 1
+        if kind == "BAD":
+            diagnostics.append(ParseDiagnostic(
+                SourceSpan(filename, line, col, 1), "error",
+                f"unexpected character {m.group()!r}", "lex",
+            ))
+        else:
+            token_kind = _PUNCT[m.group()] if kind == "PUNCT" else kind
+            tokens.append(_Token(token_kind, m.group(), line, col))
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return tokens, diagnostics
 
 
-# Raw formula tree: resolution (names, sorts, quantifier domains) happens
-# after parsing so quantifier sorts can be inferred from all use sites.
-
-
-@dataclass(frozen=True)
-class _RawTermRef:
-    name: str
-    span: SourceSpan
-
-
-@dataclass(frozen=True)
-class _RawAtom:
-    name: str
-    args: tuple[_RawTermRef, ...]
-    span: SourceSpan
-
-
-@dataclass(frozen=True)
-class _RawNot:
-    body: object
-
-
-@dataclass(frozen=True)
-class _RawAnd:
-    parts: tuple[object, ...]
-
-
-@dataclass(frozen=True)
-class _RawOr:
-    parts: tuple[object, ...]
-
-
-@dataclass(frozen=True)
-class _RawImplies:
-    antecedent: object
-    consequent: object
-
-
-@dataclass(frozen=True)
-class _RawForAll:
-    var: str
-    var_span: SourceSpan
-    body: object
+#: Resolves a term name; gets the name's span and the declared sort of its
+#: argument position (None for an unknown predicate or an extra argument).
+_TermResolver = Callable[[str, SourceSpan, "str | None"], Term]
 
 
 class _Parser:
@@ -252,7 +191,16 @@ class _Parser:
         self.beliefs: dict[str, tuple[tuple[Formula, SourceSpan], ...]] = {}
         self.effects: list[UniversalizationEffect] = []
         self.utilities: dict[tuple[str, Atom], Fraction] = {}
+        self.utility_spans: dict[tuple[str, Atom], SourceSpan] = {}
         self.candidates: list[CandidateSet] = []
+
+        # Name-resolution findings go here; inside a formula, to a list that
+        # is reported once the formula's `;` has been read.
+        self.findings = self.diagnostics
+        # The variables bound around the formula being read, innermost last,
+        # each with the sorts of the argument positions it has filled.
+        self.bound: list[tuple[str, set[str]]] = []
+        self.quantifier_failed = False
 
     # -- token helpers ------------------------------------------------------
 
@@ -448,7 +396,7 @@ class _Parser:
             self.sync_to_section()
             return
         reasons = self._literal_list_block(
-            lambda name, span: self._plan_term(name, span, agent_tok.text, object_vars)
+            lambda name, span, _: self._plan_term(name, span, agent_tok.text, object_vars)
         )
         if reasons is None:
             self.sync_to_section()
@@ -457,7 +405,7 @@ class _Parser:
             self.sync_to_section()
             return
         action_list = self._literal_list_block(
-            lambda name, span: self._plan_term(name, span, agent_tok.text, object_vars)
+            lambda name, span, _: self._plan_term(name, span, agent_tok.text, object_vars)
         )
         if action_list is None:
             self.sync_to_section()
@@ -495,18 +443,28 @@ class _Parser:
                 return var
         return self._constant_term(name, span)
 
-    def _constant_term(self, name: str, span: SourceSpan) -> Term:
+    def _constant_term(self, name: str, span: SourceSpan, sort: str | None = None) -> Term:
         if any(a.name == name for a in self.agents):
             return agent_const(name)
         if name in self.objects:
             return object_const(name)
-        self.diagnostics.append(
+        self.findings.append(
             ParseDiagnostic(span, "error", f"unknown agent or object {name}", "unknown-ref")
         )
         return agent_const(name)  # recovery value; the parse already failed
 
+    def _formula_term(self, name: str, span: SourceSpan, sort: str | None) -> Term:
+        """A bound variable takes the sort of its position; other names are constants."""
+        for var, sorts in reversed(self.bound):
+            if var == name:
+                if sort is None:  # unknown predicate or extra argument: already an error
+                    return Term(AGENT, name, is_var=True)
+                sorts.add(sort)
+                return Term(sort, name, is_var=True)
+        return self._constant_term(name, span)
+
     def _literal_list_block(
-        self, term_resolver: Callable[[str, SourceSpan], Term]
+        self, term_resolver: _TermResolver
     ) -> list[SignedAtom] | None:
         if self.expect("LBRACE", "'{'") is None:
             return None
@@ -524,7 +482,7 @@ class _Parser:
             return None
         return literals
 
-    def _literal(self, term_resolver: Callable[[str, SourceSpan], Term]) -> SignedAtom | None:
+    def _literal(self, term_resolver: _TermResolver) -> SignedAtom | None:
         negated = False
         if self.at_keyword("not"):
             self.advance()
@@ -534,10 +492,13 @@ class _Parser:
             return None
         return SignedAtom(atom, negated)
 
-    def _atom(self, term_resolver: Callable[[str, SourceSpan], Term]) -> Atom | None:
+    def _atom(self, term_resolver: _TermResolver) -> Atom | None:
+        """A predicate applied to terms; the resolver gets each position's declared sort."""
         tok = self.expect_name("predicate")
         if tok is None:
             return None
+        decl = self.predicates.get(tok.text)
+        sorts = decl.arg_sorts if decl is not None else ()
         args: list[Term] = []
         if self.at("LPAREN"):
             self.advance()
@@ -546,7 +507,8 @@ class _Parser:
                     arg = self.expect_name("term")
                     if arg is None:
                         return None
-                    args.append(term_resolver(arg.text, arg.span(self.filename)))
+                    sort = sorts[len(args)] if len(args) < len(sorts) else None
+                    args.append(term_resolver(arg.text, arg.span(self.filename), sort))
                     if self.at("COMMA"):
                         self.advance()
                         continue
@@ -558,22 +520,24 @@ class _Parser:
         return atom
 
     def _check_atom_signature(self, atom: Atom, tok: _Token) -> None:
+        def finding(message: str, code: str) -> None:
+            self.findings.append(
+                ParseDiagnostic(tok.span(self.filename), "error", message, code)
+            )
+
         decl = self.predicates.get(atom.predicate)
         if decl is None:
-            self.error(f"unknown predicate {atom.predicate}", tok, code="unknown-ref")
+            finding(f"unknown predicate {atom.predicate}", "unknown-ref")
             return
         if len(atom.args) != decl.arity:
-            self.error(
+            finding(
                 f"predicate {atom.predicate} takes {decl.arity} arguments, got {len(atom.args)}",
-                tok, code="kind",
+                "kind",
             )
             return
         for term, sort in zip(atom.args, decl.arg_sorts):
             if term.sort != sort:
-                self.error(
-                    f"argument {term.name} of {atom.predicate} should be an {sort}",
-                    tok, code="kind",
-                )
+                finding(f"argument {term.name} of {atom.predicate} should be an {sort}", "kind")
 
     def _section_physics(self) -> None:
         self.advance()
@@ -628,6 +592,7 @@ class _Parser:
             self.sync_to_section()
             return
         while not self.at("RBRACE") and not self.at("EOF"):
+            entry = self.peek()
             atom = self._atom(self._constant_term)
             if atom is None:
                 self.sync_to_section()
@@ -647,6 +612,7 @@ class _Parser:
                 self.error(f"duplicate utility entry for {atom}", num, code="duplicate")
             else:
                 self.utilities[key] = Fraction(num.text)
+                self.utility_spans[key] = entry.span(self.filename)
         self.expect("RBRACE", "'}'")
 
     def _section_candidates(self) -> None:
@@ -695,26 +661,33 @@ class _Parser:
     # -- formulas -----------------------------------------------------------
 
     def _formula_block(self) -> list[tuple[Formula, SourceSpan]] | None:
-        """The formulas of a `{ f; ... }` block, each with the span of its first token."""
+        """The formulas of a `{ f; ... }` block, each with the span of its first token.
+
+        A formula's name-resolution findings are reported after its `;`. A
+        quantifier whose variable gets no sort, or two, fails the block.
+        """
         if self.expect("LBRACE", "'{'") is None:
             return None
         formulas: list[tuple[Formula, SourceSpan]] = []
         while not self.at("RBRACE") and not self.at("EOF"):
             span = self.peek().span(self.filename)
-            raw = self._raw_formula(0)
-            if raw is None:
+            pending: list[ParseDiagnostic] = []
+            self.findings, self.quantifier_failed = pending, False
+            formula = self._formula(0)
+            self.findings = self.diagnostics
+            if formula is None:
                 return None
             if self.expect("SEMI", "';'") is None:
                 return None
-            resolved = self._resolve_formula(raw, {})
-            if resolved is None:
+            self.diagnostics.extend(pending)
+            if self.quantifier_failed:
                 return None
-            formulas.append((resolved, span))
+            formulas.append((formula, span))
         if self.expect("RBRACE", "'}'") is None:
             return None
         return formulas
 
-    def _raw_formula(self, depth: int) -> object | None:
+    def _formula(self, depth: int) -> Formula | None:
         if depth > MAX_FORMULA_DEPTH:
             self.error("formula nesting too deep", code="limit")
             return None
@@ -725,169 +698,86 @@ class _Parser:
                 return None
             if self.expect("DOT", "'.'") is None:
                 return None
-            body = self._raw_formula(depth + 1)
+            mark = len(self.findings)
+            sorts: set[str] = set()
+            self.bound.append((var_tok.text, sorts))
+            body = self._formula(depth + 1)
+            self.bound.pop()
             if body is None:
                 return None
-            return _RawForAll(var_tok.text, var_tok.span(self.filename), body)
-        return self._raw_implication(depth)
+            if len(sorts) == 1:
+                return ForAll(Term(sorts.pop(), var_tok.text, is_var=True), body)
+            self.quantifier_failed = True
+            del self.findings[mark:]  # a failed quantifier reports itself, not its body
+            name = var_tok.text
+            message = (
+                f"variable {name} is used in both agent and object positions" if sorts
+                else f"cannot infer the domain of variable {name}: it is never used"
+            )
+            self.findings.append(
+                ParseDiagnostic(var_tok.span(self.filename), "error", message, "kind")
+            )
+            return body
+        return self._implication(depth)
 
-    def _raw_implication(self, depth: int) -> object | None:
-        left = self._raw_disjunction(depth)
+    def _implication(self, depth: int) -> Formula | None:
+        left = self._disjunction(depth)
         if left is None:
             return None
         if self.at("ARROW"):
             self.advance()
-            right = self._raw_implication(depth + 1)
+            right = self._implication(depth + 1)
             if right is None:
                 return None
-            return _RawImplies(left, right)
+            return Implies(left, right)
         return left
 
-    def _raw_disjunction(self, depth: int) -> object | None:
-        parts = [self._raw_conjunction(depth)]
+    def _disjunction(self, depth: int) -> Formula | None:
+        parts = [self._conjunction(depth)]
         if parts[0] is None:
             return None
         while self.at_keyword("or"):
             self.advance()
-            nxt = self._raw_conjunction(depth)
+            nxt = self._conjunction(depth)
             if nxt is None:
                 return None
             parts.append(nxt)
-        return parts[0] if len(parts) == 1 else _RawOr(tuple(parts))
+        return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
-    def _raw_conjunction(self, depth: int) -> object | None:
-        parts = [self._raw_unary(depth)]
+    def _conjunction(self, depth: int) -> Formula | None:
+        parts = [self._unary(depth)]
         if parts[0] is None:
             return None
         while self.at_keyword("and"):
             self.advance()
-            nxt = self._raw_unary(depth)
+            nxt = self._unary(depth)
             if nxt is None:
                 return None
             parts.append(nxt)
-        return parts[0] if len(parts) == 1 else _RawAnd(tuple(parts))
+        return parts[0] if len(parts) == 1 else And(tuple(parts))
 
-    def _raw_unary(self, depth: int) -> object | None:
+    def _unary(self, depth: int) -> Formula | None:
         if depth > MAX_FORMULA_DEPTH:
             self.error("formula nesting too deep", code="limit")
             return None
         if self.at_keyword("not"):
             self.advance()
-            body = self._raw_unary(depth + 1)
+            body = self._unary(depth + 1)
             if body is None:
                 return None
-            return _RawNot(body)
+            return Not(body)
         if self.at("LPAREN"):
             self.advance()
-            inner = self._raw_formula(depth + 1)
+            inner = self._formula(depth + 1)
             if inner is None:
                 return None
             if self.expect("RPAREN", "')'") is None:
                 return None
             return inner
         if self.at_keyword("forall"):
-            return self._raw_formula(depth)  # quantifier directly under a connective
-        tok = self.expect_name("predicate")
-        if tok is None:
-            return None
-        span = tok.span(self.filename)
-        args: list[_RawTermRef] = []
-        if self.at("LPAREN"):
-            self.advance()
-            if not self.at("RPAREN"):
-                while True:
-                    arg = self.expect_name("term")
-                    if arg is None:
-                        return None
-                    args.append(_RawTermRef(arg.text, arg.span(self.filename)))
-                    if self.at("COMMA"):
-                        self.advance()
-                        continue
-                    break
-            if self.expect("RPAREN", "',' or ')'") is None:
-                return None
-        return _RawAtom(tok.text, tuple(args), span)
-
-    def _infer_var_sort(self, raw: object, var: str) -> str | None:
-        """Sort of a quantified variable from its use positions (None if unused)."""
-        sorts: set[str] = set()
-
-        def scan(node: object) -> None:
-            if isinstance(node, _RawAtom):
-                decl = self.predicates.get(node.name)
-                for i, arg in enumerate(node.args):
-                    if arg.name == var and decl is not None and i < decl.arity:
-                        sorts.add(decl.arg_sorts[i])
-                return
-            if isinstance(node, _RawForAll):
-                if node.var != var:  # identical name rebinding shadows ours
-                    scan(node.body)
-                return
-            if isinstance(node, _RawNot):
-                scan(node.body)
-            elif isinstance(node, (_RawAnd, _RawOr)):
-                for p in node.parts:
-                    scan(p)
-            elif isinstance(node, _RawImplies):
-                scan(node.antecedent)
-                scan(node.consequent)
-
-        scan(raw)
-        if len(sorts) > 1:
-            return "conflict"
-        return sorts.pop() if sorts else None
-
-    def _resolve_formula(self, raw: object, env: dict[str, Term]) -> Formula | None:
-        if isinstance(raw, _RawForAll):
-            sort = self._infer_var_sort(raw.body, raw.var)
-            if sort is None:
-                self.diagnostics.append(
-                    ParseDiagnostic(raw.var_span, "error",
-                                    f"cannot infer the domain of variable {raw.var}: it is never used",
-                                    "kind"))
-                return None
-            if sort == "conflict":
-                self.diagnostics.append(
-                    ParseDiagnostic(raw.var_span, "error",
-                                    f"variable {raw.var} is used in both agent and object positions",
-                                    "kind"))
-                return None
-            var = Term(sort, raw.var, is_var=True)
-            body = self._resolve_formula(raw.body, {**env, raw.var: var})
-            if body is None:
-                return None
-            return ForAll(var, body)
-        if isinstance(raw, _RawAtom):
-            args: list[Term] = []
-            for ref in raw.args:
-                if ref.name in env:
-                    args.append(env[ref.name])
-                else:
-                    args.append(self._constant_term(ref.name, ref.span))
-            atom = Atom(raw.name, tuple(args))
-            tok = _Token("IDENT", raw.name, raw.span.line, raw.span.column)
-            self._check_atom_signature(atom, tok)
-            return AtomF(atom)
-        if isinstance(raw, _RawNot):
-            body = self._resolve_formula(raw.body, env)
-            return None if body is None else Not(body)
-        if isinstance(raw, _RawAnd):
-            parts = [self._resolve_formula(p, env) for p in raw.parts]
-            if any(p is None for p in parts):
-                return None
-            return And(tuple(p for p in parts if p is not None))
-        if isinstance(raw, _RawOr):
-            parts = [self._resolve_formula(p, env) for p in raw.parts]
-            if any(p is None for p in parts):
-                return None
-            return Or(tuple(p for p in parts if p is not None))
-        if isinstance(raw, _RawImplies):
-            ant = self._resolve_formula(raw.antecedent, env)
-            cons = self._resolve_formula(raw.consequent, env)
-            if ant is None or cons is None:
-                return None
-            return Implies(ant, cons)
-        raise AssertionError(f"unhandled raw node {type(raw).__name__}")
+            return self._formula(depth)  # quantifier directly under a connective
+        atom = self._atom(self._formula_term)
+        return None if atom is None else AtomF(atom)
 
     # -- result -------------------------------------------------------------
 
@@ -905,7 +795,7 @@ class _Parser:
                 {agent: tuple(span for _, span in fs) for agent, fs in self.beliefs.items()},
             ),
             effects=tuple(self.effects),
-            utilities=UtilityTable(dict(self.utilities)),
+            utilities=UtilityTable(dict(self.utilities), dict(self.utility_spans)),
             candidates=tuple(self.candidates),
         )
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Protocol, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 AGENT = "agent"
 OBJECT = "object"
@@ -194,13 +194,6 @@ class ForAll(Formula):
             raise LogicError(f"forall binds a variable, got constant {self.var}")
 
 
-@dataclass(frozen=True)
-class UniversalizedPlan(Formula):
-    """Hypothetical adoption of a declared plan by every agent."""
-
-    plan_id: str
-
-
 #: The neutral true formula (empty conjunction).
 TRUE: Formula = And(())
 
@@ -292,8 +285,6 @@ def substitute(f: Formula, binding: Mapping[Term, Term]) -> Formula:
     if isinstance(f, ForAll):
         inner = {v: c for v, c in binding.items() if v != f.var}
         return ForAll(f.var, substitute(f.body, inner)) if inner else f
-    if isinstance(f, UniversalizedPlan):
-        return f
     raise LogicError(f"unknown formula node {type(f).__name__}")
 
 
@@ -317,70 +308,14 @@ def free_vars(f: Formula) -> frozenset[Term]:
 # Grounding
 
 
-class PlanLike(Protocol):
-    """What the grounder needs to know about a declared plan."""
-
-    id: str
-    agent: AgentId
-    reasons: tuple[SignedAtom, ...]
-    action: SignedAtom
-    object_vars: tuple[Term, ...]
-
-    @property
-    def agent_placeholder(self) -> Term: ...
-
-
-def _plan_instance(plan: PlanLike, binding: Mapping[Term, Term]) -> Formula:
-    reasons = conj(tuple(substitute_signed(r, binding).as_formula() for r in plan.reasons))
-    action = substitute_signed(plan.action, binding).as_formula()
-    return Implies(reasons, action)
-
-
-def expand_universalized_plan(
-    plan: PlanLike,
-    agents: Sequence[AgentId],
-    objects: Sequence[str],
-) -> Formula:
-    """Material-conditional reading of everyone adopting the plan.
-
-    One conditional per agent (and per combination of the plan's free object
-    variables), conjoined with the plan's trigger atom, which switches on the
-    scenario's universalization effects in the same satisfiability check.
-    """
-    if not agents:
-        raise GroundingError("empty agent domain")
-    if plan.object_vars and not objects:
-        raise GroundingError(
-            f"plan {plan.id} has free object variables but no object constants are declared"
-        )
-    conditionals: list[Formula] = []
-    for ag in agents:
-        base = {plan.agent_placeholder: agent_const(ag.name)}
-        if plan.object_vars:
-            for combo in itertools.product(objects, repeat=len(plan.object_vars)):
-                binding = dict(base)
-                binding.update(
-                    {v: object_const(o) for v, o in zip(plan.object_vars, combo)}
-                )
-                conditionals.append(_plan_instance(plan, binding))
-        else:
-            conditionals.append(_plan_instance(plan, base))
-    conditionals.append(AtomF(universalization_trigger(plan.id)))
-    return And(tuple(conditionals))
-
-
-def ground(
-    f: Formula,
-    agents: Sequence[AgentId],
-    objects: Sequence[str] = (),
-    plans: Mapping[str, PlanLike] | None = None,
-) -> Formula:
-    """Expand quantifiers and universalized-plan nodes over finite domains.
+def ground(f: Formula, agents: Sequence[AgentId], objects: Sequence[str] = ()) -> Formula:
+    """Expand quantifiers over finite domains.
 
     Free variables are universally closed over their sort's domain first
     (in first-occurrence order), so the result never has free variables.
-    Deterministic: identical inputs, including domain order, give
-    structurally identical output.
+    Quantified variables are bound through an environment as the tree is
+    rebuilt, one pass per instance. Deterministic: identical inputs,
+    including domain order, give structurally identical output.
     """
     if not agents:
         raise GroundingError("empty agent domain")
@@ -392,41 +327,39 @@ def ground(
     agent_terms = tuple(agent_const(a.name) for a in agents)
     object_terms = tuple(object_const(o) for o in objects)
 
-    def go(node: Formula) -> Formula:
+    def go(node: Formula, env: dict[Term, Term]) -> Formula:
         if isinstance(node, AtomF):
-            return node
+            atom = node.atom
+            if not env or not atom.args:
+                return node
+            return AtomF(Atom(atom.predicate, tuple([env.get(t, t) for t in atom.args])))
         if isinstance(node, Not):
-            return Not(go(node.body))
+            return Not(go(node.body, env))
         if isinstance(node, And):
-            return And(tuple(go(p) for p in node.parts))
+            return And(tuple([go(p, env) for p in node.parts]))
         if isinstance(node, Or):
-            return Or(tuple(go(p) for p in node.parts))
+            return Or(tuple([go(p, env) for p in node.parts]))
         if isinstance(node, Implies):
-            return Implies(go(node.antecedent), go(node.consequent))
+            return Implies(go(node.antecedent, env), go(node.consequent, env))
         if isinstance(node, ForAll):
             domain = agent_terms if node.var.sort == AGENT else object_terms
             if not domain:
                 raise GroundingError(
                     f"empty {node.var.sort} domain for quantified variable {node.var.name}"
                 )
-            return conj(tuple(go(substitute(node.body, {node.var: c})) for c in domain))
-        if isinstance(node, UniversalizedPlan):
-            if plans is None or node.plan_id not in plans:
-                raise GroundingError(f"no plan named {node.plan_id!r} to expand")
-            return expand_universalized_plan(plans[node.plan_id], agents, objects)
+            return conj(tuple([go(node.body, {**env, node.var: c}) for c in domain]))
         raise LogicError(f"unknown formula node {type(node).__name__}")
 
-    return go(closed)
+    return go(closed, {})
 
 
 def _ordered_free_vars(f: Formula) -> list[Term]:
-    free = free_vars(f)
     seen: list[Term] = []
 
     def go(node: Formula, bound: frozenset[Term]) -> None:
         if isinstance(node, AtomF):
             for t in node.atom.args:
-                if t.is_var and t in free and t not in bound and t not in seen:
+                if t.is_var and t not in bound and t not in seen:
                     seen.append(t)
             return
         if isinstance(node, ForAll):
@@ -628,7 +561,7 @@ class _Encoder:
 
 def _check_ground(formula: Formula) -> None:
     for node in walk(formula):
-        if isinstance(node, (ForAll, UniversalizedPlan)):
+        if isinstance(node, ForAll):
             raise LogicError("clause conversion requires a ground formula")
         if isinstance(node, AtomF) and not node.atom.is_ground():
             raise LogicError(f"non-ground atom {node.atom} in clause conversion")

@@ -21,7 +21,6 @@ from .logic import (
     Formula,
     GroundClauseSet,
     TRUE,
-    UniversalizedPlan,
     compile_fragment,
     ground,
 )
@@ -264,7 +263,7 @@ class QueryCompiler:
         agents, objects = scenario.agents, scenario.objects
         builder = ClauseBuilder()
         builder.add(
-            ground(UniversalizedPlan(plan.id), agents, objects, scenario.plan_map()),
+            ground(plan.universal_adoption(), agents, objects),
             f"universal adoption of plan {plan.id}",
         )
         effects = effects_for(scenario, plan.id)

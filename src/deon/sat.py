@@ -46,9 +46,6 @@ class Model:
         get = truth.__getitem__
         return all(any(map(get, cl)) for cl in cs.clauses)
 
-    def satisfies_clause(self, clause: tuple[int, ...]) -> bool:
-        return any(self.values[abs(lit) - 1] == (lit > 0) for lit in clause)
-
     def atom_values(self, cs: GroundClauseSet) -> dict[Atom, bool]:
         """The assignment restricted to real atoms (definitional vars dropped)."""
         return {atom: self.values[i] for i, atom in enumerate(cs.atoms)}

@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Mapping
 from .logic import (
     AGENT,
     AgentId,
+    And,
     Atom,
     AtomF,
     Formula,
@@ -23,7 +24,6 @@ from .logic import (
     Term,
     TRUE,
     UNIVERSALIZATION_PREDICATE,
-    UniversalizedPlan,
     agent_const,
     agent_var,
     children,
@@ -59,8 +59,8 @@ class ActionPlan:
     """An agent's commitment to take the action whenever the reasons apply.
 
     Occurrences of the agent inside reasons/action are stored as an agent
-    variable named after the agent (the plan placeholder), which is what
-    universalization re-binds to each agent in turn.
+    variable named after the agent (the plan placeholder). Universal
+    adoption quantifies over it, so every agent takes the plan's place.
     """
 
     id: str
@@ -82,6 +82,20 @@ class ActionPlan:
     def instantiated_action(self) -> SignedAtom:
         binding = {self.agent_placeholder: agent_const(self.agent.name)}
         return substitute_signed(self.action, binding)
+
+    def universal_adoption(self) -> Formula:
+        """Everyone adopting the plan, plus the plan's trigger atom.
+
+        `forall placeholder. forall object vars. reasons -> action`: every
+        agent whose reasons apply takes the action. The trigger switches on
+        the scenario's universalization effects in the same query.
+        """
+        reasons = conj(tuple(r.as_formula() for r in self.reasons))
+        adoption = self._close_object_vars(Implies(reasons, self.action.as_formula()))
+        return And((
+            ForAll(self.agent_placeholder, adoption),
+            AtomF(universalization_trigger(self.id)),
+        ))
 
     def reasons_formula(self) -> Formula:
         """Own-agent reasons, free object variables universally wrapped."""
@@ -129,9 +143,14 @@ class UniversalizationEffect:
 
 @dataclass(frozen=True)
 class UtilityTable:
-    """Net expected utility per (context, action); exact rationals."""
+    """Net expected utility per (context, action); exact rationals.
+
+    `spans` gives each entry's source location, under the same key; it is
+    empty for tables built in code.
+    """
 
     entries: Mapping[tuple[str, Atom], Fraction] = field(default_factory=dict)
+    spans: "Mapping[tuple[str, Atom], SourceSpan]" = field(default_factory=dict, compare=False)
 
     def get(self, context: str, action: Atom) -> Fraction:
         try:
@@ -177,9 +196,6 @@ class Scenario:
                 return p
         raise ScenarioError(f"unknown plan {plan_id!r}")
 
-    def plan_map(self) -> dict[str, ActionPlan]:
-        return {p.id: p for p in self.plans}
-
 
 def belief_theory(scenario: Scenario, agent: AgentId | str) -> list[Formula]:
     """Everything the agent is rationally required to accept.
@@ -201,8 +217,7 @@ def effects_for(scenario: Scenario, plan_id: str) -> Formula:
     Each declared consequence becomes (trigger -> consequence); with no
     declared effects the result is the neutral true formula.
     """
-    if plan_id not in scenario.plan_map():
-        raise ScenarioError(f"unknown plan {plan_id!r}")
+    scenario.plan(plan_id)  # raises ScenarioError for an unknown plan
     trigger = universalization_trigger(plan_id)
     parts = tuple(
         Implies(AtomF(trigger), e.consequence)
@@ -308,10 +323,6 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
 
     def check_formula(element: str, f: Formula, span: SourceSpan | None = None) -> None:
         def go(node: Formula, bound: frozenset[Term]) -> None:
-            if isinstance(node, UniversalizedPlan):
-                add(element, "universalization-in-constraint",
-                    "universal-adoption nodes are built by the checker, never authored", span)
-                return
             if isinstance(node, AtomF):
                 check_atom(element, node.atom, bound, span)
                 return
@@ -400,20 +411,20 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
         seen_conditions.setdefault(key, cs.context)
 
     for (context, atom), value in scenario.utilities.entries.items():
-        element = f"utility {context}"
+        element, span = f"utility {context}", scenario.utilities.spans.get((context, atom))
         cs = contexts.get(context)
         if cs is None:
-            add(element, "unknown-context", f"unknown candidate context {context}")
+            add(element, "unknown-context", f"unknown candidate context {context}", span)
             continue
-        check_atom(element, atom)
+        check_atom(element, atom, span=span)
         if atom not in cs.actions:
             add(element, "not-a-candidate",
-                f"utility entry {atom} is not among the context's candidate actions")
+                f"utility entry {atom} is not among the context's candidate actions", span)
     for cs in scenario.candidates:
         for atom in cs.actions:
             if (cs.context, atom) not in scenario.utilities.entries:
                 add(f"utility {cs.context}", "missing-utility",
-                    f"candidate action {atom} has no utility entry")
+                    f"candidate action {atom} has no utility entry", cs.span)
 
     for plan in scenario.plans:
         ctx = plan_context(scenario, plan)

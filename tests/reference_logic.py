@@ -6,30 +6,200 @@ what these functions build: the same atoms in the same order, the same
 aux count, clauses and labels. The bodies are the original builder and
 query functions, unchanged apart from the check for modal nodes, which
 no longer exist; they ground and convert the whole theory for every query.
+
+The grounder is the original one too: `substitute` copies each quantifier
+body once per constant, and universal adoption is a `UniversalizedPlan`
+node that `ground` expands into one flat conjunction of material
+conditionals. `deon.logic.ground` binds variables through an environment
+and grounds `ActionPlan.universal_adoption()` as an ordinary formula.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import itertools
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from deon.logic import (
+    AGENT,
+    AgentId,
     Atom,
     AtomF,
     And,
     ForAll,
     Formula,
     GroundClauseSet,
+    GroundingError,
     Implies,
     LogicError,
     Not,
     Or,
     TRUE,
-    UniversalizedPlan,
+    Term,
+    agent_const,
     atoms_of,
-    ground,
+    children,
+    conj,
+    object_const,
+    substitute_atom,
+    substitute_signed,
+    universalization_trigger,
     walk,
 )
 from deon.scenario import ActionPlan, Scenario, belief_theory, effects_for
+
+@dataclass(frozen=True)
+class UniversalizedPlan(Formula):
+    """Hypothetical adoption of a declared plan by every agent."""
+
+    plan_id: str
+
+
+def substitute(f: Formula, binding: Mapping[Term, Term]) -> Formula:
+    """Replace free variables by constants; bound occurrences are untouched."""
+    if not binding:
+        return f
+    if isinstance(f, AtomF):
+        return AtomF(substitute_atom(f.atom, binding))
+    if isinstance(f, Not):
+        return Not(substitute(f.body, binding))
+    if isinstance(f, And):
+        return And(tuple(substitute(p, binding) for p in f.parts))
+    if isinstance(f, Or):
+        return Or(tuple(substitute(p, binding) for p in f.parts))
+    if isinstance(f, Implies):
+        return Implies(substitute(f.antecedent, binding), substitute(f.consequent, binding))
+    if isinstance(f, ForAll):
+        inner = {v: c for v, c in binding.items() if v != f.var}
+        return ForAll(f.var, substitute(f.body, inner)) if inner else f
+    if isinstance(f, UniversalizedPlan):
+        return f
+    raise LogicError(f"unknown formula node {type(f).__name__}")
+
+
+def free_vars(f: Formula) -> frozenset[Term]:
+    """Variables occurring outside any binding quantifier."""
+
+    def go(node: Formula, bound: frozenset[Term]) -> frozenset[Term]:
+        if isinstance(node, AtomF):
+            return frozenset(t for t in node.atom.args if t.is_var and t not in bound)
+        if isinstance(node, ForAll):
+            return go(node.body, bound | {node.var})
+        out: frozenset[Term] = frozenset()
+        for c in children(node):
+            out |= go(c, bound)
+        return out
+
+    return go(f, frozenset())
+
+
+def _plan_instance(plan: ActionPlan, binding: Mapping[Term, Term]) -> Formula:
+    reasons = conj(tuple(substitute_signed(r, binding).as_formula() for r in plan.reasons))
+    action = substitute_signed(plan.action, binding).as_formula()
+    return Implies(reasons, action)
+
+
+def expand_universalized_plan(
+    plan: ActionPlan,
+    agents: Sequence[AgentId],
+    objects: Sequence[str],
+) -> Formula:
+    """Material-conditional reading of everyone adopting the plan.
+
+    One conditional per agent (and per combination of the plan's free object
+    variables), conjoined with the plan's trigger atom, which switches on the
+    scenario's universalization effects in the same satisfiability check.
+    """
+    if not agents:
+        raise GroundingError("empty agent domain")
+    if plan.object_vars and not objects:
+        raise GroundingError(
+            f"plan {plan.id} has free object variables but no object constants are declared"
+        )
+    conditionals: list[Formula] = []
+    for ag in agents:
+        base = {plan.agent_placeholder: agent_const(ag.name)}
+        if plan.object_vars:
+            for combo in itertools.product(objects, repeat=len(plan.object_vars)):
+                binding = dict(base)
+                binding.update(
+                    {v: object_const(o) for v, o in zip(plan.object_vars, combo)}
+                )
+                conditionals.append(_plan_instance(plan, binding))
+        else:
+            conditionals.append(_plan_instance(plan, base))
+    conditionals.append(AtomF(universalization_trigger(plan.id)))
+    return And(tuple(conditionals))
+
+
+def ground(
+    f: Formula,
+    agents: Sequence[AgentId],
+    objects: Sequence[str] = (),
+    plans: Mapping[str, ActionPlan] | None = None,
+) -> Formula:
+    """Expand quantifiers and universalized-plan nodes over finite domains.
+
+    Free variables are universally closed over their sort's domain first
+    (in first-occurrence order), so the result never has free variables.
+    Deterministic: identical inputs, including domain order, give
+    structurally identical output.
+    """
+    if not agents:
+        raise GroundingError("empty agent domain")
+
+    closed = f
+    for var in _ordered_free_vars(f):
+        closed = ForAll(var, closed)
+
+    agent_terms = tuple(agent_const(a.name) for a in agents)
+    object_terms = tuple(object_const(o) for o in objects)
+
+    def go(node: Formula) -> Formula:
+        if isinstance(node, AtomF):
+            return node
+        if isinstance(node, Not):
+            return Not(go(node.body))
+        if isinstance(node, And):
+            return And(tuple(go(p) for p in node.parts))
+        if isinstance(node, Or):
+            return Or(tuple(go(p) for p in node.parts))
+        if isinstance(node, Implies):
+            return Implies(go(node.antecedent), go(node.consequent))
+        if isinstance(node, ForAll):
+            domain = agent_terms if node.var.sort == AGENT else object_terms
+            if not domain:
+                raise GroundingError(
+                    f"empty {node.var.sort} domain for quantified variable {node.var.name}"
+                )
+            return conj(tuple(go(substitute(node.body, {node.var: c})) for c in domain))
+        if isinstance(node, UniversalizedPlan):
+            if plans is None or node.plan_id not in plans:
+                raise GroundingError(f"no plan named {node.plan_id!r} to expand")
+            return expand_universalized_plan(plans[node.plan_id], agents, objects)
+        raise LogicError(f"unknown formula node {type(node).__name__}")
+
+    return go(closed)
+
+
+def _ordered_free_vars(f: Formula) -> list[Term]:
+    free = free_vars(f)
+    seen: list[Term] = []
+
+    def go(node: Formula, bound: frozenset[Term]) -> None:
+        if isinstance(node, AtomF):
+            for t in node.atom.args:
+                if t.is_var and t in free and t not in bound and t not in seen:
+                    seen.append(t)
+            return
+        if isinstance(node, ForAll):
+            go(node.body, bound | {node.var})
+            return
+        for c in children(node):
+            go(c, bound)
+
+    go(f, frozenset())
+    return seen
 
 
 class ClauseBuilder:
@@ -155,7 +325,7 @@ def generalization_query(plan: ActionPlan, scenario: Scenario) -> GroundClauseSe
     effects, the plan's own reasons and action, and the agent's
     rational-constraint theory. The plan passes iff this is satisfiable.
     """
-    agents, objects, plans = scenario.agents, scenario.objects, scenario.plan_map()
+    agents, objects, plans = scenario.agents, scenario.objects, {p.id: p for p in scenario.plans}
     builder = ClauseBuilder()
     builder.add(
         ground(UniversalizedPlan(plan.id), agents, objects, plans),

@@ -171,6 +171,22 @@ LOCATED_FINDINGS = {
         "belief a { ready(a) -> go(a);\n  go(a) -> ready(a); forall y. safe(y); }\n",
         "belief of a, constraint 3", 6, 22,
     ),
+    # the utility entry for stay(a), not a candidate, starts at line 7, column 3
+    "not-a-candidate": (
+        "scenario u1\nagents a\n"
+        "predicates ready(agent), go(agent) action, stay(agent) action\n"
+        "candidates here given { ready(a) } { go(a) }\n"
+        "utility here {\n  go(a) = 1;\n  stay(a) = 2;\n}\n",
+        "utility here", 7, 3,
+    ),
+    # the candidate set lacking a utility for stay(a) starts at line 5
+    "missing-utility": (
+        "scenario u2\nagents a\n"
+        "predicates ready(agent), go(agent) action, stay(agent) action\n\n"
+        "candidates here given { ready(a) } { go(a), stay(a) }\n"
+        "utility here { go(a) = 1; }\n",
+        "utility here", 5, 1,
+    ),
 }
 
 

@@ -1,7 +1,11 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
 
+from deon.cli import EXIT_INVALID, main
 from deon.dsl import (
     DEFAULT_MAX_SOURCE,
     ParseResult,
@@ -139,6 +143,52 @@ def test_sort_conflict_in_quantifier():
     result = parse_scenario(text)
     assert result.scenario is None
     assert any("agent and object positions" in d.message for d in result.diagnostics)
+
+
+FORMULA_HEADER = (
+    "scenario f\nagents a, b\nobjects o\n"
+    "predicates p(agent), q(object), r(agent, object), go(agent) action\n"
+    "plan walk agent a: reasons { p(a) } action { go(a) }\n"
+)
+
+# One formula block each. Name-resolution findings (unknown names, arity,
+# sorts, quantifier domains) are reported after the formula's `;`, and a
+# failed quantifier hides the findings of its own body and skips the rest
+# of the section; the frozen output pins that text and order.
+FORMULA_CASES = {
+    "reserved_term": "physics { p(not); q(o); }\n",
+    "reserved_predicate": "physics { p(a) and or; }\n",
+    "reserved_variable": "physics { forall and. p(and); }\n",
+    "unknown_then_syntax": "physics { p(zz) and q(o) or ; p(yy); }\n",
+    "unknown_constants": "physics { p(zz) or q(ww); p(b) -> q(vv); }\n",
+    "missing_semi": "physics { p(zz) q(o); }\n",
+    "forall_unused": "physics { p(zz); forall x. p(a) and q(yy); p(ww); }\n",
+    "forall_both_sorts": "physics { forall x. r(x, x) and zz(x); p(ww); }\n",
+    "forall_shadowed": "physics { forall x. forall x. p(x); }\n",
+    "forall_shadow_resorted": "physics { forall x. q(x) and (forall x. p(x)) and p(zz); }\n",
+    "inner_forall_beside_unknown": (
+        "physics { p(zz) and (forall y. p(a) or q(yy)) and q(ww); p(vv); }\n"
+    ),
+    "unknown_predicate_bound": "physics { forall x. zz(x) and p(x); forall y. zz(y); }\n",
+    "extra_argument": "belief a { forall x. p(x, x); r(a, o, b); q(a); }\n",
+    "effect_block": "on_universalized walk { forall x. go(x) -> q(x); }\n",
+    "lex_minus_ident": "physics { p(a) -x; }\n",
+    "lex_lone_minus": "physics { p(a) - > q(o); -; }\n",
+    "lex_non_ascii_letter": "physics { p(é); }\n",
+    "lex_non_ascii_digit": "physics { p(a٣) or q(-٣); }\n",
+}
+
+FORMULA_SNAPSHOT = Path(__file__).parent / "snapshots" / "formula_diagnostics.json"
+
+
+@pytest.mark.parametrize("name", FORMULA_CASES)
+def test_formula_diagnostics_match_frozen_snapshot(capsys, monkeypatch, tmp_path, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"{name}.deon").write_text(FORMULA_HEADER + FORMULA_CASES[name], encoding="utf-8")
+    code = main(["validate", "--format", "json", f"{name}.deon"])
+    assert code == EXIT_INVALID
+    frozen = json.loads(FORMULA_SNAPSHOT.read_text(encoding="utf-8"))
+    assert json.loads(capsys.readouterr().out) == frozen[name]
 
 
 def test_error_recovery_reports_multiple_sections():

@@ -24,7 +24,6 @@ from deon.logic import (
     SignedAtom,
     TRUE,
     Term,
-    UniversalizedPlan,
     agent_const,
     agent_var,
     evaluate_formula,
@@ -175,16 +174,18 @@ def _theft_plan() -> ActionPlan:
 
 def test_ground_universalized_plan_matches_hand_expansion():
     # Frozen from expanding "everyone with these reasons acts" by hand over
-    # agents {a, b}: two material conditionals plus the trigger atom.
+    # agents {a, b}: two material conditionals plus the trigger atom. The
+    # grounded tree nests one conjunction per quantifier; its clauses are
+    # those of the flat conjunction.
     plan = _theft_plan()
-    got = ground(UniversalizedPlan("steal"), (A, B), (), {"steal": plan})
+    got = ground(plan.universal_adoption(), (A, B), ())
     a, b = agent_const("a"), agent_const("b")
     expected = And((
         Implies(And((atom("C1", a), atom("C2", a))), atom("A", a)),
         Implies(And((atom("C1", b), atom("C2", b))), atom("A", b)),
         AtomF(universalization_trigger("steal")),
     ))
-    assert got == expected
+    assert to_clauses(got) == to_clauses(expected)
 
 
 def test_ground_full_generalization_body():
@@ -192,12 +193,12 @@ def test_ground_full_generalization_body():
     plan = _theft_plan()
     a = agent_const("a")
     body = And((
-        UniversalizedPlan("steal"),
+        plan.universal_adoption(),
         atom("C1", a),
         atom("C2", a),
         atom("A", a),
     ))
-    got = ground(body, (A, B), (), {"steal": plan})
+    got = ground(body, (A, B), ())
     assert isinstance(got, And)
     assert got.parts[1:] == (atom("C1", a), atom("C2", a), atom("A", a))
     assert free_vars(got) == frozenset()
@@ -223,14 +224,12 @@ def test_ground_errors():
         ground(atom("C", agent_const("a")), ())
     with pytest.raises(GroundingError):
         ground(ForAll(y, atom("D", y)), (A,), ())
-    with pytest.raises(GroundingError):
-        ground(UniversalizedPlan("nope"), (A,), (), {})
 
 
 def test_ground_is_deterministic():
     plan = _theft_plan()
-    f = And((UniversalizedPlan("steal"), ForAll(x, atom("C", x))))
-    runs = {ground(f, (A, B), (), {"steal": plan}) for _ in range(3)}
+    f = And((plan.universal_adoption(), ForAll(x, atom("C", x))))
+    runs = {ground(f, (A, B), ()) for _ in range(3)}
     assert len(runs) == 1
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from deon.dsl import parse_scenario
-from deon.logic import Atom, Implies, agent_const, expand_universalized_plan
+from deon.logic import Atom, Implies, agent_const, ground, walk
 from deon.principles import (
     AUTONOMY,
     AutonomyClear,
@@ -86,8 +86,8 @@ def test_ambulance_passes_without_the_effect(golden):
 
 def test_universalization_conjunct_covers_domain_product(golden):
     amb = golden["ambulance"]
-    expansion = expand_universalized_plan(amb.plan("siren"), amb.agents, amb.objects)
-    conditionals = [p for p in expansion.parts if isinstance(p, Implies)]
+    expansion = ground(amb.plan("siren").universal_adoption(), amb.agents, amb.objects)
+    conditionals = [node for node in walk(expansion) if isinstance(node, Implies)]
     assert len(conditionals) == 4  # 2 agents x 2 ambulances
 
 

@@ -22,16 +22,22 @@ from test_sat_differential import CHAIN_RULE
 from deon import principles, scenarios
 from deon.dsl import parse_scenario
 from deon.logic import (
+    AgentId,
     And,
     Atom,
     AtomF,
     ClauseBuilder,
+    ForAll,
     Formula,
     Implies,
     Not,
     Or,
     agent_const,
+    agent_var,
     compile_fragment,
+    ground,
+    object_const,
+    object_var,
 )
 from deon.principles import (
     ModalQuery,
@@ -209,6 +215,44 @@ def test_random_formulas_with_fragments_match_reference():
             i = j
         assert builder.build() == expected, parts
         assert compile_fragment(parts) == expected, parts
+
+
+QUANTIFIED_TERMS = (
+    agent_var("x"), agent_var("z"), object_var("y"), object_var("x"),
+    agent_const("a"), object_const("o"),
+)
+
+
+def random_quantified(rng: random.Random, depth: int) -> Formula:
+    """Nested, shadowing and vacuous quantifiers over atoms with free variables."""
+    if depth == 0 or rng.random() < 0.3:
+        args = tuple(rng.choice(QUANTIFIED_TERMS) for _ in range(rng.randint(0, 3)))
+        return AtomF(Atom(rng.choice("pq"), args))
+    kind = rng.choice(("forall", "forall", "not", "implies", "and", "or"))
+    if kind == "forall":
+        var = rng.choice([t for t in QUANTIFIED_TERMS if t.is_var])
+        return ForAll(var, random_quantified(rng, depth - 1))
+    if kind == "not":
+        return Not(random_quantified(rng, depth - 1))
+    if kind == "implies":
+        return Implies(random_quantified(rng, depth - 1), random_quantified(rng, depth - 1))
+    parts = tuple(random_quantified(rng, depth - 1) for _ in range(rng.choice((0, 1, 2, 3))))
+    return And(parts) if kind == "and" else Or(parts)
+
+
+DOMAINS = (((AgentId("a"),), ("o",)), ((AgentId("a"), AgentId("b")), ("o", "k")))
+
+
+def test_random_quantified_formulas_ground_like_reference():
+    # The reference grounder copies each quantifier body per constant with
+    # `substitute`; the engine binds through an environment. The trees match.
+    rng = random.Random(0xF0A11)
+    for _ in range(400):
+        formula = random_quantified(rng, rng.randint(1, 5))
+        for agents, objects in DOMAINS:
+            assert ground(formula, agents, objects) == (
+                reference_logic.ground(formula, agents, objects)
+            ), formula
 
 
 # -- no state between calls ------------------------------------------------------------
