@@ -29,11 +29,9 @@ from .logic import (
     agent_const,
     agent_var,
     evaluate_formula,
-    free_vars,
     ground,
     object_const,
     object_var,
-    substitute,
     to_clauses,
     universalization_trigger,
 )

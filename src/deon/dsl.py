@@ -12,6 +12,10 @@ read. A quantified variable takes the declared sort of the argument
 positions it fills; `forall x.` is accepted only when that is exactly one
 sort. Parsing is a pure function of the input text and never raises on
 malformed input; failures come back as diagnostics with source spans.
+
+Error recovery has one rule: a syntax error abandons the section it is in,
+and parsing resumes at the next section keyword, so the faults of later
+sections are still reported.
 """
 
 from __future__ import annotations
@@ -52,6 +56,9 @@ from .scenario import (
 )
 
 DEFAULT_MAX_SOURCE = 1_000_000
+# Longer number literals are rejected: CPython converts at most 4300 digits
+# between text and int, and this bounds every numerator and denominator printed.
+MAX_NUMBER_LENGTH = 4_300
 MAX_FORMULA_DEPTH = 100
 
 SECTION_KEYWORDS = (
@@ -175,6 +182,18 @@ def _lex(text: str, filename: str) -> tuple[list[_Token], list[ParseDiagnostic]]
 _TermResolver = Callable[[str, SourceSpan, "str | None"], Term]
 
 
+class _Abandon(Exception):
+    """Raised at a syntax error to abandon the current section.
+
+    `_Parser.parse` catches it around each section and skips to the next
+    section keyword. Four sites report and carry on instead: a name list and
+    a predicate declaration keep the names read before the fault, so later
+    sections do not report them unknown; the closing `}` of `utility` can
+    only be missing at end of input; and "a plan has exactly one action" is
+    found after the plan's `}`, where skipping would lose the next section.
+    """
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], filename: str):
         self.tokens = tokens
@@ -247,6 +266,22 @@ class _Parser:
                    expected=(what,))
         return None
 
+    def need(self, kind: str, what: str, text: str | None = None) -> _Token:
+        """`expect`, abandoning the section when the token is missing.
+
+        The sites that must not abandon call `expect`; `_Abandon` names them.
+        """
+        tok = self.expect(kind, what, text)
+        if tok is None:
+            raise _Abandon
+        return tok
+
+    def need_name(self, what: str) -> _Token:
+        tok = self.expect_name(what)
+        if tok is None:
+            raise _Abandon
+        return tok
+
     def sync_to_section(self) -> None:
         """Error recovery: skip forward to the next top-level section keyword."""
         self.advance()  # always make progress
@@ -267,21 +302,18 @@ class _Parser:
                 return
         while not self.at("EOF"):
             tok = self.peek()
-            if not self.at_keyword(*SECTION_KEYWORDS):
-                self.error(
-                    f"expected a section keyword, found {tok.text or 'end of input'!r}",
-                    expected=SECTION_KEYWORDS,
-                )
-                self.sync_to_section()
-                continue
-            if tok.text == "scenario":
-                self.error("duplicate scenario header", tok, code="duplicate")
-                self.sync_to_section()
-                continue
-            handler: Callable[[], None] = getattr(self, f"_section_{tok.text}")
-            before = self.pos
-            handler()
-            if self.pos == before:  # defensive: a section must consume input
+            try:
+                if not self.at_keyword(*SECTION_KEYWORDS):
+                    self.error(
+                        f"expected a section keyword, found {tok.text or 'end of input'!r}",
+                        expected=SECTION_KEYWORDS,
+                    )
+                    raise _Abandon
+                if tok.text == "scenario":
+                    self.error("duplicate scenario header", tok, code="duplicate")
+                    raise _Abandon
+                getattr(self, f"_section_{tok.text}")()
+            except _Abandon:
                 self.sync_to_section()
 
     # -- sections -----------------------------------------------------------
@@ -366,17 +398,9 @@ class _Parser:
 
     def _section_plan(self) -> None:
         start = self.advance()
-        id_tok = self.expect_name("plan")
-        if id_tok is None:
-            self.sync_to_section()
-            return
-        if self.expect("IDENT", "'agent'", text="agent") is None:
-            self.sync_to_section()
-            return
-        agent_tok = self.expect_name("agent")
-        if agent_tok is None:
-            self.sync_to_section()
-            return
+        id_tok = self.need_name("plan")
+        self.need("IDENT", "'agent'", text="agent")
+        agent_tok = self.need_name("agent")
         if not any(a.name == agent_tok.text for a in self.agents):
             self.error(f"unknown agent {agent_tok.text}", agent_tok, code="unknown-ref")
         object_vars: list[Term] = []
@@ -389,27 +413,15 @@ class _Parser:
                         tok, code="duplicate",
                     )
                 object_vars.append(object_var(tok.text))
-        if self.expect("COLON", "':'") is None:
-            self.sync_to_section()
-            return
-        if self.expect("IDENT", "'reasons'", text="reasons") is None:
-            self.sync_to_section()
-            return
-        reasons = self._literal_list_block(
-            lambda name, span, _: self._plan_term(name, span, agent_tok.text, object_vars)
-        )
-        if reasons is None:
-            self.sync_to_section()
-            return
-        if self.expect("IDENT", "'action'", text="action") is None:
-            self.sync_to_section()
-            return
-        action_list = self._literal_list_block(
-            lambda name, span, _: self._plan_term(name, span, agent_tok.text, object_vars)
-        )
-        if action_list is None:
-            self.sync_to_section()
-            return
+        self.need("COLON", "':'")
+
+        def resolve(name: str, span: SourceSpan, _sort: str | None) -> Term:
+            return self._plan_term(name, span, agent_tok.text, object_vars)
+
+        self.need("IDENT", "'reasons'", text="reasons")
+        reasons = self._literal_list_block(resolve)
+        self.need("IDENT", "'action'", text="action")
+        action_list = self._literal_list_block(resolve)
         if len(action_list) != 1:
             self.error("a plan has exactly one action", start)
             return
@@ -463,40 +475,24 @@ class _Parser:
                 return Term(sort, name, is_var=True)
         return self._constant_term(name, span)
 
-    def _literal_list_block(
-        self, term_resolver: _TermResolver
-    ) -> list[SignedAtom] | None:
-        if self.expect("LBRACE", "'{'") is None:
-            return None
-        literals: list[SignedAtom] = []
-        while True:
-            lit = self._literal(term_resolver)
-            if lit is None:
-                return None
-            literals.append(lit)
-            if self.at("COMMA"):
-                self.advance()
-                continue
-            break
-        if self.expect("RBRACE", "',' or '}'") is None:
-            return None
+    def _literal_list_block(self, term_resolver: _TermResolver) -> list[SignedAtom]:
+        self.need("LBRACE", "'{'")
+        literals = [self._literal(term_resolver)]
+        while self.at("COMMA"):
+            self.advance()
+            literals.append(self._literal(term_resolver))
+        self.need("RBRACE", "',' or '}'")
         return literals
 
-    def _literal(self, term_resolver: _TermResolver) -> SignedAtom | None:
-        negated = False
-        if self.at_keyword("not"):
+    def _literal(self, term_resolver: _TermResolver) -> SignedAtom:
+        negated = self.at_keyword("not")
+        if negated:
             self.advance()
-            negated = True
-        atom = self._atom(term_resolver)
-        if atom is None:
-            return None
-        return SignedAtom(atom, negated)
+        return SignedAtom(self._atom(term_resolver), negated)
 
-    def _atom(self, term_resolver: _TermResolver) -> Atom | None:
+    def _atom(self, term_resolver: _TermResolver) -> Atom:
         """A predicate applied to terms; the resolver gets each position's declared sort."""
-        tok = self.expect_name("predicate")
-        if tok is None:
-            return None
+        tok = self.need_name("predicate")
         decl = self.predicates.get(tok.text)
         sorts = decl.arg_sorts if decl is not None else ()
         args: list[Term] = []
@@ -504,17 +500,14 @@ class _Parser:
             self.advance()
             if not self.at("RPAREN"):
                 while True:
-                    arg = self.expect_name("term")
-                    if arg is None:
-                        return None
+                    arg = self.need_name("term")
                     sort = sorts[len(args)] if len(args) < len(sorts) else None
                     args.append(term_resolver(arg.text, arg.span(self.filename), sort))
                     if self.at("COMMA"):
                         self.advance()
                         continue
                     break
-            if self.expect("RPAREN", "',' or ')'") is None:
-                return None
+            self.need("RPAREN", "',' or ')'")
         atom = Atom(tok.text, tuple(args))
         self._check_atom_signature(atom, tok)
         return atom
@@ -541,74 +534,48 @@ class _Parser:
 
     def _section_physics(self) -> None:
         self.advance()
-        formulas = self._formula_block()
-        if formulas is None:
-            self.sync_to_section()
-            return
-        self.physical.extend(formulas)
+        self.physical.extend(self._formula_block())
 
     def _section_belief(self) -> None:
         self.advance()
-        agent_tok = self.expect_name("agent")
-        if agent_tok is None:
-            self.sync_to_section()
-            return
+        agent_tok = self.need_name("agent")
         if not any(a.name == agent_tok.text for a in self.agents):
             self.error(f"unknown agent {agent_tok.text}", agent_tok, code="unknown-ref")
         formulas = self._formula_block()
-        if formulas is None:
-            self.sync_to_section()
-            return
         if formulas or agent_tok.text in self.beliefs:
             existing = self.beliefs.get(agent_tok.text, ())
             self.beliefs[agent_tok.text] = existing + tuple(formulas)
 
     def _section_on_universalized(self) -> None:
         start = self.advance()
-        plan_tok = self.expect_name("plan")
-        if plan_tok is None:
-            self.sync_to_section()
-            return
+        plan_tok = self.need_name("plan")
         if not any(p.id == plan_tok.text for p in self.plans):
             self.error(f"unknown plan {plan_tok.text}", plan_tok, code="unknown-ref")
-        formulas = self._formula_block()
-        if formulas is None:
-            self.sync_to_section()
-            return
-        for f, _ in formulas:
+        for f, _ in self._formula_block():
             self.effects.append(
                 UniversalizationEffect(plan_tok.text, f, span=start.span(self.filename))
             )
 
     def _section_utility(self) -> None:
         self.advance()
-        ctx_tok = self.expect_name("context")
-        if ctx_tok is None:
-            self.sync_to_section()
-            return
+        ctx_tok = self.need_name("context")
         if not any(c.context == ctx_tok.text for c in self.candidates):
             self.error(f"unknown candidate context {ctx_tok.text}", ctx_tok, code="unknown-ref")
-        if self.expect("LBRACE", "'{'") is None:
-            self.sync_to_section()
-            return
+        self.need("LBRACE", "'{'")
         while not self.at("RBRACE") and not self.at("EOF"):
             entry = self.peek()
             atom = self._atom(self._constant_term)
-            if atom is None:
-                self.sync_to_section()
-                return
-            if self.expect("EQUALS", "'='") is None:
-                self.sync_to_section()
-                return
-            num = self.expect("NUMBER", "a number")
-            if num is None:
-                self.sync_to_section()
-                return
-            if self.expect("SEMI", "';'") is None:
-                self.sync_to_section()
-                return
+            self.need("EQUALS", "'='")
+            num = self.need("NUMBER", "a number")
+            self.need("SEMI", "';'")
             key = (ctx_tok.text, atom)
-            if key in self.utilities:
+            _, slash, denominator = num.text.partition("/")
+            if len(num.text) > MAX_NUMBER_LENGTH:
+                self.error(f"number literal of {len(num.text)} characters exceeds the "
+                           f"{MAX_NUMBER_LENGTH} limit", num, code="limit")
+            elif slash and int(denominator) == 0:
+                self.error(f"number literal {num.text} has a zero denominator", num)
+            elif key in self.utilities:
                 self.error(f"duplicate utility entry for {atom}", num, code="duplicate")
             else:
                 self.utilities[key] = Fraction(num.text)
@@ -617,34 +584,15 @@ class _Parser:
 
     def _section_candidates(self) -> None:
         start = self.advance()
-        ctx_tok = self.expect_name("context")
-        if ctx_tok is None:
-            self.sync_to_section()
-            return
-        if self.expect("IDENT", "'given'", text="given") is None:
-            self.sync_to_section()
-            return
+        ctx_tok = self.need_name("context")
+        self.need("IDENT", "'given'", text="given")
         condition = self._literal_list_block(self._constant_term)
-        if condition is None:
-            self.sync_to_section()
-            return
-        if self.expect("LBRACE", "'{'") is None:
-            self.sync_to_section()
-            return
-        actions: list[Atom] = []
-        while True:
-            atom = self._atom(self._constant_term)
-            if atom is None:
-                self.sync_to_section()
-                return
-            actions.append(atom)
-            if self.at("COMMA"):
-                self.advance()
-                continue
-            break
-        if self.expect("RBRACE", "',' or '}'") is None:
-            self.sync_to_section()
-            return
+        self.need("LBRACE", "'{'")
+        actions = [self._atom(self._constant_term)]
+        while self.at("COMMA"):
+            self.advance()
+            actions.append(self._atom(self._constant_term))
+        self.need("RBRACE", "',' or '}'")
         if any(c.context == ctx_tok.text for c in self.candidates):
             self.error(f"candidate context {ctx_tok.text} declared more than once",
                        ctx_tok, code="duplicate")
@@ -660,124 +608,97 @@ class _Parser:
 
     # -- formulas -----------------------------------------------------------
 
-    def _formula_block(self) -> list[tuple[Formula, SourceSpan]] | None:
+    def _formula_block(self) -> list[tuple[Formula, SourceSpan]]:
         """The formulas of a `{ f; ... }` block, each with the span of its first token.
 
-        A formula's name-resolution findings are reported after its `;`. A
-        quantifier whose variable gets no sort, or two, fails the block.
+        A formula's name-resolution findings are reported after its `;`, and
+        dropped if it fails to parse. A quantifier whose variable gets no
+        sort, or two, is no syntax error: its formula is read to the `;` and
+        reported, then the section is abandoned. Each formula starts with no
+        bound variables, as an abandoned one can leave its own behind.
         """
-        if self.expect("LBRACE", "'{'") is None:
-            return None
+        self.need("LBRACE", "'{'")
         formulas: list[tuple[Formula, SourceSpan]] = []
         while not self.at("RBRACE") and not self.at("EOF"):
             span = self.peek().span(self.filename)
             pending: list[ParseDiagnostic] = []
-            self.findings, self.quantifier_failed = pending, False
-            formula = self._formula(0)
-            self.findings = self.diagnostics
-            if formula is None:
-                return None
-            if self.expect("SEMI", "';'") is None:
-                return None
+            self.findings, self.bound, self.quantifier_failed = pending, [], False
+            try:
+                formula = self._formula(0)
+            finally:
+                self.findings = self.diagnostics
+            self.need("SEMI", "';'")
             self.diagnostics.extend(pending)
             if self.quantifier_failed:
-                return None
+                raise _Abandon
             formulas.append((formula, span))
-        if self.expect("RBRACE", "'}'") is None:
-            return None
+        self.need("RBRACE", "'}'")
         return formulas
 
-    def _formula(self, depth: int) -> Formula | None:
+    def _formula(self, depth: int) -> Formula:
         if depth > MAX_FORMULA_DEPTH:
             self.error("formula nesting too deep", code="limit")
-            return None
-        if self.at_keyword("forall"):
-            self.advance()
-            var_tok = self.expect_name("variable")
-            if var_tok is None:
-                return None
-            if self.expect("DOT", "'.'") is None:
-                return None
-            mark = len(self.findings)
-            sorts: set[str] = set()
-            self.bound.append((var_tok.text, sorts))
-            body = self._formula(depth + 1)
-            self.bound.pop()
-            if body is None:
-                return None
-            if len(sorts) == 1:
-                return ForAll(Term(sorts.pop(), var_tok.text, is_var=True), body)
-            self.quantifier_failed = True
-            del self.findings[mark:]  # a failed quantifier reports itself, not its body
-            name = var_tok.text
-            message = (
-                f"variable {name} is used in both agent and object positions" if sorts
-                else f"cannot infer the domain of variable {name}: it is never used"
-            )
-            self.findings.append(
-                ParseDiagnostic(var_tok.span(self.filename), "error", message, "kind")
-            )
-            return body
-        return self._implication(depth)
+            raise _Abandon
+        if not self.at_keyword("forall"):
+            return self._implication(depth)
+        self.advance()
+        var_tok = self.need_name("variable")
+        self.need("DOT", "'.'")
+        mark = len(self.findings)
+        sorts: set[str] = set()
+        self.bound.append((var_tok.text, sorts))
+        body = self._formula(depth + 1)
+        self.bound.pop()
+        if len(sorts) == 1:
+            return ForAll(Term(sorts.pop(), var_tok.text, is_var=True), body)
+        self.quantifier_failed = True
+        del self.findings[mark:]  # a failed quantifier reports itself, not its body
+        name = var_tok.text
+        message = (
+            f"variable {name} is used in both agent and object positions" if sorts
+            else f"cannot infer the domain of variable {name}: it is never used"
+        )
+        self.findings.append(
+            ParseDiagnostic(var_tok.span(self.filename), "error", message, "kind")
+        )
+        return body
 
-    def _implication(self, depth: int) -> Formula | None:
+    def _implication(self, depth: int) -> Formula:
         left = self._disjunction(depth)
-        if left is None:
-            return None
-        if self.at("ARROW"):
-            self.advance()
-            right = self._implication(depth + 1)
-            if right is None:
-                return None
-            return Implies(left, right)
-        return left
+        if not self.at("ARROW"):
+            return left
+        self.advance()
+        return Implies(left, self._implication(depth + 1))
 
-    def _disjunction(self, depth: int) -> Formula | None:
+    def _disjunction(self, depth: int) -> Formula:
         parts = [self._conjunction(depth)]
-        if parts[0] is None:
-            return None
         while self.at_keyword("or"):
             self.advance()
-            nxt = self._conjunction(depth)
-            if nxt is None:
-                return None
-            parts.append(nxt)
+            parts.append(self._conjunction(depth))
         return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
-    def _conjunction(self, depth: int) -> Formula | None:
+    def _conjunction(self, depth: int) -> Formula:
         parts = [self._unary(depth)]
-        if parts[0] is None:
-            return None
         while self.at_keyword("and"):
             self.advance()
-            nxt = self._unary(depth)
-            if nxt is None:
-                return None
-            parts.append(nxt)
+            parts.append(self._unary(depth))
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
-    def _unary(self, depth: int) -> Formula | None:
+    def _unary(self, depth: int) -> Formula:
         if depth > MAX_FORMULA_DEPTH:
             self.error("formula nesting too deep", code="limit")
-            return None
+            raise _Abandon
         if self.at_keyword("not"):
             self.advance()
-            body = self._unary(depth + 1)
-            if body is None:
-                return None
-            return Not(body)
+            return Not(self._unary(depth + 1))
         if self.at("LPAREN"):
             self.advance()
             inner = self._formula(depth + 1)
-            if inner is None:
-                return None
-            if self.expect("RPAREN", "')'") is None:
-                return None
+            self.need("RPAREN", "')'")
             return inner
         if self.at_keyword("forall"):
             return self._formula(depth)  # quantifier directly under a connective
-        atom = self._atom(self._formula_term)
-        return None if atom is None else AtomF(atom)
+        return AtomF(self._atom(self._formula_term))
 
     # -- result -------------------------------------------------------------
 

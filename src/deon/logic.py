@@ -241,7 +241,7 @@ def atoms_of(f: Formula) -> Iterator[Atom]:
 
 
 # --------------------------------------------------------------------------
-# Substitution and free variables
+# Substitution
 
 
 def substitute_term(term: Term, binding: Mapping[Term, Term]) -> Term:
@@ -266,42 +266,6 @@ def substitute_atom(atom: Atom, binding: Mapping[Term, Term]) -> Atom:
 
 def substitute_signed(sa: SignedAtom, binding: Mapping[Term, Term]) -> SignedAtom:
     return SignedAtom(substitute_atom(sa.atom, binding), sa.negated)
-
-
-def substitute(f: Formula, binding: Mapping[Term, Term]) -> Formula:
-    """Replace free variables by constants; bound occurrences are untouched."""
-    if not binding:
-        return f
-    if isinstance(f, AtomF):
-        return AtomF(substitute_atom(f.atom, binding))
-    if isinstance(f, Not):
-        return Not(substitute(f.body, binding))
-    if isinstance(f, And):
-        return And(tuple(substitute(p, binding) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(substitute(p, binding) for p in f.parts))
-    if isinstance(f, Implies):
-        return Implies(substitute(f.antecedent, binding), substitute(f.consequent, binding))
-    if isinstance(f, ForAll):
-        inner = {v: c for v, c in binding.items() if v != f.var}
-        return ForAll(f.var, substitute(f.body, inner)) if inner else f
-    raise LogicError(f"unknown formula node {type(f).__name__}")
-
-
-def free_vars(f: Formula) -> frozenset[Term]:
-    """Variables occurring outside any binding quantifier."""
-
-    def go(node: Formula, bound: frozenset[Term]) -> frozenset[Term]:
-        if isinstance(node, AtomF):
-            return frozenset(t for t in node.atom.args if t.is_var and t not in bound)
-        if isinstance(node, ForAll):
-            return go(node.body, bound | {node.var})
-        out: frozenset[Term] = frozenset()
-        for c in children(node):
-            out |= go(c, bound)
-        return out
-
-    return go(f, frozenset())
 
 
 # --------------------------------------------------------------------------

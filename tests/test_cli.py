@@ -147,6 +147,34 @@ def test_trigger_predicate_name_is_reserved(capsys, tmp_path, command):
     assert out == ""
 
 
+NUMBER_PROBES = {
+    "zero_denominator": ("1/0", "syntax"),
+    "long_integer": ("9" * 5000, "limit"),
+    "long_decimal": ("7" * 4000 + "." + "3" * 4000, "limit"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "check"])
+@pytest.mark.parametrize("probe", NUMBER_PROBES)
+def test_bad_number_literal_is_reported_at_the_number(capsys, tmp_path, command, probe):
+    number, diagnostic_code = NUMBER_PROBES[probe]
+    source = tmp_path / "numbers.deon"
+    source.write_text(
+        "scenario numbers\nagents a\n"
+        "predicates ready(agent), go(agent) action, stay(agent) action\n"
+        "plan p agent a: reasons { ready(a) } action { go(a) }\n"
+        "candidates c given { ready(a) } { go(a), stay(a) }\n"
+        f"utility c {{\n  go(a) = {number};\n  stay(a) = 2;\n}}\n"
+    )
+    code, out, err = run(capsys, command, str(source))
+    assert code == EXIT_INVALID
+    # the number starts at line 7, column 11
+    assert err.startswith(f"{source}:7:11: error: ")
+    assert err.endswith(f"[{diagnostic_code}]\n")
+    assert err.count("\n") == 1
+    assert out == ""
+
+
 LOCATED_FINDINGS = {
     # the plan starts at line 9
     "plan": (

@@ -191,6 +191,58 @@ def test_formula_diagnostics_match_frozen_snapshot(capsys, monkeypatch, tmp_path
     assert json.loads(capsys.readouterr().out) == frozen[name]
 
 
+SECTION_HEADER = (
+    "scenario s\nagents a, b\nobjects o\n"
+    "predicates p(agent), q(object), go(agent) action, stay(agent) action\n"
+)
+# Follows each broken section, so the frozen output shows where parsing resumed.
+SECTION_TAIL = "physics { p(zz); }\n"
+SECTION_CANDIDATES = "candidates here given { p(a) } { go(a) }\n"
+
+# One broken site each. A syntax error abandons its section and parsing
+# resumes at the next section keyword; the frozen output pins the text and
+# order of what is reported and skipped.
+SECTION_CASES = {
+    "plan_missing_agent": "plan walk a: reasons { p(a) } action { go(a) }\n" + SECTION_TAIL,
+    "plan_missing_colon": "plan walk agent a reasons { p(a) } action { go(a) }\n" + SECTION_TAIL,
+    "plan_missing_reasons": "plan walk agent a: { p(a) } action { go(a) }\n" + SECTION_TAIL,
+    "plan_missing_action": "plan walk agent a: reasons { p(a) } { go(a) }\n" + SECTION_TAIL,
+    "plan_reasons_trailing_comma": (
+        "plan walk agent a: reasons { p(a), } action { go(a) }\n" + SECTION_TAIL
+    ),
+    "plan_two_actions": (
+        "plan walk agent a: reasons { p(a) } action { go(a), stay(a) }\n" + SECTION_TAIL
+    ),
+    "plan_forall_trailing_comma": (
+        "plan walk agent a forall x, : reasons { p(a) } action { go(a) }\n" + SECTION_TAIL
+    ),
+    "candidates_missing_given": "candidates here { p(a) } { go(a) }\n" + SECTION_TAIL,
+    "candidates_trailing_comma": "candidates here given { p(a) } { go(a), }\n" + SECTION_TAIL,
+    "utility_missing_equals": SECTION_CANDIDATES + "utility here { go(a) 1; }\n" + SECTION_TAIL,
+    "utility_missing_number": SECTION_CANDIDATES + "utility here { go(a) = ; }\n" + SECTION_TAIL,
+    "utility_missing_semi": SECTION_CANDIDATES + "utility here { go(a) = 1 }\n" + SECTION_TAIL,
+    "utility_unclosed_at_eof": SECTION_TAIL + SECTION_CANDIDATES + "utility here { go(a) = 1;\n",
+    "predicates_bad_sort": "predicates r(thing)\n" + SECTION_TAIL,
+    "agents_trailing_comma": "agents c,\n" + SECTION_TAIL,
+    "belief_without_brace": "belief a p(a);\n" + SECTION_TAIL,
+    "effect_without_plan": "on_universalized { go(a); }\n" + SECTION_TAIL,
+    "nesting_too_deep": "physics { " + "not " * 101 + "p(a); }\n" + SECTION_TAIL,
+    "misspelt_section": "plans walk agent a: reasons { p(a) } action { go(a) }\n" + SECTION_TAIL,
+}
+
+SECTION_SNAPSHOT = Path(__file__).parent / "snapshots" / "section_diagnostics.json"
+
+
+@pytest.mark.parametrize("name", SECTION_CASES)
+def test_section_diagnostics_match_frozen_snapshot(capsys, monkeypatch, tmp_path, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"{name}.deon").write_text(SECTION_HEADER + SECTION_CASES[name], encoding="utf-8")
+    code = main(["validate", "--format", "json", f"{name}.deon"])
+    assert code == EXIT_INVALID
+    frozen = json.loads(SECTION_SNAPSHOT.read_text(encoding="utf-8"))
+    assert json.loads(capsys.readouterr().out) == frozen[name]
+
+
 def test_error_recovery_reports_multiple_sections():
     text = (
         "scenario t\n"

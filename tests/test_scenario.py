@@ -240,6 +240,6 @@ def test_plan_commitment_formula_closes_object_vars(golden):
     siren = golden["ambulance"].plans[0]
     commitment = siren.commitment_formula()
     assert isinstance(commitment, ForAll)
-    from deon.logic import free_vars
+    from deon.logic import _ordered_free_vars
 
-    assert free_vars(commitment) == frozenset()
+    assert _ordered_free_vars(commitment) == []
