@@ -10,7 +10,9 @@ question as a satisfiability query, so authors never write one.
 Parsing is one pass: formulas are built as `logic` formulas while they are
 read. A quantified variable takes the declared sort of the argument
 positions it fills; `forall x.` is accepted only when that is exactly one
-sort. Parsing is a pure function of the input text and never raises on
+sort. Names resolve in one place: the parser keeps one table of declared
+agent and object constants and one scope of variables, searched innermost
+first before the table. Parsing is a pure function of the input text and never raises on
 malformed input; failures come back as diagnostics with source spans.
 
 Error recovery has one rule: a syntax error abandons the section it is in,
@@ -23,8 +25,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
-
 from .logic import (
     AGENT,
     OBJECT,
@@ -41,7 +41,6 @@ from .logic import (
     Term,
     agent_const,
     agent_var,
-    object_const,
     object_var,
 )
 from .scenario import (
@@ -177,11 +176,6 @@ def _lex(text: str, filename: str) -> tuple[list[_Token], list[ParseDiagnostic]]
     return tokens, diagnostics
 
 
-#: Resolves a term name; gets the name's span and the declared sort of its
-#: argument position (None for an unknown predicate or an extra argument).
-_TermResolver = Callable[[str, SourceSpan, "str | None"], Term]
-
-
 class _Abandon(Exception):
     """Raised at a syntax error to abandon the current section.
 
@@ -202,23 +196,25 @@ class _Parser:
         self.diagnostics: list[ParseDiagnostic] = []
 
         self.scenario_name = ""
-        self.agents: list[AgentId] = []
-        self.objects: list[str] = []
+        # Every declared agent and object constant, in declaration order.
+        self.constants: dict[str, Term] = {}
         self.predicates: dict[str, PredicateDecl] = {}
-        self.plans: list[ActionPlan] = []
+        self.plans: dict[str, ActionPlan] = {}
         self.physical: list[tuple[Formula, SourceSpan]] = []
         self.beliefs: dict[str, tuple[tuple[Formula, SourceSpan], ...]] = {}
         self.effects: list[UniversalizationEffect] = []
         self.utilities: dict[tuple[str, Atom], Fraction] = {}
         self.utility_spans: dict[tuple[str, Atom], SourceSpan] = {}
-        self.candidates: list[CandidateSet] = []
+        self.candidates: dict[str, CandidateSet] = {}
 
         # Name-resolution findings go here; inside a formula, to a list that
         # is reported once the formula's `;` has been read.
         self.findings = self.diagnostics
-        # The variables bound around the formula being read, innermost last,
-        # each with the sorts of the argument positions it has filled.
-        self.bound: list[tuple[str, set[str]]] = []
+        # The variables in scope, innermost last. A plan binds its object
+        # variables and its agent placeholder, each to its term; a formula
+        # binds each quantified variable to the sorts of the argument
+        # positions it has filled.
+        self.scope: list[tuple[str, Term | set[str]]] = []
         self.quantifier_failed = False
 
     # -- token helpers ------------------------------------------------------
@@ -302,6 +298,7 @@ class _Parser:
                 return
         while not self.at("EOF"):
             tok = self.peek()
+            self.scope.clear()
             try:
                 if not self.at_keyword(*SECTION_KEYWORDS):
                     self.error(
@@ -319,24 +316,21 @@ class _Parser:
     # -- sections -----------------------------------------------------------
 
     def _section_agents(self) -> None:
-        self.advance()
-        for tok in self._name_list("agent"):
-            if any(a.name == tok.text for a in self.agents):
-                self.error(f"agent {tok.text} declared more than once", tok, code="duplicate")
-            elif tok.text in self.objects:
-                self.error(f"{tok.text} is already an object name", tok, code="duplicate")
-            else:
-                self.agents.append(AgentId(tok.text))
+        self._declare_constants(AGENT)
 
     def _section_objects(self) -> None:
+        self._declare_constants(OBJECT)
+
+    def _declare_constants(self, sort: str) -> None:
         self.advance()
-        for tok in self._name_list("object"):
-            if tok.text in self.objects:
-                self.error(f"object {tok.text} declared more than once", tok, code="duplicate")
-            elif any(a.name == tok.text for a in self.agents):
-                self.error(f"{tok.text} is already an agent name", tok, code="duplicate")
+        for tok in self._name_list(sort):
+            known = self.constants.get(tok.text)
+            if known is None:
+                self.constants[tok.text] = Term(sort, tok.text)
+            elif known.sort == sort:
+                self.error(f"{sort} {tok.text} declared more than once", tok, code="duplicate")
             else:
-                self.objects.append(tok.text)
+                self.error(f"{tok.text} is already an {known.sort} name", tok, code="duplicate")
 
     def _name_list(self, what: str) -> list[_Token]:
         names: list[_Token] = []
@@ -401,27 +395,25 @@ class _Parser:
         id_tok = self.need_name("plan")
         self.need("IDENT", "'agent'", text="agent")
         agent_tok = self.need_name("agent")
-        if not any(a.name == agent_tok.text for a in self.agents):
-            self.error(f"unknown agent {agent_tok.text}", agent_tok, code="unknown-ref")
+        self._check_agent(agent_tok)
         object_vars: list[Term] = []
         if self.at_keyword("forall"):
             self.advance()
             for tok in self._name_list("object variable"):
-                if tok.text in self.objects or any(a.name == tok.text for a in self.agents):
+                if tok.text in self.constants:
                     self.error(
                         f"object variable {tok.text} clashes with a declared constant",
                         tok, code="duplicate",
                     )
                 object_vars.append(object_var(tok.text))
         self.need("COLON", "':'")
-
-        def resolve(name: str, span: SourceSpan, _sort: str | None) -> Term:
-            return self._plan_term(name, span, agent_tok.text, object_vars)
-
+        # Bound last, the agent placeholder wins a clash with an object variable.
+        self.scope.extend((var.name, var) for var in object_vars)
+        self.scope.append((agent_tok.text, agent_var(agent_tok.text)))
         self.need("IDENT", "'reasons'", text="reasons")
-        reasons = self._literal_list_block(resolve)
+        reasons = self._literal_list_block()
         self.need("IDENT", "'action'", text="action")
-        action_list = self._literal_list_block(resolve)
+        action_list = self._literal_list_block()
         if len(action_list) != 1:
             self.error("a plan has exactly one action", start)
             return
@@ -432,66 +424,63 @@ class _Parser:
                 f"predicate {action.atom.predicate} is not declared as an action",
                 start, code="kind",
             )
-        if any(p.id == id_tok.text for p in self.plans):
+        if id_tok.text in self.plans:
             self.error(f"plan id {id_tok.text} declared more than once", id_tok, code="duplicate")
             return
-        self.plans.append(
-            ActionPlan(
-                id=id_tok.text,
-                agent=AgentId(agent_tok.text),
-                reasons=tuple(reasons),
-                action=action,
-                object_vars=tuple(object_vars),
-                span=start.span(self.filename),
+        self.plans[id_tok.text] = ActionPlan(
+            id=id_tok.text,
+            agent=AgentId(agent_tok.text),
+            reasons=tuple(reasons),
+            action=action,
+            object_vars=tuple(object_vars),
+            span=start.span(self.filename),
+        )
+
+    def _check_agent(self, tok: _Token) -> None:
+        if self.constants.get(tok.text) != agent_const(tok.text):
+            self.error(f"unknown agent {tok.text}", tok, code="unknown-ref")
+
+    def _term(self, name: str, span: SourceSpan, sort: str | None) -> Term:
+        """The term a name stands for: the innermost variable in scope, else a constant.
+
+        `sort` is the declared sort of the name's argument position, None for
+        an unknown predicate or an extra argument. A formula variable takes
+        that sort; a plan's variables keep their own.
+        """
+        for var, binding in reversed(self.scope):
+            if var != name:
+                continue
+            if isinstance(binding, Term):
+                return binding
+            if sort is None:  # already an error
+                return Term(AGENT, name, is_var=True)
+            binding.add(sort)
+            return Term(sort, name, is_var=True)
+        constant = self.constants.get(name)
+        if constant is None:
+            self.findings.append(
+                ParseDiagnostic(span, "error", f"unknown agent or object {name}", "unknown-ref")
             )
-        )
+            return agent_const(name)  # recovery value; the parse already failed
+        return constant
 
-    def _plan_term(self, name: str, span: SourceSpan, plan_agent: str,
-                   object_vars: list[Term]) -> Term:
-        if name == plan_agent:
-            return agent_var(name)
-        for var in object_vars:
-            if var.name == name:
-                return var
-        return self._constant_term(name, span)
-
-    def _constant_term(self, name: str, span: SourceSpan, sort: str | None = None) -> Term:
-        if any(a.name == name for a in self.agents):
-            return agent_const(name)
-        if name in self.objects:
-            return object_const(name)
-        self.findings.append(
-            ParseDiagnostic(span, "error", f"unknown agent or object {name}", "unknown-ref")
-        )
-        return agent_const(name)  # recovery value; the parse already failed
-
-    def _formula_term(self, name: str, span: SourceSpan, sort: str | None) -> Term:
-        """A bound variable takes the sort of its position; other names are constants."""
-        for var, sorts in reversed(self.bound):
-            if var == name:
-                if sort is None:  # unknown predicate or extra argument: already an error
-                    return Term(AGENT, name, is_var=True)
-                sorts.add(sort)
-                return Term(sort, name, is_var=True)
-        return self._constant_term(name, span)
-
-    def _literal_list_block(self, term_resolver: _TermResolver) -> list[SignedAtom]:
+    def _literal_list_block(self) -> list[SignedAtom]:
         self.need("LBRACE", "'{'")
-        literals = [self._literal(term_resolver)]
+        literals = [self._literal()]
         while self.at("COMMA"):
             self.advance()
-            literals.append(self._literal(term_resolver))
+            literals.append(self._literal())
         self.need("RBRACE", "',' or '}'")
         return literals
 
-    def _literal(self, term_resolver: _TermResolver) -> SignedAtom:
+    def _literal(self) -> SignedAtom:
         negated = self.at_keyword("not")
         if negated:
             self.advance()
-        return SignedAtom(self._atom(term_resolver), negated)
+        return SignedAtom(self._atom(), negated)
 
-    def _atom(self, term_resolver: _TermResolver) -> Atom:
-        """A predicate applied to terms; the resolver gets each position's declared sort."""
+    def _atom(self) -> Atom:
+        """A predicate applied to terms; each term resolves with its position's declared sort."""
         tok = self.need_name("predicate")
         decl = self.predicates.get(tok.text)
         sorts = decl.arg_sorts if decl is not None else ()
@@ -502,7 +491,7 @@ class _Parser:
                 while True:
                     arg = self.need_name("term")
                     sort = sorts[len(args)] if len(args) < len(sorts) else None
-                    args.append(term_resolver(arg.text, arg.span(self.filename), sort))
+                    args.append(self._term(arg.text, arg.span(self.filename), sort))
                     if self.at("COMMA"):
                         self.advance()
                         continue
@@ -539,8 +528,7 @@ class _Parser:
     def _section_belief(self) -> None:
         self.advance()
         agent_tok = self.need_name("agent")
-        if not any(a.name == agent_tok.text for a in self.agents):
-            self.error(f"unknown agent {agent_tok.text}", agent_tok, code="unknown-ref")
+        self._check_agent(agent_tok)
         formulas = self._formula_block()
         if formulas or agent_tok.text in self.beliefs:
             existing = self.beliefs.get(agent_tok.text, ())
@@ -549,7 +537,7 @@ class _Parser:
     def _section_on_universalized(self) -> None:
         start = self.advance()
         plan_tok = self.need_name("plan")
-        if not any(p.id == plan_tok.text for p in self.plans):
+        if plan_tok.text not in self.plans:
             self.error(f"unknown plan {plan_tok.text}", plan_tok, code="unknown-ref")
         for f, _ in self._formula_block():
             self.effects.append(
@@ -559,12 +547,12 @@ class _Parser:
     def _section_utility(self) -> None:
         self.advance()
         ctx_tok = self.need_name("context")
-        if not any(c.context == ctx_tok.text for c in self.candidates):
+        if ctx_tok.text not in self.candidates:
             self.error(f"unknown candidate context {ctx_tok.text}", ctx_tok, code="unknown-ref")
         self.need("LBRACE", "'{'")
         while not self.at("RBRACE") and not self.at("EOF"):
             entry = self.peek()
-            atom = self._atom(self._constant_term)
+            atom = self._atom()
             self.need("EQUALS", "'='")
             num = self.need("NUMBER", "a number")
             self.need("SEMI", "';'")
@@ -586,24 +574,22 @@ class _Parser:
         start = self.advance()
         ctx_tok = self.need_name("context")
         self.need("IDENT", "'given'", text="given")
-        condition = self._literal_list_block(self._constant_term)
+        condition = self._literal_list_block()
         self.need("LBRACE", "'{'")
-        actions = [self._atom(self._constant_term)]
+        actions = [self._atom()]
         while self.at("COMMA"):
             self.advance()
-            actions.append(self._atom(self._constant_term))
+            actions.append(self._atom())
         self.need("RBRACE", "',' or '}'")
-        if any(c.context == ctx_tok.text for c in self.candidates):
+        if ctx_tok.text in self.candidates:
             self.error(f"candidate context {ctx_tok.text} declared more than once",
                        ctx_tok, code="duplicate")
             return
-        self.candidates.append(
-            CandidateSet(
-                context=ctx_tok.text,
-                condition=tuple(condition),
-                actions=tuple(actions),
-                span=start.span(self.filename),
-            )
+        self.candidates[ctx_tok.text] = CandidateSet(
+            context=ctx_tok.text,
+            condition=tuple(condition),
+            actions=tuple(actions),
+            span=start.span(self.filename),
         )
 
     # -- formulas -----------------------------------------------------------
@@ -614,15 +600,14 @@ class _Parser:
         A formula's name-resolution findings are reported after its `;`, and
         dropped if it fails to parse. A quantifier whose variable gets no
         sort, or two, is no syntax error: its formula is read to the `;` and
-        reported, then the section is abandoned. Each formula starts with no
-        bound variables, as an abandoned one can leave its own behind.
+        reported, then the section is abandoned.
         """
         self.need("LBRACE", "'{'")
         formulas: list[tuple[Formula, SourceSpan]] = []
         while not self.at("RBRACE") and not self.at("EOF"):
             span = self.peek().span(self.filename)
             pending: list[ParseDiagnostic] = []
-            self.findings, self.bound, self.quantifier_failed = pending, [], False
+            self.findings, self.quantifier_failed = pending, False
             try:
                 formula = self._formula(0)
             finally:
@@ -646,9 +631,9 @@ class _Parser:
         self.need("DOT", "'.'")
         mark = len(self.findings)
         sorts: set[str] = set()
-        self.bound.append((var_tok.text, sorts))
+        self.scope.append((var_tok.text, sorts))
         body = self._formula(depth + 1)
-        self.bound.pop()
+        self.scope.pop()
         if len(sorts) == 1:
             return ForAll(Term(sorts.pop(), var_tok.text, is_var=True), body)
         self.quantifier_failed = True
@@ -698,17 +683,17 @@ class _Parser:
             return inner
         if self.at_keyword("forall"):
             return self._formula(depth)  # quantifier directly under a connective
-        return AtomF(self._atom(self._formula_term))
+        return AtomF(self._atom())
 
     # -- result -------------------------------------------------------------
 
     def build(self) -> Scenario:
         return Scenario(
             name=self.scenario_name,
-            agents=tuple(self.agents),
-            objects=tuple(self.objects),
+            agents=tuple(AgentId(t.name) for t in self.constants.values() if t.sort == AGENT),
+            objects=tuple(t.name for t in self.constants.values() if t.sort == OBJECT),
             predicates=tuple(self.predicates.values()),
-            plans=tuple(self.plans),
+            plans=tuple(self.plans.values()),
             constraints=ConstraintBase(
                 tuple(f for f, _ in self.physical),
                 {agent: tuple(f for f, _ in fs) for agent, fs in self.beliefs.items()},
@@ -717,7 +702,7 @@ class _Parser:
             ),
             effects=tuple(self.effects),
             utilities=UtilityTable(dict(self.utilities), dict(self.utility_spans)),
-            candidates=tuple(self.candidates),
+            candidates=tuple(self.candidates.values()),
         )
 
 

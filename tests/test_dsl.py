@@ -82,14 +82,62 @@ def test_missing_comma_points_at_second_atom():
     assert first.code == "syntax"
 
 
-def test_duplicate_declarations_have_their_own_code():
-    text = (
-        "scenario t\n"
-        "agents a, a\n"
-        "predicates p(agent)\n"
-    )
+DECLARED = "scenario t\nagents a\nobjects o\npredicates p(object), q(agent), go(agent) action\n"
+
+# Each source with the exact diagnostics it gives: a name is declared once,
+# as an agent or as an object, and a plan's agent placeholder wins over an
+# object variable of the same name.
+DECLARATION_CASES = {
+    "duplicate_agent": ("scenario t\nagents a, a\n", [
+        "<input>:2:11: error: agent a declared more than once [duplicate]",
+    ]),
+    "duplicate_object": ("scenario t\nagents a\nobjects o, o\n", [
+        "<input>:3:12: error: object o declared more than once [duplicate]",
+    ]),
+    "agent_redeclared_as_object": ("scenario t\nagents a\nobjects a\n", [
+        "<input>:3:9: error: a is already an agent name [duplicate]",
+    ]),
+    "object_redeclared_as_agent": ("scenario t\nobjects o\nagents o\n", [
+        "<input>:3:8: error: o is already an object name [duplicate]",
+    ]),
+    "plan_variable_clashes_with_object": (
+        DECLARED + "plan w agent a forall o: reasons { p(o) } action { go(a) }\n", [
+            "<input>:5:23: error: object variable o clashes with a declared constant [duplicate]",
+        ]),
+    "plan_variable_clashes_with_agent": (
+        DECLARED + "plan w agent a forall a: reasons { p(a) } action { go(a) }\n", [
+            "<input>:5:23: error: object variable a clashes with a declared constant [duplicate]",
+            "<input>:5:36: error: argument a of p should be an object [kind]",
+        ]),
+    "duplicate_plan_id": (
+        DECLARED
+        + "plan w agent a: reasons { q(a) } action { go(a) }\n"
+        + "plan w agent a: reasons { q(a) } action { not go(a) }\n", [
+            "<input>:6:6: error: plan id w declared more than once [duplicate]",
+        ]),
+    "duplicate_candidate_context": (
+        DECLARED + "candidates c given { q(a) } { go(a) }\n" * 2, [
+            "<input>:6:12: error: candidate context c declared more than once [duplicate]",
+        ]),
+    "belief_about_an_object": (DECLARED + "belief o { q(a); }\n", [
+        "<input>:5:8: error: unknown agent o [unknown-ref]",
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", DECLARATION_CASES)
+def test_declaration_diagnostics(name):
+    text, expected = DECLARATION_CASES[name]
     result = parse_scenario(text)
-    assert "duplicate" in codes(result)
+    assert result.scenario is None
+    assert [str(d) for d in result.diagnostics] == expected
+
+
+def test_interleaved_declarations_keep_their_order():
+    result = parse_scenario("scenario t\nagents a\nobjects x\nagents b\n")
+    assert result.ok
+    assert result.scenario.agent_names() == ("a", "b")
+    assert result.scenario.objects == ("x",)
 
 
 def test_unknown_reference_code():
