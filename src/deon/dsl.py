@@ -279,8 +279,14 @@ class _Parser:
         return tok
 
     def sync_to_section(self) -> None:
-        """Error recovery: skip forward to the next top-level section keyword."""
-        self.advance()  # always make progress
+        """Error recovery: skip forward to the next top-level section keyword.
+
+        It may stay put, so a fault found at a section keyword loses no
+        section. Parsing still makes progress, as every abandoned section has
+        consumed a token: a section handler consumes its keyword, the
+        duplicate header branch of `parse` its `scenario`, and this scan a
+        token that is no section keyword.
+        """
         while not self.at("EOF") and not self.at_keyword(*SECTION_KEYWORDS):
             self.advance()
 
@@ -307,7 +313,7 @@ class _Parser:
                     )
                     raise _Abandon
                 if tok.text == "scenario":
-                    self.error("duplicate scenario header", tok, code="duplicate")
+                    self.error("duplicate scenario header", self.advance(), code="duplicate")
                     raise _Abandon
                 getattr(self, f"_section_{tok.text}")()
             except _Abandon:

@@ -291,6 +291,15 @@ def test_section_diagnostics_match_frozen_snapshot(capsys, monkeypatch, tmp_path
     assert json.loads(capsys.readouterr().out) == frozen[name]
 
 
+def test_fault_at_a_section_keyword_keeps_that_section():
+    text = SECTION_HEADER + "plan w agent a: reasons { p(a) }\n" + SECTION_TAIL
+    result = parse_scenario(text)
+    assert [d.message for d in result.diagnostics] == [
+        "expected 'action', found 'physics'",
+        "unknown agent or object zz",
+    ]
+
+
 def test_error_recovery_reports_multiple_sections():
     text = (
         "scenario t\n"
