@@ -61,15 +61,20 @@ def cli() -> None:
     maximal and autonomy respecting over a finite scenario."""
 
 
-def _load(path: str) -> tuple[Scenario | None, list[str]]:
+def _read(path: str) -> tuple[str | None, str]:
+    """The file's text, or None and why it cannot be read."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
-        return None, [f"{path}: cannot read: {exc.strerror or exc}"]
-    text = data.decode("utf-8", errors="replace")
+        return None, f"cannot read: {exc.strerror or exc}"
+    return data.decode("utf-8", errors="replace"), ""
+
+
+def _load(path: str) -> tuple[Scenario | None, list[str]]:
+    text, problem = _read(path)
+    if text is None:
+        return None, [f"{path}: {problem}"]
     result = parse_scenario(text, filename=path)
-    if result.scenario is None or not result.ok:
-        return None, [str(d) for d in result.diagnostics]
     return result.scenario, [str(d) for d in result.diagnostics]
 
 
@@ -313,20 +318,18 @@ def validate(files: tuple[str, ...], fmt: str) -> int:
     code = EXIT_OK
     docs = []
     for path in files:
-        try:
-            data = Path(path).read_bytes()
-        except OSError as exc:
-            message = f"cannot read: {exc.strerror or exc}"
-            click.echo(f"{path}: {message}", err=True)
+        text, problem = _read(path)
+        if text is None:
+            click.echo(f"{path}: {problem}", err=True)
             code = EXIT_INVALID
             docs.append({
                 "file": path,
                 "ok": False,
                 "diagnostics": [{"line": 0, "column": 0, "severity": "error",
-                                 "message": message, "code": "io"}],
+                                 "message": problem, "code": "io"}],
             })
             continue
-        result = parse_scenario(data.decode("utf-8", errors="replace"), filename=path)
+        result = parse_scenario(text, filename=path)
         ok = result.ok
         if fmt == "json":
             docs.append({
@@ -401,9 +404,6 @@ def main(argv: list[str] | None = None) -> int:
         result = cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:
         return int(exc.exit_code)
-    except click.UsageError as exc:
-        exc.show()
-        return EXIT_USAGE
     except click.ClickException as exc:
         exc.show()
         return EXIT_USAGE

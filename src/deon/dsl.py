@@ -10,10 +10,11 @@ question as a satisfiability query, so authors never write one.
 Parsing is one pass: formulas are built as `logic` formulas while they are
 read. A quantified variable takes the declared sort of the argument
 positions it fills; `forall x.` is accepted only when that is exactly one
-sort. Names resolve in one place: the parser keeps one table of declared
-agent and object constants and one scope of variables, searched innermost
-first before the table. Parsing is a pure function of the input text and never raises on
-malformed input; failures come back as diagnostics with source spans.
+sort. Every name resolves in one place: the parser keeps one table of the
+declared agent and object constants and one scope of variables, and a name
+is the innermost variable in scope that has it, else its constant. Parsing
+is a pure function of the input text and never raises on malformed input;
+failures come back as diagnostics with source spans.
 
 Error recovery has one rule: a syntax error abandons the section it is in,
 and parsing resumes at the next section keyword, so the faults of later
@@ -25,6 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+
 from .logic import (
     AGENT,
     OBJECT,
@@ -110,7 +112,6 @@ class SourceSpan:
     file: str
     line: int
     column: int
-    length: int
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.column}"
@@ -119,10 +120,11 @@ class SourceSpan:
 @dataclass(frozen=True)
 class ParseDiagnostic:
     span: SourceSpan
-    severity: str  # "error" | "warning"
     message: str
     code: str  # "lex" | "syntax" | "duplicate" | "unknown-ref" | "kind" | "limit" | "validation"
     expected: tuple[str, ...] = ()
+
+    severity = "error"  # every diagnostic rejects the input
 
     def __str__(self) -> str:
         hint = f" (expected {', '.join(self.expected)})" if self.expected else ""
@@ -136,9 +138,7 @@ class ParseResult:
 
     @property
     def ok(self) -> bool:
-        return self.scenario is not None and not any(
-            d.severity == "error" for d in self.diagnostics
-        )
+        return self.scenario is not None
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ class _Token:
     column: int
 
     def span(self, filename: str) -> SourceSpan:
-        return SourceSpan(filename, self.line, self.column, max(len(self.text), 1))
+        return SourceSpan(filename, self.line, self.column)
 
 
 def _lex(text: str, filename: str) -> tuple[list[_Token], list[ParseDiagnostic]]:
@@ -166,7 +166,7 @@ def _lex(text: str, filename: str) -> tuple[list[_Token], list[ParseDiagnostic]]
         col = m.start() - line_start + 1
         if kind == "BAD":
             diagnostics.append(ParseDiagnostic(
-                SourceSpan(filename, line, col, 1), "error",
+                SourceSpan(filename, line, col),
                 f"unexpected character {m.group()!r}", "lex",
             ))
         else:
@@ -240,7 +240,7 @@ class _Parser:
               expected: tuple[str, ...] = ()) -> None:
         tok = tok or self.peek()
         self.diagnostics.append(
-            ParseDiagnostic(tok.span(self.filename), "error", message, code, expected)
+            ParseDiagnostic(tok.span(self.filename), message, code, expected)
         )
 
     def expect(self, kind: str, what: str, text: str | None = None) -> _Token | None:
@@ -465,7 +465,7 @@ class _Parser:
         constant = self.constants.get(name)
         if constant is None:
             self.findings.append(
-                ParseDiagnostic(span, "error", f"unknown agent or object {name}", "unknown-ref")
+                ParseDiagnostic(span, f"unknown agent or object {name}", "unknown-ref")
             )
             return agent_const(name)  # recovery value; the parse already failed
         return constant
@@ -510,7 +510,7 @@ class _Parser:
     def _check_atom_signature(self, atom: Atom, tok: _Token) -> None:
         def finding(message: str, code: str) -> None:
             self.findings.append(
-                ParseDiagnostic(tok.span(self.filename), "error", message, code)
+                ParseDiagnostic(tok.span(self.filename), message, code)
             )
 
         decl = self.predicates.get(atom.predicate)
@@ -650,7 +650,7 @@ class _Parser:
             else f"cannot infer the domain of variable {name}: it is never used"
         )
         self.findings.append(
-            ParseDiagnostic(var_tok.span(self.filename), "error", message, "kind")
+            ParseDiagnostic(var_tok.span(self.filename), message, "kind")
         )
         return body
 
@@ -724,7 +724,7 @@ def parse_scenario(
     """
     if len(text) > max_size:
         return ParseResult(None, [
-            ParseDiagnostic(SourceSpan(filename, 1, 1, 1), "error",
+            ParseDiagnostic(SourceSpan(filename, 1, 1),
                             f"input of {len(text)} characters exceeds the {max_size} limit",
                             "limit")
         ])
@@ -733,15 +733,13 @@ def parse_scenario(
     parser = _Parser(tokens, filename)
     parser.parse()
     diagnostics.extend(parser.diagnostics)
-    if any(d.severity == "error" for d in diagnostics):
+    if diagnostics:
         return ParseResult(None, diagnostics)
     scenario = parser.build()
-    start = SourceSpan(filename, 1, 1, 1)
+    start = SourceSpan(filename, 1, 1)
     for finding in validate(scenario):
-        diagnostics.append(
-            ParseDiagnostic(finding.span or start, "error", str(finding), "validation")
-        )
-    if any(d.severity == "error" for d in diagnostics):
+        diagnostics.append(ParseDiagnostic(finding.span or start, str(finding), "validation"))
+    if diagnostics:
         return ParseResult(None, diagnostics)
     return ParseResult(scenario, diagnostics)
 
