@@ -18,14 +18,18 @@ failures come back as diagnostics with source spans.
 
 Error recovery has one rule: a syntax error abandons the section it is in,
 and parsing resumes at the next section keyword, so the faults of later
-sections are still reported.
+sections are still reported and each fault is reported once, at its token.
+A name position that meets a section keyword reports it and leaves it to
+recovery, so a trailing comma does not swallow the next section.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NoReturn, TypeVar
 
 from .logic import (
     AGENT,
@@ -79,6 +83,9 @@ KEYWORDS = frozenset(
     SECTION_KEYWORDS
     + ("agent", "object", "forall", "reasons", "action", "given", "not", "and", "or")
 )
+_SECTIONS = frozenset(SECTION_KEYWORDS)
+
+_T = TypeVar("_T")
 
 # Blanks and comments match no named group; every other character matches
 # exactly one, with BAD taking any character the format has no use for.
@@ -179,12 +186,10 @@ def _lex(text: str, filename: str) -> tuple[list[_Token], list[ParseDiagnostic]]
 class _Abandon(Exception):
     """Raised at a syntax error to abandon the current section.
 
-    `_Parser.parse` catches it around each section and skips to the next
-    section keyword. Four sites report and carry on instead: a name list and
-    a predicate declaration keep the names read before the fault, so later
-    sections do not report them unknown; the closing `}` of `utility` can
-    only be missing at end of input; and "a plan has exactly one action" is
-    found after the plan's `}`, where skipping would lose the next section.
+    `_Parser.parse` catches it around the header and each section and skips
+    to the next section keyword. One site reports and carries on instead: "a
+    plan has exactly one action" is found after the plan's `}`, where
+    skipping would lose the next section.
     """
 
 
@@ -243,75 +248,76 @@ class _Parser:
             ParseDiagnostic(tok.span(self.filename), message, code, expected)
         )
 
-    def expect(self, kind: str, what: str, text: str | None = None) -> _Token | None:
-        if self.at(kind, text):
-            return self.advance()
-        tok = self.peek()
-        got = tok.text or "end of input"
-        self.error(f"expected {what}, found {got!r}", tok, expected=(what,))
-        return None
+    def fail(self, message: str, expected: tuple[str, ...]) -> NoReturn:
+        """Report a syntax error at the next token and abandon the section."""
+        self.error(message, expected=expected)
+        raise _Abandon
 
-    def expect_name(self, what: str) -> _Token | None:
-        if self.at("IDENT") and self.peek().text not in KEYWORDS:
-            return self.advance()
-        tok = self.peek()
-        if tok.kind == "IDENT":
-            self.error(f"{tok.text!r} is a reserved word and cannot name a {what}", tok)
-            return self.advance()  # consume so progress is guaranteed
-        self.error(f"expected {what} name, found {tok.text or 'end of input'!r}", tok,
-                   expected=(what,))
-        return None
+    def found(self) -> str:
+        return repr(self.peek().text or "end of input")
 
     def need(self, kind: str, what: str, text: str | None = None) -> _Token:
-        """`expect`, abandoning the section when the token is missing.
-
-        The sites that must not abandon call `expect`; `_Abandon` names them.
-        """
-        tok = self.expect(kind, what, text)
-        if tok is None:
-            raise _Abandon
-        return tok
+        """The next token if it is the one wanted; else report it and abandon."""
+        if self.at(kind, text):
+            return self.advance()
+        self.fail(f"expected {what}, found {self.found()}", (what,))
 
     def need_name(self, what: str) -> _Token:
-        tok = self.expect_name(what)
-        if tok is None:
-            raise _Abandon
-        return tok
+        """The next token if it is a name; else report it and abandon.
+
+        A reserved word is reported and taken as the name, which consumes it.
+        A section keyword is left for `sync_to_section` to resume at.
+        """
+        tok = self.peek()
+        if tok.kind == "IDENT" and tok.text not in _SECTIONS:
+            if tok.text in KEYWORDS:
+                article = "an" if what[0] in "aeiou" else "a"
+                self.error(f"{tok.text!r} is a reserved word and cannot name {article} {what}")
+            return self.advance()
+        self.fail(f"expected {what} name, found {self.found()}", (what,))
+
+    def _comma_list(self, item: Callable[[], _T]) -> Iterator[_T]:
+        """`item`, and again after each `,`; each is yielded as soon as it is read.
+
+        The caller's loop body runs before the next `,` is looked for, so
+        what it does with the items read before a fault stays done.
+        """
+        yield item()
+        while self.at("COMMA"):
+            self.advance()
+            yield item()
 
     def sync_to_section(self) -> None:
         """Error recovery: skip forward to the next top-level section keyword.
 
         It may stay put, so a fault found at a section keyword loses no
-        section. Parsing still makes progress, as every abandoned section has
-        consumed a token: a section handler consumes its keyword, the
-        duplicate header branch of `parse` its `scenario`, and this scan a
-        token that is no section keyword.
+        section. Parsing still makes progress: every section handler consumes
+        its keyword before any `need_name` can stop at the next one, the
+        duplicate header branch of `parse` consumes its `scenario`, this scan
+        consumes a token that is no section keyword, and the header, which
+        can abandon at a section keyword without consuming it, is read once,
+        outside the section loop.
         """
-        while not self.at("EOF") and not self.at_keyword(*SECTION_KEYWORDS):
+        while not self.at("EOF") and self.peek().text not in _SECTIONS:
             self.advance()
 
     # -- top level ----------------------------------------------------------
 
     def parse(self) -> None:
-        if self.at_keyword("scenario"):
+        try:
+            if not self.at_keyword("scenario"):
+                self.fail("expected scenario header", ())
             self.advance()
-            tok = self.expect_name("scenario")
-            if tok:
-                self.scenario_name = tok.text
-        else:
-            self.error("expected scenario header")
-            if self.at("EOF"):
-                return
+            self.scenario_name = self.need_name("scenario").text
+        except _Abandon:
+            self.sync_to_section()
         while not self.at("EOF"):
             tok = self.peek()
             self.scope.clear()
             try:
-                if not self.at_keyword(*SECTION_KEYWORDS):
-                    self.error(
-                        f"expected a section keyword, found {tok.text or 'end of input'!r}",
-                        expected=SECTION_KEYWORDS,
-                    )
-                    raise _Abandon
+                if tok.text not in _SECTIONS:
+                    self.fail(f"expected a section keyword, found {self.found()}",
+                              SECTION_KEYWORDS)
                 if tok.text == "scenario":
                     self.error("duplicate scenario header", self.advance(), code="duplicate")
                     raise _Abandon
@@ -329,7 +335,7 @@ class _Parser:
 
     def _declare_constants(self, sort: str) -> None:
         self.advance()
-        for tok in self._name_list(sort):
+        for tok in self._comma_list(lambda: self.need_name(sort)):
             known = self.constants.get(tok.text)
             if known is None:
                 self.constants[tok.text] = Term(sort, tok.text)
@@ -338,53 +344,16 @@ class _Parser:
             else:
                 self.error(f"{tok.text} is already an {known.sort} name", tok, code="duplicate")
 
-    def _name_list(self, what: str) -> list[_Token]:
-        names: list[_Token] = []
-        tok = self.expect_name(what)
-        if tok:
-            names.append(tok)
-        while self.at("COMMA"):
-            self.advance()
-            tok = self.expect_name(what)
-            if tok:
-                names.append(tok)
-            else:
-                break
-        return names
-
     def _section_predicates(self) -> None:
         self.advance()
-        while True:
-            self._predicate_decl()
-            if self.at("COMMA"):
-                self.advance()
-                continue
-            break
+        for _ in self._comma_list(self._predicate_decl):
+            pass
 
     def _predicate_decl(self) -> None:
-        tok = self.expect_name("predicate")
-        if tok is None:
-            return
-        if self.expect("LPAREN", "'('") is None:
-            return
-        sorts: list[str] = []
-        if not self.at("RPAREN"):
-            while True:
-                if self.at_keyword("agent"):
-                    self.advance()
-                    sorts.append(AGENT)
-                elif self.at_keyword("object"):
-                    self.advance()
-                    sorts.append(OBJECT)
-                else:
-                    self.error("expected 'agent' or 'object'", expected=("agent", "object"))
-                    return
-                if self.at("COMMA"):
-                    self.advance()
-                    continue
-                break
-        if self.expect("RPAREN", "')'") is None:
-            return
+        tok = self.need_name("predicate")
+        self.need("LPAREN", "'('")
+        sorts = () if self.at("RPAREN") else tuple(self._comma_list(self._sort))
+        self.need("RPAREN", "')'")
         is_action = False
         if self.at_keyword("action"):
             self.advance()
@@ -393,8 +362,13 @@ class _Parser:
             self.error(f"predicate {tok.text} declared more than once", tok, code="duplicate")
             return
         self.predicates[tok.text] = PredicateDecl(
-            tok.text, tuple(sorts), is_action, span=tok.span(self.filename)
+            tok.text, sorts, is_action, span=tok.span(self.filename)
         )
+
+    def _sort(self) -> str:
+        if self.at_keyword(AGENT, OBJECT):
+            return self.advance().text
+        self.fail("expected 'agent' or 'object'", (AGENT, OBJECT))
 
     def _section_plan(self) -> None:
         start = self.advance()
@@ -405,7 +379,7 @@ class _Parser:
         object_vars: list[Term] = []
         if self.at_keyword("forall"):
             self.advance()
-            for tok in self._name_list("object variable"):
+            for tok in self._comma_list(lambda: self.need_name("object variable")):
                 if tok.text in self.constants:
                     self.error(
                         f"object variable {tok.text} clashes with a declared constant",
@@ -472,10 +446,7 @@ class _Parser:
 
     def _literal_list_block(self) -> list[SignedAtom]:
         self.need("LBRACE", "'{'")
-        literals = [self._literal()]
-        while self.at("COMMA"):
-            self.advance()
-            literals.append(self._literal())
+        literals = list(self._comma_list(self._literal))
         self.need("RBRACE", "',' or '}'")
         return literals
 
@@ -494,14 +465,9 @@ class _Parser:
         if self.at("LPAREN"):
             self.advance()
             if not self.at("RPAREN"):
-                while True:
-                    arg = self.need_name("term")
+                for arg in self._comma_list(lambda: self.need_name("term")):
                     sort = sorts[len(args)] if len(args) < len(sorts) else None
                     args.append(self._term(arg.text, arg.span(self.filename), sort))
-                    if self.at("COMMA"):
-                        self.advance()
-                        continue
-                    break
             self.need("RPAREN", "',' or ')'")
         atom = Atom(tok.text, tuple(args))
         self._check_atom_signature(atom, tok)
@@ -574,7 +540,7 @@ class _Parser:
             else:
                 self.utilities[key] = Fraction(num.text)
                 self.utility_spans[key] = entry.span(self.filename)
-        self.expect("RBRACE", "'}'")
+        self.need("RBRACE", "'}'")
 
     def _section_candidates(self) -> None:
         start = self.advance()
@@ -582,10 +548,7 @@ class _Parser:
         self.need("IDENT", "'given'", text="given")
         condition = self._literal_list_block()
         self.need("LBRACE", "'{'")
-        actions = [self._atom()]
-        while self.at("COMMA"):
-            self.advance()
-            actions.append(self._atom())
+        actions = list(self._comma_list(self._atom))
         self.need("RBRACE", "',' or '}'")
         if ctx_tok.text in self.candidates:
             self.error(f"candidate context {ctx_tok.text} declared more than once",

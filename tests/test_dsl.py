@@ -300,6 +300,43 @@ def test_fault_at_a_section_keyword_keeps_that_section():
     ]
 
 
+# Each source with its findings of one code. A fault is reported once, at its
+# token; a name position that meets a section keyword leaves it to recovery,
+# and the names a list read before its fault stay declared.
+ONE_FINDING_CASES = {
+    "missing_header": ("foo\nagents a\n", "syntax", ["1:1 expected scenario header"]),
+    "missing_scenario_name": (
+        "scenario {\nagents a\n", "syntax", ["1:10 expected scenario name, found '{'"],
+    ),
+    "brace_as_agent_name": (
+        "scenario t\nagents { a }\n", "syntax", ["2:8 expected agent name, found '{'"],
+    ),
+    "predicate_missing_close": (
+        "scenario t\npredicates p(agent q(agent)\n", "syntax", ["2:20 expected ')', found 'q'"],
+    ),
+    "predicate_missing_open": (
+        "scenario t\npredicates p agent)\n", "syntax", ["2:14 expected '(', found 'agent'"],
+    ),
+    "reserved_agent_name": (
+        "scenario t\nagents c, not\n", "syntax",
+        ["2:11 'not' is a reserved word and cannot name an agent"],
+    ),
+    "names_before_fault_stay_declared": (
+        "scenario t\nagents a, b, {\npredicates p(agent)\nphysics { p(a) or p(b) or p(zz); }\n",
+        "unknown-ref", ["4:29 unknown agent or object zz"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ONE_FINDING_CASES)
+def test_each_fault_is_reported_once(name):
+    text, code, expected = ONE_FINDING_CASES[name]
+    result = parse_scenario(text)
+    assert [
+        f"{d.span.line}:{d.span.column} {d.message}" for d in result.diagnostics if d.code == code
+    ] == expected
+
+
 def test_error_recovery_reports_multiple_sections():
     text = (
         "scenario t\n"
@@ -406,6 +443,8 @@ def test_fuzz_smoke_never_raises(golden_sources):
         if result.scenario is None:
             assert any(d.severity == "error" for d in result.diagnostics)
         _assert_spans_in_bounds(text, result)
+        syntax_spans = [d.span for d in result.diagnostics if d.code == "syntax"]
+        assert len(syntax_spans) == len(set(syntax_spans)), text
 
 
 def _assert_spans_in_bounds(text: str, result: ParseResult) -> None:
