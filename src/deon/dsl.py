@@ -53,10 +53,13 @@ from .scenario import (
     ActionPlan,
     CandidateSet,
     ConstraintBase,
+    Finding,
     PredicateDecl,
     Scenario,
     UniversalizationEffect,
     UtilityTable,
+    atom_findings,
+    declare_constant,
     validate,
 )
 
@@ -86,6 +89,15 @@ KEYWORDS = frozenset(
 _SECTIONS = frozenset(SECTION_KEYWORDS)
 
 _T = TypeVar("_T")
+
+# The parser's code for each finding of a rule it shares with `validate`.
+_RULE_CODES = {
+    "duplicate": "duplicate",
+    "name-clash": "duplicate",
+    "unknown-predicate": "unknown-ref",
+    "arity-mismatch": "kind",
+    "kind-mismatch": "kind",
+}
 
 # Blanks and comments match no named group; every other character matches
 # exactly one, with BAD taking any character the format has no use for.
@@ -248,6 +260,11 @@ class _Parser:
             ParseDiagnostic(tok.span(self.filename), message, code, expected)
         )
 
+    def finding(self, tok: _Token, finding: Finding) -> None:
+        """Report the finding of a rule shared with `validate` at `tok`."""
+        rule, message = finding
+        self.findings.append(ParseDiagnostic(tok.span(self.filename), message, _RULE_CODES[rule]))
+
     def fail(self, message: str, expected: tuple[str, ...]) -> NoReturn:
         """Report a syntax error at the next token and abandon the section."""
         self.error(message, expected=expected)
@@ -336,13 +353,9 @@ class _Parser:
     def _declare_constants(self, sort: str) -> None:
         self.advance()
         for tok in self._comma_list(lambda: self.need_name(sort)):
-            known = self.constants.get(tok.text)
-            if known is None:
-                self.constants[tok.text] = Term(sort, tok.text)
-            elif known.sort == sort:
-                self.error(f"{sort} {tok.text} declared more than once", tok, code="duplicate")
-            else:
-                self.error(f"{tok.text} is already an {known.sort} name", tok, code="duplicate")
+            finding = declare_constant(self.constants, tok.text, sort)
+            if finding:
+                self.finding(tok, finding)
 
     def _section_predicates(self) -> None:
         self.advance()
@@ -470,28 +483,9 @@ class _Parser:
                     args.append(self._term(arg.text, arg.span(self.filename), sort))
             self.need("RPAREN", "',' or ')'")
         atom = Atom(tok.text, tuple(args))
-        self._check_atom_signature(atom, tok)
+        for finding in atom_findings(atom, self.predicates):
+            self.finding(tok, finding)
         return atom
-
-    def _check_atom_signature(self, atom: Atom, tok: _Token) -> None:
-        def finding(message: str, code: str) -> None:
-            self.findings.append(
-                ParseDiagnostic(tok.span(self.filename), message, code)
-            )
-
-        decl = self.predicates.get(atom.predicate)
-        if decl is None:
-            finding(f"unknown predicate {atom.predicate}", "unknown-ref")
-            return
-        if len(atom.args) != decl.arity:
-            finding(
-                f"predicate {atom.predicate} takes {decl.arity} arguments, got {len(atom.args)}",
-                "kind",
-            )
-            return
-        for term, sort in zip(atom.args, decl.arg_sorts):
-            if term.sort != sort:
-                finding(f"argument {term.name} of {atom.predicate} should be an {sort}", "kind")
 
     def _section_physics(self) -> None:
         self.advance()

@@ -259,25 +259,58 @@ class Diagnostic:
         return f"{self.element}: {self.message} [{self.rule}]"
 
 
+# The rules both the parser and `validate` apply. Each gives its findings as
+# (rule, message); the caller names the element and the place.
+Finding = tuple[str, str]
+
+
+def declare_constant(constants: dict[str, Term], name: str, sort: str) -> Finding | None:
+    """Declare `name` a constant of `sort`; a name is declared once, as one sort."""
+    known = constants.get(name)
+    if known is None:
+        constants[name] = Term(sort, name)
+        return None
+    if known.sort == sort:
+        return "duplicate", f"{sort} {name} declared more than once"
+    return "name-clash", f"{name} is already an {known.sort} name"
+
+
+def atom_findings(atom: Atom, predicates: Mapping[str, PredicateDecl]) -> list[Finding]:
+    """How the atom breaks its predicate's signature: name, arity or argument sorts."""
+    decl = predicates.get(atom.predicate)
+    if decl is None:
+        return [("unknown-predicate", f"unknown predicate {atom.predicate}")]
+    if len(atom.args) != decl.arity:
+        return [("arity-mismatch",
+                 f"predicate {atom.predicate} takes {decl.arity} arguments, got {len(atom.args)}")]
+    return [
+        ("kind-mismatch", f"argument {term.name} of {atom.predicate} should be an {sort}")
+        for term, sort in zip(atom.args, decl.arg_sorts)
+        if term.sort != sort
+    ]
+
+
 def validate(scenario: Scenario) -> list[Diagnostic]:
     """Check every scenario invariant; an empty list means all hold.
 
     Total and deterministic: diagnostics are the output, nothing raises.
+    Constants are declared in one table, agents then objects, and atoms are
+    checked against their signatures, by `declare_constant` and
+    `atom_findings`, the rules the parser applies as it reads.
     """
     out: list[Diagnostic] = []
 
     def add(element: str, rule: str, message: str, span: SourceSpan | None = None) -> None:
         out.append(Diagnostic(element, rule, message, span))
 
-    agent_names = [a.name for a in scenario.agents]
     if not scenario.agents:
         add("scenario", "no-agents", "a scenario needs at least one agent")
-    for name in _duplicates(agent_names):
-        add(f"agent {name}", "duplicate", f"agent {name} declared more than once")
-    for name in _duplicates(list(scenario.objects)):
-        add(f"object {name}", "duplicate", f"object {name} declared more than once")
-    for name in sorted(set(agent_names) & set(scenario.objects)):
-        add(f"object {name}", "name-clash", f"{name} is declared both as agent and object")
+    constants: dict[str, Term] = {}
+    for sort, names in ((AGENT, scenario.agent_names()), (OBJECT, scenario.objects)):
+        for name in names:
+            finding = declare_constant(constants, name, sort)
+            if finding:
+                add(f"{sort} {name}", *finding)
 
     predicates: dict[str, PredicateDecl] = {}
     # The trigger atom prints without its "@", so a declared predicate of
@@ -293,33 +326,17 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
                 decl.span)
         predicates[decl.name] = decl
 
-    def check_term(element: str, term: Term, expected_sort: str, span: SourceSpan | None) -> None:
-        if term.sort != expected_sort:
-            add(element, "kind-mismatch",
-                f"term {term.name} has {term.sort} kind where {expected_sort} is expected", span)
-        if not term.is_var:
-            pool = agent_names if term.sort == AGENT else scenario.objects
-            if term.name not in pool:
-                add(element, "unknown-constant",
-                    f"unknown {term.sort} constant {term.name}", span)
-
     def check_atom(
         element: str, atom: Atom, bound: frozenset[Term] = frozenset(),
         span: SourceSpan | None = None,
     ) -> None:
-        decl = predicates.get(atom.predicate)
-        if decl is None:
-            add(element, "unknown-predicate", f"unknown predicate {atom.predicate}", span)
-            return
-        if len(atom.args) != decl.arity:
-            add(element, "arity-mismatch",
-                f"predicate {atom.predicate} takes {decl.arity} arguments, got {len(atom.args)}",
-                span)
-            return
-        for term, sort in zip(atom.args, decl.arg_sorts):
-            check_term(element, term, sort, span)
+        for rule, message in atom_findings(atom, predicates):
+            add(element, rule, message, span)
+        for term in atom.args:
             if term.is_var and term not in bound:
                 add(element, "unbound-variable", f"variable {term.name} is not bound here", span)
+            elif not term.is_var and constants.get(term.name) != term:
+                add(element, "unknown-constant", f"unknown {term.sort} constant {term.name}", span)
 
     def check_formula(element: str, f: Formula, span: SourceSpan | None = None) -> None:
         def go(node: Formula, bound: frozenset[Term]) -> None:
@@ -344,18 +361,13 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
         if plan.id in plan_ids:
             add(element, "duplicate", f"plan id {plan.id} declared more than once", span)
         plan_ids[plan.id] = plan
-        if plan.agent.name not in agent_names:
+        if constants.get(plan.agent.name) != agent_const(plan.agent.name):
             add(element, "unknown-agent", f"unknown agent {plan.agent.name}", span)
         if not plan.reasons:
             add(element, "empty-reasons", "a plan needs at least one reason", span)
         allowed_vars = frozenset((plan.agent_placeholder,) + plan.object_vars)
         for sa in plan.reasons + (plan.action,):
             check_atom(element, sa.atom, allowed_vars, span)
-            for term in sa.atom.args:
-                if term.is_var and term not in allowed_vars:
-                    add(element, "unbound-variable",
-                        f"variable {term.name} is neither the plan agent nor a declared object variable",
-                        span)
         action_decl = predicates.get(plan.action.atom.predicate)
         if action_decl is not None and not action_decl.is_action:
             add(element, "not-an-action",
@@ -372,7 +384,7 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
     for i, f in enumerate(constraints.physical):
         check_formula(f"physics constraint {i + 1}", f, span_at(constraints.physical_spans, i))
     for agent, formulas in constraints.beliefs.items():
-        if agent not in agent_names:
+        if constants.get(agent) != agent_const(agent):
             add(f"belief {agent}", "unknown-agent", f"unknown agent {agent}")
         spans = constraints.belief_spans.get(agent, ())
         for i, f in enumerate(formulas):
@@ -440,12 +452,3 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
 
     return out
 
-
-def _duplicates(names: list[str]) -> list[str]:
-    seen: set[str] = set()
-    dups: list[str] = []
-    for name in names:
-        if name in seen:
-            dups.append(name)
-        seen.add(name)
-    return dups

@@ -16,9 +16,11 @@ from deon.logic import (
     agent_const,
     agent_var,
     ground,
+    object_const,
     object_var,
     universalization_trigger,
 )
+from deon.dsl import parse_scenario
 from deon.scenario import (
     ScenarioError,
     UtilityTable,
@@ -104,6 +106,73 @@ def test_candidate_set_must_contain_plans_own_action(golden):
 def test_single_mutations_yield_diagnostics(golden, mutate, expected_rule):
     mutated = mutate(golden["theft"])
     assert expected_rule in rules(validate(mutated))
+
+
+def test_an_unbound_plan_variable_is_reported_once(golden):
+    theft = golden["theft"]
+    plan = theft.plans[0]
+    bad = dataclasses.replace(
+        plan, reasons=plan.reasons + (SignedAtom(Atom("wants_item", (agent_var("zz"),))),)
+    )
+    found = validate(dataclasses.replace(theft, plans=(bad,)))
+    assert [d.message for d in found if d.rule == "unbound-variable"] == [
+        "variable zz is not bound here"
+    ]
+
+
+def _theft_reason(atom, objects=()):
+    """Mutate the theft golden: one more reason for its plan, and more objects."""
+    def mutate(s):
+        plan = dataclasses.replace(s.plans[0], reasons=s.plans[0].reasons + (SignedAtom(atom),))
+        return dataclasses.replace(s, objects=s.objects + objects, plans=(plan,))
+    return mutate
+
+
+RULE_HEADER = (
+    "scenario t\nagents a\nobjects o\npredicates wants_item(agent), steals(agent) action\n"
+)
+
+
+def _rule_plan(reason):
+    return RULE_HEADER + f"plan p agent a: reasons {{ {reason} }} action {{ steals(a) }}\n"
+
+
+# Each rule shared by the parser and `validate`: source text that breaks it,
+# a mutation of the theft golden that breaks it, and the one message both give.
+SHARED_RULE_CASES = {
+    "duplicate_agent": (
+        "scenario t\nagents a, a\n",
+        lambda s: dataclasses.replace(s, agents=s.agents + (AgentId("a"),)),
+        "agent a declared more than once",
+    ),
+    "name_clash": (
+        "scenario t\nagents a\nobjects a\n",
+        lambda s: dataclasses.replace(s, objects=("a",)),
+        "a is already an agent name",
+    ),
+    "unknown_predicate": (
+        _rule_plan("C9(a)"),
+        _theft_reason(Atom("C9", (agent_var("a"),))),
+        "unknown predicate C9",
+    ),
+    "arity": (
+        _rule_plan("wants_item(a, a)"),
+        _theft_reason(Atom("wants_item", (agent_var("a"), agent_var("a")))),
+        "predicate wants_item takes 1 arguments, got 2",
+    ),
+    "argument_sort": (
+        _rule_plan("wants_item(o)"),
+        _theft_reason(Atom("wants_item", (object_const("o"),)), objects=("o",)),
+        "argument o of wants_item should be an agent",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SHARED_RULE_CASES)
+def test_parser_and_validate_word_a_shared_rule_alike(golden, name):
+    text, mutate, message = SHARED_RULE_CASES[name]
+    assert [d.message for d in parse_scenario(text).diagnostics] == [message]
+    assert [d.message for d in validate(mutate(golden["theft"]))] == [message]
 
 
 def test_missing_utility_entry_diagnosed(golden):
