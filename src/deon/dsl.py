@@ -90,13 +90,12 @@ _SECTIONS = frozenset(SECTION_KEYWORDS)
 
 _T = TypeVar("_T")
 
-# The parser's code for each finding of a rule it shares with `validate`.
+# The parser's code for each name finding, by its `validate` rule name.
 _RULE_CODES = {
-    "duplicate": "duplicate",
-    "name-clash": "duplicate",
-    "unknown-predicate": "unknown-ref",
-    "arity-mismatch": "kind",
-    "kind-mismatch": "kind",
+    **dict.fromkeys(("duplicate", "name-clash"), "duplicate"),
+    **dict.fromkeys(("arity-mismatch", "kind-mismatch"), "kind"),
+    **dict.fromkeys(("unknown-predicate", "unknown-constant", "unknown-agent", "unknown-plan",
+                     "unknown-context"), "unknown-ref"),
 }
 
 # Blanks and comments match no named group; every other character matches
@@ -261,9 +260,14 @@ class _Parser:
         )
 
     def finding(self, tok: _Token, finding: Finding) -> None:
-        """Report the finding of a rule shared with `validate` at `tok`."""
+        """Report a name finding at `tok`, with the parser's code for its rule.
+
+        None about a reserved word: `need_name` reported it, and it names nothing.
+        """
         rule, message = finding
-        self.findings.append(ParseDiagnostic(tok.span(self.filename), message, _RULE_CODES[rule]))
+        if tok.text not in KEYWORDS:
+            span = tok.span(self.filename)
+            self.findings.append(ParseDiagnostic(span, message, _RULE_CODES[rule]))
 
     def fail(self, message: str, expected: tuple[str, ...]) -> NoReturn:
         """Report a syntax error at the next token and abandon the section."""
@@ -336,7 +340,10 @@ class _Parser:
                     self.fail(f"expected a section keyword, found {self.found()}",
                               SECTION_KEYWORDS)
                 if tok.text == "scenario":
-                    self.error("duplicate scenario header", self.advance(), code="duplicate")
+                    self.advance()
+                    # Unless a name position that stopped at this keyword reported it.
+                    if tok.span(self.filename) not in [d.span for d in self.diagnostics[-1:]]:
+                        self.error("duplicate scenario header", tok, code="duplicate")
                     raise _Abandon
                 getattr(self, f"_section_{tok.text}")()
             except _Abandon:
@@ -353,8 +360,7 @@ class _Parser:
     def _declare_constants(self, sort: str) -> None:
         self.advance()
         for tok in self._comma_list(lambda: self.need_name(sort)):
-            finding = declare_constant(self.constants, tok.text, sort)
-            if finding:
+            if finding := declare_constant(self.constants, tok.text, sort):
                 self.finding(tok, finding)
 
     def _section_predicates(self) -> None:
@@ -431,15 +437,16 @@ class _Parser:
 
     def _check_agent(self, tok: _Token) -> None:
         if self.constants.get(tok.text) != agent_const(tok.text):
-            self.error(f"unknown agent {tok.text}", tok, code="unknown-ref")
+            self.finding(tok, ("unknown-agent", f"unknown agent {tok.text}"))
 
-    def _term(self, name: str, span: SourceSpan, sort: str | None) -> Term:
+    def _term(self, tok: _Token, sort: str | None) -> Term:
         """The term a name stands for: the innermost variable in scope, else a constant.
 
         `sort` is the declared sort of the name's argument position, None for
         an unknown predicate or an extra argument. A formula variable takes
         that sort; a plan's variables keep their own.
         """
+        name = tok.text
         for var, binding in reversed(self.scope):
             if var != name:
                 continue
@@ -451,9 +458,7 @@ class _Parser:
             return Term(sort, name, is_var=True)
         constant = self.constants.get(name)
         if constant is None:
-            self.findings.append(
-                ParseDiagnostic(span, f"unknown agent or object {name}", "unknown-ref")
-            )
+            self.finding(tok, ("unknown-constant", f"unknown agent or object {name}"))
             return agent_const(name)  # recovery value; the parse already failed
         return constant
 
@@ -480,7 +485,7 @@ class _Parser:
             if not self.at("RPAREN"):
                 for arg in self._comma_list(lambda: self.need_name("term")):
                     sort = sorts[len(args)] if len(args) < len(sorts) else None
-                    args.append(self._term(arg.text, arg.span(self.filename), sort))
+                    args.append(self._term(arg, sort))
             self.need("RPAREN", "',' or ')'")
         atom = Atom(tok.text, tuple(args))
         for finding in atom_findings(atom, self.predicates):
@@ -504,7 +509,7 @@ class _Parser:
         start = self.advance()
         plan_tok = self.need_name("plan")
         if plan_tok.text not in self.plans:
-            self.error(f"unknown plan {plan_tok.text}", plan_tok, code="unknown-ref")
+            self.finding(plan_tok, ("unknown-plan", f"unknown plan {plan_tok.text}"))
         for f, _ in self._formula_block():
             self.effects.append(
                 UniversalizationEffect(plan_tok.text, f, span=start.span(self.filename))
@@ -514,7 +519,7 @@ class _Parser:
         self.advance()
         ctx_tok = self.need_name("context")
         if ctx_tok.text not in self.candidates:
-            self.error(f"unknown candidate context {ctx_tok.text}", ctx_tok, code="unknown-ref")
+            self.finding(ctx_tok, ("unknown-context", f"unknown candidate context {ctx_tok.text}"))
         self.need("LBRACE", "'{'")
         while not self.at("RBRACE") and not self.at("EOF"):
             entry = self.peek()

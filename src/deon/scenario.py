@@ -308,8 +308,7 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
     constants: dict[str, Term] = {}
     for sort, names in ((AGENT, scenario.agent_names()), (OBJECT, scenario.objects)):
         for name in names:
-            finding = declare_constant(constants, name, sort)
-            if finding:
+            if finding := declare_constant(constants, name, sort):
                 add(f"{sort} {name}", *finding)
 
     predicates: dict[str, PredicateDecl] = {}
@@ -326,10 +325,8 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
                 decl.span)
         predicates[decl.name] = decl
 
-    def check_atom(
-        element: str, atom: Atom, bound: frozenset[Term] = frozenset(),
-        span: SourceSpan | None = None,
-    ) -> None:
+    def check_atom(element: str, atom: Atom, bound: frozenset[Term] = frozenset(),
+                   span: SourceSpan | None = None) -> None:
         for rule, message in atom_findings(atom, predicates):
             add(element, rule, message, span)
         for term in atom.args:

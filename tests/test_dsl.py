@@ -300,9 +300,15 @@ def test_fault_at_a_section_keyword_keeps_that_section():
     ]
 
 
+RESERVED_AT_LOOKUPS = (
+    "scenario t\nagents a\npredicates p(agent), go(agent) action\n"
+    "belief object { p(a); }\non_universalized given { p(a); }\nutility reasons { go(a) = 1; }\n"
+)
+
 # Each source with its findings of one code. A fault is reported once, at its
 # token; a name position that meets a section keyword leaves it to recovery,
-# and the names a list read before its fault stay declared.
+# and the names a list read before its fault stay declared. A reserved word
+# read as a name is reported as such, and no lookup of it is reported.
 ONE_FINDING_CASES = {
     "missing_header": ("foo\nagents a\n", "syntax", ["1:1 expected scenario header"]),
     "missing_scenario_name": (
@@ -325,6 +331,18 @@ ONE_FINDING_CASES = {
         "scenario t\nagents a, b, {\npredicates p(agent)\nphysics { p(a) or p(b) or p(zz); }\n",
         "unknown-ref", ["4:29 unknown agent or object zz"],
     ),
+    "scenario_as_a_term": (
+        "scenario t\nagents a\npredicates p(agent)\nphysics { p(scenario); }\n", "duplicate", [],
+    ),
+    "scenario_header_repeated": (
+        "scenario t\nagents a\nscenario u\n", "duplicate", ["3:1 duplicate scenario header"],
+    ),
+    "reserved_words_at_lookups": (RESERVED_AT_LOOKUPS, "syntax", [
+        "4:8 'object' is a reserved word and cannot name an agent",
+        "5:18 'given' is a reserved word and cannot name a plan",
+        "6:9 'reasons' is a reserved word and cannot name a context",
+    ]),
+    "reserved_words_are_not_looked_up": (RESERVED_AT_LOOKUPS, "unknown-ref", []),
 }
 
 
@@ -445,6 +463,8 @@ def test_fuzz_smoke_never_raises(golden_sources):
         _assert_spans_in_bounds(text, result)
         syntax_spans = [d.span for d in result.diagnostics if d.code == "syntax"]
         assert len(syntax_spans) == len(set(syntax_spans)), text
+        name_spans = {d.span for d in result.diagnostics if d.code in ("unknown-ref", "duplicate")}
+        assert not name_spans.intersection(syntax_spans), text
 
 
 def _assert_spans_in_bounds(text: str, result: ParseResult) -> None:
