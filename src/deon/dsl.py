@@ -12,15 +12,18 @@ read. A quantified variable takes the declared sort of the argument
 positions it fills; `forall x.` is accepted only when that is exactly one
 sort. Every name resolves in one place: the parser keeps one table of the
 declared agent and object constants and one scope of variables, and a name
-is the innermost variable in scope that has it, else its constant. Parsing
-is a pure function of the input text and never raises on malformed input;
-failures come back as diagnostics with source spans.
+is the innermost variable in scope that has it, else its constant. The rules
+that `validate` checks too, `declare_constant` and `atom_findings`, live in
+`scenario`; the parser reports their findings at the token, coded by rule.
+Parsing is a pure function of the input text and never raises on malformed
+input; failures come back as diagnostics with source spans.
 
 Error recovery has one rule: a syntax error abandons the section it is in,
 and parsing resumes at the next section keyword, so the faults of later
 sections are still reported and each fault is reported once, at its token.
 A name position that meets a section keyword reports it and leaves it to
-recovery, so a trailing comma does not swallow the next section.
+recovery, so a trailing comma does not swallow the next section. A reserved
+word is reported and taken as the name, and no name finding is made at it.
 """
 
 from __future__ import annotations
@@ -260,10 +263,7 @@ class _Parser:
         )
 
     def finding(self, tok: _Token, finding: Finding) -> None:
-        """Report a name finding at `tok`, with the parser's code for its rule.
-
-        None about a reserved word: `need_name` reported it, and it names nothing.
-        """
+        """Report a name finding at `tok`, unless `need_name` reported it as reserved."""
         rule, message = finding
         if tok.text not in KEYWORDS:
             span = tok.span(self.filename)
@@ -400,10 +400,8 @@ class _Parser:
             self.advance()
             for tok in self._comma_list(lambda: self.need_name("object variable")):
                 if tok.text in self.constants:
-                    self.error(
-                        f"object variable {tok.text} clashes with a declared constant",
-                        tok, code="duplicate",
-                    )
+                    self.error(f"object variable {tok.text} clashes with a declared constant",
+                               tok, code="duplicate")
                 object_vars.append(object_var(tok.text))
         self.need("COLON", "':'")
         # Bound last, the agent placeholder wins a clash with an object variable.
@@ -611,9 +609,7 @@ class _Parser:
             f"variable {name} is used in both agent and object positions" if sorts
             else f"cannot infer the domain of variable {name}: it is never used"
         )
-        self.findings.append(
-            ParseDiagnostic(var_tok.span(self.filename), message, "kind")
-        )
+        self.findings.append(ParseDiagnostic(var_tok.span(self.filename), message, "kind"))
         return body
 
     def _implication(self, depth: int) -> Formula:
@@ -701,9 +697,7 @@ def parse_scenario(
     start = SourceSpan(filename, 1, 1)
     for finding in validate(scenario):
         diagnostics.append(ParseDiagnostic(finding.span or start, str(finding), "validation"))
-    if diagnostics:
-        return ParseResult(None, diagnostics)
-    return ParseResult(scenario, diagnostics)
+    return ParseResult(None if diagnostics else scenario, diagnostics)
 
 
 # --------------------------------------------------------------------------
