@@ -341,7 +341,7 @@ class _Parser:
                               SECTION_KEYWORDS)
                 if tok.text == "scenario":
                     self.advance()
-                    # Unless a name position that stopped at this keyword reported it.
+                    # A name position that stopped at this keyword may have reported it.
                     if tok.span(self.filename) not in [d.span for d in self.diagnostics[-1:]]:
                         self.error("duplicate scenario header", tok, code="duplicate")
                     raise _Abandon
@@ -400,8 +400,10 @@ class _Parser:
             self.advance()
             for tok in self._comma_list(lambda: self.need_name("object variable")):
                 if tok.text in self.constants:
-                    self.error(f"object variable {tok.text} clashes with a declared constant",
-                               tok, code="duplicate")
+                    self.error(
+                        f"object variable {tok.text} clashes with a declared constant",
+                        tok, code="duplicate",
+                    )
                 object_vars.append(object_var(tok.text))
         self.need("COLON", "':'")
         # Bound last, the agent placeholder wins a clash with an object variable.
@@ -609,7 +611,9 @@ class _Parser:
             f"variable {name} is used in both agent and object positions" if sorts
             else f"cannot infer the domain of variable {name}: it is never used"
         )
-        self.findings.append(ParseDiagnostic(var_tok.span(self.filename), message, "kind"))
+        self.findings.append(
+            ParseDiagnostic(var_tok.span(self.filename), message, "kind")
+        )
         return body
 
     def _implication(self, depth: int) -> Formula:

@@ -294,9 +294,8 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
     """Check every scenario invariant; an empty list means all hold.
 
     Total and deterministic: diagnostics are the output, nothing raises.
-    Constants are declared in one table, agents then objects, and atoms are
-    checked against their signatures, by `declare_constant` and
-    `atom_findings`, the rules the parser applies as it reads.
+    Constants (agents, then objects) and atoms are checked by
+    `declare_constant` and `atom_findings`, the rules the parser applies.
     """
     out: list[Diagnostic] = []
 
