@@ -10,7 +10,6 @@ verdict engine) and `cli` (the command-line surface).
 from .logic import (
     AGENT,
     OBJECT,
-    AgentId,
     And,
     Atom,
     AtomF,

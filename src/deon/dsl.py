@@ -37,7 +37,6 @@ from typing import NoReturn, TypeVar
 from .logic import (
     AGENT,
     OBJECT,
-    AgentId,
     And,
     Atom,
     AtomF,
@@ -394,7 +393,7 @@ class _Parser:
         id_tok = self.need_name("plan")
         self.need("IDENT", "'agent'", text="agent")
         agent_tok = self.need_name("agent")
-        self._check_agent(agent_tok)
+        agent = self._agent(agent_tok)
         object_vars: list[Term] = []
         if self.at_keyword("forall"):
             self.advance()
@@ -428,16 +427,20 @@ class _Parser:
             return
         self.plans[id_tok.text] = ActionPlan(
             id=id_tok.text,
-            agent=AgentId(agent_tok.text),
+            agent=agent,
             reasons=tuple(reasons),
             action=action,
             object_vars=tuple(object_vars),
             span=start.span(self.filename),
         )
 
-    def _check_agent(self, tok: _Token) -> None:
-        if self.constants.get(tok.text) != agent_const(tok.text):
+    def _agent(self, tok: _Token) -> Term:
+        """The declared agent constant the name stands for."""
+        constant = self.constants.get(tok.text)
+        if constant is None or constant.sort != AGENT:
             self.finding(tok, ("unknown-agent", f"unknown agent {tok.text}"))
+            return agent_const(tok.text)  # recovery value; the parse already failed
+        return constant
 
     def _term(self, tok: _Token, sort: str | None) -> Term:
         """The term a name stands for: the innermost variable in scope, else a constant.
@@ -499,7 +502,7 @@ class _Parser:
     def _section_belief(self) -> None:
         self.advance()
         agent_tok = self.need_name("agent")
-        self._check_agent(agent_tok)
+        self._agent(agent_tok)
         formulas = self._formula_block()
         if formulas or agent_tok.text in self.beliefs:
             existing = self.beliefs.get(agent_tok.text, ())
@@ -658,7 +661,7 @@ class _Parser:
     def build(self) -> Scenario:
         return Scenario(
             name=self.scenario_name,
-            agents=tuple(AgentId(t.name) for t in self.constants.values() if t.sort == AGENT),
+            agents=tuple(t for t in self.constants.values() if t.sort == AGENT),
             objects=tuple(t.name for t in self.constants.values() if t.sort == OBJECT),
             predicates=tuple(self.predicates.values()),
             plans=tuple(self.plans.values()),

@@ -32,20 +32,6 @@ class GroundingError(LogicError):
 
 
 @dataclass(frozen=True)
-class AgentId:
-    """Symbolic agent identifier. Declaration order gives the total order."""
-
-    name: str
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise LogicError("agent name must be a nonempty token")
-
-    def __str__(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True)
 class Term:
     """An agent or object, either a constant or a variable.
 
@@ -272,9 +258,11 @@ def substitute_signed(sa: SignedAtom, binding: Mapping[Term, Term]) -> SignedAto
 # Grounding
 
 
-def ground(f: Formula, agents: Sequence[AgentId], objects: Sequence[str] = ()) -> Formula:
+def ground(f: Formula, agents: Sequence[Term], objects: Sequence[str] = ()) -> Formula:
     """Expand quantifiers over finite domains.
 
+    The agent domain is `agents`, agent constants used as they are (a
+    scenario's `agents`); the object domain is made from the `objects` names.
     Free variables are universally closed over their sort's domain first
     (in first-occurrence order), so the result never has free variables.
     Quantified variables are bound through an environment as the tree is
@@ -288,7 +276,6 @@ def ground(f: Formula, agents: Sequence[AgentId], objects: Sequence[str] = ()) -
     for var in _ordered_free_vars(f):
         closed = ForAll(var, closed)
 
-    agent_terms = tuple(agent_const(a.name) for a in agents)
     object_terms = tuple(object_const(o) for o in objects)
 
     def go(node: Formula, env: dict[Term, Term]) -> Formula:
@@ -306,7 +293,7 @@ def ground(f: Formula, agents: Sequence[AgentId], objects: Sequence[str] = ()) -
         if isinstance(node, Implies):
             return Implies(go(node.antecedent, env), go(node.consequent, env))
         if isinstance(node, ForAll):
-            domain = agent_terms if node.var.sort == AGENT else object_terms
+            domain = agents if node.var.sort == AGENT else object_terms
             if not domain:
                 raise GroundingError(
                     f"empty {node.var.sort} domain for quantified variable {node.var.name}"
@@ -407,14 +394,11 @@ class GroundClauseSet:
     def clause_str(self, clause_index: int) -> str:
         return " or ".join(self.literal_str(lit) for lit in self.clauses[clause_index])
 
-    def to_dimacs(self, comments: bool = True) -> str:
-        """DIMACS-style numeric clause lines, one clause per line, zero-terminated."""
-        lines: list[str] = []
-        if comments:
-            for i, atom in enumerate(self.atoms):
-                lines.append(f"c {i + 1} {atom}")
-            for k in range(self.aux_count):
-                lines.append(f"c {len(self.atoms) + k + 1} aux{k}")
+    def to_dimacs(self) -> str:
+        """DIMACS-style text: a `c` line naming each variable, then one clause per line."""
+        lines = [f"c {i + 1} {atom}" for i, atom in enumerate(self.atoms)]
+        for k in range(self.aux_count):
+            lines.append(f"c {len(self.atoms) + k + 1} aux{k}")
         lines.append(f"p cnf {self.num_vars} {len(self.clauses)}")
         for cl in self.clauses:
             lines.append(" ".join(str(lit) for lit in cl) + " 0")

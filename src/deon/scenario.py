@@ -12,7 +12,6 @@ from typing import TYPE_CHECKING, Mapping
 
 from .logic import (
     AGENT,
-    AgentId,
     And,
     Atom,
     AtomF,
@@ -58,13 +57,14 @@ class PredicateDecl:
 class ActionPlan:
     """An agent's commitment to take the action whenever the reasons apply.
 
+    `agent` is the agent constant, one of the scenario's `agents`.
     Occurrences of the agent inside reasons/action are stored as an agent
     variable named after the agent (the plan placeholder). Universal
     adoption quantifies over it, so every agent takes the plan's place.
     """
 
     id: str
-    agent: AgentId
+    agent: Term
     reasons: tuple[SignedAtom, ...]
     action: SignedAtom
     object_vars: tuple[Term, ...] = ()
@@ -76,12 +76,11 @@ class ActionPlan:
 
     def instantiated_reasons(self) -> tuple[SignedAtom, ...]:
         """Reasons with the placeholder bound to the plan's own agent."""
-        binding = {self.agent_placeholder: agent_const(self.agent.name)}
+        binding = {self.agent_placeholder: self.agent}
         return tuple(substitute_signed(r, binding) for r in self.reasons)
 
     def instantiated_action(self) -> SignedAtom:
-        binding = {self.agent_placeholder: agent_const(self.agent.name)}
-        return substitute_signed(self.action, binding)
+        return substitute_signed(self.action, {self.agent_placeholder: self.agent})
 
     def universal_adoption(self) -> Formula:
         """Everyone adopting the plan, plus the plan's trigger atom.
@@ -177,8 +176,14 @@ class CandidateSet:
 
 @dataclass(frozen=True)
 class Scenario:
+    """One scenario: its agent domain, object names and everything empirical.
+
+    `agents` are agent constants in declaration order, the domain `ground`
+    quantifies agents over; `objects` are the object constants' names.
+    """
+
     name: str
-    agents: tuple[AgentId, ...]
+    agents: tuple[Term, ...]
     objects: tuple[str, ...] = ()
     predicates: tuple[PredicateDecl, ...] = ()
     plans: tuple[ActionPlan, ...] = ()
@@ -197,13 +202,13 @@ class Scenario:
         raise ScenarioError(f"unknown plan {plan_id!r}")
 
 
-def belief_theory(scenario: Scenario, agent: AgentId | str) -> list[Formula]:
+def belief_theory(scenario: Scenario, agent: Term | str) -> list[Formula]:
     """Everything the agent is rationally required to accept.
 
     Physical constraints come first (physics is common knowledge), then the
     agent's own belief constraints in declaration order.
     """
-    name = agent.name if isinstance(agent, AgentId) else agent
+    name = agent.name if isinstance(agent, Term) else agent
     if name not in scenario.agent_names():
         raise ScenarioError(f"unknown agent {name!r}")
     return list(scenario.constraints.physical) + list(
@@ -309,6 +314,9 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
         for name in names:
             if finding := declare_constant(constants, name, sort):
                 add(f"{sort} {name}", *finding)
+    for agent in scenario.agents:  # `ground` quantifies over these terms as they are
+        if agent != agent_const(agent.name):
+            add(f"agent {agent.name}", "kind-mismatch", f"{agent.name} should be an agent constant")
 
     predicates: dict[str, PredicateDecl] = {}
     # The trigger atom prints without its "@", so a declared predicate of
@@ -357,7 +365,7 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
         if plan.id in plan_ids:
             add(element, "duplicate", f"plan id {plan.id} declared more than once", span)
         plan_ids[plan.id] = plan
-        if constants.get(plan.agent.name) != agent_const(plan.agent.name):
+        if constants.get(plan.agent.name) != plan.agent:
             add(element, "unknown-agent", f"unknown agent {plan.agent.name}", span)
         if not plan.reasons:
             add(element, "empty-reasons", "a plan needs at least one reason", span)
@@ -403,7 +411,9 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
             add(element, "empty-candidates", "a candidate set needs at least one action", span)
         for sa in cs.condition:
             check_atom(element, sa.atom, span=span)
-        for atom in cs.actions:
+        for i, atom in enumerate(cs.actions):
+            if atom in cs.actions[:i]:
+                add(element, "duplicate", f"candidate action {atom} listed more than once", span)
             check_atom(element, atom, span=span)
             decl = predicates.get(atom.predicate)
             if decl is not None and not decl.is_action:

@@ -22,7 +22,6 @@ from typing import Mapping, Sequence
 
 from deon.logic import (
     AGENT,
-    AgentId,
     Atom,
     AtomF,
     And,
@@ -101,7 +100,7 @@ def _plan_instance(plan: ActionPlan, binding: Mapping[Term, Term]) -> Formula:
 
 def expand_universalized_plan(
     plan: ActionPlan,
-    agents: Sequence[AgentId],
+    agents: Sequence[Term],
     objects: Sequence[str],
 ) -> Formula:
     """Material-conditional reading of everyone adopting the plan.
@@ -134,7 +133,7 @@ def expand_universalized_plan(
 
 def ground(
     f: Formula,
-    agents: Sequence[AgentId],
+    agents: Sequence[Term],
     objects: Sequence[str] = (),
     plans: Mapping[str, ActionPlan] | None = None,
 ) -> Formula:

@@ -175,6 +175,26 @@ def test_bad_number_literal_is_reported_at_the_number(capsys, tmp_path, command,
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["validate", "check"])
+def test_a_repeated_candidate_action_is_a_duplicate(capsys, tmp_path, command):
+    # Accepted, the repeat would show up twice among the utility alternatives.
+    source = tmp_path / "repeat.deon"
+    source.write_text(
+        "scenario repeat\nagents a\n"
+        "predicates ready(agent), go(agent) action, stay(agent) action\n"
+        "plan p agent a: reasons { ready(a) } action { go(a) }\n"
+        "candidates c given { ready(a) } { go(a), stay(a), stay(a) }\n"
+        "utility c { go(a) = 2; stay(a) = 1; }\n"
+    )
+    code, out, err = run(capsys, command, str(source))
+    assert code == EXIT_INVALID
+    assert err == (
+        f"{source}:5:1: error: candidates c: "
+        "candidate action stay(a) listed more than once [duplicate] [validation]\n"
+    )
+    assert out == ""
+
+
 LOCATED_FINDINGS = {
     # the plan starts at line 9
     "plan": (

@@ -29,6 +29,9 @@ def test_theft_parse_counts(golden):
     assert len(theft.predicates) == 3
     assert len(theft.effects) == 1
     assert theft.agent_names() == ("a", "b")
+    assert theft.agents == (agent_const("a"), agent_const("b"))
+    # each plan holds the very agent constant the parser declared
+    assert all(any(plan.agent is a for a in theft.agents) for plan in theft.plans)
 
 
 def test_ambulance_declares_object_domain(golden):

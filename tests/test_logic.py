@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 import deon
 from deon.logic import (
-    AgentId,
     And,
     Atom,
     AtomF,
@@ -38,7 +37,7 @@ from deon.logic import (
 from deon.sat import brute_force, solve
 from deon.scenario import ActionPlan
 
-A, B = AgentId("a"), AgentId("b")
+A, B = agent_const("a"), agent_const("b")
 x = agent_var("x")
 y = object_var("y")
 

@@ -22,7 +22,6 @@ from test_sat_differential import CHAIN_RULE
 from deon import principles, scenarios
 from deon.dsl import parse_scenario
 from deon.logic import (
-    AgentId,
     And,
     Atom,
     AtomF,
@@ -240,7 +239,7 @@ def random_quantified(rng: random.Random, depth: int) -> Formula:
     return And(parts) if kind == "and" else Or(parts)
 
 
-DOMAINS = (((AgentId("a"),), ("o",)), ((AgentId("a"), AgentId("b")), ("o", "k")))
+DOMAINS = (((agent_const("a"),), ("o",)), ((agent_const("a"), agent_const("b")), ("o", "k")))
 
 
 def test_random_quantified_formulas_ground_like_reference():

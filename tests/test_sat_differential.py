@@ -83,7 +83,7 @@ def assert_same(cs: GroundClauseSet, budgets=BUDGETS) -> list[tuple]:
     outcomes = []
     for budget in budgets:
         expected = outcome(reference_solve, cs, budget)
-        assert outcome(solve, cs, budget) == expected, (budget, cs.to_dimacs(comments=False))
+        assert outcome(solve, cs, budget) == expected, (budget, cs.to_dimacs())
         outcomes.append(expected)
     return outcomes
 

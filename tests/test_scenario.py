@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from deon.logic import (
-    AgentId,
     And,
     Atom,
     AtomF,
@@ -65,7 +64,10 @@ def test_candidate_set_must_contain_plans_own_action(golden):
     "mutate, expected_rule",
     [
         (lambda s: dataclasses.replace(s, agents=()), "no-agents"),
-        (lambda s: dataclasses.replace(s, agents=s.agents + (AgentId("a"),)), "duplicate"),
+        (lambda s: dataclasses.replace(s, agents=s.agents + (agent_const("a"),)), "duplicate"),
+        # `ground` quantifies over these terms as they are
+        (lambda s: dataclasses.replace(s, agents=(object_const("a"),)), "kind-mismatch"),
+        (lambda s: dataclasses.replace(s, agents=(agent_var("a"),)), "kind-mismatch"),
         (lambda s: dataclasses.replace(s, plans=s.plans * 2), "duplicate"),
         (
             lambda s: dataclasses.replace(
@@ -75,7 +77,7 @@ def test_candidate_set_must_contain_plans_own_action(golden):
         ),
         (
             lambda s: dataclasses.replace(
-                s, plans=(dataclasses.replace(s.plans[0], agent=AgentId("zz")),)
+                s, plans=(dataclasses.replace(s.plans[0], agent=agent_const("zz")),)
             ),
             "unknown-agent",
         ),
@@ -142,7 +144,7 @@ def _rule_plan(reason):
 SHARED_RULE_CASES = {
     "duplicate_agent": (
         "scenario t\nagents a, a\n",
-        lambda s: dataclasses.replace(s, agents=s.agents + (AgentId("a"),)),
+        lambda s: dataclasses.replace(s, agents=s.agents + (agent_const("a"),)),
         "agent a declared more than once",
     ),
     "name_clash": (
@@ -208,12 +210,12 @@ def test_validate_is_deterministic(golden):
 
 def test_belief_theory_defaults_to_physics(golden):
     bus = golden["bus"]
-    assert belief_theory(bus, AgentId("b")) == list(bus.constraints.physical)
+    assert belief_theory(bus, agent_const("b")) == list(bus.constraints.physical)
 
 
 def test_belief_theory_driver_gets_braking_constraint(golden):
     ped = golden["pedestrian"]
-    theory = belief_theory(ped, AgentId("a"))
+    theory = belief_theory(ped, agent_const("a"))
     assert theory[: len(ped.constraints.physical)] == list(ped.constraints.physical)
     assert len(theory) == len(ped.constraints.physical) + 1
     extra = theory[-1]
@@ -230,7 +232,7 @@ def test_belief_theory_includes_physics_for_every_agent(golden):
 
 def test_belief_theory_unknown_agent(golden):
     with pytest.raises(ScenarioError):
-        belief_theory(golden["theft"], AgentId("z"))
+        belief_theory(golden["theft"], agent_const("z"))
 
 
 # -- effects_for ---------------------------------------------------------------------
