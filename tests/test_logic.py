@@ -25,6 +25,7 @@ from deon.logic import (
     Term,
     agent_const,
     agent_var,
+    compile_fragment,
     evaluate_formula,
     ground,
     object_const,
@@ -223,6 +224,10 @@ def test_to_clauses_rejects_modal_and_nonground():
         to_clauses(atom("C", x))
     with pytest.raises(LogicError):
         to_clauses(ForAll(x, atom("C", x)))
+    with pytest.raises(LogicError):
+        compile_fragment([(atom("C", x), "")])
+    with pytest.raises(LogicError):
+        ClauseBuilder().add(atom("C", x)).build()
 
 
 def test_clause_builder_labels():

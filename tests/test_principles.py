@@ -386,6 +386,40 @@ def test_budget_exhausted_on_the_reasons_disjunct_is_logged_as_undecided():
     assert [(q.check, q.satisfiable) for q in log] == per_round * 2
 
 
+HAZE = (
+    "scenario haze\n"
+    "agents a, b\n"
+    "predicates p1(), p2(), p3(), p4(), want(agent), go(agent) action\n"
+    "physics { p1 or p2; p2 or p3; p3 or p4; }\n"
+    "plan pa agent a: reasons { want(a) } action { go(a) }\n"
+    "plan pb agent b: reasons { want(b) } action { go(b) }\n"
+    "on_universalized pa { not go(a); }\n"
+)
+
+
+def test_budget_exhausted_on_the_actions_disjunct_asks_no_reasons_query():
+    # pa's generalization query is refuted by propagation alone; the actions
+    # query of either pair needs more than three decisions, so each pair
+    # stops on its first query and its reasons query is never built.
+    log: list[ModalQuery] = []
+    verdicts = evaluate(scen(HAZE), budget=3, query_log=log)
+    assert verdicts.statuses() == {"pa": UNETHICAL, "pb": INDETERMINATE}
+    assert verdicts.rounds == 2 and verdicts.stable
+    autonomy = verdicts.plan("pa").check(AUTONOMY)
+    assert autonomy.status == INDETERMINATE
+    assert autonomy.evidence == BudgetNote("decision budget exhausted checking pa against pb")
+    assert [(q.check, q.satisfiable) for q in log] == [
+        ("generalization:pa", False),
+        ("autonomy:pa:pb:actions", None),
+        ("generalization:pb", None),
+        ("autonomy:pb:pa:actions", None),
+        # pa dropped out of protection, so pb checks no pair in round 2
+        ("generalization:pa", False),
+        ("autonomy:pa:pb:actions", None),
+        ("generalization:pb", None),
+    ]
+
+
 # -- cross-cutting properties ------------------------------------------------------
 
 
