@@ -507,14 +507,6 @@ class _Encoder:
         self.labels.extend(fragment.labels or [""] * len(fragment.clauses))
 
 
-def _check_ground(formula: Formula) -> None:
-    for node in walk(formula):
-        if isinstance(node, ForAll):
-            raise LogicError("clause conversion requires a ground formula")
-        if isinstance(node, AtomF) and not node.atom.is_ground():
-            raise LogicError(f"non-ground atom {node.atom} in clause conversion")
-
-
 def _assemble(parts: Sequence[tuple[Formula, str] | GroundClauseSet]) -> GroundClauseSet:
     # Atoms are numbered by first occurrence across the parts, in order
     # (`dict.fromkeys` keeps the first of equal keys, in order), and aux
@@ -523,6 +515,9 @@ def _assemble(parts: Sequence[tuple[Formula, str] | GroundClauseSet]) -> GroundC
         part.atoms if isinstance(part, GroundClauseSet) else atoms_of(part[0])
         for part in parts
     )))
+    for atom in atoms:
+        if not atom.is_ground():
+            raise LogicError(f"non-ground atom {atom} in clause conversion")
     encoder = _Encoder(dict(zip(atoms, range(1, len(atoms) + 1))), len(atoms) + 1)
     for part in parts:
         if isinstance(part, GroundClauseSet):
@@ -540,12 +535,10 @@ def compile_fragment(parts: Iterable[tuple[Formula, str]]) -> GroundClauseSet:
 
     This is what `ClauseBuilder` would build from the same parts, made
     without a builder: a fragment compiled once and added to many builders
-    with `ClauseBuilder.add_fragment`.
+    with `ClauseBuilder.add_fragment`. Like `build`, it checks groundness
+    over the atoms it collects.
     """
-    parts = list(parts)
-    for formula, _ in parts:
-        _check_ground(formula)
-    return _assemble(parts)
+    return _assemble(list(parts))
 
 
 class ClauseBuilder:
@@ -553,7 +546,8 @@ class ClauseBuilder:
 
     Conversion is definitional: fresh atoms name compound subformulas instead
     of distributing disjunctions, so size stays linear. Satisfiability, not
-    logical equivalence, is the contract.
+    logical equivalence, is the contract. `build` checks groundness over the
+    atoms it collects: a non-ground atom or a `ForAll` raises `LogicError`.
 
     A part may also be a fragment made by `compile_fragment`. `build`
     renames only the fragments' variables, and the result is identical to
@@ -569,7 +563,6 @@ class ClauseBuilder:
         self._parts: list[tuple[Formula, str] | GroundClauseSet] = []
 
     def add(self, formula: Formula, label: str = "") -> "ClauseBuilder":
-        _check_ground(formula)
         self._parts.append((formula, label))
         return self
 

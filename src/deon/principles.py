@@ -21,10 +21,11 @@ from .logic import (
     Formula,
     GroundClauseSet,
     TRUE,
+    Term,
     compile_fragment,
     ground,
 )
-from .sat import DEFAULT_BUDGET, BudgetExhausted, ConflictExplanation, Model, SatResult, solve
+from .sat import DEFAULT_BUDGET, BudgetExhausted, ConflictExplanation, Model, solve
 from .scenario import (
     ActionPlan,
     Scenario,
@@ -206,17 +207,17 @@ def rationally_required_to_deny_possible(cs: GroundClauseSet, budget: int = DEFA
 class QueryCompiler:
     """Builds and decides the satisfiability queries of one evaluation.
 
-    Only the plan-side parts change from query to query; each agent's
-    rational-constraint theory is fixed. So the physical constraints are
-    grounded and compiled to a clause fragment once, and each agent's
-    belief constraints once per agent, on first use. Queries add the
-    fragments after their plan parts and get exactly the clause sets that
-    grounding and converting the whole theory each time would give.
+    A query is a list of labeled plan parts plus the acting agent's theory,
+    and `_query` is the one place it is built. The physical constraints are
+    grounded and compiled to a clause fragment once, and each agent's belief
+    constraints once per agent, on first use; a query adds both after its
+    plan parts and gets exactly the clause set that grounding and converting
+    the whole theory each time would give.
 
-    Every query is decided under `budget` decisions and, when `query_log`
-    is a list, recorded in it. `evaluate` makes one compiler per call, and
-    each module-level check one per check, and drops it on return, so
-    nothing carries over between scenarios or calls.
+    `_decide` solves a query under `budget` decisions, records it in
+    `query_log` when that is a list, and returns its evidence. `evaluate`
+    makes one compiler per call, and each module-level check one per check,
+    so nothing carries over between scenarios or calls.
     """
 
     def __init__(
@@ -229,24 +230,25 @@ class QueryCompiler:
         self.budget = budget
         self.query_log = query_log
         self._physics: GroundClauseSet | None = None
-        self._beliefs: dict[str, GroundClauseSet] = {}
+        self._beliefs: dict[Term, GroundClauseSet] = {}
 
-    def _compile(self, formulas: Iterable[Formula], label: str) -> GroundClauseSet:
+    def _query(self, agent: Term, parts: Iterable[tuple[Formula, str]]) -> GroundClauseSet:
+        """The `(formula, label)` plan parts, grounded in order, then `agent`'s theory."""
         agents, objects = self.scenario.agents, self.scenario.objects
-        return compile_fragment((ground(f, agents, objects), label) for f in formulas)
-
-    def _with_theory(self, builder: ClauseBuilder, agent: str) -> GroundClauseSet:
-        """Build `builder`'s plan parts followed by the agent's theory."""
+        builder = ClauseBuilder()
+        for formula, label in parts:
+            builder.add(ground(formula, agents, objects), label)
+        physical = self.scenario.constraints.physical
         if self._physics is None:
-            self._physics = self._compile(
-                self.scenario.constraints.physical, "physical constraint"
+            self._physics = compile_fragment(
+                (ground(f, agents, objects), "physical constraint") for f in physical
             )
         beliefs = self._beliefs.get(agent)
         if beliefs is None:
-            n_physical = len(self.scenario.constraints.physical)
-            beliefs = self._beliefs[agent] = self._compile(
-                belief_theory(self.scenario, agent)[n_physical:],
-                f"rational constraint of agent {agent}",
+            label = f"rational constraint of agent {agent.name}"
+            beliefs = self._beliefs[agent] = compile_fragment(
+                (ground(f, agents, objects), label)
+                for f in belief_theory(self.scenario, agent)[len(physical):]
             )
         return builder.add_fragment(self._physics).add_fragment(beliefs).build()
 
@@ -259,24 +261,12 @@ class QueryCompiler:
         agent's rational-constraint theory. The plan passes iff this is
         satisfiable.
         """
-        scenario = self.scenario
-        agents, objects = scenario.agents, scenario.objects
-        builder = ClauseBuilder()
-        builder.add(
-            ground(plan.universal_adoption(), agents, objects),
-            f"universal adoption of plan {plan.id}",
-        )
-        effects = effects_for(scenario, plan.id)
+        parts = [(plan.universal_adoption(), f"universal adoption of plan {plan.id}")]
+        effects = effects_for(self.scenario, plan.id)
         if effects != TRUE:
-            builder.add(
-                ground(effects, agents, objects),
-                f"universalization effect of plan {plan.id}",
-            )
-        builder.add(
-            ground(plan.commitment_formula(), agents, objects),
-            f"reasons and action of plan {plan.id}",
-        )
-        return self._with_theory(builder, plan.agent.name)
+            parts.append((effects, f"universalization effect of plan {plan.id}"))
+        parts.append((plan.commitment_formula(), f"reasons and action of plan {plan.id}"))
+        return self._query(plan.agent, parts)
 
     def autonomy_pair(
         self, plan: ActionPlan, other: ActionPlan
@@ -292,39 +282,38 @@ class QueryCompiler:
 
     def _pair_query(self, plan: ActionPlan, other: ActionPlan, part: str) -> GroundClauseSet:
         """One disjunct query of `autonomy_pair`: `part` is "action" or "reasons"."""
-        agents, objects = self.scenario.agents, self.scenario.objects
-        builder = ClauseBuilder()
-        for p in (plan, other):
-            formula = p.action_formula() if part == "action" else p.reasons_formula()
-            builder.add(ground(formula, agents, objects), f"{part} of plan {p.id}")
-        return self._with_theory(builder, plan.agent.name)
+        formula = ActionPlan.action_formula if part == "action" else ActionPlan.reasons_formula
+        parts = [(formula(p), f"{part} of plan {p.id}") for p in (plan, other)]
+        return self._query(plan.agent, parts)
 
-    def _decide(self, cs: GroundClauseSet, check: str, agent: str) -> SatResult | None:
-        """Solve `cs` under the budget, or None when the budget ran out."""
+    def _decide(
+        self, cs: GroundClauseSet, check: str, plan: ActionPlan
+    ) -> Witness | QueryConflict | None:
+        """Solve `plan`'s `check` query `cs`: its evidence, or None when the budget ran out."""
         try:
             result = solve(cs, self.budget)
         except BudgetExhausted:
             result = None
         if self.query_log is not None:
             satisfiable = None if result is None else result.satisfiable
-            self.query_log.append(ModalQuery(check, agent, cs, satisfiable))
-        return result
+            self.query_log.append(ModalQuery(check, plan.agent.name, cs, satisfiable))
+        if result is None:
+            return None
+        if result.satisfiable:
+            return Witness(cs, result.model)
+        return QueryConflict(cs, result.conflict)
 
     def check_generalization(self, plan: ActionPlan) -> PrincipleVerdict:
         """Can the agent rationally believe everyone could adopt the plan while
         the agent's reasons still apply and the action still happens?"""
-        cs = self.generalization(plan)
-        result = self._decide(cs, f"generalization:{plan.id}", plan.agent.name)
-        if result is None:
+        evidence = self._decide(self.generalization(plan), f"generalization:{plan.id}", plan)
+        if evidence is None:
             return PrincipleVerdict(
                 GENERALIZATION, INDETERMINATE,
                 BudgetNote(f"decision budget exhausted on the generalization query for {plan.id}"),
             )
-        if result.satisfiable:
-            assert result.model is not None
-            return PrincipleVerdict(GENERALIZATION, PASS, Witness(cs, result.model))
-        assert result.conflict is not None
-        return PrincipleVerdict(GENERALIZATION, FAIL, QueryConflict(cs, result.conflict))
+        status = PASS if isinstance(evidence, Witness) else FAIL
+        return PrincipleVerdict(GENERALIZATION, status, evidence)
 
     def check_autonomy_pair(self, plan: ActionPlan, other: ActionPlan) -> PrincipleVerdict:
         """Is `plan` consistent with one other agent's plan?
@@ -336,31 +325,24 @@ class QueryCompiler:
         """
         if plan.agent == other.agent:
             raise ScenarioError("autonomy is checked between plans of distinct agents")
-        tag, agent = f"autonomy:{plan.id}:{other.id}", plan.agent.name
-        cs_actions = self._pair_query(plan, other, "action")
-        d1 = self._decide(cs_actions, f"{tag}:actions", agent)
-        if d1 is not None and d1.satisfiable:
-            assert d1.model is not None
-            return PrincipleVerdict(AUTONOMY, PASS, Witness(cs_actions, d1.model))
-        d2 = None
-        if d1 is not None:
-            cs_reasons = self._pair_query(plan, other, "reasons")
-            d2 = self._decide(cs_reasons, f"{tag}:reasons", agent)
-        if d1 is None or d2 is None:
+        tag = f"autonomy:{plan.id}:{other.id}"
+        actions = self._decide(self._pair_query(plan, other, "action"), f"{tag}:actions", plan)
+        if isinstance(actions, Witness):
+            return PrincipleVerdict(AUTONOMY, PASS, actions)
+        reasons = None
+        if actions is not None:
+            reasons = self._decide(self._pair_query(plan, other, "reasons"), f"{tag}:reasons", plan)
+        if reasons is None:
             return PrincipleVerdict(
                 AUTONOMY, INDETERMINATE,
                 BudgetNote(f"decision budget exhausted checking {plan.id} against {other.id}"),
             )
-        if not d2.satisfiable:
-            assert d2.conflict is not None
-            return PrincipleVerdict(
-                AUTONOMY, PASS, ReasonsContradiction(other.id, cs_reasons, d2.conflict)
-            )
-        assert d1.conflict is not None and d2.model is not None
-        return PrincipleVerdict(
-            AUTONOMY, FAIL,
-            PlanInterference(other.id, cs_actions, d1.conflict, cs_reasons, d2.model),
-        )
+        if isinstance(reasons, QueryConflict):
+            evidence = ReasonsContradiction(other.id, reasons.clause_set, reasons.conflict)
+            return PrincipleVerdict(AUTONOMY, PASS, evidence)
+        return PrincipleVerdict(AUTONOMY, FAIL, PlanInterference(
+            other.id, actions.clause_set, actions.conflict, reasons.clause_set, reasons.model
+        ))
 
     def check_autonomy(
         self, plan: ActionPlan, protected: frozenset[str] | None
@@ -374,7 +356,7 @@ class QueryCompiler:
         pairs: list[tuple[str, object]] = []
         indeterminate: PrincipleVerdict | None = None
         for other in self.scenario.plans:
-            if other.id == plan.id or other.agent == plan.agent:
+            if other.agent == plan.agent:
                 continue
             if protected is not None and other.id not in protected:
                 continue
