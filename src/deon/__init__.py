@@ -78,11 +78,9 @@ from .principles import (
     ModalQuery,
     PlanVerdict,
     PrincipleVerdict,
+    QueryCompiler,
     VerdictSet,
     can_rationally_believe_possible,
-    check_autonomy,
-    check_autonomy_pair,
-    check_generalization,
     check_utility,
     evaluate,
     rationally_required_to_deny_possible,

@@ -21,7 +21,6 @@ from .principles import (
     ETHICAL,
     FAIL,
     INDETERMINATE,
-    Note,
     PlanInterference,
     PlanVerdict,
     QueryCompiler,
@@ -62,12 +61,13 @@ def cli() -> None:
 
 
 def _read(path: str) -> tuple[str | None, str]:
-    """The file's text, or None and why it cannot be read."""
+    """The file's text, without a leading byte-order mark, or None and why
+    it cannot be read."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         return None, f"cannot read: {exc.strerror or exc}"
-    return data.decode("utf-8", errors="replace"), ""
+    return data.decode("utf-8-sig", errors="replace"), ""
 
 
 def _load(path: str) -> tuple[Scenario | None, list[str]]:
@@ -138,9 +138,7 @@ def _evidence_lines(doc: dict) -> list[str]:
                else "the actions can hold together")
             for pair in doc["pairs"]
         ]
-    if kind in ("budget", "note"):
-        return [doc["note"]]
-    return [doc["repr"]]
+    return [doc["note"]]  # "budget" or "note"
 
 
 def _failed_principle(pv: PlanVerdict) -> str | None:
@@ -223,9 +221,7 @@ def _evidence_doc(evidence: object) -> dict:
         }
     if isinstance(evidence, BudgetNote):
         return {"kind": "budget", "note": evidence.note}
-    if isinstance(evidence, Note):
-        return {"kind": "note", "note": evidence.note}
-    return {"kind": "unknown", "repr": repr(evidence)}
+    return {"kind": "note", "note": evidence.note}  # Note
 
 
 def _verdict_doc(verdicts: VerdictSet) -> dict:

@@ -258,11 +258,11 @@ def substitute_signed(sa: SignedAtom, binding: Mapping[Term, Term]) -> SignedAto
 # Grounding
 
 
-def ground(f: Formula, agents: Sequence[Term], objects: Sequence[str] = ()) -> Formula:
+def ground(f: Formula, agents: Sequence[Term], objects: Sequence[Term] = ()) -> Formula:
     """Expand quantifiers over finite domains.
 
-    The agent domain is `agents`, agent constants used as they are (a
-    scenario's `agents`); the object domain is made from the `objects` names.
+    Both domains are constants used as they are: `agents` (a scenario's
+    `agents`) and `objects` (object constants, which the caller makes once).
     Free variables are universally closed over their sort's domain first
     (in first-occurrence order), so the result never has free variables.
     Quantified variables are bound through an environment as the tree is
@@ -275,8 +275,6 @@ def ground(f: Formula, agents: Sequence[Term], objects: Sequence[str] = ()) -> F
     closed = f
     for var in _ordered_free_vars(f):
         closed = ForAll(var, closed)
-
-    object_terms = tuple(object_const(o) for o in objects)
 
     def go(node: Formula, env: dict[Term, Term]) -> Formula:
         if isinstance(node, AtomF):
@@ -293,7 +291,7 @@ def ground(f: Formula, agents: Sequence[Term], objects: Sequence[str] = ()) -> F
         if isinstance(node, Implies):
             return Implies(go(node.antecedent, env), go(node.consequent, env))
         if isinstance(node, ForAll):
-            domain = agents if node.var.sort == AGENT else object_terms
+            domain = agents if node.var.sort == AGENT else objects
             if not domain:
                 raise GroundingError(
                     f"empty {node.var.sort} domain for quantified variable {node.var.name}"

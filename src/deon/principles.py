@@ -24,6 +24,7 @@ from .logic import (
     Term,
     compile_fragment,
     ground,
+    object_const,
 )
 from .sat import DEFAULT_BUDGET, BudgetExhausted, ConflictExplanation, Model, solve
 from .scenario import (
@@ -212,12 +213,14 @@ class QueryCompiler:
     grounded and compiled to a clause fragment once, and each agent's belief
     constraints once per agent, on first use; a query adds both after its
     plan parts and gets exactly the clause set that grounding and converting
-    the whole theory each time would give.
+    the whole theory each time would give. The object constants are made
+    from the scenario's names once, in `__init__`.
 
     `_decide` solves a query under `budget` decisions, records it in
-    `query_log` when that is a list, and returns its evidence. `evaluate`
-    makes one compiler per call, and each module-level check one per check,
-    so nothing carries over between scenarios or calls.
+    `query_log` when that is a list, and returns its evidence. The
+    `check_*` methods are the only way to run the generalization and
+    autonomy checks; `evaluate` makes one compiler per call, so nothing
+    carries over between scenarios or calls.
     """
 
     def __init__(
@@ -229,12 +232,13 @@ class QueryCompiler:
         self.scenario = scenario
         self.budget = budget
         self.query_log = query_log
+        self._objects = tuple(object_const(o) for o in scenario.objects)
         self._physics: GroundClauseSet | None = None
         self._beliefs: dict[Term, GroundClauseSet] = {}
 
     def _query(self, agent: Term, parts: Iterable[tuple[Formula, str]]) -> GroundClauseSet:
         """The `(formula, label)` plan parts, grounded in order, then `agent`'s theory."""
-        agents, objects = self.scenario.agents, self.scenario.objects
+        agents, objects = self.scenario.agents, self._objects
         builder = ClauseBuilder()
         for formula, label in parts:
             builder.add(ground(formula, agents, objects), label)
@@ -344,21 +348,17 @@ class QueryCompiler:
             other.id, actions.clause_set, actions.conflict, reasons.clause_set, reasons.model
         ))
 
-    def check_autonomy(
-        self, plan: ActionPlan, protected: frozenset[str] | None
-    ) -> PrincipleVerdict:
+    def check_autonomy(self, plan: ActionPlan, protected: frozenset[str]) -> PrincipleVerdict:
         """Check `plan` against every protected plan of every other agent.
 
         The first failing pair decides a fail; plans of the agent itself are
-        never checked against each other. `protected` is the set of plan ids
-        still in the clear (None protects everything).
+        never checked against each other. `protected` is the round's set of
+        plan ids still in the clear.
         """
         pairs: list[tuple[str, object]] = []
         indeterminate: PrincipleVerdict | None = None
         for other in self.scenario.plans:
-            if other.agent == plan.agent:
-                continue
-            if protected is not None and other.id not in protected:
+            if other.agent == plan.agent or other.id not in protected:
                 continue
             verdict = self.check_autonomy_pair(plan, other)
             if verdict.status == FAIL:
@@ -395,45 +395,20 @@ class QueryCompiler:
 
 
 # --------------------------------------------------------------------------
-# Principle checks of a single plan
-
-
-def check_generalization(
-    plan: ActionPlan, scenario: Scenario, budget: int = DEFAULT_BUDGET
-) -> PrincipleVerdict:
-    """`QueryCompiler.check_generalization` on a fresh compiler."""
-    return QueryCompiler(scenario, budget).check_generalization(plan)
-
-
-def check_autonomy_pair(
-    plan: ActionPlan, other: ActionPlan, scenario: Scenario, budget: int = DEFAULT_BUDGET
-) -> PrincipleVerdict:
-    """`QueryCompiler.check_autonomy_pair` on a fresh compiler."""
-    return QueryCompiler(scenario, budget).check_autonomy_pair(plan, other)
-
-
-def check_autonomy(
-    plan: ActionPlan,
-    scenario: Scenario,
-    protected: frozenset[str] | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> PrincipleVerdict:
-    """`QueryCompiler.check_autonomy` on a fresh compiler."""
-    return QueryCompiler(scenario, budget).check_autonomy(plan, protected)
+# The utility check, which decides no query
 
 
 def check_utility(
-    plan: ActionPlan,
-    scenario: Scenario,
-    eligible: frozenset[tuple[str, Atom]] | None = None,
+    plan: ActionPlan, scenario: Scenario, eligible: frozenset[tuple[str, Atom]]
 ) -> PrincipleVerdict:
     """Does the action carry at least as much utility as every eligible
     alternative available under the same conditions?
 
-    `eligible` filters the alternatives to those currently in the clear
-    (None means all candidates). The believability wrapper collapses to a
-    point comparison: the scenario supplies the agent's expected utilities
-    directly. A missing utility entry is a configuration error, not a fail.
+    `eligible` is the round's set of (context, action) candidates still in
+    the clear (see `eligible_actions`). The believability wrapper collapses
+    to a point comparison: the scenario supplies the agent's expected
+    utilities directly. A missing utility entry is a configuration error,
+    not a fail.
     """
     context = plan_context(scenario, plan)
     if context is None:
@@ -453,7 +428,7 @@ def check_utility(
         if act == own:
             continue
         utility = scenario.utilities.get(context.context, act)
-        is_eligible = eligible is None or (context.context, act) in eligible
+        is_eligible = (context.context, act) in eligible
         alternatives.append((act, utility, is_eligible))
         if is_eligible and utility > own_utility:
             if dominator is None or utility > dominator[1]:
@@ -512,9 +487,6 @@ def evaluate(
     independent of plan declaration order.
     """
     plans = scenario.plans
-    if not plans:
-        return VerdictSet(scenario.name, (), rounds=1, stable=True)
-
     assumed = {p.id: ETHICAL for p in plans}
     max_rounds = len(plans) + 1
     rounds = 0

@@ -20,12 +20,11 @@ from deon.principles import (
     FAIL,
     GENERALIZATION,
     PASS,
+    QueryCompiler,
     ReasonsContradiction,
     UNETHICAL,
     UTILITY,
     can_rationally_believe_possible,
-    check_autonomy_pair,
-    check_generalization,
     evaluate,
     rationally_required_to_deny_possible,
 )
@@ -67,7 +66,7 @@ def test_criterion_2_ambulance():
         assert verdicts.plan("siren").overall == UNETHICAL
         assert verdicts.plan("siren").check(GENERALIZATION).status == FAIL
         relaxed = dataclasses.replace(amb, effects=())
-        assert check_generalization(relaxed.plan("siren"), relaxed).status == PASS
+        assert QueryCompiler(relaxed).check_generalization(relaxed.plan("siren")).status == PASS
         assert evaluate(relaxed).plan("siren").overall == ETHICAL
 
 
@@ -93,7 +92,7 @@ def test_criterion_3_traffic_merge():
 def test_criterion_4_bus_coercion():
     with criterion(4, "forcible pull passes autonomy via the second disjunct"):
         bus = _load("bus")
-        pair = check_autonomy_pair(bus.plan("pull"), bus.plan("cross"), bus)
+        pair = QueryCompiler(bus).check_autonomy_pair(bus.plan("pull"), bus.plan("cross"))
         assert pair.status == PASS
         assert isinstance(pair.evidence, ReasonsContradiction)
         verdicts = evaluate(bus)

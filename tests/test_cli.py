@@ -108,6 +108,15 @@ def test_validate_ok_files(capsys, paths):
     assert out.count(": OK") == len(paths)
 
 
+def test_byte_order_mark_is_accepted(capsys, paths, tmp_path):
+    marked = tmp_path / "theft.deon"
+    marked.write_bytes(b"\xef\xbb\xbf" + scenarios.path("theft").read_bytes())
+    plain = run(capsys, "check", "--format", "json", paths["theft"])
+    assert plain[0] == EXIT_UNETHICAL
+    assert run(capsys, "check", "--format", "json", str(marked)) == plain
+    assert run(capsys, "validate", str(marked)) == (EXIT_OK, f"{marked}: OK\n", "")
+
+
 EMPTY_DOMAIN = (
     "scenario empty_domain\n\n"
     "agents a\n\n"

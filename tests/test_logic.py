@@ -172,7 +172,7 @@ def test_ground_full_generalization_body():
 
 def test_ground_object_variable_product():
     f = ForAll(x, ForAll(y, Not(atom("C", x, y))))
-    got = ground(f, (A, B), ("o1", "o2"))
+    got = ground(f, (A, B), (object_const("o1"), object_const("o2")))
     # 2 agents x 2 objects = 4 instances
     flat = [p for outer in got.parts for p in outer.parts]
     assert len(flat) == 4

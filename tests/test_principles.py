@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from deon.dsl import parse_scenario
-from deon.logic import Atom, Implies, agent_const, ground, walk
+from deon.logic import Atom, Implies, agent_const, ground, object_const, walk
 from deon.principles import (
     AUTONOMY,
     AutonomyClear,
@@ -27,9 +27,6 @@ from deon.principles import (
     UtilityComparison,
     Witness,
     can_rationally_believe_possible,
-    check_autonomy,
-    check_autonomy_pair,
-    check_generalization,
     check_utility,
     eligible_actions,
     evaluate,
@@ -44,12 +41,22 @@ def scen(text: str):
     return result.scenario
 
 
+def all_protected(scenario) -> frozenset[str]:
+    """The first round's protected plans: every plan id."""
+    return frozenset(p.id for p in scenario.plans)
+
+
+def all_eligible(scenario):
+    """The first round's eligible candidates."""
+    return eligible_actions(scenario, all_protected(scenario))
+
+
 # -- generalization -----------------------------------------------------------
 
 
 def test_theft_fails_generalization(golden):
     theft = golden["theft"]
-    verdict = check_generalization(theft.plan("steal"), theft)
+    verdict = QueryCompiler(theft).check_generalization(theft.plan("steal"))
     assert verdict.status == FAIL
     assert isinstance(verdict.evidence, QueryConflict)
     labels = {
@@ -62,7 +69,7 @@ def test_theft_fails_generalization(golden):
 def test_theft_passes_without_the_effect(golden):
     theft = golden["theft"]
     relaxed = dataclasses.replace(theft, effects=())
-    verdict = check_generalization(relaxed.plan("steal"), relaxed)
+    verdict = QueryCompiler(relaxed).check_generalization(relaxed.plan("steal"))
     assert verdict.status == PASS
     assert isinstance(verdict.evidence, Witness)
     model = verdict.evidence.model.atom_values(verdict.evidence.clause_set)
@@ -75,18 +82,20 @@ def test_theft_passes_without_the_effect(golden):
 
 def test_ambulance_fails_generalization(golden):
     amb = golden["ambulance"]
-    assert check_generalization(amb.plan("siren"), amb).status == FAIL
+    assert QueryCompiler(amb).check_generalization(amb.plan("siren")).status == FAIL
 
 
 def test_ambulance_passes_without_the_effect(golden):
     amb = golden["ambulance"]
     relaxed = dataclasses.replace(amb, effects=())
-    assert check_generalization(relaxed.plan("siren"), relaxed).status == PASS
+    assert QueryCompiler(relaxed).check_generalization(relaxed.plan("siren")).status == PASS
 
 
 def test_universalization_conjunct_covers_domain_product(golden):
     amb = golden["ambulance"]
-    expansion = ground(amb.plan("siren").universal_adoption(), amb.agents, amb.objects)
+    expansion = ground(
+        amb.plan("siren").universal_adoption(), amb.agents, tuple(map(object_const, amb.objects))
+    )
     conditionals = [node for node in walk(expansion) if isinstance(node, Implies)]
     assert len(conditionals) == 4  # 2 agents x 2 ambulances
 
@@ -103,7 +112,7 @@ def test_generalization_query_is_deterministic(golden):
 
 def test_merge_fails_utility_with_dominator(golden):
     merge = golden["merge"]
-    verdict = check_utility(merge.plan("merge"), merge)
+    verdict = check_utility(merge.plan("merge"), merge, all_eligible(merge))
     assert verdict.status == FAIL
     assert isinstance(verdict.evidence, Dominated)
     assert verdict.evidence.dominator == Atom("wait_for_gap", (agent_const("a"),))
@@ -119,14 +128,14 @@ def test_merge_passes_with_swapped_utilities(golden):
         ("entering", Atom("wait_for_gap", (a,))): Fraction(1),
     })
     flipped = dataclasses.replace(merge, utilities=swapped)
-    verdict = check_utility(flipped.plan("merge"), flipped)
+    verdict = check_utility(flipped.plan("merge"), flipped, all_eligible(flipped))
     assert verdict.status == PASS
     assert isinstance(verdict.evidence, UtilityComparison)
 
 
 def test_plan_without_candidate_context_passes_vacuously(golden):
     theft = golden["theft"]
-    verdict = check_utility(theft.plan("steal"), theft)
+    verdict = check_utility(theft.plan("steal"), theft, all_eligible(theft))
     assert verdict.status == PASS
     assert isinstance(verdict.evidence, Note)
 
@@ -140,7 +149,7 @@ def test_sole_candidate_passes():
         "candidates lone given { ready(a) } { go(a) }\n"
         "utility lone { go(a) = 1; }\n"
     )
-    verdict = check_utility(solo.plan("move"), solo)
+    verdict = check_utility(solo.plan("move"), solo, all_eligible(solo))
     assert verdict.status == PASS
     assert verdict.evidence.alternatives == ()
 
@@ -159,7 +168,7 @@ def test_missing_utility_entry_is_a_configuration_error(golden):
     entries.pop(("entering", Atom("wait_for_gap", (agent_const("a"),))))
     broken = dataclasses.replace(merge, utilities=UtilityTable(entries))
     with pytest.raises(ScenarioError):
-        check_utility(broken.plan("merge"), broken)
+        check_utility(broken.plan("merge"), broken, all_eligible(broken))
 
 
 # -- autonomy -------------------------------------------------------------------
@@ -167,7 +176,7 @@ def test_missing_utility_entry_is_a_configuration_error(golden):
 
 def test_bus_pull_passes_via_second_disjunct(golden):
     bus = golden["bus"]
-    verdict = check_autonomy_pair(bus.plan("pull"), bus.plan("cross"), bus)
+    verdict = QueryCompiler(bus).check_autonomy_pair(bus.plan("pull"), bus.plan("cross"))
     assert verdict.status == PASS
     assert isinstance(verdict.evidence, ReasonsContradiction)
     assert verdict.evidence.other_plan == "cross"
@@ -177,7 +186,7 @@ def test_bus_pull_passes_via_second_disjunct(golden):
 
 def test_pedestrian_no_brake_fails_against_crossing(golden):
     ped = golden["pedestrian"]
-    verdict = check_autonomy_pair(ped.plan("no_brake"), ped.plan("cross"), ped)
+    verdict = QueryCompiler(ped).check_autonomy_pair(ped.plan("no_brake"), ped.plan("cross"))
     assert verdict.status == FAIL
     assert isinstance(verdict.evidence, PlanInterference)
     assert verdict.evidence.other_plan == "cross"
@@ -186,7 +195,7 @@ def test_pedestrian_no_brake_fails_against_crossing(golden):
 def test_pedestrian_brake_passes_via_first_disjunct(golden):
     ped = golden["pedestrian"]
     for other in ("cross", "ride"):
-        verdict = check_autonomy_pair(ped.plan("brake"), ped.plan(other), ped)
+        verdict = QueryCompiler(ped).check_autonomy_pair(ped.plan("brake"), ped.plan(other))
         assert verdict.status == PASS
         assert isinstance(verdict.evidence, Witness)
 
@@ -194,37 +203,37 @@ def test_pedestrian_brake_passes_via_first_disjunct(golden):
 def test_autonomy_pair_requires_distinct_agents(golden):
     ped = golden["pedestrian"]
     with pytest.raises(ScenarioError):
-        check_autonomy_pair(ped.plan("brake"), ped.plan("no_brake"), ped)
+        QueryCompiler(ped).check_autonomy_pair(ped.plan("brake"), ped.plan("no_brake"))
 
 
 def test_check_autonomy_aggregates(golden):
     ped = golden["pedestrian"]
-    ok = check_autonomy(ped.plan("brake"), ped)
+    ok = QueryCompiler(ped).check_autonomy(ped.plan("brake"), all_protected(ped))
     assert ok.status == PASS
     assert isinstance(ok.evidence, AutonomyClear)
     assert ok.evidence.checked_plans == ("cross", "ride")
 
-    bad = check_autonomy(ped.plan("no_brake"), ped)
+    bad = QueryCompiler(ped).check_autonomy(ped.plan("no_brake"), all_protected(ped))
     assert bad.status == FAIL
     assert bad.evidence.other_plan == "cross"  # first failing pair
 
 
 def test_check_autonomy_skips_unprotected(golden):
     ped = golden["pedestrian"]
-    verdict = check_autonomy(ped.plan("no_brake"), ped, protected=frozenset({"ride"}))
+    verdict = QueryCompiler(ped).check_autonomy(ped.plan("no_brake"), frozenset({"ride"}))
     assert verdict.status == PASS
 
 
 def test_check_autonomy_vacuous_with_empty_protected(golden):
     ped = golden["pedestrian"]
-    verdict = check_autonomy(ped.plan("no_brake"), ped, protected=frozenset())
+    verdict = QueryCompiler(ped).check_autonomy(ped.plan("no_brake"), frozenset())
     assert verdict.status == PASS
     assert isinstance(verdict.evidence, Note)
 
 
 def test_autonomy_never_checks_same_agent(golden):
     merge = golden["merge"]  # single agent
-    verdict = check_autonomy(merge.plan("merge"), merge)
+    verdict = QueryCompiler(merge).check_autonomy(merge.plan("merge"), all_protected(merge))
     assert verdict.status == PASS
     assert isinstance(verdict.evidence, Note)
 
@@ -284,7 +293,7 @@ def test_eligibility_recursion_unblocks_dominated_plan():
     # The high-utility alternative is not generalizable; once it drops out of
     # the protected set the modest plan stops being dominated.
     cake = scen(CAKE)
-    first_round = check_utility(cake.plan("share"), cake)  # everything eligible
+    first_round = check_utility(cake.plan("share"), cake, all_eligible(cake))
     assert first_round.status == FAIL
     verdicts = evaluate(cake)
     assert verdicts.statuses() == {"grab": UNETHICAL, "share": ETHICAL}
@@ -442,7 +451,7 @@ def test_generalization_is_independent_of_round_state(golden):
     for scenario in golden.values():
         verdicts = evaluate(scenario)
         for plan in scenario.plans:
-            direct = check_generalization(plan, scenario)
+            direct = QueryCompiler(scenario).check_generalization(plan)
             assert direct.status == verdicts.plan(plan.id).check(GENERALIZATION).status
 
 

@@ -249,7 +249,7 @@ def test_random_quantified_formulas_ground_like_reference():
     for _ in range(400):
         formula = random_quantified(rng, rng.randint(1, 5))
         for agents, objects in DOMAINS:
-            assert ground(formula, agents, objects) == (
+            assert ground(formula, agents, tuple(map(object_const, objects))) == (
                 reference_logic.ground(formula, agents, objects)
             ), formula
 

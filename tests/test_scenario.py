@@ -244,7 +244,7 @@ def test_effects_for_theft_guards_consequence(golden):
     trigger = universalization_trigger("steal")
     assert isinstance(formula, Implies)
     assert formula.antecedent == AtomF(trigger)
-    grounded = ground(formula, theft.agents, theft.objects)
+    grounded = ground(formula, theft.agents, tuple(map(object_const, theft.objects)))
     a, b = agent_const("a"), agent_const("b")
     assert grounded == Implies(
         AtomF(trigger),
@@ -258,7 +258,9 @@ def test_effects_for_plan_without_effects_is_true(golden):
 
 def test_effects_for_ambulance_covers_domain_product(golden):
     amb = golden["ambulance"]
-    grounded = ground(effects_for(amb, "siren"), amb.agents, amb.objects)
+    grounded = ground(
+        effects_for(amb, "siren"), amb.agents, tuple(map(object_const, amb.objects))
+    )
     # trigger -> conjunction over 2 agents x 2 ambulances
     negations = [
         node
