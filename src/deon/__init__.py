@@ -27,11 +27,9 @@ from .logic import (
     TRUE,
     agent_const,
     agent_var,
-    evaluate_formula,
     ground,
     object_const,
     object_var,
-    to_clauses,
     universalization_trigger,
 )
 from .sat import (
@@ -40,7 +38,6 @@ from .sat import (
     ConflictExplanation,
     Model,
     SatResult,
-    brute_force,
     solve,
 )
 from .scenario import (

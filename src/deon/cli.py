@@ -280,8 +280,9 @@ def _run_check(files: tuple[str, ...], fmt: str, budget: int, explain: bool) -> 
             docs.append(_verdict_doc(verdicts))
         else:
             human.append(render_human(verdicts, explain=explain))
-    if fmt == "json" and docs:
-        click.echo(_dump(docs[0] if len(docs) == 1 else docs), nl=False)
+    if fmt == "json" and (docs or len(files) > 1):
+        # Several files give a list, whatever number of them parsed.
+        click.echo(_dump(docs if len(files) > 1 else docs[0]), nl=False)
     elif human:
         click.echo("\n".join(human), nl=False)
     return _combine(codes)

@@ -662,7 +662,7 @@ class _Parser:
         return Scenario(
             name=self.scenario_name,
             agents=tuple(t for t in self.constants.values() if t.sort == AGENT),
-            objects=tuple(t.name for t in self.constants.values() if t.sort == OBJECT),
+            objects=tuple(t for t in self.constants.values() if t.sort == OBJECT),
             predicates=tuple(self.predicates.values()),
             plans=tuple(self.plans.values()),
             constraints=ConstraintBase(
@@ -764,7 +764,7 @@ def print_scenario(scenario: Scenario) -> str:
     if scenario.agents:
         blocks.append("agents " + ", ".join(a.name for a in scenario.agents))
     if scenario.objects:
-        blocks.append("objects " + ", ".join(scenario.objects))
+        blocks.append("objects " + ", ".join(o.name for o in scenario.objects))
 
     if scenario.predicates:
         decls = []

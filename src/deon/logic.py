@@ -261,8 +261,8 @@ def substitute_signed(sa: SignedAtom, binding: Mapping[Term, Term]) -> SignedAto
 def ground(f: Formula, agents: Sequence[Term], objects: Sequence[Term] = ()) -> Formula:
     """Expand quantifiers over finite domains.
 
-    Both domains are constants used as they are: `agents` (a scenario's
-    `agents`) and `objects` (object constants, which the caller makes once).
+    Both domains are constants used as they are, such as a scenario's
+    `agents` and `objects`.
     Free variables are universally closed over their sort's domain first
     (in first-occurrence order), so the result never has free variables.
     Quantified variables are bound through an environment as the tree is
@@ -319,29 +319,6 @@ def _ordered_free_vars(f: Formula) -> list[Term]:
 
     go(f, frozenset())
     return seen
-
-
-# --------------------------------------------------------------------------
-# Ground truth evaluation (testing oracle for the clause conversion)
-
-
-def evaluate_formula(f: Formula, assignment: Mapping[Atom, bool]) -> bool:
-    """Truth value of a ground formula under a total assignment."""
-    if isinstance(f, AtomF):
-        if f.atom not in assignment:
-            raise LogicError(f"assignment does not cover atom {f.atom}")
-        return assignment[f.atom]
-    if isinstance(f, Not):
-        return not evaluate_formula(f.body, assignment)
-    if isinstance(f, And):
-        return all(evaluate_formula(p, assignment) for p in f.parts)
-    if isinstance(f, Or):
-        return any(evaluate_formula(p, assignment) for p in f.parts)
-    if isinstance(f, Implies):
-        return (not evaluate_formula(f.antecedent, assignment)) or evaluate_formula(
-            f.consequent, assignment
-        )
-    raise LogicError(f"cannot evaluate {type(f).__name__} node")
 
 
 # --------------------------------------------------------------------------
@@ -571,8 +548,3 @@ class ClauseBuilder:
 
     def build(self) -> GroundClauseSet:
         return _assemble(self._parts)
-
-
-def to_clauses(f: Formula) -> GroundClauseSet:
-    """Equisatisfiable clause set for one ground formula."""
-    return ClauseBuilder().add(f).build()

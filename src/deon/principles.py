@@ -24,7 +24,6 @@ from .logic import (
     Term,
     compile_fragment,
     ground,
-    object_const,
 )
 from .sat import DEFAULT_BUDGET, BudgetExhausted, ConflictExplanation, Model, solve
 from .scenario import (
@@ -213,8 +212,7 @@ class QueryCompiler:
     grounded and compiled to a clause fragment once, and each agent's belief
     constraints once per agent, on first use; a query adds both after its
     plan parts and gets exactly the clause set that grounding and converting
-    the whole theory each time would give. The object constants are made
-    from the scenario's names once, in `__init__`.
+    the whole theory each time would give.
 
     `_decide` solves a query under `budget` decisions, records it in
     `query_log` when that is a list, and returns its evidence. The
@@ -232,13 +230,12 @@ class QueryCompiler:
         self.scenario = scenario
         self.budget = budget
         self.query_log = query_log
-        self._objects = tuple(object_const(o) for o in scenario.objects)
         self._physics: GroundClauseSet | None = None
         self._beliefs: dict[Term, GroundClauseSet] = {}
 
     def _query(self, agent: Term, parts: Iterable[tuple[Formula, str]]) -> GroundClauseSet:
         """The `(formula, label)` plan parts, grounded in order, then `agent`'s theory."""
-        agents, objects = self.scenario.agents, self._objects
+        agents, objects = self.scenario.agents, self.scenario.objects
         builder = ClauseBuilder()
         for formula, label in parts:
             builder.add(ground(formula, agents, objects), label)

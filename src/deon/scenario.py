@@ -176,15 +176,15 @@ class CandidateSet:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One scenario: its agent domain, object names and everything empirical.
+    """One scenario: its agent and object domains and everything empirical.
 
-    `agents` are agent constants in declaration order, the domain `ground`
-    quantifies agents over; `objects` are the object constants' names.
+    `agents` and `objects` are the agent and object constants in
+    declaration order, the domains `ground` quantifies over.
     """
 
     name: str
     agents: tuple[Term, ...]
-    objects: tuple[str, ...] = ()
+    objects: tuple[Term, ...] = ()
     predicates: tuple[PredicateDecl, ...] = ()
     plans: tuple[ActionPlan, ...] = ()
     constraints: ConstraintBase = ConstraintBase()
@@ -310,13 +310,13 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
     if not scenario.agents:
         add("scenario", "no-agents", "a scenario needs at least one agent")
     constants: dict[str, Term] = {}
-    for sort, names in ((AGENT, scenario.agent_names()), (OBJECT, scenario.objects)):
-        for name in names:
-            if finding := declare_constant(constants, name, sort):
-                add(f"{sort} {name}", *finding)
-    for agent in scenario.agents:  # `ground` quantifies over these terms as they are
-        if agent != agent_const(agent.name):
-            add(f"agent {agent.name}", "kind-mismatch", f"{agent.name} should be an agent constant")
+    for sort, terms in ((AGENT, scenario.agents), (OBJECT, scenario.objects)):
+        for term in terms:
+            if finding := declare_constant(constants, term.name, sort):
+                add(f"{sort} {term.name}", *finding)
+            if term != Term(sort, term.name):  # `ground` quantifies over terms as they are
+                add(f"{sort} {term.name}", "kind-mismatch",
+                    f"{term.name} should be an {sort} constant")
 
     predicates: dict[str, PredicateDecl] = {}
     # The trigger atom prints without its "@", so a declared predicate of

@@ -5,13 +5,19 @@ compiled fragment into every query; the clause sets must still be exactly
 what these functions build: the same atoms in the same order, the same
 aux count, clauses and labels. The bodies are the original builder and
 query functions, unchanged apart from the check for modal nodes, which
-no longer exist; they ground and convert the whole theory for every query.
+no longer exist, and the object domain, which is given as constants; they
+ground and convert the whole theory for every query.
 
 The grounder is the original one too: `substitute` copies each quantifier
 body once per constant, and universal adoption is a `UniversalizedPlan`
 node that `ground` expands into one flat conjunction of material
 conditionals. `deon.logic.ground` binds variables through an environment
 and grounds `ActionPlan.universal_adoption()` as an ordinary formula.
+
+The oracle for the clause conversion lives here as well:
+`evaluate_formula` gives the truth value of a ground formula under an
+assignment, and `to_clauses` converts one formula with the engine's
+`deon.logic.ClauseBuilder`, so a test can compare the two.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from deon import logic
 from deon.logic import (
     AGENT,
     Atom,
@@ -39,7 +46,6 @@ from deon.logic import (
     atoms_of,
     children,
     conj,
-    object_const,
     substitute_atom,
     substitute_signed,
     universalization_trigger,
@@ -101,7 +107,7 @@ def _plan_instance(plan: ActionPlan, binding: Mapping[Term, Term]) -> Formula:
 def expand_universalized_plan(
     plan: ActionPlan,
     agents: Sequence[Term],
-    objects: Sequence[str],
+    objects: Sequence[Term],
 ) -> Formula:
     """Material-conditional reading of everyone adopting the plan.
 
@@ -121,9 +127,7 @@ def expand_universalized_plan(
         if plan.object_vars:
             for combo in itertools.product(objects, repeat=len(plan.object_vars)):
                 binding = dict(base)
-                binding.update(
-                    {v: object_const(o) for v, o in zip(plan.object_vars, combo)}
-                )
+                binding.update(zip(plan.object_vars, combo))
                 conditionals.append(_plan_instance(plan, binding))
         else:
             conditionals.append(_plan_instance(plan, base))
@@ -134,7 +138,7 @@ def expand_universalized_plan(
 def ground(
     f: Formula,
     agents: Sequence[Term],
-    objects: Sequence[str] = (),
+    objects: Sequence[Term] = (),
     plans: Mapping[str, ActionPlan] | None = None,
 ) -> Formula:
     """Expand quantifiers and universalized-plan nodes over finite domains.
@@ -152,7 +156,6 @@ def ground(
         closed = ForAll(var, closed)
 
     agent_terms = tuple(agent_const(a.name) for a in agents)
-    object_terms = tuple(object_const(o) for o in objects)
 
     def go(node: Formula) -> Formula:
         if isinstance(node, AtomF):
@@ -166,7 +169,7 @@ def ground(
         if isinstance(node, Implies):
             return Implies(go(node.antecedent), go(node.consequent))
         if isinstance(node, ForAll):
-            domain = agent_terms if node.var.sort == AGENT else object_terms
+            domain = agent_terms if node.var.sort == AGENT else objects
             if not domain:
                 raise GroundingError(
                     f"empty {node.var.sort} domain for quantified variable {node.var.name}"
@@ -370,3 +373,31 @@ def autonomy_pair_queries(
         reasons.add(ground(f, agents, objects), label)
 
     return actions.build(), reasons.build()
+
+
+# --------------------------------------------------------------------------
+# Ground truth evaluation (testing oracle for the clause conversion)
+
+
+def evaluate_formula(f: Formula, assignment: Mapping[Atom, bool]) -> bool:
+    """Truth value of a ground formula under a total assignment."""
+    if isinstance(f, AtomF):
+        if f.atom not in assignment:
+            raise LogicError(f"assignment does not cover atom {f.atom}")
+        return assignment[f.atom]
+    if isinstance(f, Not):
+        return not evaluate_formula(f.body, assignment)
+    if isinstance(f, And):
+        return all(evaluate_formula(p, assignment) for p in f.parts)
+    if isinstance(f, Or):
+        return any(evaluate_formula(p, assignment) for p in f.parts)
+    if isinstance(f, Implies):
+        return (not evaluate_formula(f.antecedent, assignment)) or evaluate_formula(
+            f.consequent, assignment
+        )
+    raise LogicError(f"cannot evaluate {type(f).__name__} node")
+
+
+def to_clauses(f: Formula) -> GroundClauseSet:
+    """Equisatisfiable clause set for one ground formula, built by the engine."""
+    return logic.ClauseBuilder().add(f).build()

@@ -1,14 +1,19 @@
-"""The depth-first solver with rescanning unit propagation, kept as an oracle.
+"""Two oracles for `deon.sat.solve`, kept in the tests.
 
-`deon.sat.solve` must return exactly what this function returns: the same
-verdict, witness model and conflict clause indices, and the same decision
-count when the budget runs out. The body is the solver's original
+`solve` is the depth-first solver with rescanning unit propagation:
+`deon.sat.solve` must return exactly what it returns, the same verdict,
+witness model and conflict clause indices, and the same decision count
+when the budget runs out. The body is the solver's original
 implementation, unchanged; it rescans every clause after each assignment.
+
+`brute_force` is the exhaustive oracle: it enumerates every assignment of
+a universe of up to `ENUMERATION_LIMIT` variables, so its verdict does
+not depend on any search order.
 """
 
 from __future__ import annotations
 
-from deon.logic import GroundClauseSet
+from deon.logic import GroundClauseSet, LogicError
 from deon.sat import (
     DEFAULT_BUDGET,
     BudgetExhausted,
@@ -17,6 +22,9 @@ from deon.sat import (
     SatResult,
     _verified,
 )
+
+#: Largest variable universe the exhaustive oracle will enumerate.
+ENUMERATION_LIMIT = 24
 
 
 def solve(cs: GroundClauseSet, budget: int = DEFAULT_BUDGET) -> SatResult:
@@ -131,3 +139,63 @@ def solve(cs: GroundClauseSet, budget: int = DEFAULT_BUDGET) -> SatResult:
         if decisions > budget:
             raise BudgetExhausted(decisions)
         push(free, True, None, True, False)
+
+
+def brute_force(cs: GroundClauseSet) -> SatResult:
+    """Exhaustive oracle: first satisfying assignment in counting order.
+
+    Assignments are enumerated with the last variable as the fastest-moving
+    bit, all-false first. Implemented over bitmasks of the whole assignment
+    space, which preserves the enumeration order exactly.
+    """
+    n = cs.num_vars
+    if n > ENUMERATION_LIMIT:
+        raise ValueError(f"universe of {n} atoms exceeds enumeration bound {ENUMERATION_LIMIT}")
+    if n == 0:
+        if cs.clauses:  # nonempty clauses over zero vars cannot exist
+            raise LogicError("clauses over an empty universe")
+        return SatResult(satisfiable=True, model=Model(()))
+
+    space = 1 << n
+    all_assignments = (1 << space) - 1
+    masks = _true_masks(n)
+
+    surviving = all_assignments
+    for cl in cs.clauses:
+        clause_mask = 0
+        for lit in cl:
+            var = abs(lit) - 1
+            clause_mask |= masks[var] if lit > 0 else (all_assignments & ~masks[var])
+        surviving &= clause_mask
+        if not surviving:
+            return SatResult(
+                satisfiable=False,
+                conflict=ConflictExplanation(tuple(range(len(cs.clauses)))),
+            )
+
+    first = (surviving & -surviving).bit_length() - 1
+    values = tuple(bool((first >> (n - 1 - j)) & 1) for j in range(n))
+    return SatResult(satisfiable=True, model=_verified(Model(values), cs))
+
+
+_MASK_CACHE: dict[int, list[int]] = {}
+
+
+def _true_masks(n: int) -> list[int]:
+    """masks[j] has bit i set iff variable j is true in assignment number i."""
+    if n in _MASK_CACHE:
+        return _MASK_CACHE[n]
+    space = 1 << n
+    masks = []
+    for j in range(n):
+        p = n - 1 - j  # bit position of var j within the assignment index
+        block = ((1 << (1 << p)) - 1) << (1 << p)
+        period = 1 << (p + 1)
+        m = block
+        width = period
+        while width < space:
+            m |= m << width
+            width *= 2
+        masks.append(m & ((1 << space) - 1))
+    _MASK_CACHE[n] = masks
+    return masks

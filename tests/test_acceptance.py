@@ -10,6 +10,8 @@ import random
 import time
 from fractions import Fraction
 
+from reference_sat import brute_force
+
 from deon import scenarios
 from deon.cli import EXIT_UNETHICAL, main, render_structured
 from deon.dsl import parse_scenario, print_scenario
@@ -28,7 +30,7 @@ from deon.principles import (
     evaluate,
     rationally_required_to_deny_possible,
 )
-from deon.sat import brute_force, solve
+from deon.sat import solve
 from deon.scenario import UtilityTable
 
 

@@ -102,6 +102,17 @@ def test_multiple_files_worst_exit_wins(capsys, paths):
     assert out.index("scenario bus") < out.index("scenario theft")
 
 
+def test_json_of_several_files_is_a_list_however_many_parse(capsys, paths, tmp_path):
+    bad = tmp_path / "empty.deon"
+    bad.write_text("")
+    _, one, _ = run(capsys, "check", "--format", "json", paths["merge"])
+    code, out, _ = run(capsys, "check", "--format", "json", paths["merge"], str(bad))
+    assert code == EXIT_INVALID
+    assert json.loads(out) == [json.loads(one)]
+    code, out, _ = run(capsys, "check", "--format", "json", str(bad), str(bad))
+    assert (code, out) == (EXIT_INVALID, "[]\n")
+
+
 def test_validate_ok_files(capsys, paths):
     code, out, _ = run(capsys, "validate", *paths.values())
     assert code == EXIT_OK

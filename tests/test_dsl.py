@@ -13,7 +13,7 @@ from deon.dsl import (
     parse_scenario,
     print_scenario,
 )
-from deon.logic import Atom, agent_const
+from deon.logic import Atom, agent_const, object_const
 
 
 def codes(result: ParseResult) -> set[str]:
@@ -36,7 +36,7 @@ def test_theft_parse_counts(golden):
 
 def test_ambulance_declares_object_domain(golden):
     amb = golden["ambulance"]
-    assert amb.objects == ("amb1", "amb2")
+    assert amb.objects == (object_const("amb1"), object_const("amb2"))
     assert amb.plans[0].object_vars[0].name == "y"
 
 
@@ -140,7 +140,7 @@ def test_interleaved_declarations_keep_their_order():
     result = parse_scenario("scenario t\nagents a\nobjects x\nagents b\n")
     assert result.ok
     assert result.scenario.agent_names() == ("a", "b")
-    assert result.scenario.objects == ("x",)
+    assert result.scenario.objects == (object_const("x"),)
 
 
 def test_unknown_reference_code():

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_logic import evaluate_formula, to_clauses
+from reference_sat import brute_force
 
 import deon
 from deon.logic import (
@@ -26,16 +28,14 @@ from deon.logic import (
     agent_const,
     agent_var,
     compile_fragment,
-    evaluate_formula,
     ground,
     object_const,
     object_var,
     substitute_atom,
-    to_clauses,
     universalization_trigger,
     walk,
 )
-from deon.sat import brute_force, solve
+from deon.sat import solve
 from deon.scenario import ActionPlan
 
 A, B = agent_const("a"), agent_const("b")

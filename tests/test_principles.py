@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from deon.dsl import parse_scenario
-from deon.logic import Atom, Implies, agent_const, ground, object_const, walk
+from deon.logic import Atom, Implies, agent_const, ground, walk
 from deon.principles import (
     AUTONOMY,
     AutonomyClear,
@@ -93,9 +93,7 @@ def test_ambulance_passes_without_the_effect(golden):
 
 def test_universalization_conjunct_covers_domain_product(golden):
     amb = golden["ambulance"]
-    expansion = ground(
-        amb.plan("siren").universal_adoption(), amb.agents, tuple(map(object_const, amb.objects))
-    )
+    expansion = ground(amb.plan("siren").universal_adoption(), amb.agents, amb.objects)
     conditionals = [node for node in walk(expansion) if isinstance(node, Implies)]
     assert len(conditionals) == 4  # 2 agents x 2 ambulances
 
@@ -481,3 +479,32 @@ def test_ethical_overall_requires_every_check_to_pass(golden):
                 assert all(c.status == PASS for c in pv.checks)
             if any(c.status == FAIL for c in pv.checks) and verdicts.stable:
                 assert pv.overall == UNETHICAL
+
+
+def test_every_golden_query_fail_uses_the_principles_own_part(golden):
+    # A fail that the agent's theory and the plan's own parts refute alone
+    # would derive an "ought" from an "is". The conflict of a generalization
+    # fail must use universal adoption or an effect, and that of an autonomy
+    # fail the other plan's action.
+    fails = []
+    for name, scenario in sorted(golden.items()):
+        for pv in evaluate(scenario).plans:
+            for check in pv.checks:
+                evidence = check.evidence
+                if check.status != FAIL or isinstance(evidence, Dominated):
+                    continue
+                if isinstance(evidence, QueryConflict):
+                    cs, conflict = evidence.clause_set, evidence.conflict
+                    needed = {f"universal adoption of plan {pv.plan_id}",
+                              f"universalization effect of plan {pv.plan_id}"}
+                else:
+                    cs, conflict = evidence.actions_clause_set, evidence.actions_conflict
+                    needed = {f"action of plan {evidence.other_plan}"}
+                labels = {cs.label_of(i) for i in conflict.clause_indices}
+                assert labels & needed, (name, pv.plan_id, check.principle, labels)
+                fails.append((name, pv.plan_id, check.principle))
+    assert fails == [
+        ("ambulance", "siren", GENERALIZATION),
+        ("pedestrian", "no_brake", AUTONOMY),
+        ("theft", "steal", GENERALIZATION),
+    ]

@@ -239,7 +239,10 @@ def random_quantified(rng: random.Random, depth: int) -> Formula:
     return And(parts) if kind == "and" else Or(parts)
 
 
-DOMAINS = (((agent_const("a"),), ("o",)), ((agent_const("a"), agent_const("b")), ("o", "k")))
+DOMAINS = (
+    ((agent_const("a"),), (object_const("o"),)),
+    ((agent_const("a"), agent_const("b")), (object_const("o"), object_const("k"))),
+)
 
 
 def test_random_quantified_formulas_ground_like_reference():
@@ -249,7 +252,7 @@ def test_random_quantified_formulas_ground_like_reference():
     for _ in range(400):
         formula = random_quantified(rng, rng.randint(1, 5))
         for agents, objects in DOMAINS:
-            assert ground(formula, agents, tuple(map(object_const, objects))) == (
+            assert ground(formula, agents, objects) == (
                 reference_logic.ground(formula, agents, objects)
             ), formula
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from reference_sat import brute_force
 
 from deon.logic import Atom, GroundClauseSet, LogicError
 from deon.sat import (
@@ -9,7 +10,6 @@ from deon.sat import (
     Model,
     SatResult,
     _verified,
-    brute_force,
     solve,
 )
 

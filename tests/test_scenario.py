@@ -68,6 +68,7 @@ def test_candidate_set_must_contain_plans_own_action(golden):
         # `ground` quantifies over these terms as they are
         (lambda s: dataclasses.replace(s, agents=(object_const("a"),)), "kind-mismatch"),
         (lambda s: dataclasses.replace(s, agents=(agent_var("a"),)), "kind-mismatch"),
+        (lambda s: dataclasses.replace(s, objects=(agent_const("o"),)), "kind-mismatch"),
         (lambda s: dataclasses.replace(s, plans=s.plans * 2), "duplicate"),
         (
             lambda s: dataclasses.replace(
@@ -149,7 +150,7 @@ SHARED_RULE_CASES = {
     ),
     "name_clash": (
         "scenario t\nagents a\nobjects a\n",
-        lambda s: dataclasses.replace(s, objects=("a",)),
+        lambda s: dataclasses.replace(s, objects=(object_const("a"),)),
         "a is already an agent name",
     ),
     "unknown_predicate": (
@@ -164,7 +165,7 @@ SHARED_RULE_CASES = {
     ),
     "argument_sort": (
         _rule_plan("wants_item(o)"),
-        _theft_reason(Atom("wants_item", (object_const("o"),)), objects=("o",)),
+        _theft_reason(Atom("wants_item", (object_const("o"),)), objects=(object_const("o"),)),
         "argument o of wants_item should be an agent",
     ),
 }
@@ -244,7 +245,7 @@ def test_effects_for_theft_guards_consequence(golden):
     trigger = universalization_trigger("steal")
     assert isinstance(formula, Implies)
     assert formula.antecedent == AtomF(trigger)
-    grounded = ground(formula, theft.agents, tuple(map(object_const, theft.objects)))
+    grounded = ground(formula, theft.agents, theft.objects)
     a, b = agent_const("a"), agent_const("b")
     assert grounded == Implies(
         AtomF(trigger),
@@ -258,9 +259,7 @@ def test_effects_for_plan_without_effects_is_true(golden):
 
 def test_effects_for_ambulance_covers_domain_product(golden):
     amb = golden["ambulance"]
-    grounded = ground(
-        effects_for(amb, "siren"), amb.agents, tuple(map(object_const, amb.objects))
-    )
+    grounded = ground(effects_for(amb, "siren"), amb.agents, amb.objects)
     # trigger -> conjunction over 2 agents x 2 ambulances
     negations = [
         node
