@@ -2,10 +2,11 @@
 
 Each principle produces a necessary condition for a plan to be in the clear;
 the scenario's constraints decide those conditions through satisfiability
-queries. `evaluate` is a pure function of the scenario: per-plan checks
-within a round only read the immutable scenario and the previous round's
-statuses, so they could run concurrently, with round boundaries as the
-synchronization points.
+queries. `evaluate` is a pure function of the scenario. A plan's
+generalization verdict and an autonomy pair's verdict depend on the scenario
+alone, so each is decided once per evaluation and reused in later rounds;
+the previous round's statuses only choose which pairs are consulted and
+which alternatives are eligible for the utility comparison.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .logic import (
     Atom,
@@ -219,6 +220,15 @@ class QueryCompiler:
     `check_*` methods are the only way to run the generalization and
     autonomy checks; `evaluate` makes one compiler per call, so nothing
     carries over between scenarios or calls.
+
+    Within one evaluation each plan's generalization verdict and each
+    ordered autonomy pair's verdict is decided once and then reused from a
+    memo (`_memoized`): neither reads the round's protected or eligible
+    sets, and the budget is fixed, so a later round would only repeat the
+    same solves. A memo hit solves nothing and logs nothing, so the log
+    holds one entry per solve, and `evaluate` solves at most one query per
+    plan and two per ordered pair of plans of distinct agents, however many
+    rounds it runs.
     """
 
     def __init__(
@@ -232,6 +242,16 @@ class QueryCompiler:
         self.query_log = query_log
         self._physics: GroundClauseSet | None = None
         self._beliefs: dict[Term, GroundClauseSet] = {}
+        self._verdicts: dict[str | tuple[str, str], PrincipleVerdict] = {}
+
+    def _memoized(
+        self, key: str | tuple[str, str], decide: Callable[[], PrincipleVerdict]
+    ) -> PrincipleVerdict:
+        """The verdict stored under `key`, from `decide()` on first use only."""
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self._verdicts[key] = decide()
+        return verdict
 
     def _query(self, agent: Term, parts: Iterable[tuple[Formula, str]]) -> GroundClauseSet:
         """The `(formula, label)` plan parts, grounded in order, then `agent`'s theory."""
@@ -350,14 +370,16 @@ class QueryCompiler:
 
         The first failing pair decides a fail; plans of the agent itself are
         never checked against each other. `protected` is the round's set of
-        plan ids still in the clear.
+        plan ids still in the clear. Each pair is decided once per compiler.
         """
         pairs: list[tuple[str, object]] = []
         indeterminate: PrincipleVerdict | None = None
         for other in self.scenario.plans:
             if other.agent == plan.agent or other.id not in protected:
                 continue
-            verdict = self.check_autonomy_pair(plan, other)
+            verdict = self._memoized(
+                (plan.id, other.id), lambda: self.check_autonomy_pair(plan, other)
+            )
             if verdict.status == FAIL:
                 return verdict
             if verdict.status == INDETERMINATE and indeterminate is None:
@@ -378,7 +400,7 @@ class QueryCompiler:
         eligible: frozenset[tuple[str, Atom]],
     ) -> PlanVerdict:
         checks = (
-            self.check_generalization(plan),
+            self._memoized(plan.id, lambda: self.check_generalization(plan)),
             check_utility(plan, self.scenario, eligible),
             self.check_autonomy(plan, protected),
         )

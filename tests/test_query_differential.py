@@ -11,6 +11,7 @@ threads.
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 import threading
@@ -169,6 +170,23 @@ def test_each_built_query_is_solved_once(name, monkeypatch):
                     assert QueryCompiler(scenario).autonomy_pair(plan, other) == (
                         reference_logic.autonomy_pair_queries(plan, other, scenario)
                     )
+
+
+@pytest.mark.parametrize("name", [*SOURCES, "clash"])
+def test_each_query_is_solved_at_most_once_per_evaluation(name):
+    # Verdicts that do not depend on the round are decided in the first
+    # round that consults them and reused after that.
+    parsed = parse_scenario(CLASHING_AND_COEXISTING if name == "clash" else SOURCES[name])
+    assert parsed.ok, [str(d) for d in parsed.diagnostics]
+    plans = parsed.scenario.plans
+    log: list[ModalQuery] = []
+    evaluate(parsed.scenario, query_log=log)
+    checks = [q.check for q in log]
+    assert len(set(checks)) == len(checks)
+    ordered_pairs = [(p, q) for p, q in itertools.permutations(plans, 2) if p.agent != q.agent]
+    assert len(log) <= len(plans) + 2 * len(ordered_pairs)
+    if name == "fixpoint_12":
+        assert (len(log), len(plans) + 2 * len(ordered_pairs)) == (125, 276)
 
 
 # -- random formulas -----------------------------------------------------------------
