@@ -6,7 +6,10 @@ queries. `evaluate` is a pure function of the scenario. A plan's
 generalization verdict and an autonomy pair's verdict depend on the scenario
 alone, so each is decided once per evaluation and reused in later rounds;
 the previous round's statuses only choose which pairs are consulted and
-which alternatives are eligible for the utility comparison.
+which alternatives are eligible for the utility comparison. When the other
+plan's action names no atom of the acting plan's action or of its agent's
+theory, a pair's actions disjunct is decided by the acting plan's action
+alone with that theory, one query per plan.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .logic import (
     GroundClauseSet,
     TRUE,
     Term,
+    atoms_of,
     compile_fragment,
     ground,
 )
@@ -54,7 +58,12 @@ UNETHICAL = "unethical"
 
 @dataclass(frozen=True)
 class Witness:
-    """A satisfying model showing the checked condition can hold."""
+    """A satisfying model showing the checked condition can hold.
+
+    For an autonomy pair whose other action names none of the acting plan's
+    atoms, the model is that of the acting plan's action alone with its
+    agent's theory: the other action holds in it as a free fact.
+    """
 
     clause_set: GroundClauseSet
     model: Model
@@ -80,7 +89,13 @@ class ReasonsContradiction:
 
 @dataclass(frozen=True)
 class PlanInterference:
-    """Autonomy failed: the actions cannot coexist and the reasons can."""
+    """Autonomy failed: the actions cannot coexist and the reasons can.
+
+    When the other action names none of the acting plan's atoms, the actions
+    clause set and conflict are those of the acting plan's action alone
+    with its agent's theory: with the other action's unit clauses added,
+    the solver finds the same conflict, and the rendered lines are equal.
+    """
 
     other_plan: str
     actions_clause_set: GroundClauseSet
@@ -229,6 +244,19 @@ class QueryCompiler:
     holds one entry per solve, and `evaluate` solves at most one query per
     plan and two per ordered pair of plans of distinct agents, however many
     rounds it runs.
+
+    A pair whose other action names no atom of the acting plan's action or
+    of its agent's physics and belief fragments (`_independent`, a test on
+    atom sets alone) takes its actions evidence from one query per plan:
+    the plan's action part plus its agent's theory, logged as
+    `autonomy:<plan>:actions` when first decided and reused by every such
+    pair. That is exact under any budget: the other action grounds to unit
+    clauses over atoms of their own, the solver's first propagation sets
+    them before any decision (unless it refutes the query first) and never
+    unsets them, so the joint query
+    makes the same decisions and conflicts, and renders the same conflict
+    lines, as the plan alone. `autonomy_pair`, which `sat-debug` prints,
+    still builds the full pair queries.
     """
 
     def __init__(
@@ -242,6 +270,8 @@ class QueryCompiler:
         self.query_log = query_log
         self._physics: GroundClauseSet | None = None
         self._beliefs: dict[Term, GroundClauseSet] = {}
+        self._actions: dict[str, tuple[tuple[Formula, str], frozenset[Atom]]] = {}
+        self._actions_alone: dict[str, Witness | QueryConflict | None] = {}
         self._verdicts: dict[str | tuple[str, str], PrincipleVerdict] = {}
 
     def _memoized(
@@ -253,25 +283,49 @@ class QueryCompiler:
             verdict = self._verdicts[key] = decide()
         return verdict
 
-    def _query(self, agent: Term, parts: Iterable[tuple[Formula, str]]) -> GroundClauseSet:
-        """The `(formula, label)` plan parts, grounded in order, then `agent`'s theory."""
-        agents, objects = self.scenario.agents, self.scenario.objects
-        builder = ClauseBuilder()
-        for formula, label in parts:
-            builder.add(ground(formula, agents, objects), label)
+    def _ground(self, formula: Formula) -> Formula:
+        return ground(formula, self.scenario.agents, self.scenario.objects)
+
+    def _theory(self, agent: Term) -> tuple[GroundClauseSet, GroundClauseSet]:
+        """The physics fragment and `agent`'s belief fragment, each compiled on first use."""
         physical = self.scenario.constraints.physical
         if self._physics is None:
             self._physics = compile_fragment(
-                (ground(f, agents, objects), "physical constraint") for f in physical
+                (self._ground(f), "physical constraint") for f in physical
             )
         beliefs = self._beliefs.get(agent)
         if beliefs is None:
             label = f"rational constraint of agent {agent.name}"
             beliefs = self._beliefs[agent] = compile_fragment(
-                (ground(f, agents, objects), label)
+                (self._ground(f), label)
                 for f in belief_theory(self.scenario, agent)[len(physical):]
             )
-        return builder.add_fragment(self._physics).add_fragment(beliefs).build()
+        return self._physics, beliefs
+
+    def _query(self, agent: Term, parts: Iterable[tuple[Formula, str]]) -> GroundClauseSet:
+        """The ground `(formula, label)` plan parts, in order, then `agent`'s theory."""
+        builder = ClauseBuilder()
+        for formula, label in parts:
+            builder.add(formula, label)
+        physics, beliefs = self._theory(agent)
+        return builder.add_fragment(physics).add_fragment(beliefs).build()
+
+    def _action(self, plan: ActionPlan) -> tuple[tuple[Formula, str], frozenset[Atom]]:
+        """`plan`'s ground action part and the atoms it names, grounded on first use."""
+        action = self._actions.get(plan.id)
+        if action is None:
+            formula = self._ground(plan.action_formula())
+            action = self._actions[plan.id] = (
+                (formula, f"action of plan {plan.id}"), frozenset(atoms_of(formula))
+            )
+        return action
+
+    def _independent(self, plan: ActionPlan, other: ActionPlan) -> bool:
+        """Whether `other`'s action names no atom of `plan`'s action or its agent's theory."""
+        ours, theirs = self._action(plan)[1], self._action(other)[1]
+        physics, beliefs = self._theory(plan.agent)
+        return (theirs.isdisjoint(ours)
+                and theirs.isdisjoint(physics.atoms) and theirs.isdisjoint(beliefs.atoms))
 
     def generalization(self, plan: ActionPlan) -> GroundClauseSet:
         """Ground query behind the generalization check.
@@ -287,7 +341,7 @@ class QueryCompiler:
         if effects != TRUE:
             parts.append((effects, f"universalization effect of plan {plan.id}"))
         parts.append((plan.commitment_formula(), f"reasons and action of plan {plan.id}"))
-        return self._query(plan.agent, parts)
+        return self._query(plan.agent, [(self._ground(f), label) for f, label in parts])
 
     def autonomy_pair(
         self, plan: ActionPlan, other: ActionPlan
@@ -303,9 +357,19 @@ class QueryCompiler:
 
     def _pair_query(self, plan: ActionPlan, other: ActionPlan, part: str) -> GroundClauseSet:
         """One disjunct query of `autonomy_pair`: `part` is "action" or "reasons"."""
-        formula = ActionPlan.action_formula if part == "action" else ActionPlan.reasons_formula
-        parts = [(formula(p), f"{part} of plan {p.id}") for p in (plan, other)]
+        if part == "action":
+            parts = [self._action(p)[0] for p in (plan, other)]
+        else:
+            parts = [(self._ground(p.reasons_formula()), f"reasons of plan {p.id}")
+                     for p in (plan, other)]
         return self._query(plan.agent, parts)
+
+    def _action_alone(self, plan: ActionPlan) -> Witness | QueryConflict | None:
+        """The evidence of `plan`'s action with its agent's theory, decided on first use."""
+        if plan.id not in self._actions_alone:
+            cs = self._query(plan.agent, [self._action(plan)[0]])
+            self._actions_alone[plan.id] = self._decide(cs, f"autonomy:{plan.id}:actions", plan)
+        return self._actions_alone[plan.id]
 
     def _decide(
         self, cs: GroundClauseSet, check: str, plan: ActionPlan
@@ -347,7 +411,10 @@ class QueryCompiler:
         if plan.agent == other.agent:
             raise ScenarioError("autonomy is checked between plans of distinct agents")
         tag = f"autonomy:{plan.id}:{other.id}"
-        actions = self._decide(self._pair_query(plan, other, "action"), f"{tag}:actions", plan)
+        if self._independent(plan, other):
+            actions = self._action_alone(plan)
+        else:
+            actions = self._decide(self._pair_query(plan, other, "action"), f"{tag}:actions", plan)
         if isinstance(actions, Witness):
             return PrincipleVerdict(AUTONOMY, PASS, actions)
         reasons = None

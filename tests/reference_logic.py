@@ -375,6 +375,21 @@ def autonomy_pair_queries(
     return actions.build(), reasons.build()
 
 
+def action_alone_query(plan: ActionPlan, scenario: Scenario) -> GroundClauseSet:
+    """The plan's action with the acting agent's theory.
+
+    It decides the actions disjunct of every pair whose other action names
+    no atom of this query: such an action only adds unit clauses over
+    atoms of its own.
+    """
+    agents, objects = scenario.agents, scenario.objects
+    builder = ClauseBuilder()
+    builder.add(ground(plan.action_formula(), agents, objects), f"action of plan {plan.id}")
+    for f, label in _constraint_parts(scenario, plan.agent.name):
+        builder.add(ground(f, agents, objects), label)
+    return builder.build()
+
+
 # --------------------------------------------------------------------------
 # Ground truth evaluation (testing oracle for the clause conversion)
 

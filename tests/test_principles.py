@@ -406,9 +406,11 @@ HAZE = (
 
 
 def test_budget_exhausted_on_the_actions_disjunct_asks_no_reasons_query():
-    # pa's generalization query is refuted by propagation alone; the actions
-    # query of either pair needs more than three decisions, so each pair
-    # stops on its first query and its reasons query is never built.
+    # pa's generalization query is refuted by propagation alone. Neither
+    # action names an atom of the other plan's query, so each pair's actions
+    # disjunct is the acting plan's action alone; that query needs more than
+    # three decisions, so each pair stops on it and its reasons query is
+    # never built.
     log: list[ModalQuery] = []
     verdicts = evaluate(scen(HAZE), budget=3, query_log=log)
     assert verdicts.statuses() == {"pa": UNETHICAL, "pb": INDETERMINATE}
@@ -418,9 +420,9 @@ def test_budget_exhausted_on_the_actions_disjunct_asks_no_reasons_query():
     assert autonomy.evidence == BudgetNote("decision budget exhausted checking pa against pb")
     assert [(q.check, q.satisfiable) for q in log] == [
         ("generalization:pa", False),
-        ("autonomy:pa:pb:actions", None),
+        ("autonomy:pa:actions", None),
         ("generalization:pb", None),
-        ("autonomy:pb:pa:actions", None),
+        ("autonomy:pb:actions", None),
         # round 2 reuses these verdicts; pa dropped out of protection, so pb
         # consults no pair
     ]

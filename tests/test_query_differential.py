@@ -18,6 +18,8 @@ import threading
 
 import pytest
 import reference_logic
+from hypothesis import given, settings
+from test_roundtrip_property import scenario_texts
 from test_sat_differential import CHAIN_RULE
 
 from deon import principles, scenarios
@@ -94,10 +96,39 @@ def test_every_plan_and_pair_matches_reference(name):
             assert shared.autonomy_pair(plan, other) == expected_pair
 
 
+def assert_action_parts_build_to_units(scenario) -> None:
+    # An action part adds only unit clauses over its atoms, so adding it to
+    # a query whose other parts name none of them changes no step of the
+    # search (see test_sat's fresh-unit test).
+    for plan in scenario.plans:
+        cs = (
+            ClauseBuilder()
+            .add(ground(plan.action_formula(), scenario.agents, scenario.objects))
+            .build()
+        )
+        assert cs.aux_count == 0, plan.id
+        assert all(len(clause) == 1 for clause in cs.clauses), plan.id
+
+
+@pytest.mark.parametrize("name", SOURCES)
+def test_every_action_part_builds_to_unit_clauses(name):
+    assert_action_parts_build_to_units(load(name))
+
+
+@given(scenario_texts())
+@settings(max_examples=60, deadline=None)
+def test_every_generated_action_part_builds_to_unit_clauses(text):
+    parsed = parse_scenario(text)
+    assert parsed.ok, [str(d) for d in parsed.diagnostics]
+    assert_action_parts_build_to_units(parsed.scenario)
+
+
 def reference_query(check: str, scenario):
     kind, *ids = check.split(":")
     if kind == "generalization":
         return reference_logic.generalization_query(scenario.plan(ids[0]), scenario)
+    if len(ids) == 2:  # autonomy:<plan>:actions, the plan's action alone
+        return reference_logic.action_alone_query(scenario.plan(ids[0]), scenario)
     plan_id, other_id, disjunct = ids
     actions, reasons = reference_logic.autonomy_pair_queries(
         scenario.plan(plan_id), scenario.plan(other_id), scenario
@@ -121,7 +152,8 @@ def test_every_engine_query_matches_reference(name):
 # -- work done per query ---------------------------------------------------------------
 
 # `pa` against `pb`: the actions clash, so the reasons query is asked too.
-# `pa` against `pw`: the actions can coexist, so it is not.
+# `pa` against `pw`: `wait(b)` is named nowhere else, so `pa`'s action alone
+# decides the actions disjunct; it can hold, so the reasons query is not asked.
 CLASHING_AND_COEXISTING = (
     "scenario clash\n"
     "agents a, b\n"
@@ -160,7 +192,8 @@ def test_each_built_query_is_solved_once(name, monkeypatch):
     assert all(b is s for b, s in zip(built, solved))
     if name == "clash":
         outcomes = {q.check: q.satisfiable for q in log}
-        assert outcomes["autonomy:pa:pw:actions"] is True
+        assert outcomes["autonomy:pa:actions"] is True
+        assert "autonomy:pa:pw:actions" not in outcomes
         assert "autonomy:pa:pw:reasons" not in outcomes
         assert outcomes["autonomy:pa:pb:actions"] is False
         assert outcomes["autonomy:pa:pb:reasons"] is True
@@ -186,7 +219,7 @@ def test_each_query_is_solved_at_most_once_per_evaluation(name):
     ordered_pairs = [(p, q) for p, q in itertools.permutations(plans, 2) if p.agent != q.agent]
     assert len(log) <= len(plans) + 2 * len(ordered_pairs)
     if name == "fixpoint_12":
-        assert (len(log), len(plans) + 2 * len(ordered_pairs)) == (125, 276)
+        assert (len(log), len(plans) + 2 * len(ordered_pairs)) == (46, 276)
 
 
 # -- random formulas -----------------------------------------------------------------

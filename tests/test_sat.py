@@ -5,6 +5,7 @@ from reference_sat import brute_force
 
 from deon.logic import Atom, GroundClauseSet, LogicError
 from deon.sat import (
+    DEFAULT_BUDGET,
     BudgetExhausted,
     ConflictExplanation,
     Model,
@@ -216,3 +217,66 @@ def test_explanation_indices_point_into_input():
     assert all(0 <= i < len(cs.clauses) for i in result.conflict.clause_indices)
     explanation = ConflictExplanation(result.conflict.clause_indices)
     assert not brute_force(explanation.subset(cs)).satisfiable
+
+
+# -- unit clauses over fresh variables ------------------------------------------
+
+
+def with_fresh_units(
+    rng: random.Random, cs: GroundClauseSet
+) -> tuple[GroundClauseSet, list[int], dict[int, int]]:
+    """`cs` with fresh variables, each in one unit clause, inserted at random.
+
+    The fresh variables take random places in the numbering and their units
+    random places in the clause list. Returns the new set, the new variable
+    of each old one (old variable v is `variables[v - 1]`) and the new index
+    of each old clause.
+    """
+    n, k = cs.num_vars, rng.randint(1, 4)
+    fresh = {v + 1 for v in rng.sample(range(n + k), k)}
+    variables = [v for v in range(1, n + k + 1) if v not in fresh]
+    entries: list[tuple[int | None, tuple[int, ...]]] = [
+        (i, tuple(variables[abs(lit) - 1] * (1 if lit > 0 else -1) for lit in cl))
+        for i, cl in enumerate(cs.clauses)
+    ]
+    for v in sorted(fresh):
+        entries.insert(rng.randint(0, len(entries)), (None, (rng.choice((1, -1)) * v,)))
+    shifted = {i: at for at, (i, _) in enumerate(entries) if i is not None}
+    atoms = tuple(Atom(f"v{i}") for i in range(n + k))
+    return GroundClauseSet(atoms, 0, tuple(cl for _, cl in entries)), variables, shifted
+
+
+def solve_or_exhaust(cs: GroundClauseSet, budget: int) -> SatResult | int:
+    """The result, or the decision count at which the budget ran out."""
+    try:
+        return solve(cs, budget)
+    except BudgetExhausted as exc:
+        return exc.decisions
+
+
+def test_unit_clauses_over_fresh_variables_change_no_search():
+    # The first propagation sets a fresh unit before any decision and
+    # backtracking never unsets it, so the search over the old variables
+    # makes the same decisions, flips and conflicts under every budget.
+    rng = random.Random(0x5EED)
+    outcomes = set()
+    for _ in range(400):
+        cs = random_clause_set(rng)
+        joint, variables, shifted = with_fresh_units(rng, cs)
+        for budget in (*range(1, 11), DEFAULT_BUDGET):
+            alone, together = solve_or_exhaust(cs, budget), solve_or_exhaust(joint, budget)
+            if isinstance(alone, int):
+                outcomes.add("exhausted")
+                assert together == alone
+            elif alone.satisfiable:
+                outcomes.add("sat")
+                assert together.satisfiable
+                values = together.model.values
+                assert tuple(values[v - 1] for v in variables) == alone.model.values
+            else:
+                outcomes.add("unsat")
+                assert not together.satisfiable
+                assert together.conflict.clause_indices == tuple(
+                    shifted[i] for i in alone.conflict.clause_indices
+                )
+    assert outcomes == {"exhausted", "sat", "unsat"}

@@ -30,6 +30,16 @@ BUDGETS = (DEFAULT_BUDGET, 1, 2, 3, 4, 5)
 SOURCES = {name: scenarios.source(name) for name in scenarios.NAMES}
 SOURCES.update(cake=CAKE, fog=FOG, haze=HAZE, noise=NOISE, standoff=STANDOFF)
 SOURCES.update({f"fixpoint_{n}": fixpoint_chain(n) for n in (2, 3, 5, 8, 12)})
+# The facts alone rule out p's action, and q's action names none of p's
+# atoms: p's autonomy fail comes from p's action alone.
+SOURCES["infeasible"] = (
+    "scenario infeasible\n"
+    "agents a, b\n"
+    "predicates want(agent), go(agent) action, wait(agent) action\n"
+    "physics { not go(a); }\n"
+    "plan p agent a: reasons { want(a) } action { go(a) }\n"
+    "plan q agent b: reasons { want(b) } action { wait(b) }\n"
+)
 
 
 def assert_prints_like_reference(source: str, budget: int) -> None:
