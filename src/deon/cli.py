@@ -184,8 +184,8 @@ def _evidence_doc(evidence: object) -> dict:
         return {
             "kind": "plan-conflict",
             "with": evidence.other_plan,
-            "action_clauses": evidence.actions_conflict.render(evidence.actions_clause_set),
-            "reasons_model": _model_doc(evidence.reasons_clause_set, evidence.reasons_model),
+            "action_clauses": evidence.actions.conflict.render(evidence.actions.clause_set),
+            "reasons_model": _model_doc(evidence.reasons.clause_set, evidence.reasons.model),
         }
     if isinstance(evidence, Dominated):
         return {

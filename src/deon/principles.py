@@ -6,16 +6,15 @@ queries. `evaluate` is a pure function of the scenario. A plan's
 generalization verdict and an autonomy pair's verdict depend on the scenario
 alone, so each is decided once per evaluation and reused in later rounds;
 the previous round's statuses only choose which pairs are consulted and
-which alternatives are eligible for the utility comparison. When the other
-plan's action names no atom of the acting plan's action or of its agent's
-theory, a pair's actions disjunct is decided by the acting plan's action
-alone with that theory, one query per plan.
+which alternatives are eligible for the utility comparison. Every decided
+query is recorded once, as a `ModalQuery`, in the evaluation's
+`VerdictSet.queries`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -58,12 +57,7 @@ UNETHICAL = "unethical"
 
 @dataclass(frozen=True)
 class Witness:
-    """A satisfying model showing the checked condition can hold.
-
-    For an autonomy pair whose other action names none of the acting plan's
-    atoms, the model is that of the acting plan's action alone with its
-    agent's theory: the other action holds in it as a free fact.
-    """
+    """A satisfying model showing the checked condition can hold."""
 
     clause_set: GroundClauseSet
     model: Model
@@ -78,30 +72,42 @@ class QueryConflict:
 
 
 @dataclass(frozen=True)
+class ModalQuery:
+    """One decided satisfiability query: "can `agent` rationally believe this
+    possible?", asked of the agent's theory.
+
+    `evidence` is the query's Witness or QueryConflict, or None when the
+    decision budget ran out first.
+    """
+
+    check: str
+    agent: str
+    clause_set: GroundClauseSet
+    evidence: Witness | QueryConflict | None
+
+    @property
+    def satisfiable(self) -> bool | None:
+        if self.evidence is None:
+            return None
+        return isinstance(self.evidence, Witness)
+
+
+@dataclass(frozen=True)
 class ReasonsContradiction:
     """Autonomy held through the second disjunct: the two plans' reasons
     cannot jointly apply, so the actions can never come into conflict."""
 
     other_plan: str
-    clause_set: GroundClauseSet
-    conflict: ConflictExplanation
+    reasons: QueryConflict
 
 
 @dataclass(frozen=True)
 class PlanInterference:
-    """Autonomy failed: the actions cannot coexist and the reasons can.
-
-    When the other action names none of the acting plan's atoms, the actions
-    clause set and conflict are those of the acting plan's action alone
-    with its agent's theory: with the other action's unit clauses added,
-    the solver finds the same conflict, and the rendered lines are equal.
-    """
+    """Autonomy failed: the actions cannot coexist and the reasons can."""
 
     other_plan: str
-    actions_clause_set: GroundClauseSet
-    actions_conflict: ConflictExplanation
-    reasons_clause_set: GroundClauseSet
-    reasons_model: Model
+    actions: QueryConflict
+    reasons: Witness
 
 
 @dataclass(frozen=True)
@@ -172,10 +178,13 @@ class PlanVerdict:
 
 @dataclass(frozen=True)
 class VerdictSet:
+    """The plans' verdicts, and every query the evaluation decided, in order."""
+
     scenario: str
     plans: tuple[PlanVerdict, ...]
     rounds: int
     stable: bool
+    queries: tuple[ModalQuery, ...] = field(default=(), compare=False, repr=False)
 
     def plan(self, plan_id: str) -> PlanVerdict:
         for pv in self.plans:
@@ -185,17 +194,6 @@ class VerdictSet:
 
     def statuses(self) -> dict[str, str]:
         return {pv.plan_id: pv.overall for pv in self.plans}
-
-
-@dataclass(frozen=True)
-class ModalQuery:
-    """One satisfiability-backed modal decision, for auditing and the
-    believable/required duality check."""
-
-    check: str
-    agent: str
-    clause_set: GroundClauseSet
-    satisfiable: bool | None  # None when the budget ran out
 
 
 # --------------------------------------------------------------------------
@@ -221,7 +219,7 @@ def rationally_required_to_deny_possible(cs: GroundClauseSet, budget: int = DEFA
 
 
 class QueryCompiler:
-    """Builds and decides the satisfiability queries of one evaluation.
+    """Builds, decides and records the satisfiability queries of one evaluation.
 
     A query is a list of labeled plan parts plus the acting agent's theory,
     and `_query` is the one place it is built. The physical constraints are
@@ -230,48 +228,45 @@ class QueryCompiler:
     plan parts and gets exactly the clause set that grounding and converting
     the whole theory each time would give.
 
-    `_decide` solves a query under `budget` decisions, records it in
-    `query_log` when that is a list, and returns its evidence. The
-    `check_*` methods are the only way to run the generalization and
-    autonomy checks; `evaluate` makes one compiler per call, so nothing
-    carries over between scenarios or calls.
+    `_decide` builds and solves a query under `budget` decisions the first
+    time its key is asked, and records it as a `ModalQuery` in `queries`;
+    a later ask returns the recorded evidence. That table is both the
+    evidence memo and the query log, one record per solve in decision
+    order. A key is a tuple naming the query, such as
+    `("autonomy", plan, other, "actions")`, and the record's `check` is its
+    parts joined by `:`. The `check_*` methods are the only way to run the
+    generalization and autonomy checks; `evaluate` makes one compiler per
+    call, so nothing carries over between scenarios or calls.
 
     Within one evaluation each plan's generalization verdict and each
     ordered autonomy pair's verdict is decided once and then reused from a
     memo (`_memoized`): neither reads the round's protected or eligible
     sets, and the budget is fixed, so a later round would only repeat the
-    same solves. A memo hit solves nothing and logs nothing, so the log
-    holds one entry per solve, and `evaluate` solves at most one query per
-    plan and two per ordered pair of plans of distinct agents, however many
-    rounds it runs.
+    same checks. `evaluate` therefore solves at most one query per plan and
+    two per ordered pair of plans of distinct agents, however many rounds
+    it runs.
 
     A pair whose other action names no atom of the acting plan's action or
     of its agent's physics and belief fragments (`_independent`, a test on
-    atom sets alone) takes its actions evidence from one query per plan:
-    the plan's action part plus its agent's theory, logged as
-    `autonomy:<plan>:actions` when first decided and reused by every such
-    pair. That is exact under any budget: the other action grounds to unit
-    clauses over atoms of their own, the solver's first propagation sets
-    them before any decision (unless it refutes the query first) and never
-    unsets them, so the joint query
-    makes the same decisions and conflicts, and renders the same conflict
-    lines, as the plan alone. `autonomy_pair`, which `sat-debug` prints,
-    still builds the full pair queries.
+    atom sets alone) takes its actions evidence from the plan-alone query
+    `("autonomy", plan, "actions")`: the plan's action part plus its
+    agent's theory, decided once and shared by every such pair. That is
+    exact under any budget: the other action grounds to unit clauses over
+    atoms of their own, the solver's first propagation sets them before any
+    decision (unless it refutes the query first) and never unsets them, so
+    the joint query makes the same decisions and conflicts, and renders the
+    same conflict lines, as the plan alone; its witness is the plan-alone
+    model, in which the other action is a free fact. `autonomy_pair`, which
+    `sat-debug` prints, still builds the full pair queries.
     """
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        budget: int = DEFAULT_BUDGET,
-        query_log: list[ModalQuery] | None = None,
-    ) -> None:
+    def __init__(self, scenario: Scenario, budget: int = DEFAULT_BUDGET) -> None:
         self.scenario = scenario
         self.budget = budget
-        self.query_log = query_log
+        self.queries: dict[tuple[str, ...], ModalQuery] = {}
         self._physics: GroundClauseSet | None = None
         self._beliefs: dict[Term, GroundClauseSet] = {}
         self._actions: dict[str, tuple[tuple[Formula, str], frozenset[Atom]]] = {}
-        self._actions_alone: dict[str, Witness | QueryConflict | None] = {}
         self._verdicts: dict[str | tuple[str, str], PrincipleVerdict] = {}
 
     def _memoized(
@@ -310,6 +305,24 @@ class QueryCompiler:
         physics, beliefs = self._theory(agent)
         return builder.add_fragment(physics).add_fragment(beliefs).build()
 
+    def _decide(
+        self, check: tuple[str, ...], plan: ActionPlan, parts: Iterable[tuple[Formula, str]]
+    ) -> Witness | QueryConflict | None:
+        """The evidence of `plan`'s query `check` over `parts`, or None when the
+        budget ran out; built, solved and recorded in `queries` on first use."""
+        query = self.queries.get(check)
+        if query is None:
+            cs = self._query(plan.agent, parts)
+            try:
+                result = solve(cs, self.budget)
+            except BudgetExhausted:
+                evidence = None
+            else:
+                evidence = (Witness(cs, result.model) if result.satisfiable
+                            else QueryConflict(cs, result.conflict))
+            query = self.queries[check] = ModalQuery(":".join(check), plan.agent.name, cs, evidence)
+        return query.evidence
+
     def _action(self, plan: ActionPlan) -> tuple[tuple[Formula, str], frozenset[Atom]]:
         """`plan`'s ground action part and the atoms it names, grounded on first use."""
         action = self._actions.get(plan.id)
@@ -320,6 +333,10 @@ class QueryCompiler:
             )
         return action
 
+    def _reasons(self, plan: ActionPlan) -> tuple[Formula, str]:
+        """`plan`'s ground reasons part."""
+        return self._ground(plan.reasons_formula()), f"reasons of plan {plan.id}"
+
     def _independent(self, plan: ActionPlan, other: ActionPlan) -> bool:
         """Whether `other`'s action names no atom of `plan`'s action or its agent's theory."""
         ours, theirs = self._action(plan)[1], self._action(other)[1]
@@ -327,21 +344,22 @@ class QueryCompiler:
         return (theirs.isdisjoint(ours)
                 and theirs.isdisjoint(physics.atoms) and theirs.isdisjoint(beliefs.atoms))
 
-    def generalization(self, plan: ActionPlan) -> GroundClauseSet:
-        """Ground query behind the generalization check.
-
-        Conjunction of: every agent adopting the plan (material conditionals
-        plus the universalization trigger), the plan's declared
-        universalization effects, the plan's own reasons and action, and the
-        agent's rational-constraint theory. The plan passes iff this is
-        satisfiable.
-        """
+    def _generalization_parts(self, plan: ActionPlan) -> list[tuple[Formula, str]]:
+        """Every agent adopting the plan (material conditionals plus the
+        universalization trigger), the plan's declared universalization
+        effects, and the plan's own reasons and action, each ground."""
         parts = [(plan.universal_adoption(), f"universal adoption of plan {plan.id}")]
         effects = effects_for(self.scenario, plan.id)
         if effects != TRUE:
             parts.append((effects, f"universalization effect of plan {plan.id}"))
         parts.append((plan.commitment_formula(), f"reasons and action of plan {plan.id}"))
-        return self._query(plan.agent, [(self._ground(f), label) for f, label in parts])
+        return [(self._ground(f), label) for f, label in parts]
+
+    def generalization(self, plan: ActionPlan) -> GroundClauseSet:
+        """Ground query behind the generalization check: its plan parts with
+        the agent's rational-constraint theory. The plan passes iff this is
+        satisfiable."""
+        return self._query(plan.agent, self._generalization_parts(plan))
 
     def autonomy_pair(
         self, plan: ActionPlan, other: ActionPlan
@@ -353,45 +371,15 @@ class QueryCompiler:
         theory (pass if unsatisfiable: the plans can never come into
         conflict).
         """
-        return self._pair_query(plan, other, "action"), self._pair_query(plan, other, "reasons")
-
-    def _pair_query(self, plan: ActionPlan, other: ActionPlan, part: str) -> GroundClauseSet:
-        """One disjunct query of `autonomy_pair`: `part` is "action" or "reasons"."""
-        if part == "action":
-            parts = [self._action(p)[0] for p in (plan, other)]
-        else:
-            parts = [(self._ground(p.reasons_formula()), f"reasons of plan {p.id}")
-                     for p in (plan, other)]
-        return self._query(plan.agent, parts)
-
-    def _action_alone(self, plan: ActionPlan) -> Witness | QueryConflict | None:
-        """The evidence of `plan`'s action with its agent's theory, decided on first use."""
-        if plan.id not in self._actions_alone:
-            cs = self._query(plan.agent, [self._action(plan)[0]])
-            self._actions_alone[plan.id] = self._decide(cs, f"autonomy:{plan.id}:actions", plan)
-        return self._actions_alone[plan.id]
-
-    def _decide(
-        self, cs: GroundClauseSet, check: str, plan: ActionPlan
-    ) -> Witness | QueryConflict | None:
-        """Solve `plan`'s `check` query `cs`: its evidence, or None when the budget ran out."""
-        try:
-            result = solve(cs, self.budget)
-        except BudgetExhausted:
-            result = None
-        if self.query_log is not None:
-            satisfiable = None if result is None else result.satisfiable
-            self.query_log.append(ModalQuery(check, plan.agent.name, cs, satisfiable))
-        if result is None:
-            return None
-        if result.satisfiable:
-            return Witness(cs, result.model)
-        return QueryConflict(cs, result.conflict)
+        return (self._query(plan.agent, [self._action(p)[0] for p in (plan, other)]),
+                self._query(plan.agent, [self._reasons(p) for p in (plan, other)]))
 
     def check_generalization(self, plan: ActionPlan) -> PrincipleVerdict:
         """Can the agent rationally believe everyone could adopt the plan while
         the agent's reasons still apply and the action still happens?"""
-        evidence = self._decide(self.generalization(plan), f"generalization:{plan.id}", plan)
+        evidence = self._decide(
+            ("generalization", plan.id), plan, self._generalization_parts(plan)
+        )
         if evidence is None:
             return PrincipleVerdict(
                 GENERALIZATION, INDETERMINATE,
@@ -410,27 +398,25 @@ class QueryCompiler:
         """
         if plan.agent == other.agent:
             raise ScenarioError("autonomy is checked between plans of distinct agents")
-        tag = f"autonomy:{plan.id}:{other.id}"
         if self._independent(plan, other):
-            actions = self._action_alone(plan)
+            actions = self._decide(("autonomy", plan.id, "actions"), plan, [self._action(plan)[0]])
         else:
-            actions = self._decide(self._pair_query(plan, other, "action"), f"{tag}:actions", plan)
+            actions = self._decide(("autonomy", plan.id, other.id, "actions"), plan,
+                                   [self._action(p)[0] for p in (plan, other)])
         if isinstance(actions, Witness):
             return PrincipleVerdict(AUTONOMY, PASS, actions)
         reasons = None
         if actions is not None:
-            reasons = self._decide(self._pair_query(plan, other, "reasons"), f"{tag}:reasons", plan)
+            reasons = self._decide(("autonomy", plan.id, other.id, "reasons"), plan,
+                                   [self._reasons(p) for p in (plan, other)])
         if reasons is None:
             return PrincipleVerdict(
                 AUTONOMY, INDETERMINATE,
                 BudgetNote(f"decision budget exhausted checking {plan.id} against {other.id}"),
             )
         if isinstance(reasons, QueryConflict):
-            evidence = ReasonsContradiction(other.id, reasons.clause_set, reasons.conflict)
-            return PrincipleVerdict(AUTONOMY, PASS, evidence)
-        return PrincipleVerdict(AUTONOMY, FAIL, PlanInterference(
-            other.id, actions.clause_set, actions.conflict, reasons.clause_set, reasons.model
-        ))
+            return PrincipleVerdict(AUTONOMY, PASS, ReasonsContradiction(other.id, reasons))
+        return PrincipleVerdict(AUTONOMY, FAIL, PlanInterference(other.id, actions, reasons))
 
     def check_autonomy(self, plan: ActionPlan, protected: frozenset[str]) -> PrincipleVerdict:
         """Check `plan` against every protected plan of every other agent.
@@ -556,11 +542,7 @@ def eligible_actions(
     ) - dropped
 
 
-def evaluate(
-    scenario: Scenario,
-    budget: int = DEFAULT_BUDGET,
-    query_log: list[ModalQuery] | None = None,
-) -> VerdictSet:
+def evaluate(scenario: Scenario, budget: int = DEFAULT_BUDGET) -> VerdictSet:
     """Run all three checks on every plan to a fixpoint.
 
     Starts optimistically (every plan presumed in the clear), then each
@@ -580,7 +562,7 @@ def evaluate(
     current: list[PlanVerdict] = []
     statuses: dict[str, str] = dict(assumed)
     last_in: dict[str, str] = dict(assumed)
-    queries = QueryCompiler(scenario, budget, query_log)
+    compiler = QueryCompiler(scenario, budget)
 
     while rounds < max_rounds:
         rounds += 1
@@ -588,7 +570,7 @@ def evaluate(
             pid for pid, status in assumed.items() if status in (ETHICAL, INDETERMINATE)
         )
         eligible = eligible_actions(scenario, protected)
-        current = [queries._check_plan(p, protected, eligible) for p in plans]
+        current = [compiler._check_plan(p, protected, eligible) for p in plans]
         statuses = {pv.plan_id: pv.overall for pv in current}
         if statuses == assumed:
             stable = True
@@ -603,4 +585,6 @@ def evaluate(
             for pv in current
         ]
 
-    return VerdictSet(scenario.name, tuple(current), rounds, stable)
+    return VerdictSet(
+        scenario.name, tuple(current), rounds, stable, tuple(compiler.queries.values())
+    )

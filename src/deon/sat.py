@@ -54,15 +54,6 @@ class ConflictExplanation:
 
     clause_indices: tuple[int, ...]
 
-    def subset(self, cs: GroundClauseSet) -> GroundClauseSet:
-        """The explanation as a clause set over the same variable universe."""
-        return GroundClauseSet(
-            cs.atoms,
-            cs.aux_count,
-            tuple(cs.clauses[i] for i in self.clause_indices),
-            tuple(cs.label_of(i) for i in self.clause_indices) if cs.labels else (),
-        )
-
     def render(self, cs: GroundClauseSet) -> list[str]:
         lines = []
         for i in self.clause_indices:

@@ -85,11 +85,8 @@ def check_autonomy_pair(
             BudgetNote(f"decision budget exhausted checking {plan.id} against {other.id}"),
         )
     if isinstance(reasons, QueryConflict):
-        evidence = ReasonsContradiction(other.id, reasons.clause_set, reasons.conflict)
-        return PrincipleVerdict(AUTONOMY, PASS, evidence)
-    return PrincipleVerdict(AUTONOMY, FAIL, PlanInterference(
-        other.id, actions.clause_set, actions.conflict, reasons.clause_set, reasons.model
-    ))
+        return PrincipleVerdict(AUTONOMY, PASS, ReasonsContradiction(other.id, reasons))
+    return PrincipleVerdict(AUTONOMY, FAIL, PlanInterference(other.id, actions, reasons))
 
 
 def check_autonomy(

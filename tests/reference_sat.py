@@ -8,7 +8,8 @@ implementation, unchanged; it rescans every clause after each assignment.
 
 `brute_force` is the exhaustive oracle: it enumerates every assignment of
 a universe of up to `ENUMERATION_LIMIT` variables, so its verdict does
-not depend on any search order.
+not depend on any search order. `subset` turns a conflict explanation into
+the clause set it names, for `brute_force` to refute.
 """
 
 from __future__ import annotations
@@ -176,6 +177,16 @@ def brute_force(cs: GroundClauseSet) -> SatResult:
     first = (surviving & -surviving).bit_length() - 1
     values = tuple(bool((first >> (n - 1 - j)) & 1) for j in range(n))
     return SatResult(satisfiable=True, model=_verified(Model(values), cs))
+
+
+def subset(conflict: ConflictExplanation, cs: GroundClauseSet) -> GroundClauseSet:
+    """`conflict`'s clauses of `cs` as a clause set over the same variable universe."""
+    return GroundClauseSet(
+        cs.atoms,
+        cs.aux_count,
+        tuple(cs.clauses[i] for i in conflict.clause_indices),
+        tuple(cs.label_of(i) for i in conflict.clause_indices) if cs.labels else (),
+    )
 
 
 _MASK_CACHE: dict[int, list[int]] = {}

@@ -155,8 +155,7 @@ def test_criterion_7_duality_everywhere():
     with criterion(7, "believable/required duality on every modal query"):
         total = 0
         for name in scenarios.NAMES:
-            log = []
-            evaluate(_load(name), query_log=log)
+            log = evaluate(_load(name)).queries
             assert log, name
             for query in log:
                 believe = can_rationally_believe_possible(query.clause_set)

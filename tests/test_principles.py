@@ -15,7 +15,6 @@ from deon.principles import (
     FAIL,
     GENERALIZATION,
     INDETERMINATE,
-    ModalQuery,
     Note,
     PASS,
     PlanInterference,
@@ -178,7 +177,7 @@ def test_bus_pull_passes_via_second_disjunct(golden):
     assert verdict.status == PASS
     assert isinstance(verdict.evidence, ReasonsContradiction)
     assert verdict.evidence.other_plan == "cross"
-    rendered = verdict.evidence.conflict.render(verdict.evidence.clause_set)
+    rendered = verdict.evidence.reasons.conflict.render(verdict.evidence.reasons.clause_set)
     assert any("cars_approaching" in line for line in rendered)
 
 
@@ -375,8 +374,8 @@ NOISE = (
 def test_budget_exhausted_on_the_reasons_disjunct_is_logged_as_undecided():
     # The actions query is refuted by propagation alone; the reasons query
     # needs more than two decisions, so the pair stops on its second query.
-    log: list[ModalQuery] = []
-    verdicts = evaluate(scen(NOISE), budget=2, query_log=log)
+    verdicts = evaluate(scen(NOISE), budget=2)
+    log = verdicts.queries
     assert verdicts.statuses() == {"pa": INDETERMINATE, "pb": INDETERMINATE}
     assert verdicts.rounds == 2 and verdicts.stable
     assert verdicts.plan("pa").check(AUTONOMY).evidence == BudgetNote(
@@ -411,8 +410,8 @@ def test_budget_exhausted_on_the_actions_disjunct_asks_no_reasons_query():
     # disjunct is the acting plan's action alone; that query needs more than
     # three decisions, so each pair stops on it and its reasons query is
     # never built.
-    log: list[ModalQuery] = []
-    verdicts = evaluate(scen(HAZE), budget=3, query_log=log)
+    verdicts = evaluate(scen(HAZE), budget=3)
+    log = verdicts.queries
     assert verdicts.statuses() == {"pa": UNETHICAL, "pb": INDETERMINATE}
     assert verdicts.rounds == 2 and verdicts.stable
     autonomy = verdicts.plan("pa").check(AUTONOMY)
@@ -433,8 +432,7 @@ def test_budget_exhausted_on_the_actions_disjunct_asks_no_reasons_query():
 
 def test_duality_on_every_modal_query(golden):
     for name, scenario in golden.items():
-        log: list[ModalQuery] = []
-        evaluate(scenario, query_log=log)
+        log = evaluate(scenario).queries
         assert log, name
         for query in log:
             assert query.satisfiable is not None
@@ -499,7 +497,7 @@ def test_every_golden_query_fail_uses_the_principles_own_part(golden):
                     needed = {f"universal adoption of plan {pv.plan_id}",
                               f"universalization effect of plan {pv.plan_id}"}
                 else:
-                    cs, conflict = evidence.actions_clause_set, evidence.actions_conflict
+                    cs, conflict = evidence.actions.clause_set, evidence.actions.conflict
                     needed = {f"action of plan {evidence.other_plan}"}
                 labels = {cs.label_of(i) for i in conflict.clause_indices}
                 assert labels & needed, (name, pv.plan_id, check.principle, labels)

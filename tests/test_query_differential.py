@@ -11,6 +11,7 @@ threads.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import sys
@@ -42,10 +43,16 @@ from deon.logic import (
     object_var,
 )
 from deon.principles import (
-    ModalQuery,
+    GENERALIZATION,
+    AutonomyClear,
+    PlanInterference,
     QueryCompiler,
+    QueryConflict,
+    ReasonsContradiction,
+    Witness,
     evaluate,
 )
+from deon.sat import DEFAULT_BUDGET
 
 
 def fixpoint_chain(n: int) -> str:
@@ -139,8 +146,7 @@ def reference_query(check: str, scenario):
 @pytest.mark.parametrize("name", SOURCES)
 def test_every_engine_query_matches_reference(name):
     scenario = load(name)
-    log: list[ModalQuery] = []
-    evaluate(scenario, query_log=log)
+    log = evaluate(scenario).queries
     assert log
     expected = {}
     for query in log:
@@ -185,8 +191,7 @@ def test_each_built_query_is_solved_once(name, monkeypatch):
     build, solve = ClauseBuilder.build, principles.solve
     monkeypatch.setattr(ClauseBuilder, "build", counting_build)
     monkeypatch.setattr(principles, "solve", counting_solve)
-    log: list[ModalQuery] = []
-    evaluate(scenario, query_log=log)
+    log = evaluate(scenario).queries
     assert solved and [q.clause_set for q in log] == solved
     assert len(built) == len(solved)
     assert all(b is s for b, s in zip(built, solved))
@@ -212,14 +217,73 @@ def test_each_query_is_solved_at_most_once_per_evaluation(name):
     parsed = parse_scenario(CLASHING_AND_COEXISTING if name == "clash" else SOURCES[name])
     assert parsed.ok, [str(d) for d in parsed.diagnostics]
     plans = parsed.scenario.plans
-    log: list[ModalQuery] = []
-    evaluate(parsed.scenario, query_log=log)
+    log = evaluate(parsed.scenario).queries
     checks = [q.check for q in log]
     assert len(set(checks)) == len(checks)
     ordered_pairs = [(p, q) for p, q in itertools.permutations(plans, 2) if p.agent != q.agent]
     assert len(log) <= len(plans) + 2 * len(ordered_pairs)
     if name == "fixpoint_12":
         assert (len(log), len(plans) + 2 * len(ordered_pairs)) == (46, 276)
+
+
+# -- the query record ------------------------------------------------------------------
+
+
+def carried_evidence(verdicts):
+    """Each (check id, evidence) pair for a Witness or QueryConflict a verdict carries."""
+    decided = {q.check for q in verdicts.queries}
+
+    def actions_check(plan_id: str, other_id: str) -> str:
+        pair = f"autonomy:{plan_id}:{other_id}:actions"
+        return pair if pair in decided else f"autonomy:{plan_id}:actions"
+
+    for pv in verdicts.plans:
+        for check in pv.checks:
+            evidence = check.evidence
+            if check.principle == GENERALIZATION:
+                if isinstance(evidence, (Witness, QueryConflict)):
+                    yield f"generalization:{pv.plan_id}", evidence
+                continue
+            assert not isinstance(evidence, (Witness, QueryConflict, ReasonsContradiction))
+            if isinstance(evidence, PlanInterference):
+                yield actions_check(pv.plan_id, evidence.other_plan), evidence.actions
+                yield f"autonomy:{pv.plan_id}:{evidence.other_plan}:reasons", evidence.reasons
+            elif isinstance(evidence, AutonomyClear):
+                for other_id, pair in evidence.pairs:
+                    if isinstance(pair, ReasonsContradiction):
+                        yield f"autonomy:{pv.plan_id}:{other_id}:reasons", pair.reasons
+                    else:
+                        assert isinstance(pair, Witness)
+                        yield actions_check(pv.plan_id, other_id), pair
+
+
+RECORDED = {name: SOURCES[name] for name in scenarios.NAMES}
+RECORDED.update({f"fixpoint_{n}": fixpoint_chain(n) for n in range(2, 7)})
+
+
+@pytest.mark.parametrize("budget", [DEFAULT_BUDGET, 2])
+@pytest.mark.parametrize("name", RECORDED)
+def test_verdict_evidence_is_the_recorded_query_evidence(name, budget):
+    parsed = parse_scenario(RECORDED[name])
+    assert parsed.ok, [str(d) for d in parsed.diagnostics]
+    verdicts = evaluate(parsed.scenario, budget)
+    records = {q.check: q for q in verdicts.queries}
+    assert len(records) == len(verdicts.queries)
+    carried = list(carried_evidence(verdicts))
+    assert carried
+    for check, evidence in carried:
+        assert evidence is records[check].evidence, check
+    for query in verdicts.queries:
+        if query.evidence is None:
+            assert query.satisfiable is None
+        else:
+            assert query.evidence.clause_set is query.clause_set
+            assert query.satisfiable is isinstance(query.evidence, Witness)
+            assert query.satisfiable is not isinstance(query.evidence, QueryConflict)
+    again = evaluate(parsed.scenario, budget)
+    assert again == verdicts and again.queries is not verdicts.queries
+    assert repr(verdicts) == repr(dataclasses.replace(verdicts, queries=()))
+    assert "ModalQuery" not in repr(verdicts)
 
 
 # -- random formulas -----------------------------------------------------------------

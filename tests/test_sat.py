@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import reference_sat
 from reference_sat import brute_force
 
 from deon.logic import Atom, GroundClauseSet, LogicError
@@ -173,7 +174,7 @@ def test_conflict_explanation_subset_is_unsatisfiable():
         if result.satisfiable:
             continue
         checked += 1
-        subset = result.conflict.subset(cs)
+        subset = reference_sat.subset(result.conflict, cs)
         assert len(subset.clauses) >= 1
         assert not brute_force(subset).satisfiable
 
@@ -216,7 +217,7 @@ def test_explanation_indices_point_into_input():
     assert not result.satisfiable
     assert all(0 <= i < len(cs.clauses) for i in result.conflict.clause_indices)
     explanation = ConflictExplanation(result.conflict.clause_indices)
-    assert not brute_force(explanation.subset(cs)).satisfiable
+    assert not brute_force(reference_sat.subset(explanation, cs)).satisfiable
 
 
 # -- unit clauses over fresh variables ------------------------------------------

@@ -17,7 +17,7 @@ from reference_sat import solve as reference_solve
 from deon import scenarios
 from deon.dsl import parse_scenario
 from deon.logic import Atom, GroundClauseSet
-from deon.principles import ModalQuery, evaluate
+from deon.principles import evaluate
 from deon.sat import DEFAULT_BUDGET, BudgetExhausted, solve
 
 BUDGETS = (1, 2, 3, 10, 100, DEFAULT_BUDGET)
@@ -91,8 +91,7 @@ def assert_same(cs: GroundClauseSet, budgets=BUDGETS) -> list[tuple]:
 def engine_queries(source: str) -> list[GroundClauseSet]:
     parsed = parse_scenario(source)
     assert parsed.ok, [str(d) for d in parsed.diagnostics]
-    log: list[ModalQuery] = []
-    evaluate(parsed.scenario, query_log=log)
+    log = evaluate(parsed.scenario).queries
     distinct = {(q.clause_set.atoms, q.clause_set.clauses): q.clause_set for q in log}
     return list(distinct.values())
 

@@ -12,6 +12,8 @@ generated scenarios.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 import reference_principles
 from hypothesis import given, settings
@@ -45,16 +47,57 @@ SOURCES["infeasible"] = (
 def assert_prints_like_reference(source: str, budget: int) -> None:
     parsed = parse_scenario(source)
     assert parsed.ok, [str(d) for d in parsed.diagnostics]
-    engine = evaluate(parsed.scenario, budget)
-    reference = reference_principles.evaluate(parsed.scenario, budget)
+    assert_evaluates_like_reference(parsed.scenario, budget)
+
+
+def assert_evaluates_like_reference(scenario, budget: int):
+    engine = evaluate(scenario, budget)
+    reference = reference_principles.evaluate(scenario, budget)
     assert render_structured(engine) == render_structured(reference)
     assert render_human(engine, explain=True) == render_human(reference, explain=True)
+    return engine
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
 @pytest.mark.parametrize("name", SOURCES)
 def test_verdicts_print_like_reference(name, budget):
     assert_prints_like_reference(SOURCES[name], budget)
+
+
+# Plans x and x:a interfere with a:b and b through the physics, so their
+# pair queries are asked; ("autonomy", "x", "a:b", "actions") and
+# ("autonomy", "x:a", "b", "actions") both print as autonomy:x:a:b:actions.
+COLONS = (
+    "scenario colons\n"
+    "agents a1, a2, a3, a4\n"
+    "predicates want(agent), go(agent) action\n"
+    "physics { not (go(a1) and go(a3)); not go(a2) or go(a4); }\n"
+    "plan p1 agent a1: reasons { want(a1) } action { go(a1) }\n"
+    "plan p2 agent a2: reasons { want(a2) } action { go(a2) }\n"
+    "plan p3 agent a3: reasons { want(a3) } action { go(a3) }\n"
+    "plan p4 agent a4: reasons { want(a4) } action { go(a4) }\n"
+)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_plan_ids_with_colons_get_a_record_each(budget):
+    # The DSL does not accept such ids; a scenario built in Python can hold them.
+    parsed = parse_scenario(COLONS)
+    assert parsed.ok, [str(d) for d in parsed.diagnostics]
+    plans = tuple(
+        dataclasses.replace(plan, id=new_id)
+        for plan, new_id in zip(parsed.scenario.plans, ("x", "x:a", "a:b", "b"))
+    )
+    engine = assert_evaluates_like_reference(
+        dataclasses.replace(parsed.scenario, plans=plans), budget
+    )
+    records = [(q.check, q.clause_set) for q in engine.queries]
+    assert len(set(records)) == len(records)
+    if budget == DEFAULT_BUDGET:
+        # x's pair with a:b clashes; x:a's pair with b does not.
+        assert engine.statuses()["x:a"] == "ethical"
+        assert [q.satisfiable for q in engine.queries
+                if q.check == "autonomy:x:a:b:actions"] == [False, True]
 
 
 @given(scenario_texts())
