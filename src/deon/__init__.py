@@ -50,7 +50,6 @@ from .scenario import (
     ScenarioError,
     UniversalizationEffect,
     UtilityTable,
-    belief_theory,
     effects_for,
     plan_context,
     validate,

@@ -219,7 +219,7 @@ class _Parser:
         self.predicates: dict[str, PredicateDecl] = {}
         self.plans: dict[str, ActionPlan] = {}
         self.physical: list[tuple[Formula, SourceSpan]] = []
-        self.beliefs: dict[str, tuple[tuple[Formula, SourceSpan], ...]] = {}
+        self.beliefs: dict[Term, tuple[tuple[Formula, SourceSpan], ...]] = {}
         self.effects: list[UniversalizationEffect] = []
         self.utilities: dict[tuple[str, Atom], Fraction] = {}
         self.utility_spans: dict[tuple[str, Atom], SourceSpan] = {}
@@ -501,12 +501,10 @@ class _Parser:
 
     def _section_belief(self) -> None:
         self.advance()
-        agent_tok = self.need_name("agent")
-        self._agent(agent_tok)
+        agent = self._agent(self.need_name("agent"))
         formulas = self._formula_block()
-        if formulas or agent_tok.text in self.beliefs:
-            existing = self.beliefs.get(agent_tok.text, ())
-            self.beliefs[agent_tok.text] = existing + tuple(formulas)
+        if formulas or agent in self.beliefs:
+            self.beliefs[agent] = self.beliefs.get(agent, ()) + tuple(formulas)
 
     def _section_on_universalized(self) -> None:
         start = self.advance()

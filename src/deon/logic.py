@@ -488,13 +488,16 @@ def _assemble(parts: Sequence[tuple[Formula, str] | GroundClauseSet]) -> GroundC
     )
 
 
-def compile_fragment(parts: Iterable[tuple[Formula, str]]) -> GroundClauseSet:
+def compile_fragment(
+    parts: Iterable[tuple[Formula, str] | GroundClauseSet],
+) -> GroundClauseSet:
     """The clause set of labeled ground formulas, numbered on its own.
 
     This is what `ClauseBuilder` would build from the same parts, made
     without a builder: a fragment compiled once and added to many builders
-    with `ClauseBuilder.add_fragment`. Like `build`, it checks groundness
-    over the atoms it collects.
+    with `ClauseBuilder.add_fragment`. A part may itself be a fragment, so
+    fragments nest: splicing one here is identical to adding its formulas in
+    its place. Like `build`, it checks groundness over the atoms it collects.
     """
     return _assemble(list(parts))
 

@@ -34,7 +34,6 @@ from .scenario import (
     ActionPlan,
     Scenario,
     ScenarioError,
-    belief_theory,
     effects_for,
     plan_context,
 )
@@ -74,14 +73,15 @@ class QueryConflict:
 @dataclass(frozen=True)
 class ModalQuery:
     """One decided satisfiability query: "can `agent` rationally believe this
-    possible?", asked of the agent's theory.
+    possible?", asked of the agent's theory. `agent` is the acting agent's
+    constant, the plan's `agent`.
 
     `evidence` is the query's Witness or QueryConflict, or None when the
     decision budget ran out first.
     """
 
     check: str
-    agent: str
+    agent: Term
     clause_set: GroundClauseSet
     evidence: Witness | QueryConflict | None
 
@@ -140,10 +140,6 @@ class AutonomyClear:
     """
 
     pairs: tuple[tuple[str, object], ...]
-
-    @property
-    def checked_plans(self) -> tuple[str, ...]:
-        return tuple(other for other, _ in self.pairs)
 
 
 @dataclass(frozen=True)
@@ -222,11 +218,14 @@ class QueryCompiler:
     """Builds, decides and records the satisfiability queries of one evaluation.
 
     A query is a list of labeled plan parts plus the acting agent's theory,
-    and `_query` is the one place it is built. The physical constraints are
-    grounded and compiled to a clause fragment once, and each agent's belief
-    constraints once per agent, on first use; a query adds both after its
-    plan parts and gets exactly the clause set that grounding and converting
-    the whole theory each time would give.
+    and `_query` is the one place it is built. Each agent's theory, the
+    physics followed by the agent's belief constraints, is grounded and
+    compiled into one clause fragment on first use (`_theory`); a query
+    adds it after its plan parts and gets exactly the clause set that
+    grounding and converting the whole theory each time would give. The
+    physics is compiled once per evaluation and spliced ahead of each
+    believing agent's constraints; an agent without belief constraints
+    takes the physics fragment itself as its theory.
 
     `_decide` builds and solves a query under `budget` decisions the first
     time its key is asked, and records it as a `ModalQuery` in `queries`;
@@ -247,8 +246,8 @@ class QueryCompiler:
     it runs.
 
     A pair whose other action names no atom of the acting plan's action or
-    of its agent's physics and belief fragments (`_independent`, a test on
-    atom sets alone) takes its actions evidence from the plan-alone query
+    of its agent's theory (`_independent`, a test on atom sets alone) takes
+    its actions evidence from the plan-alone query
     `("autonomy", plan, "actions")`: the plan's action part plus its
     agent's theory, decided once and shared by every such pair. That is
     exact under any budget: the other action grounds to unit clauses over
@@ -265,7 +264,7 @@ class QueryCompiler:
         self.budget = budget
         self.queries: dict[tuple[str, ...], ModalQuery] = {}
         self._physics: GroundClauseSet | None = None
-        self._beliefs: dict[Term, GroundClauseSet] = {}
+        self._theories: dict[Term, GroundClauseSet] = {}
         self._actions: dict[str, tuple[tuple[Formula, str], frozenset[Atom]]] = {}
         self._verdicts: dict[str | tuple[str, str], PrincipleVerdict] = {}
 
@@ -281,29 +280,31 @@ class QueryCompiler:
     def _ground(self, formula: Formula) -> Formula:
         return ground(formula, self.scenario.agents, self.scenario.objects)
 
-    def _theory(self, agent: Term) -> tuple[GroundClauseSet, GroundClauseSet]:
-        """The physics fragment and `agent`'s belief fragment, each compiled on first use."""
-        physical = self.scenario.constraints.physical
-        if self._physics is None:
-            self._physics = compile_fragment(
-                (self._ground(f), "physical constraint") for f in physical
-            )
-        beliefs = self._beliefs.get(agent)
-        if beliefs is None:
-            label = f"rational constraint of agent {agent.name}"
-            beliefs = self._beliefs[agent] = compile_fragment(
-                (self._ground(f), label)
-                for f in belief_theory(self.scenario, agent)[len(physical):]
-            )
-        return self._physics, beliefs
+    def _theory(self, agent: Term) -> GroundClauseSet:
+        """`agent`'s theory as one fragment, compiled on first use: the
+        physics, then the agent's belief constraints in declaration order."""
+        theory = self._theories.get(agent)
+        if theory is None:
+            if agent not in self.scenario.agents:
+                raise ScenarioError(f"unknown agent {agent.name!r}")
+            constraints = self.scenario.constraints
+            if self._physics is None:
+                self._physics = compile_fragment(
+                    (self._ground(f), "physical constraint") for f in constraints.physical
+                )
+            theory = self._physics
+            if beliefs := constraints.beliefs.get(agent):
+                label = f"rational constraint of agent {agent.name}"
+                theory = compile_fragment([theory, *((self._ground(f), label) for f in beliefs)])
+            self._theories[agent] = theory
+        return theory
 
     def _query(self, agent: Term, parts: Iterable[tuple[Formula, str]]) -> GroundClauseSet:
         """The ground `(formula, label)` plan parts, in order, then `agent`'s theory."""
         builder = ClauseBuilder()
         for formula, label in parts:
             builder.add(formula, label)
-        physics, beliefs = self._theory(agent)
-        return builder.add_fragment(physics).add_fragment(beliefs).build()
+        return builder.add_fragment(self._theory(agent)).build()
 
     def _decide(
         self, check: tuple[str, ...], plan: ActionPlan, parts: Iterable[tuple[Formula, str]]
@@ -320,7 +321,7 @@ class QueryCompiler:
             else:
                 evidence = (Witness(cs, result.model) if result.satisfiable
                             else QueryConflict(cs, result.conflict))
-            query = self.queries[check] = ModalQuery(":".join(check), plan.agent.name, cs, evidence)
+            query = self.queries[check] = ModalQuery(":".join(check), plan.agent, cs, evidence)
         return query.evidence
 
     def _action(self, plan: ActionPlan) -> tuple[tuple[Formula, str], frozenset[Atom]]:
@@ -340,9 +341,7 @@ class QueryCompiler:
     def _independent(self, plan: ActionPlan, other: ActionPlan) -> bool:
         """Whether `other`'s action names no atom of `plan`'s action or its agent's theory."""
         ours, theirs = self._action(plan)[1], self._action(other)[1]
-        physics, beliefs = self._theory(plan.agent)
-        return (theirs.isdisjoint(ours)
-                and theirs.isdisjoint(physics.atoms) and theirs.isdisjoint(beliefs.atoms))
+        return theirs.isdisjoint(ours) and theirs.isdisjoint(self._theory(plan.agent).atoms)
 
     def _generalization_parts(self, plan: ActionPlan) -> list[tuple[Formula, str]]:
         """Every agent adopting the plan (material conditionals plus the

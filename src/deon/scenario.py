@@ -23,7 +23,6 @@ from .logic import (
     Term,
     TRUE,
     UNIVERSALIZATION_PREDICATE,
-    agent_const,
     agent_var,
     children,
     conj,
@@ -119,14 +118,18 @@ class ActionPlan:
 class ConstraintBase:
     """Global physical constraints plus per-agent rational-belief constraints.
 
-    The span fields give each constraint's source location, index for index
-    with `physical` and `beliefs`; they are empty for constraints built in code.
+    `beliefs` is keyed by the agent constant, one of the scenario's
+    `agents`. An agent's theory, everything it is rationally required to
+    accept, is the physics (common knowledge) followed by its own beliefs
+    in declaration order. The span fields give each constraint's source
+    location, index for index with `physical` and `beliefs`, under the same
+    key; they are empty for constraints built in code.
     """
 
     physical: tuple[Formula, ...] = ()
-    beliefs: Mapping[str, tuple[Formula, ...]] = field(default_factory=dict)
+    beliefs: Mapping[Term, tuple[Formula, ...]] = field(default_factory=dict)
     physical_spans: "tuple[SourceSpan, ...]" = field(default=(), compare=False)
-    belief_spans: "Mapping[str, tuple[SourceSpan, ...]]" = field(
+    belief_spans: "Mapping[Term, tuple[SourceSpan, ...]]" = field(
         default_factory=dict, compare=False
     )
 
@@ -192,28 +195,11 @@ class Scenario:
     utilities: UtilityTable = UtilityTable()
     candidates: tuple[CandidateSet, ...] = ()
 
-    def agent_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.agents)
-
     def plan(self, plan_id: str) -> ActionPlan:
         for p in self.plans:
             if p.id == plan_id:
                 return p
         raise ScenarioError(f"unknown plan {plan_id!r}")
-
-
-def belief_theory(scenario: Scenario, agent: Term | str) -> list[Formula]:
-    """Everything the agent is rationally required to accept.
-
-    Physical constraints come first (physics is common knowledge), then the
-    agent's own belief constraints in declaration order.
-    """
-    name = agent.name if isinstance(agent, Term) else agent
-    if name not in scenario.agent_names():
-        raise ScenarioError(f"unknown agent {name!r}")
-    return list(scenario.constraints.physical) + list(
-        scenario.constraints.beliefs.get(name, ())
-    )
 
 
 def effects_for(scenario: Scenario, plan_id: str) -> Formula:
@@ -318,6 +304,9 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
                 add(f"{sort} {term.name}", "kind-mismatch",
                     f"{term.name} should be an {sort} constant")
 
+    # A plan's agent and a belief key must each be one of these.
+    agents = frozenset(term for term in constants.values() if term.sort == AGENT)
+
     predicates: dict[str, PredicateDecl] = {}
     # The trigger atom prints without its "@", so a declared predicate of
     # that name would give two atoms the same name in witnesses.
@@ -365,8 +354,8 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
         if plan.id in plan_ids:
             add(element, "duplicate", f"plan id {plan.id} declared more than once", span)
         plan_ids[plan.id] = plan
-        if constants.get(plan.agent.name) != plan.agent:
-            add(element, "unknown-agent", f"unknown agent {plan.agent.name}", span)
+        if plan.agent not in agents:
+            add(element, "unknown-agent", f"unknown agent {plan.agent}", span)
         if not plan.reasons:
             add(element, "empty-reasons", "a plan needs at least one reason", span)
         allowed_vars = frozenset((plan.agent_placeholder,) + plan.object_vars)
@@ -388,7 +377,7 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
     for i, f in enumerate(constraints.physical):
         check_formula(f"physics constraint {i + 1}", f, span_at(constraints.physical_spans, i))
     for agent, formulas in constraints.beliefs.items():
-        if constants.get(agent) != agent_const(agent):
+        if agent not in agents:
             add(f"belief {agent}", "unknown-agent", f"unknown agent {agent}")
         spans = constraints.belief_spans.get(agent, ())
         for i, f in enumerate(formulas):

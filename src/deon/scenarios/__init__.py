@@ -21,12 +21,3 @@ def path(name: str) -> Path:
         raise KeyError(f"no bundled scenario named {name!r}")
     return Path(str(resources.files(__package__).joinpath(f"{name}.deon")))
 
-
-def load(name: str):
-    """Parse a bundled scenario; these always parse cleanly."""
-    from ..dsl import parse_scenario
-
-    result = parse_scenario(source(name), filename=f"{name}.deon")
-    if result.scenario is None:
-        raise RuntimeError(f"bundled scenario {name} failed to parse: {result.diagnostics}")
-    return result.scenario

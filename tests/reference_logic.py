@@ -1,12 +1,14 @@
 """Query construction as it was before theory fragments, kept as an oracle.
 
-`deon.principles` compiles each agent's theory once and splices the
-compiled fragment into every query; the clause sets must still be exactly
-what these functions build: the same atoms in the same order, the same
-aux count, clauses and labels. The bodies are the original builder and
-query functions, unchanged apart from the check for modal nodes, which
-no longer exist, and the object domain, which is given as constants; they
-ground and convert the whole theory for every query.
+`deon.principles` compiles each agent's theory, the physics and then the
+agent's belief constraints, once into one fragment and splices it into
+every query; the clause sets must still be exactly what these functions
+build: the same atoms in the same order, the same aux count, clauses and
+labels. The bodies are the original builder and query functions,
+unchanged apart from the check for modal nodes, which no longer exist,
+the object domain, which is given as constants, and the theory, which
+they read from `scenario.constraints` themselves; they ground and
+convert the whole theory for every query.
 
 The grounder is the original one too: `substitute` copies each quantifier
 body once per constant, and universal adoption is a `UniversalizedPlan`
@@ -51,7 +53,7 @@ from deon.logic import (
     universalization_trigger,
     walk,
 )
-from deon.scenario import ActionPlan, Scenario, belief_theory, effects_for
+from deon.scenario import ActionPlan, Scenario, effects_for
 
 @dataclass(frozen=True)
 class UniversalizedPlan(Formula):
@@ -310,13 +312,12 @@ class ClauseBuilder:
         return GroundClauseSet(tuple(atoms), aux_count, tuple(clauses), tuple(labels))
 
 
-def _constraint_parts(scenario: Scenario, agent: str) -> list[tuple[Formula, str]]:
-    n_physical = len(scenario.constraints.physical)
-    parts = []
-    for i, f in enumerate(belief_theory(scenario, agent)):
-        label = "physical constraint" if i < n_physical else f"rational constraint of agent {agent}"
-        parts.append((f, label))
-    return parts
+def _constraint_parts(scenario: Scenario, agent: Term) -> list[tuple[Formula, str]]:
+    """The agent's theory: the physics, then its own belief constraints."""
+    constraints = scenario.constraints
+    return [(f, "physical constraint") for f in constraints.physical] + [
+        (f, f"rational constraint of agent {agent}") for f in constraints.beliefs.get(agent, ())
+    ]
 
 
 def generalization_query(plan: ActionPlan, scenario: Scenario) -> GroundClauseSet:
@@ -343,7 +344,7 @@ def generalization_query(plan: ActionPlan, scenario: Scenario) -> GroundClauseSe
         ground(plan.commitment_formula(), agents, objects),
         f"reasons and action of plan {plan.id}",
     )
-    for f, label in _constraint_parts(scenario, plan.agent.name):
+    for f, label in _constraint_parts(scenario, plan.agent):
         builder.add(ground(f, agents, objects), label)
     return builder.build()
 
@@ -358,7 +359,7 @@ def autonomy_pair_queries(
     (pass if unsatisfiable: the plans can never come into conflict).
     """
     agents, objects = scenario.agents, scenario.objects
-    constraints = _constraint_parts(scenario, plan.agent.name)
+    constraints = _constraint_parts(scenario, plan.agent)
 
     actions = ClauseBuilder()
     actions.add(ground(plan.action_formula(), agents, objects), f"action of plan {plan.id}")
@@ -385,7 +386,7 @@ def action_alone_query(plan: ActionPlan, scenario: Scenario) -> GroundClauseSet:
     agents, objects = scenario.agents, scenario.objects
     builder = ClauseBuilder()
     builder.add(ground(plan.action_formula(), agents, objects), f"action of plan {plan.id}")
-    for f, label in _constraint_parts(scenario, plan.agent.name):
+    for f, label in _constraint_parts(scenario, plan.agent):
         builder.add(ground(f, agents, objects), label)
     return builder.build()
 

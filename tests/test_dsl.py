@@ -28,7 +28,6 @@ def test_theft_parse_counts(golden):
     assert len(theft.plans) == 1
     assert len(theft.predicates) == 3
     assert len(theft.effects) == 1
-    assert theft.agent_names() == ("a", "b")
     assert theft.agents == (agent_const("a"), agent_const("b"))
     # each plan holds the very agent constant the parser declared
     assert all(any(plan.agent is a for a in theft.agents) for plan in theft.plans)
@@ -139,7 +138,7 @@ def test_declaration_diagnostics(name):
 def test_interleaved_declarations_keep_their_order():
     result = parse_scenario("scenario t\nagents a\nobjects x\nagents b\n")
     assert result.ok
-    assert result.scenario.agent_names() == ("a", "b")
+    assert result.scenario.agents == (agent_const("a"), agent_const("b"))
     assert result.scenario.objects == (object_const("x"),)
 
 

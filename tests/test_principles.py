@@ -208,7 +208,7 @@ def test_check_autonomy_aggregates(golden):
     ok = QueryCompiler(ped).check_autonomy(ped.plan("brake"), all_protected(ped))
     assert ok.status == PASS
     assert isinstance(ok.evidence, AutonomyClear)
-    assert ok.evidence.checked_plans == ("cross", "ride")
+    assert [other for other, _ in ok.evidence.pairs] == ["cross", "ride"]
 
     bad = QueryCompiler(ped).check_autonomy(ped.plan("no_brake"), all_protected(ped))
     assert bad.status == FAIL
@@ -354,7 +354,7 @@ def test_budget_exhaustion_yields_indeterminate_and_stays_protected():
     y = verdicts.plan("y")
     assert y.overall == ETHICAL
     # the indeterminate plan stayed protected: y was still checked against x
-    assert y.check(AUTONOMY).evidence.checked_plans == ("x",)
+    assert [other for other, _ in y.check(AUTONOMY).evidence.pairs] == ["x"]
     assert verdicts.stable
 
     generous = evaluate(fog, budget=10_000)

@@ -330,6 +330,18 @@ def test_random_formulas_with_fragments_match_reference():
         assert builder.build() == expected, parts
         assert compile_fragment(parts) == expected, parts
 
+        # A fragment may be a part of another, as an agent's theory splices
+        # the physics fragment ahead of its beliefs, and a query adds that
+        # theory after its plan parts.
+        i = rng.randint(0, len(parts))
+        k = rng.randint(i, len(parts))
+        assert compile_fragment([compile_fragment(parts[:k]), *parts[k:]]) == expected, parts
+        builder = ClauseBuilder()
+        for formula, label in parts[:i]:
+            builder.add(formula, label)
+        builder.add_fragment(compile_fragment([compile_fragment(parts[i:k]), *parts[k:]]))
+        assert builder.build() == expected, parts
+
 
 QUANTIFIED_TERMS = (
     agent_var("x"), agent_var("z"), object_var("y"), object_var("x"),
@@ -398,7 +410,7 @@ def reference_queries(scenario) -> list:
 def test_scenarios_sharing_an_agent_name_do_not_leak():
     # Both scenarios have an agent `a` with different beliefs.
     theft, bus = load("theft"), load("bus")
-    assert "a" in theft.agent_names() and "a" in bus.agent_names()
+    assert agent_const("a") in theft.agents and agent_const("a") in bus.agents
     for scenario in (theft, bus, theft, bus):
         assert all_queries(scenario) == reference_queries(scenario)
     assert evaluate(bus) == evaluate(load("bus"))

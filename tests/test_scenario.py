@@ -2,6 +2,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from test_query_differential import fixpoint_chain
 
 from deon.logic import (
     And,
@@ -20,10 +21,10 @@ from deon.logic import (
     universalization_trigger,
 )
 from deon.dsl import parse_scenario
+from deon.principles import QueryCompiler, evaluate
 from deon.scenario import (
     ScenarioError,
     UtilityTable,
-    belief_theory,
     effects_for,
     plan_context,
     validate,
@@ -206,34 +207,49 @@ def test_validate_is_deterministic(golden):
         assert validate(scenario) == validate(scenario)
 
 
-# -- belief_theory ------------------------------------------------------------------
+# -- agents: plan agents, belief keys and theories ---------------------------------
+
+AGENT_PROBE = (
+    "scenario t\nagents a, b\nobjects o\npredicates rain(), go(object) action\n"
+    "plan p agent a: reasons { rain } action { go(o) }\n"
+)
 
 
-def test_belief_theory_defaults_to_physics(golden):
-    bus = golden["bus"]
-    assert belief_theory(bus, agent_const("b")) == list(bus.constraints.physical)
+def test_a_plan_whose_agent_is_an_object_is_unknown_agent():
+    scenario = parse_scenario(AGENT_PROBE).scenario
+    plan = dataclasses.replace(scenario.plans[0], agent=scenario.objects[0])
+    mutated = dataclasses.replace(scenario, plans=(plan,))
+    assert [(d.element, d.rule) for d in validate(mutated)] == [("plan p", "unknown-agent")]
+    with pytest.raises(ScenarioError, match="unknown agent 'o'"):
+        evaluate(mutated)
 
 
-def test_belief_theory_driver_gets_braking_constraint(golden):
-    ped = golden["pedestrian"]
-    theory = belief_theory(ped, agent_const("a"))
-    assert theory[: len(ped.constraints.physical)] == list(ped.constraints.physical)
-    assert len(theory) == len(ped.constraints.physical) + 1
-    extra = theory[-1]
-    assert isinstance(extra, Implies)  # not braking forecloses the pedestrian's plan
+@pytest.mark.parametrize(
+    "key", [agent_const("zz"), object_const("o"), "a"], ids=["undeclared", "object", "string"]
+)
+def test_a_belief_key_that_is_no_agent_constant_is_unknown_agent(key):
+    scenario = parse_scenario(AGENT_PROBE).scenario
+    constraints = dataclasses.replace(
+        scenario.constraints, beliefs={key: (AtomF(Atom("rain", ())),)}
+    )
+    found = validate(dataclasses.replace(scenario, constraints=constraints))
+    assert [(d.element, d.rule) for d in found] == [(f"belief {key}", "unknown-agent")]
 
 
-def test_belief_theory_includes_physics_for_every_agent(golden):
-    for scenario in golden.values():
-        for agent in scenario.agents:
-            theory = belief_theory(scenario, agent)
-            for constraint in scenario.constraints.physical:
-                assert constraint in theory
+def test_parsed_belief_keys_are_the_agent_constants(golden):
+    for scenario in (golden["pedestrian"], parse_scenario(fixpoint_chain(4)).scenario):
+        constraints = scenario.constraints
+        assert constraints.beliefs
+        assert all(agent in scenario.agents for agent in constraints.beliefs)
+        assert constraints.belief_spans.keys() == constraints.beliefs.keys()
 
 
-def test_belief_theory_unknown_agent(golden):
-    with pytest.raises(ScenarioError):
-        belief_theory(golden["theft"], agent_const("z"))
+def test_the_theory_of_an_agent_outside_the_scenario_raises(golden):
+    theft = golden["theft"]
+    plan = theft.plans[0]
+    without = dataclasses.replace(theft, agents=tuple(a for a in theft.agents if a != plan.agent))
+    with pytest.raises(ScenarioError, match=f"unknown agent '{plan.agent}'"):
+        QueryCompiler(without).check_generalization(plan)
 
 
 # -- effects_for ---------------------------------------------------------------------
