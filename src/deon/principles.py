@@ -13,10 +13,10 @@ query is recorded once, as a `ModalQuery`, in the evaluation's
 
 from __future__ import annotations
 
-import dataclasses
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable, Iterator
 
 from .logic import (
     Atom,
@@ -32,6 +32,7 @@ from .logic import (
 from .sat import DEFAULT_BUDGET, BudgetExhausted, ConflictExplanation, Model, solve
 from .scenario import (
     ActionPlan,
+    CandidateSet,
     Scenario,
     ScenarioError,
     effects_for,
@@ -237,13 +238,15 @@ class QueryCompiler:
     generalization and autonomy checks; `evaluate` makes one compiler per
     call, so nothing carries over between scenarios or calls.
 
-    Within one evaluation each plan's generalization verdict and each
-    ordered autonomy pair's verdict is decided once and then reused from a
-    memo (`_memoized`): neither reads the round's protected or eligible
-    sets, and the budget is fixed, so a later round would only repeat the
-    same checks. `evaluate` therefore solves at most one query per plan and
-    two per ordered pair of plans of distinct agents, however many rounds
-    it runs.
+    The table is the evaluation's one memo: a plan's generalization
+    verdict and an ordered autonomy pair's verdict read no round state, and
+    the budget is fixed, so asking a check again rebuilds its verdict from
+    the recorded evidence and solves nothing. `evaluate`'s status-only
+    rounds ask each plan's generalization check once and each pair's check
+    once, to feed its partner counts, and its final build asks again for
+    the evidence. It therefore solves at most one query per plan and two
+    per ordered pair of plans of distinct agents, however many rounds it
+    runs.
 
     A pair whose other action names no atom of the acting plan's action or
     of its agent's theory (`_independent`, a test on atom sets alone) takes
@@ -266,16 +269,6 @@ class QueryCompiler:
         self._physics: GroundClauseSet | None = None
         self._theories: dict[Term, GroundClauseSet] = {}
         self._actions: dict[str, tuple[tuple[Formula, str], frozenset[Atom]]] = {}
-        self._verdicts: dict[str | tuple[str, str], PrincipleVerdict] = {}
-
-    def _memoized(
-        self, key: str | tuple[str, str], decide: Callable[[], PrincipleVerdict]
-    ) -> PrincipleVerdict:
-        """The verdict stored under `key`, from `decide()` on first use only."""
-        verdict = self._verdicts.get(key)
-        if verdict is None:
-            verdict = self._verdicts[key] = decide()
-        return verdict
 
     def _ground(self, formula: Formula) -> Formula:
         return ground(formula, self.scenario.agents, self.scenario.objects)
@@ -310,7 +303,8 @@ class QueryCompiler:
         self, check: tuple[str, ...], plan: ActionPlan, parts: Iterable[tuple[Formula, str]]
     ) -> Witness | QueryConflict | None:
         """The evidence of `plan`'s query `check` over `parts`, or None when the
-        budget ran out; built, solved and recorded in `queries` on first use."""
+        budget ran out; built, solved and recorded in `queries` on first use.
+        `parts` is read only then."""
         query = self.queries.get(check)
         if query is None:
             cs = self._query(plan.agent, parts)
@@ -343,16 +337,16 @@ class QueryCompiler:
         ours, theirs = self._action(plan)[1], self._action(other)[1]
         return theirs.isdisjoint(ours) and theirs.isdisjoint(self._theory(plan.agent).atoms)
 
-    def _generalization_parts(self, plan: ActionPlan) -> list[tuple[Formula, str]]:
+    def _generalization_parts(self, plan: ActionPlan) -> Iterator[tuple[Formula, str]]:
         """Every agent adopting the plan (material conditionals plus the
         universalization trigger), the plan's declared universalization
-        effects, and the plan's own reasons and action, each ground."""
-        parts = [(plan.universal_adoption(), f"universal adoption of plan {plan.id}")]
+        effects, and the plan's own reasons and action, each ground. Lazy, so
+        a recorded query grounds nothing."""
+        yield self._ground(plan.universal_adoption()), f"universal adoption of plan {plan.id}"
         effects = effects_for(self.scenario, plan.id)
         if effects != TRUE:
-            parts.append((effects, f"universalization effect of plan {plan.id}"))
-        parts.append((plan.commitment_formula(), f"reasons and action of plan {plan.id}"))
-        return [(self._ground(f), label) for f, label in parts]
+            yield self._ground(effects), f"universalization effect of plan {plan.id}"
+        yield self._ground(plan.commitment_formula()), f"reasons and action of plan {plan.id}"
 
     def generalization(self, plan: ActionPlan) -> GroundClauseSet:
         """Ground query behind the generalization check: its plan parts with
@@ -407,7 +401,7 @@ class QueryCompiler:
         reasons = None
         if actions is not None:
             reasons = self._decide(("autonomy", plan.id, other.id, "reasons"), plan,
-                                   [self._reasons(p) for p in (plan, other)])
+                                   (self._reasons(p) for p in (plan, other)))
         if reasons is None:
             return PrincipleVerdict(
                 AUTONOMY, INDETERMINATE,
@@ -429,9 +423,7 @@ class QueryCompiler:
         for other in self.scenario.plans:
             if other.agent == plan.agent or other.id not in protected:
                 continue
-            verdict = self._memoized(
-                (plan.id, other.id), lambda: self.check_autonomy_pair(plan, other)
-            )
+            verdict = self.check_autonomy_pair(plan, other)
             if verdict.status == FAIL:
                 return verdict
             if verdict.status == INDETERMINATE and indeterminate is None:
@@ -444,25 +436,6 @@ class QueryCompiler:
                 AUTONOMY, PASS, Note("no protected plans of other agents to conflict with")
             )
         return PrincipleVerdict(AUTONOMY, PASS, AutonomyClear(tuple(pairs)))
-
-    def _check_plan(
-        self,
-        plan: ActionPlan,
-        protected: frozenset[str],
-        eligible: frozenset[tuple[str, Atom]],
-    ) -> PlanVerdict:
-        checks = (
-            self._memoized(plan.id, lambda: self.check_generalization(plan)),
-            check_utility(plan, self.scenario, eligible),
-            self.check_autonomy(plan, protected),
-        )
-        if any(c.status == FAIL for c in checks):
-            overall = UNETHICAL
-        elif all(c.status == PASS for c in checks):
-            overall = ETHICAL
-        else:
-            overall = INDETERMINATE
-        return PlanVerdict(plan.id, checks, overall)
 
 
 # --------------------------------------------------------------------------
@@ -481,7 +454,16 @@ def check_utility(
     utilities directly. A missing utility entry is a configuration error,
     not a fail.
     """
-    context = plan_context(scenario, plan)
+    return _check_utility(plan, plan_context(scenario, plan), scenario, eligible)
+
+
+def _check_utility(
+    plan: ActionPlan,
+    context: CandidateSet | None,
+    scenario: Scenario,
+    eligible: frozenset[tuple[str, Atom]],
+) -> PrincipleVerdict:
+    """`check_utility` with the plan's `plan_context` already found."""
     if context is None:
         return PrincipleVerdict(
             UTILITY, PASS,
@@ -530,15 +512,19 @@ def eligible_actions(
     they remain eligible.
     """
     dropped = {
-        (ctx.context, p.instantiated_action().atom)
-        for p in scenario.plans
-        if p.id not in protected
-        and not p.action.negated
-        and (ctx := plan_context(scenario, p)) is not None
+        _withdrawn(p, plan_context(scenario, p)) for p in scenario.plans if p.id not in protected
     }
     return frozenset(
         (cs.context, act) for cs in scenario.candidates for act in cs.actions
     ) - dropped
+
+
+def _withdrawn(plan: ActionPlan, context: CandidateSet | None) -> tuple[str, Atom] | None:
+    """The candidate `plan` carries, which leaves utility comparison while
+    the plan is unprotected; None if it carries none."""
+    if context is None or plan.action.negated:
+        return None
+    return context.context, plan.instantiated_action().atom
 
 
 def evaluate(scenario: Scenario, budget: int = DEFAULT_BUDGET) -> VerdictSet:
@@ -552,38 +538,117 @@ def evaluate(scenario: Scenario, budget: int = DEFAULT_BUDGET) -> VerdictSet:
     after len(plans)+1 rounds; plans still flipping at the bound are
     reported indeterminate with the stability flag false. Deterministic and
     independent of plan declaration order.
+
+    The rounds compute statuses alone; each plan's `PlanVerdict`, with its
+    evidence, is built once, from the final round's protected and eligible
+    sets. A plan's generalization status is fixed. Its utility status is
+    recomputed only in a round that changed which actions of its candidate
+    context are eligible. Its autonomy status is read from two counts over
+    its protected partners, the plans of other agents: those whose pair
+    fails (kept as a set, to know the first in plan order) and those whose
+    pair is indeterminate. A round updates the counts only for the plans
+    that joined or left protection; a plan can do both over the rounds,
+    since statuses can oscillate. A pair is decided where checking the
+    plan in full would decide it: its partner is protected and no earlier
+    partner in plan order has a failing pair. So the rounds decide the same
+    queries, in the same order, as rounds that check every plan in full.
     """
     plans = scenario.plans
-    assumed = {p.id: ETHICAL for p in plans}
-    max_rounds = len(plans) + 1
+    n = len(plans)
+    compiler = QueryCompiler(scenario, budget)
+    agent_index: dict[Term, int] = {}
+    owner = [agent_index.setdefault(p.agent, len(agent_index)) for p in plans]
+    contexts = [plan_context(scenario, p) for p in plans]
+    withdrawn = [_withdrawn(p, ctx) for p, ctx in zip(plans, contexts)]
+    candidates = frozenset((cs.context, act) for cs in scenario.candidates for act in cs.actions)
+
+    generalization: list[str] = []
+    utility: list[str] = []
+    # Each plan's partners, by index in plan order, whose pair is not yet decided.
+    undecided = [[j for j in range(n) if owner[j] != owner[i]] for i in range(n)]
+    # Each plan's protected partners whose pair fails, and how many more have
+    # an indeterminate pair; watchers[j] lists the (plan, status) pairs with j
+    # that fail or are indeterminate, so the counts follow j's protection.
+    failing: list[set[int]] = [set() for _ in plans]
+    indeterminate = [0] * n
+    watchers: list[list[tuple[int, str]]] = [[] for _ in plans]
+    protected: set[int] = set()
+    eligible = candidates
+    assumed = [ETHICAL] * n
+    statuses = last_in = assumed
+    max_rounds = n + 1
     rounds = 0
     stable = False
-    current: list[PlanVerdict] = []
-    statuses: dict[str, str] = dict(assumed)
-    last_in: dict[str, str] = dict(assumed)
-    compiler = QueryCompiler(scenario, budget)
 
     while rounds < max_rounds:
         rounds += 1
-        protected = frozenset(
-            pid for pid, status in assumed.items() if status in (ETHICAL, INDETERMINATE)
-        )
-        eligible = eligible_actions(scenario, protected)
-        current = [compiler._check_plan(p, protected, eligible) for p in plans]
-        statuses = {pv.plan_id: pv.overall for pv in current}
+        now = {i for i, status in enumerate(assumed) if status != UNETHICAL}
+        for j in now ^ protected:
+            step = 1 if j in now else -1
+            for i, status in watchers[j]:
+                if status == INDETERMINATE:
+                    indeterminate[i] += step
+                elif step > 0:
+                    failing[i].add(j)
+                else:
+                    failing[i].remove(j)
+        protected = now
+        previous, eligible = eligible, candidates - {
+            w for i, w in enumerate(withdrawn) if i not in protected
+        }
+        changed = {context for context, _ in eligible ^ previous}
+        statuses = []
+        for i, plan in enumerate(plans):
+            context = contexts[i]
+            if rounds == 1:
+                generalization.append(compiler.check_generalization(plan).status)
+                utility.append(_check_utility(plan, context, scenario, eligible).status)
+            elif context is not None and context.context in changed:
+                utility[i] = _check_utility(plan, context, scenario, eligible).status
+
+            fails = failing[i]
+            waiting = undecided[i]
+            # Decide what a scan in plan order would: the protected partners
+            # ahead of the first protected one whose pair fails.
+            for j in waiting[:bisect_left(waiting, min(fails, default=n))]:
+                if j in protected:
+                    status = compiler.check_autonomy_pair(plan, plans[j]).status
+                    waiting.remove(j)
+                    if status != PASS:
+                        watchers[j].append((i, status))
+                    if status == FAIL:
+                        fails.add(j)
+                        break
+                    if status == INDETERMINATE:
+                        indeterminate[i] += 1
+
+            checks = (
+                generalization[i], utility[i],
+                FAIL if fails else INDETERMINATE if indeterminate[i] else PASS,
+            )
+            if FAIL in checks:
+                statuses.append(UNETHICAL)
+            elif checks == (PASS, PASS, PASS):
+                statuses.append(ETHICAL)
+            else:
+                statuses.append(INDETERMINATE)
         if statuses == assumed:
             stable = True
             break
-        last_in = assumed
-        assumed = statuses
+        last_in, assumed = assumed, statuses
 
     if not stable:
-        oscillating = {pid for pid, status in statuses.items() if status != last_in[pid]}
-        current = [
-            dataclasses.replace(pv, overall=INDETERMINATE) if pv.plan_id in oscillating else pv
-            for pv in current
+        statuses = [
+            INDETERMINATE if status != before else status
+            for status, before in zip(statuses, last_in)
         ]
-
-    return VerdictSet(
-        scenario.name, tuple(current), rounds, stable, tuple(compiler.queries.values())
+    protected_ids = frozenset(plans[i].id for i in protected)
+    verdicts = tuple(
+        PlanVerdict(plan.id, (
+            compiler.check_generalization(plan),
+            _check_utility(plan, context, scenario, eligible),
+            compiler.check_autonomy(plan, protected_ids),
+        ), overall)
+        for plan, context, overall in zip(plans, contexts, statuses)
     )
+    return VerdictSet(scenario.name, verdicts, rounds, stable, tuple(compiler.queries.values()))

@@ -355,7 +355,9 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
             add(element, "duplicate", f"plan id {plan.id} declared more than once", span)
         plan_ids[plan.id] = plan
         if plan.agent not in agents:
+            # The rules below read the agent's name, which such a value may lack.
             add(element, "unknown-agent", f"unknown agent {plan.agent}", span)
+            continue
         if not plan.reasons:
             add(element, "empty-reasons", "a plan needs at least one reason", span)
         allowed_vars = frozenset((plan.agent_placeholder,) + plan.object_vars)
@@ -434,6 +436,8 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
                     f"candidate action {atom} has no utility entry", cs.span)
 
     for plan in scenario.plans:
+        if plan.agent not in agents:
+            continue
         ctx = plan_context(scenario, plan)
         if ctx is None:
             continue

@@ -20,6 +20,7 @@ import threading
 import pytest
 import reference_logic
 from hypothesis import given, settings
+from test_principles import STANDOFF
 from test_roundtrip_property import scenario_texts
 from test_sat_differential import CHAIN_RULE
 
@@ -46,6 +47,7 @@ from deon.principles import (
     GENERALIZATION,
     AutonomyClear,
     PlanInterference,
+    PlanVerdict,
     QueryCompiler,
     QueryConflict,
     ReasonsContradiction,
@@ -224,6 +226,41 @@ def test_each_query_is_solved_at_most_once_per_evaluation(name):
     assert len(log) <= len(plans) + 2 * len(ordered_pairs)
     if name == "fixpoint_12":
         assert (len(log), len(plans) + 2 * len(ordered_pairs)) == (46, 276)
+
+
+def test_fixpoint_12_decides_its_queries_in_a_pinned_order():
+    # As recorded from rounds that check every plan in full: p_i's pair with
+    # p_i+1 clashes, every other pair shares p_i's action query, and p0 asks
+    # for that query only once p1 has left protection.
+    expected = ["generalization:p0", "autonomy:p0:p1:actions", "autonomy:p0:p1:reasons"]
+    for i in range(1, 11):
+        expected += [
+            f"generalization:p{i}", f"autonomy:p{i}:actions",
+            f"autonomy:p{i}:p{i + 1}:actions", f"autonomy:p{i}:p{i + 1}:reasons",
+        ]
+    expected += ["generalization:p11", "autonomy:p11:actions", "autonomy:p0:actions"]
+    assert [q.check for q in evaluate(load("fixpoint_12")).queries] == expected
+
+
+@pytest.mark.parametrize(
+    "source", [SOURCES["fixpoint_12"], STANDOFF], ids=["fixpoint_12", "standoff"]
+)
+def test_evaluate_builds_one_plan_verdict_per_plan(source, monkeypatch):
+    # The rounds work on statuses; only the reported verdicts are built,
+    # oscillating ones (standoff) included.
+    built = []
+    init = PlanVerdict.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0] if args else kwargs["plan_id"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PlanVerdict, "__init__", counting_init)
+    parsed = parse_scenario(source)
+    assert parsed.ok, [str(d) for d in parsed.diagnostics]
+    verdicts = evaluate(parsed.scenario)
+    assert built == [p.id for p in parsed.scenario.plans] == [pv.plan_id for pv in verdicts.plans]
+    assert verdicts.stable is (source != STANDOFF)
 
 
 # -- the query record ------------------------------------------------------------------

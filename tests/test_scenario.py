@@ -224,6 +224,15 @@ def test_a_plan_whose_agent_is_an_object_is_unknown_agent():
         evaluate(mutated)
 
 
+@pytest.mark.parametrize("agent", ["a", None], ids=["string", "none"])
+def test_a_plan_whose_agent_is_no_term_is_unknown_agent(golden, agent):
+    # Reported, not raised: the plan's other rules read its agent's name.
+    theft = golden["theft"]
+    plan = dataclasses.replace(theft.plans[0], agent=agent)
+    found = validate(dataclasses.replace(theft, plans=(plan,)))
+    assert [(d.element, d.rule) for d in found] == [(f"plan {plan.id}", "unknown-agent")]
+
+
 @pytest.mark.parametrize(
     "key", [agent_const("zz"), object_const("o"), "a"], ids=["undeclared", "object", "string"]
 )

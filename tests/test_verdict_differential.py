@@ -4,19 +4,23 @@
 per-evaluation memo: it builds and solves every query afresh in every
 round with the reference builder and solver. The engine must print exactly
 the same JSON and `explain` text, under the default budget and under
-budgets of 1 to 5 decisions, which reach the budget notes. The inputs are
+budgets of 1 to 5 decisions, which reach the budget notes. Its query log
+must hold the queries the oracle's rounds ask, each once, in the order the
+oracle first asks them. The inputs are
 the bundled scenarios, the small scenarios of `test_principles` that
 oscillate or run out of budget, fixpoint chains of up to 12 agents, and
-generated scenarios.
+generated scenarios, among them random interference graphs.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import pytest
+import reference_logic
 import reference_principles
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 from test_principles import CAKE, FOG, HAZE, NOISE, STANDOFF
 from test_query_differential import fixpoint_chain
 from test_roundtrip_property import scenario_texts
@@ -24,7 +28,14 @@ from test_roundtrip_property import scenario_texts
 from deon import scenarios
 from deon.cli import render_human, render_structured
 from deon.dsl import parse_scenario
-from deon.principles import evaluate
+from deon.principles import (
+    INDETERMINATE,
+    PlanInterference,
+    QueryCompiler,
+    QueryConflict,
+    ReasonsContradiction,
+    evaluate,
+)
 from deon.sat import DEFAULT_BUDGET
 
 BUDGETS = (DEFAULT_BUDGET, 1, 2, 3, 4, 5)
@@ -42,6 +53,28 @@ SOURCES["infeasible"] = (
     "plan p agent a: reasons { want(a) } action { go(a) }\n"
     "plan q agent b: reasons { want(b) } action { wait(b) }\n"
 )
+# Under a 2-decision budget pa's pair with pb runs out of budget, and pb
+# fails generalization: pa is indeterminate in round 1, then ethical once pb
+# has left protection.
+SOURCES["noise_lifted"] = NOISE + "on_universalized pb { forall x. not want(x); }\n"
+# p0 interferes with p1 and p5. p5 stays protected; p1 leaves protection,
+# rejoins it and leaves it again as the chain p1 -> p4 -> p3 -> p2 settles.
+# So p0 has two failing partners at once, and once p1 leaves the second
+# time, p0's pair with p3, ahead of p5 in plan order, must be decided.
+SOURCES["rejoin"] = (
+    "scenario rejoin\n"
+    "agents ag0, ag1, ag2, ag3, ag4, ag5\n"
+    "predicates " + ", ".join(f"want{i}(agent), act{i}(agent) action" for i in range(6)) + "\n"
+    "belief ag0 { not (act0(ag0) and act1(ag1)); not (act0(ag0) and act5(ag5)); }\n"
+    "belief ag1 { not (act1(ag1) and act4(ag4)); }\n"
+    "belief ag3 { not (act3(ag3) and act2(ag2)); }\n"
+    "belief ag4 { not (act4(ag4) and act3(ag3)); }\n"
+    + "".join(
+        f"plan p{i} agent ag{i}: reasons {{ want{i}(ag{i}) }} action {{ act{i}(ag{i}) }}\n"
+        for i in (1, 0, 2, 3, 4, 5)
+    )
+    + "on_universalized p2 { forall x. not want2(x); }\n"
+)
 
 
 def assert_prints_like_reference(source: str, budget: int) -> None:
@@ -52,10 +85,47 @@ def assert_prints_like_reference(source: str, budget: int) -> None:
 
 def assert_evaluates_like_reference(scenario, budget: int):
     engine = evaluate(scenario, budget)
-    reference = reference_principles.evaluate(scenario, budget)
+    reference, asked = evaluate_reference(scenario, budget)
     assert render_structured(engine) == render_structured(reference)
     assert render_human(engine, explain=True) == render_human(reference, explain=True)
+    assert [q.check for q in engine.queries] == asked
     return engine
+
+
+def evaluate_reference(scenario, budget: int):
+    """The oracle's verdicts, and the check ids of the queries its rounds
+    ask, each on first asking, keyed as the engine keys them."""
+    independent = QueryCompiler(scenario)._independent
+    asked: dict[tuple[str, ...], None] = {}
+    check_generalization = reference_principles.check_generalization
+    check_autonomy_pair = reference_principles.check_autonomy_pair
+
+    def generalization(plan, scenario, budget):
+        asked.setdefault(("generalization", plan.id))
+        return check_generalization(plan, scenario, budget)
+
+    def autonomy_pair(plan, other, scenario, budget):
+        verdict = check_autonomy_pair(plan, other, scenario, budget)
+        if independent(plan, other):
+            asked.setdefault(("autonomy", plan.id, "actions"))
+        else:
+            asked.setdefault(("autonomy", plan.id, other.id, "actions"))
+        # The reasons query is asked once the actions query is refuted.
+        reasons_asked = isinstance(verdict.evidence, (ReasonsContradiction, PlanInterference))
+        if verdict.status == INDETERMINATE:
+            actions = reference_logic.autonomy_pair_queries(plan, other, scenario)[0]
+            reasons_asked = isinstance(reference_principles._decide(actions, budget), QueryConflict)
+        if reasons_asked:
+            asked.setdefault(("autonomy", plan.id, other.id, "reasons"))
+        return verdict
+
+    with mock.patch.multiple(
+        reference_principles,
+        check_generalization=generalization,
+        check_autonomy_pair=autonomy_pair,
+    ):
+        reference = reference_principles.evaluate(scenario, budget)
+    return reference, [":".join(key) for key in asked]
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
@@ -103,5 +173,45 @@ def test_plan_ids_with_colons_get_a_record_each(budget):
 @given(scenario_texts())
 @settings(max_examples=40, deadline=None)
 def test_generated_verdicts_print_like_reference(text):
+    for budget in BUDGETS:
+        assert_prints_like_reference(text, budget)
+
+
+@st.composite
+def interference_graphs(draw) -> str:
+    """2-7 agents with one plan each, in shuffled plan order; random
+    `not (act_i(a_i) and act_j(a_j))` beliefs, each held by a random agent;
+    and random universalization effects that deny the plan's own reasons.
+
+    Unlike a chain, such a graph can give a plan several failing partners,
+    and a partner that leaves protection and later rejoins it.
+    """
+    n = draw(st.integers(2, 7))
+    agents = range(n)
+    beliefs: dict[int, list[str]] = {}
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.lists(st.sampled_from(agents), min_size=2, max_size=2, unique=True))
+        holder = draw(st.sampled_from((i, j, draw(st.sampled_from(agents)))))
+        beliefs.setdefault(holder, []).append(f"not (act{i}(ag{i}) and act{j}(ag{j}));")
+    lines = [
+        "scenario graph",
+        "agents " + ", ".join(f"ag{i}" for i in agents),
+        "predicates " + ", ".join(f"want{i}(agent), act{i}(agent) action" for i in agents),
+    ]
+    lines += [f"belief ag{h} {{ {' '.join(b)} }}" for h, b in sorted(beliefs.items())]
+    lines += [
+        f"plan p{i} agent ag{i}: reasons {{ want{i}(ag{i}) }} action {{ act{i}(ag{i}) }}"
+        for i in draw(st.permutations(agents))
+    ]
+    lines += [
+        f"on_universalized p{i} {{ forall x. not want{i}(x); }}"
+        for i in sorted(draw(st.sets(st.sampled_from(agents))))
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@given(interference_graphs())
+@settings(max_examples=40, deadline=None)
+def test_interference_graphs_print_like_reference(text):
     for budget in BUDGETS:
         assert_prints_like_reference(text, budget)
