@@ -8,10 +8,12 @@ indeterminate verdict is present, 3 the file failed to parse or validate,
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
+import sys
 from pathlib import Path
-
-import click
+from typing import NoReturn
 
 from .dsl import format_number, parse_scenario
 from .principles import (
@@ -42,22 +44,6 @@ EXIT_INVALID = 3
 EXIT_USAGE = 4
 
 _SEVERITY = {EXIT_OK: 0, EXIT_INDETERMINATE: 1, EXIT_UNETHICAL: 2, EXIT_INVALID: 3}
-
-_FORMAT = click.option(
-    "--format", "fmt", type=click.Choice(["human", "json"]), default="human",
-    show_default=True, help="Output rendering.",
-)
-_BUDGET = click.option(
-    "--budget", type=click.IntRange(min=1), default=DEFAULT_BUDGET,
-    envvar="DEON_BUDGET", show_default=True,
-    help="Solver decision budget per query (env: DEON_BUDGET).",
-)
-
-
-@click.group()
-def cli() -> None:
-    """Decide whether declared action plans are generalizable, utility
-    maximal and autonomy respecting over a finite scenario."""
 
 
 def _read(path: str) -> tuple[str | None, str]:
@@ -263,7 +249,35 @@ def render_structured(verdicts: VerdictSet) -> str:
 # Commands
 
 
-def _run_check(files: tuple[str, ...], fmt: str, budget: int, explain: bool) -> int:
+class UsageError(Exception):
+    """A command line deon cannot run; `main` reports it and returns 4."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def __init__(self, prog: str, description: str | None, **options) -> None:
+        super().__init__(prog, description=description, add_help=False, allow_abbrev=False,
+                         **options)
+        self.add_argument("--help", action="help", help="show this message and exit")
+
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(message)
+
+
+def _budget(text: str, source: str = "--budget") -> int:
+    """A decision budget read from `source`: a positive integer, as `int` reads it."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise UsageError(f"{source}: {text!r} is not a positive integer")
+
+
+def check(files: list[str], fmt: str, budget: int | None, explain: bool) -> int:
+    """Evaluate every plan in the given scenario files."""
+    if budget is None:  # no --budget: read DEON_BUDGET on each call
+        text = os.environ.get("DEON_BUDGET")
+        budget = _budget(text, "DEON_BUDGET") if text else DEFAULT_BUDGET
     codes: list[int] = []
     docs: list[dict] = []
     human: list[str] = []
@@ -271,7 +285,7 @@ def _run_check(files: tuple[str, ...], fmt: str, budget: int, explain: bool) -> 
         scenario, messages = _load(path)
         if scenario is None:
             for line in messages:
-                click.echo(line, err=True)
+                print(line, file=sys.stderr)
             codes.append(EXIT_INVALID)
             continue
         verdicts = evaluate(scenario, budget=budget)
@@ -282,132 +296,117 @@ def _run_check(files: tuple[str, ...], fmt: str, budget: int, explain: bool) -> 
             human.append(render_human(verdicts, explain=explain))
     if fmt == "json" and (docs or len(files) > 1):
         # Several files give a list, whatever number of them parsed.
-        click.echo(_dump(docs if len(files) > 1 else docs[0]), nl=False)
+        sys.stdout.write(_dump(docs if len(files) > 1 else docs[0]))
     elif human:
-        click.echo("\n".join(human), nl=False)
+        sys.stdout.write("\n".join(human))
     return _combine(codes)
 
 
-@cli.command()
-@click.argument("files", nargs=-1, required=True)
-@_FORMAT
-@_BUDGET
-@click.option("--explain", is_flag=True, help="Include witness models and conflicts.")
-def check(files: tuple[str, ...], fmt: str, budget: int, explain: bool) -> int:
-    """Evaluate every plan in the given scenario files."""
-    return _run_check(files, fmt, budget, explain)
-
-
-@cli.command()
-@click.argument("files", nargs=-1, required=True)
-@_FORMAT
-@_BUDGET
-def explain(files: tuple[str, ...], fmt: str, budget: int) -> int:
-    """Like check, with witness models and conflict explanations."""
-    return _run_check(files, fmt, budget, explain=True)
-
-
-@cli.command()
-@click.argument("files", nargs=-1, required=True)
-@_FORMAT
-def validate(files: tuple[str, ...], fmt: str) -> int:
+def validate(files: list[str], fmt: str) -> int:
     """Parse and validate scenario files without checking any plan."""
-    code = EXIT_OK
     docs = []
     for path in files:
         text, problem = _read(path)
         if text is None:
-            click.echo(f"{path}: {problem}", err=True)
-            code = EXIT_INVALID
-            docs.append({
-                "file": path,
-                "ok": False,
-                "diagnostics": [{"line": 0, "column": 0, "severity": "error",
-                                 "message": problem, "code": "io"}],
-            })
-            continue
-        result = parse_scenario(text, filename=path)
-        ok = result.ok
-        if fmt == "json":
-            docs.append({
-                "file": path,
-                "ok": ok,
-                "diagnostics": [
-                    {
-                        "line": d.span.line,
-                        "column": d.span.column,
-                        "severity": d.severity,
-                        "message": d.message,
-                        "code": d.code,
-                    }
-                    for d in result.diagnostics
-                ],
-            })
+            print(f"{path}: {problem}", file=sys.stderr)
+            ok, diagnostics = False, [{"line": 0, "column": 0, "severity": "error",
+                                       "message": problem, "code": "io"}]
         else:
-            if ok:
-                click.echo(f"{path}: OK")
-            for d in result.diagnostics:
-                click.echo(str(d), err=True)
-        if not ok:
-            code = EXIT_INVALID
-    if fmt == "json" and docs:
-        click.echo(_dump(docs[0] if len(docs) == 1 else docs), nl=False)
-    return code
+            result = parse_scenario(text, filename=path)
+            ok = result.ok
+            diagnostics = [
+                {
+                    "line": d.span.line,
+                    "column": d.span.column,
+                    "severity": d.severity,
+                    "message": d.message,
+                    "code": d.code,
+                }
+                for d in result.diagnostics
+            ]
+            if fmt != "json":
+                if ok:
+                    print(f"{path}: OK", flush=True)  # keeps its place among stderr findings
+                for d in result.diagnostics:
+                    print(d, file=sys.stderr)
+        docs.append({"file": path, "ok": ok, "diagnostics": diagnostics})
+    if fmt == "json":
+        sys.stdout.write(_dump(docs[0] if len(docs) == 1 else docs))
+    return EXIT_OK if all(doc["ok"] for doc in docs) else EXIT_INVALID
 
 
-@cli.command("sat-debug")
-@click.argument("file", nargs=1)
-@click.option("--clauses", "check_id", required=True,
-              help="Which check to dump: gen:<plan> or aut:<plan>:<plan>.")
 def sat_debug(file: str, check_id: str) -> int:
     """Print the ground clause set behind a named check."""
     scenario, messages = _load(file)
     if scenario is None:
         for line in messages:
-            click.echo(line, err=True)
+            print(line, file=sys.stderr)
         return EXIT_INVALID
-    parts = check_id.split(":")
+    kind, *ids = check_id.split(":")
+    if kind == "util":
+        raise UsageError("utility checks compare point utilities and have no clause set")
+    if (kind, len(ids)) not in (("gen", 1), ("aut", 2)):
+        raise UsageError(f"bad check id {check_id!r}; use gen:<plan> or aut:<plan>:<plan>")
     plan_ids = {p.id for p in scenario.plans}
-    if parts[0] == "gen" and len(parts) == 2:
-        if parts[1] not in plan_ids:
-            raise click.UsageError(f"unknown plan {parts[1]!r} in --clauses")
-        cs = QueryCompiler(scenario).generalization(scenario.plan(parts[1]))
-        click.echo(f"c generalization query for plan {parts[1]}")
-        click.echo(cs.to_dimacs(), nl=False)
+    for pid in ids:
+        if pid not in plan_ids:
+            raise UsageError(f"unknown plan {pid!r} in --clauses")
+    plans = [scenario.plan(pid) for pid in ids]
+    if kind == "gen":
+        print(f"c generalization query for plan {ids[0]}")
+        sys.stdout.write(QueryCompiler(scenario).generalization(plans[0]).to_dimacs())
         return EXIT_OK
-    if parts[0] == "aut" and len(parts) == 3:
-        for pid in parts[1:]:
-            if pid not in plan_ids:
-                raise click.UsageError(f"unknown plan {pid!r} in --clauses")
-        plan, other = scenario.plan(parts[1]), scenario.plan(parts[2])
-        if plan.agent == other.agent:
-            raise click.UsageError("autonomy checks need plans of distinct agents")
-        actions, reasons = QueryCompiler(scenario).autonomy_pair(plan, other)
-        click.echo(f"c autonomy actions query for {parts[1]} against {parts[2]}")
-        click.echo(actions.to_dimacs(), nl=False)
-        click.echo(f"c autonomy reasons query for {parts[1]} against {parts[2]}")
-        click.echo(reasons.to_dimacs(), nl=False)
-        return EXIT_OK
-    if parts[0] == "util":
-        raise click.UsageError("utility checks compare point utilities and have no clause set")
-    raise click.UsageError(
-        f"bad check id {check_id!r}; use gen:<plan> or aut:<plan>:<plan>"
-    )
+    if plans[0].agent == plans[1].agent:
+        raise UsageError("autonomy checks need plans of distinct agents")
+    for query, cs in zip(("actions", "reasons"), QueryCompiler(scenario).autonomy_pair(*plans)):
+        print(f"c autonomy {query} query for {ids[0]} against {ids[1]}")
+        sys.stdout.write(cs.to_dimacs())
+    return EXIT_OK
+
+
+_CHECK = _Parser("deon check", check.__doc__)
+_EXPLAIN = _Parser("deon explain", "Like check, with witness models and conflict explanations.")
+_EXPLAIN.set_defaults(explain=True)
+_VALIDATE = _Parser("deon validate", validate.__doc__)
+_SAT_DEBUG = _Parser("deon sat-debug", sat_debug.__doc__)
+for _command in (_CHECK, _EXPLAIN, _VALIDATE):
+    _command.add_argument("files", nargs="+", metavar="FILE")
+    _command.add_argument("--format", dest="fmt", choices=("human", "json"), default="human",
+                          help="output rendering (default: human)")
+for _command in (_CHECK, _EXPLAIN):
+    _command.add_argument("--budget", type=_budget, help="solver decision budget per query "
+                          f"(default: $DEON_BUDGET, else {DEFAULT_BUDGET})")
+_CHECK.add_argument("--explain", action="store_true", help="include witness models and conflicts")
+_SAT_DEBUG.add_argument("file", metavar="FILE")
+_SAT_DEBUG.add_argument("--clauses", dest="check_id", required=True,
+                        help="which check to dump: gen:<plan> or aut:<plan>:<plan>")
+_COMMANDS = {"check": (check, _CHECK), "explain": (check, _EXPLAIN),
+             "validate": (validate, _VALIDATE), "sat-debug": (sat_debug, _SAT_DEBUG)}
+_DEON = _Parser(
+    "deon", "Decide whether declared action plans are generalizable, utility maximal\n"
+    "and autonomy respecting over a finite scenario.",
+    formatter_class=argparse.RawDescriptionHelpFormatter,
+    epilog="commands:\n" + "".join(f"  {name:10} {parser.description}\n"
+                                   for name, (_, parser) in _COMMANDS.items()),
+)
+_DEON.add_argument("command", choices=_COMMANDS, metavar="COMMAND")
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point returning the exit code (console script wires it to exit)."""
+    args = sys.argv[1:] if argv is None else argv
+    parser = _DEON
     try:
-        result = cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
-    except click.ClickException as exc:
-        exc.show()
+        # `_DEON` parses only a missing or unknown command: it prints help or refuses it.
+        name = args[0] if args and args[0] in _COMMANDS else _DEON.parse_args(args[:1]).command
+        run, parser = _COMMANDS[name]
+        # Intermixed, so options may follow files, as in `check A --format json B`.
+        return run(**vars(parser.parse_intermixed_args(args[1:])))
+    except UsageError as exc:
+        sys.stderr.write(f"{parser.format_usage()}{parser.prog}: error: {exc}\n")
         return EXIT_USAGE
-    except click.exceptions.Abort:
-        click.echo("aborted", err=True)
-        return EXIT_USAGE
-    return result if isinstance(result, int) else EXIT_OK
+    except SystemExit as exc:  # `--help` printed the help
+        return exc.code
 
 
 if __name__ == "__main__":  # pragma: no cover

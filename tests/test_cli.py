@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import deon
 from deon import scenarios
 from deon.cli import (
     EXIT_INDETERMINATE,
@@ -71,6 +76,97 @@ def test_usage_error_unknown_command(capsys):
 def test_usage_error_bad_budget(capsys, paths):
     code, _, err = run(capsys, "check", "--budget", "0", paths["theft"])
     assert code == EXIT_USAGE
+
+
+# Each command line is refused with exit 4, nothing on stdout, and an error
+# line on stderr; `message`, when given, is a text deon raises itself and
+# must appear verbatim.
+USAGE_ERRORS = {
+    "no-arguments": ([], {}, None),
+    "unknown-command": (["frobnicate"], {}, None),
+    "check-without-files": (["check"], {}, None),
+    "unknown-format": (["check", "--format", "xml", "{theft}"], {}, None),
+    "zero-budget": (["check", "--budget", "0", "{theft}"], {}, None),
+    "non-integer-budget": (["check", "--budget", "abc", "{theft}"], {}, None),
+    "non-integer-env-budget": (["check", "{theft}"], {"DEON_BUDGET": "abc"}, None),
+    "unknown-option": (["check", "--bogus", "{theft}"], {}, None),
+    "abbreviated-format": (["check", "--form", "json", "{theft}"], {}, None),
+    "abbreviated-explain": (["check", "--exp", "{theft}"], {}, None),
+    "validate-explain": (["validate", "--explain", "{theft}"], {}, None),
+    "explain-explain": (["explain", "--explain", "{theft}"], {}, None),
+    "sat-debug-without-clauses": (["sat-debug", "{theft}"], {}, None),
+    "sat-debug-two-files": (["sat-debug", "{theft}", "{bus}", "--clauses", "gen:steal"], {}, None),
+    "sat-debug-unknown-plan": (
+        ["sat-debug", "{theft}", "--clauses", "gen:ghost"], {},
+        "unknown plan 'ghost' in --clauses",
+    ),
+    "sat-debug-utility": (
+        ["sat-debug", "{merge}", "--clauses", "util:merge"], {},
+        "utility checks compare point utilities and have no clause set",
+    ),
+    "sat-debug-bad-check-id": (
+        ["sat-debug", "{theft}", "--clauses", "zzz"], {},
+        "bad check id 'zzz'; use gen:<plan> or aut:<plan>:<plan>",
+    ),
+    "sat-debug-same-agent": (
+        ["sat-debug", "{pedestrian}", "--clauses", "aut:brake:no_brake"], {},
+        "autonomy checks need plans of distinct agents",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", USAGE_ERRORS)
+def test_usage_errors_exit_4_with_an_error_line(capsys, paths, monkeypatch, case):
+    argv, env, message = USAGE_ERRORS[case]
+    monkeypatch.delenv("DEON_BUDGET", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out) == (EXIT_USAGE, "")
+    # Without arguments the help alone is a fair answer, so a usage line will do.
+    assert ("usage" if case == "no-arguments" else "error") in err.lower()
+    if message is not None:
+        assert message in err
+
+
+def test_options_may_follow_files(capsys, paths):
+    code, out, _ = run(capsys, "check", paths["theft"], "--format", "json", paths["bus"])
+    assert code == EXIT_UNETHICAL
+    singles = [run(capsys, "check", "--format", "json", paths[n])[1] for n in ("theft", "bus")]
+    assert json.loads(out) == [json.loads(single) for single in singles]
+
+
+def test_budget_option_wins_over_a_bad_env_var(capsys, paths, monkeypatch):
+    monkeypatch.setenv("DEON_BUDGET", "abc")
+    code, out, _ = run(capsys, "check", "--budget", "5", paths["theft"])
+    assert code == EXIT_UNETHICAL
+    assert "steal: UNETHICAL" in out
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+def test_help_goes_to_stdout_and_exits_0(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.lower().startswith("usage: ") and "--help" in out
+
+
+def test_check_runs_without_click(paths):
+    # deon has no runtime dependency: a process that cannot import click
+    # still prints the frozen JSON.
+    src = os.path.dirname(os.path.dirname(deon.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    prelude = (
+        "import sys\n"
+        "sys.modules['click'] = None\n"
+        "from deon.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", prelude, "check", "--format", "json", paths["theft"]],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, timeout=60,
+    )
+    assert done.returncode == EXIT_UNETHICAL, done.stderr.decode()
+    assert done.stdout == (Path(__file__).parent / "snapshots" / "theft.json").read_bytes()
 
 
 def test_indeterminate_exit_code(capsys, tmp_path):

@@ -90,7 +90,7 @@ def test_pickled_atom_hashes_like_a_fresh_one_in_another_process():
         "assert p in {Atom('at', (agent_const('a'), object_const('y')))}\n"
     )
     src = os.path.dirname(os.path.dirname(deon.__file__))
-    # Keep the inherited path: dependencies such as click may be found only there.
+    # Keep the inherited path: the interpreter may find packages only there.
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=path)
     done = subprocess.run(

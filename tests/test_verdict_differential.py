@@ -179,33 +179,70 @@ def test_generated_verdicts_print_like_reference(text):
 
 @st.composite
 def interference_graphs(draw) -> str:
-    """2-7 agents with one plan each, in shuffled plan order; random
-    `not (act_i(a_i) and act_j(a_j))` beliefs, each held by a random agent;
-    and random universalization effects that deny the plan's own reasons.
+    """Interference graphs with one plan per agent, in shuffled plan order.
 
-    Unlike a chain, such a graph can give a plan several failing partners,
-    and a partner that leaves protection and later rejoins it.
+    An edge i -> j is the conflict `not (act_i(ag_i) and act_j(ag_j))` in
+    ag_i's beliefs, so p_i's pair with p_j fails while p_j is protected.
+    Half of the graphs are a chain of 4-6 plans whose last plan fails
+    generalization, 1-2 plans off the chain, and a hub with an edge to every
+    other plan. The chain's plans leave and rejoin protection in different
+    rounds while the plans off it stay protected, so the hub has several
+    failing partners that come and go. The other half are 2-4 agents whose
+    plans share one predicate pair, with conflicts in the physics or in the
+    acting agent's beliefs and `noise` disjunctions in the physics: there a
+    pair's reasons query can run out of budget while the plan's
+    generalization query, in which the plan's action fixes more atoms, does
+    not. Both kinds get random universalization effects that deny a plan's
+    own reasons, at least one in the second kind, and random extra
+    conflicts, each held by a random agent.
     """
-    n = draw(st.integers(2, 7))
+    shared = draw(st.booleans())
+    if shared:
+        n = draw(st.integers(2, 4))
+        kind = [0] * n
+    else:
+        chain, off = draw(st.integers(4, 6)), draw(st.integers(1, 2))
+        n = chain + off + 1
+        kind = list(range(n))
     agents = range(n)
-    beliefs: dict[int, list[str]] = {}
-    for _ in range(draw(st.integers(0, 2 * n))):
-        i, j = draw(st.lists(st.sampled_from(agents), min_size=2, max_size=2, unique=True))
-        holder = draw(st.sampled_from((i, j, draw(st.sampled_from(agents)))))
-        beliefs.setdefault(holder, []).append(f"not (act{i}(ag{i}) and act{j}(ag{j}));")
+    pair = st.lists(st.sampled_from(agents), min_size=2, max_size=2, unique=True).map(tuple)
+    if shared:
+        edges = draw(st.lists(pair, min_size=1, max_size=n + 1))
+    else:
+        edges = [(i, i + 1) for i in range(chain - 1)] + [(n - 1, j) for j in range(n - 1)]
+
+    def conflict(i: int, j: int) -> str:
+        return f"not (act{kind[i]}(ag{i}) and act{kind[j]}(ag{j}));"
+
+    physics, beliefs = [], {}
+    for i, j in edges:
+        if shared and draw(st.booleans()):
+            physics.append(conflict(i, j))
+        else:
+            beliefs.setdefault(i, []).append(conflict(i, j))
+    for i, j in draw(st.lists(pair, max_size=n)):
+        beliefs.setdefault(draw(st.sampled_from((i, j, *agents))), []).append(conflict(i, j))
+    if shared:
+        noise = draw(st.lists(pair, min_size=1, max_size=2))
+        physics += [f"noise(ag{i}) or noise(ag{j});" for i, j in noise]
+    effects = draw(st.sets(st.sampled_from(agents), min_size=int(shared), max_size=n // 2))
+    if not shared:
+        effects.add(chain - 1)
     lines = [
         "scenario graph",
         "agents " + ", ".join(f"ag{i}" for i in agents),
-        "predicates " + ", ".join(f"want{i}(agent), act{i}(agent) action" for i in agents),
+        "predicates noise(agent), "
+        + ", ".join(f"want{k}(agent), act{k}(agent) action" for k in sorted(set(kind))),
     ]
+    if physics:
+        lines.append(f"physics {{ {' '.join(physics)} }}")
     lines += [f"belief ag{h} {{ {' '.join(b)} }}" for h, b in sorted(beliefs.items())]
     lines += [
-        f"plan p{i} agent ag{i}: reasons {{ want{i}(ag{i}) }} action {{ act{i}(ag{i}) }}"
+        f"plan p{i} agent ag{i}: reasons {{ want{kind[i]}(ag{i}) }} action {{ act{kind[i]}(ag{i}) }}"
         for i in draw(st.permutations(agents))
     ]
     lines += [
-        f"on_universalized p{i} {{ forall x. not want{i}(x); }}"
-        for i in sorted(draw(st.sets(st.sampled_from(agents))))
+        f"on_universalized p{i} {{ forall x. not want{kind[i]}(x); }}" for i in sorted(effects)
     ]
     return "\n".join(lines) + "\n"
 
