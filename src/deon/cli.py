@@ -81,8 +81,8 @@ def _combine(codes: list[int]) -> int:
 # Rendering
 
 
-def _model_doc(clause_set, model) -> dict[str, bool]:
-    return {str(atom): value for atom, value in model.atom_values(clause_set).items()}
+def _model_doc(query, model) -> dict[str, bool]:
+    return {str(atom): value for atom, value in model.atom_values(query).items()}
 
 
 def _pairs(model: dict[str, bool]) -> str:
@@ -162,16 +162,16 @@ def render_human(verdicts: VerdictSet, explain: bool = False) -> str:
 def _evidence_doc(evidence: object) -> dict:
     if isinstance(evidence, Witness):
         return {"kind": "witness",
-                "model": _model_doc(evidence.clause_set, evidence.model)}
+                "model": _model_doc(evidence.query, evidence.model)}
     if isinstance(evidence, QueryConflict):
         return {"kind": "conflict",
-                "clauses": evidence.conflict.render(evidence.clause_set)}
+                "clauses": evidence.conflict.render(evidence.query)}
     if isinstance(evidence, PlanInterference):
         return {
             "kind": "plan-conflict",
             "with": evidence.other_plan,
-            "action_clauses": evidence.actions.conflict.render(evidence.actions.clause_set),
-            "reasons_model": _model_doc(evidence.reasons.clause_set, evidence.reasons.model),
+            "action_clauses": evidence.actions.conflict.render(evidence.actions.query),
+            "reasons_model": _model_doc(evidence.reasons.query, evidence.reasons.model),
         }
     if isinstance(evidence, Dominated):
         return {
@@ -392,14 +392,23 @@ _DEON = _Parser(
 _DEON.add_argument("command", choices=_COMMANDS, metavar="COMMAND")
 
 
+def _command(args: list[str]) -> str:
+    """The command that `args` starts with."""
+    if args and args[0] in _COMMANDS:
+        return args[0]
+    if args and args[0].startswith("-") and args[0] not in ("-", "--help"):
+        # `_DEON` would report the missing command, not the option it cannot read.
+        raise UsageError(f"unrecognized arguments: {args[0]}")
+    # `_DEON` parses only a missing or unknown command: it prints help or refuses it.
+    return _DEON.parse_args(args[:1]).command
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point returning the exit code (console script wires it to exit)."""
     args = sys.argv[1:] if argv is None else argv
     parser = _DEON
     try:
-        # `_DEON` parses only a missing or unknown command: it prints help or refuses it.
-        name = args[0] if args and args[0] in _COMMANDS else _DEON.parse_args(args[:1]).command
-        run, parser = _COMMANDS[name]
+        run, parser = _COMMANDS[_command(args)]
         # Intermixed, so options may follow files, as in `check A --format json B`.
         return run(**vars(parser.parse_intermixed_args(args[1:])))
     except UsageError as exc:

@@ -6,13 +6,15 @@ requirement are decided as satisfiability queries against an agent's theory
 
 Everything here is immutable and every operation is a pure function, so
 formulas and clause sets can be shared between concurrent evaluations
-without coordination.
+without coordination. Clause sets and queries fill in tables derived from
+their fields on first read; two threads doing so at once build equal ones.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 AGENT = "agent"
@@ -318,7 +320,9 @@ class GroundClauseSet:
     which part of a query produced it (may be empty).
 
     Construction checks every clause: each is nonempty and every literal
-    is nonzero and names one of the variables.
+    is nonzero and names one of the variables. The set is immutable; only
+    `variables`, a lookup table derived from `atoms`, is filled in on first
+    use.
     """
 
     atoms: tuple[Atom, ...]
@@ -329,25 +333,27 @@ class GroundClauseSet:
     def __post_init__(self) -> None:
         if self.labels and len(self.labels) != len(self.clauses):
             raise LogicError("clause labels must match clauses one to one")
-        n = self.num_vars
-        for cl in self.clauses:
-            if not cl:
-                raise LogicError("clauses must be nonempty")
-            for lit in cl:
-                if lit == 0 or abs(lit) > n:
-                    raise LogicError(f"literal {lit} out of range for {n} variables")
+        _check_range(self.clauses, self.num_vars)
 
     @property
     def num_vars(self) -> int:
         return len(self.atoms) + self.aux_count
 
+    @property
+    def clause_set(self) -> GroundClauseSet:
+        """This set, which is in query numbering already (see `TheoryQuery`)."""
+        return self
+
+    @cached_property
+    def variables(self) -> dict[Atom, int]:
+        """Each atom's variable, made on first use: atom i is variable i + 1."""
+        return dict(zip(self.atoms, range(1, len(self.atoms) + 1)))
+
     def label_of(self, clause_index: int) -> str:
         return self.labels[clause_index] if self.labels else ""
 
     def literal_str(self, lit: int) -> str:
-        idx = abs(lit) - 1
-        name = str(self.atoms[idx]) if idx < len(self.atoms) else f"aux{idx - len(self.atoms)}"
-        return f"not {name}" if lit < 0 else name
+        return _literal_str(self.atoms, lit)
 
     def clause_str(self, clause_index: int) -> str:
         return " or ".join(self.literal_str(lit) for lit in self.clauses[clause_index])
@@ -363,6 +369,100 @@ class GroundClauseSet:
         return "\n".join(lines) + "\n"
 
 
+def _literal_str(atoms: Sequence[Atom], lit: int) -> str:
+    idx = abs(lit) - 1
+    name = str(atoms[idx]) if idx < len(atoms) else f"aux{idx - len(atoms)}"
+    return f"not {name}" if lit < 0 else name
+
+
+def _check_range(clauses: Iterable[tuple[int, ...]], n: int) -> None:
+    for cl in clauses:
+        if not cl:
+            raise LogicError("clauses must be nonempty")
+        for lit in cl:
+            if lit == 0 or abs(lit) > n:
+                raise LogicError(f"literal {lit} out of range for {n} variables")
+
+
+@dataclass(frozen=True)
+class TheoryQuery:
+    """A query solved in place against a theory fragment: its plan parts,
+    then the theory, without renumbering the theory.
+
+    The query's own numbering, the one its evidence is printed in, is what
+    `ClauseBuilder` gives the same plan parts followed by
+    `add_fragment(theory)`: the plan's atoms by first occurrence, then the
+    theory's other atoms in theory order, then the plan's aux variables,
+    then the theory's. The solver works in the theory's numbering,
+    extended: variables 1..theory.num_vars are the theory's, then come the
+    plan's atoms the theory lacks, then the plan's aux variables. The plan
+    parts are encoded in that numbering once (`plan_clauses`, range-checked
+    then), and `clauses` is them followed by the theory's clauses as they
+    were compiled, so no theory clause is copied or renamed per query and
+    the clause order is the query's.
+
+    `order[q]` is the solver variable of query variable q (`order[0]` is
+    0). `sat.solve` branches on the lowest free query variable through it
+    and returns the model in query numbering, so its decisions, conflict
+    clause indices and witness are those of solving `clause_set`, the
+    query in query numbering. That set is built on first read, for a
+    DIMACS dump or a caller that wants it, and kept. Printing evidence
+    does not need it: a witness reads only `atoms`, and a conflict only
+    its own clauses, through `label_of` and `clause_str`, which name them
+    as `clause_set` would. Equality and hashing use the theory and the
+    plan clauses, from which `order`, `clauses` and `atoms` follow.
+    """
+
+    theory: GroundClauseSet
+    plan_atoms: tuple[Atom, ...]
+    plan_aux_count: int
+    plan_clauses: tuple[tuple[int, ...], ...]
+    plan_labels: tuple[str, ...]
+    order: tuple[int, ...] = field(compare=False, repr=False)
+    clauses: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    #: The query's atoms in query numbering, as in `clause_set`.
+    atoms: tuple[Atom, ...] = field(compare=False, repr=False)
+
+    @property
+    def num_vars(self) -> int:
+        return len(self.order) - 1
+
+    @cached_property
+    def position(self) -> list[int]:
+        """The inverse of `order`: solver variable v is query variable `position[v]`."""
+        position = [0] * len(self.order)
+        for q, var in enumerate(self.order):
+            position[var] = q
+        return position
+
+    def label_of(self, clause_index: int) -> str:
+        plan = len(self.plan_clauses)
+        if clause_index < plan:
+            return self.plan_labels[clause_index]
+        return self.theory.label_of(clause_index - plan)
+
+    def clause_str(self, clause_index: int) -> str:
+        position, atoms = self.position, self.atoms
+        return " or ".join(
+            _literal_str(atoms, position[lit] if lit > 0 else -position[-lit])
+            for lit in self.clauses[clause_index]
+        )
+
+    @cached_property
+    def clause_set(self) -> GroundClauseSet:
+        """The query in query numbering: the clauses renamed by one table,
+        `rename[v]` the query variable of solver variable v, with the
+        negated values in its mirrored upper half."""
+        position, theory = self.position, self.theory
+        rename = position + [-q for q in reversed(position[1:])]
+        get = rename.__getitem__
+        return GroundClauseSet(
+            self.atoms, self.plan_aux_count + theory.aux_count,
+            tuple([tuple(map(get, cl)) for cl in self.clauses]),
+            self.plan_labels + (theory.labels or ("",) * len(theory.clauses)),
+        )
+
+
 class _Encoder:
     """Definitional clause encoding against a given numbering.
 
@@ -372,7 +472,9 @@ class _Encoder:
     formulas; the numbering only names the variables. So encoding a
     fragment once with its own numbering (atoms 1..k, aux from k + 1) and
     renaming its variables (`splice`) gives exactly the clauses that
-    encoding the same formulas in the query's numbering gives.
+    encoding the same formulas in the query's numbering gives. Likewise a
+    `TheoryQuery` encodes its plan parts in its theory's numbering, and
+    one renaming of all its clauses gives its query-numbered clause set.
     """
 
     def __init__(self, index: Mapping[Atom, int], first_aux: int) -> None:
@@ -465,10 +567,9 @@ class _Encoder:
         self.labels.extend(fragment.labels or [""] * len(fragment.clauses))
 
 
-def _assemble(parts: Sequence[tuple[Formula, str] | GroundClauseSet]) -> GroundClauseSet:
-    # Atoms are numbered by first occurrence across the parts, in order
-    # (`dict.fromkeys` keeps the first of equal keys, in order), and aux
-    # variables after all atoms, in encoding order.
+def _atoms(parts: Sequence[tuple[Formula, str] | GroundClauseSet]) -> tuple[Atom, ...]:
+    """The parts' atoms by first occurrence, in order (`dict.fromkeys` keeps
+    the first of equal keys, in order); all must be ground."""
     atoms = tuple(dict.fromkeys(itertools.chain.from_iterable(
         part.atoms if isinstance(part, GroundClauseSet) else atoms_of(part[0])
         for part in parts
@@ -476,15 +577,70 @@ def _assemble(parts: Sequence[tuple[Formula, str] | GroundClauseSet]) -> GroundC
     for atom in atoms:
         if not atom.is_ground():
             raise LogicError(f"non-ground atom {atom} in clause conversion")
-    encoder = _Encoder(dict(zip(atoms, range(1, len(atoms) + 1))), len(atoms) + 1)
+    return atoms
+
+
+def _encode(
+    parts: Sequence[tuple[Formula, str] | GroundClauseSet], index: Mapping[Atom, int],
+    first_aux: int,
+) -> _Encoder:
+    encoder = _Encoder(index, first_aux)
     for part in parts:
         if isinstance(part, GroundClauseSet):
             encoder.splice(part)
         else:
             encoder.assert_top(*part)
+    return encoder
+
+
+def _assemble(parts: Sequence[tuple[Formula, str] | GroundClauseSet]) -> GroundClauseSet:
+    # Atoms are numbered by first occurrence across the parts, and aux
+    # variables after all atoms, in encoding order.
+    atoms = _atoms(parts)
+    encoder = _encode(parts, dict(zip(atoms, range(1, len(atoms) + 1))), len(atoms) + 1)
     return GroundClauseSet(
         atoms, encoder.next_var - len(atoms) - 1,
         tuple(encoder.clauses), tuple(encoder.labels),
+    )
+
+
+def _against(
+    parts: Sequence[tuple[Formula, str] | GroundClauseSet], theory: GroundClauseSet
+) -> TheoryQuery:
+    # The theory's variables keep their numbers; the plan's other atoms
+    # follow them, then the plan's aux variables.
+    atoms = _atoms(parts)
+    known = theory.variables
+    index: dict[Atom, int] = {}
+    last = theory.num_vars
+    for atom in atoms:
+        var = known.get(atom)
+        if var is None:
+            last += 1
+            var = last
+        index[atom] = var
+    encoder = _encode(parts, index, last + 1)
+    n = encoder.next_var - 1
+    plan_clauses = tuple(encoder.clauses)
+    _check_range(plan_clauses, n)
+    # The query numbering: the plan's atoms, the theory's other atoms in
+    # theory order (the runs between the shared ones), the plan's aux
+    # variables, then the theory's.
+    theory_atoms = len(theory.atoms)
+    order = [0, *index.values()]
+    query_atoms = list(atoms)
+    start = 1
+    for var in sorted(var for var in order[1:] if var <= theory_atoms):
+        order += range(start, var)
+        query_atoms += theory.atoms[start - 1:var - 1]
+        start = var + 1
+    order += range(start, theory_atoms + 1)
+    query_atoms += theory.atoms[start - 1:]
+    order += range(last + 1, n + 1)
+    order += range(theory_atoms + 1, theory.num_vars + 1)
+    return TheoryQuery(
+        theory, atoms, n - last, plan_clauses, tuple(encoder.labels),
+        tuple(order), plan_clauses + theory.clauses, tuple(query_atoms),
     )
 
 
@@ -495,9 +651,11 @@ def compile_fragment(
 
     This is what `ClauseBuilder` would build from the same parts, made
     without a builder: a fragment compiled once and added to many builders
-    with `ClauseBuilder.add_fragment`. A part may itself be a fragment, so
-    fragments nest: splicing one here is identical to adding its formulas in
-    its place. Like `build`, it checks groundness over the atoms it collects.
+    with `ClauseBuilder.add_fragment`, or made the theory of many. A part
+    may itself be a fragment, so fragments nest: splicing one here is
+    identical to adding its formulas in its place. Like `build`, it checks
+    groundness over the atoms it collects, and its clauses' literal range
+    once, on construction.
     """
     return _assemble(list(parts))
 
@@ -518,9 +676,15 @@ class ClauseBuilder:
     its formulas would. Aux variables come after all atoms, in encoding
     order, and a fragment's aux variables are in its own encoding order,
     so they take the next block of aux numbers as encoding in place would.
+
+    A builder made with a `theory` fragment builds a `TheoryQuery`: the
+    parts followed by the theory, solved without renaming the theory. Its
+    `clause_set` is what a builder without a theory builds from the same
+    parts followed by `add_fragment(theory)`.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, theory: GroundClauseSet | None = None) -> None:
+        self._theory = theory
         self._parts: list[tuple[Formula, str] | GroundClauseSet] = []
 
     def add(self, formula: Formula, label: str = "") -> "ClauseBuilder":
@@ -532,5 +696,7 @@ class ClauseBuilder:
         self._parts.append(fragment)
         return self
 
-    def build(self) -> GroundClauseSet:
-        return _assemble(self._parts)
+    def build(self) -> GroundClauseSet | TheoryQuery:
+        if self._theory is None:
+            return _assemble(self._parts)
+        return _against(self._parts, self._theory)

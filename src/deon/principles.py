@@ -25,6 +25,7 @@ from .logic import (
     GroundClauseSet,
     TRUE,
     Term,
+    TheoryQuery,
     atoms_of,
     compile_fragment,
     ground,
@@ -57,18 +58,34 @@ UNETHICAL = "unethical"
 
 @dataclass(frozen=True)
 class Witness:
-    """A satisfying model showing the checked condition can hold."""
+    """A satisfying model showing the checked condition can hold.
 
-    clause_set: GroundClauseSet
+    `query` is the query as solved; the model is in query numbering, that
+    of `clause_set`, which is built on first read.
+    """
+
+    query: GroundClauseSet | TheoryQuery
     model: Model
+
+    @property
+    def clause_set(self) -> GroundClauseSet:
+        return self.query.clause_set
 
 
 @dataclass(frozen=True)
 class QueryConflict:
-    """The query is unsatisfiable; the clauses name what clashed."""
+    """The query is unsatisfiable; the clauses name what clashed.
 
-    clause_set: GroundClauseSet
+    `query` is the query as solved; the conflict's clause indices are the
+    same in `clause_set`, which is built on first read.
+    """
+
+    query: GroundClauseSet | TheoryQuery
     conflict: ConflictExplanation
+
+    @property
+    def clause_set(self) -> GroundClauseSet:
+        return self.query.clause_set
 
 
 @dataclass(frozen=True)
@@ -77,14 +94,20 @@ class ModalQuery:
     possible?", asked of the agent's theory. `agent` is the acting agent's
     constant, the plan's `agent`.
 
-    `evidence` is the query's Witness or QueryConflict, or None when the
-    decision budget ran out first.
+    `query` is the query as solved, and `clause_set` the query in query
+    numbering, built on first read (see `TheoryQuery`). `evidence` is the
+    query's Witness or QueryConflict, or None when the decision budget ran
+    out first.
     """
 
     check: str
     agent: Term
-    clause_set: GroundClauseSet
+    query: TheoryQuery
     evidence: Witness | QueryConflict | None
+
+    @property
+    def clause_set(self) -> GroundClauseSet:
+        return self.query.clause_set
 
     @property
     def satisfiable(self) -> bool | None:
@@ -201,12 +224,16 @@ class VerdictSet:
 # and "not required to deny possible" must always agree.
 
 
-def can_rationally_believe_possible(cs: GroundClauseSet, budget: int = DEFAULT_BUDGET) -> bool:
+def can_rationally_believe_possible(
+    cs: GroundClauseSet | TheoryQuery, budget: int = DEFAULT_BUDGET
+) -> bool:
     """Whether the encoded state of affairs is consistent with the theory."""
     return solve(cs, budget).satisfiable
 
 
-def rationally_required_to_deny_possible(cs: GroundClauseSet, budget: int = DEFAULT_BUDGET) -> bool:
+def rationally_required_to_deny_possible(
+    cs: GroundClauseSet | TheoryQuery, budget: int = DEFAULT_BUDGET
+) -> bool:
     """Whether the theory refutes the encoded state of affairs."""
     return not solve(cs, budget).satisfiable
 
@@ -221,12 +248,21 @@ class QueryCompiler:
     A query is a list of labeled plan parts plus the acting agent's theory,
     and `_query` is the one place it is built. Each agent's theory, the
     physics followed by the agent's belief constraints, is grounded and
-    compiled into one clause fragment on first use (`_theory`); a query
-    adds it after its plan parts and gets exactly the clause set that
-    grounding and converting the whole theory each time would give. The
+    compiled into one clause fragment on first use (`_theory`). The
     physics is compiled once per evaluation and spliced ahead of each
     believing agent's constraints; an agent without belief constraints
     takes the physics fragment itself as its theory.
+
+    A query is a `TheoryQuery` against its agent's fragment: only its plan
+    parts are encoded, in the fragment's numbering, and it is solved over
+    them followed by the fragment's clauses as compiled, branching in the
+    query's own numbering. So no query copies or renumbers its theory, and
+    the search, witness and conflict are those of the query-numbered
+    clause set, which is exactly the one that grounding and converting the
+    whole theory each time would give. A record stores the query as
+    solved; that clause set is built only when something reads
+    `clause_set`, such as `generalization` and `autonomy_pair`, which
+    `sat-debug` prints. Printing a verdict's evidence does not build it.
 
     `_decide` builds and solves a query under `budget` decisions the first
     time its key is asked, and records it as a `ModalQuery` in `queries`;
@@ -292,12 +328,12 @@ class QueryCompiler:
             self._theories[agent] = theory
         return theory
 
-    def _query(self, agent: Term, parts: Iterable[tuple[Formula, str]]) -> GroundClauseSet:
+    def _query(self, agent: Term, parts: Iterable[tuple[Formula, str]]) -> TheoryQuery:
         """The ground `(formula, label)` plan parts, in order, then `agent`'s theory."""
-        builder = ClauseBuilder()
+        builder = ClauseBuilder(self._theory(agent))
         for formula, label in parts:
             builder.add(formula, label)
-        return builder.add_fragment(self._theory(agent)).build()
+        return builder.build()
 
     def _decide(
         self, check: tuple[str, ...], plan: ActionPlan, parts: Iterable[tuple[Formula, str]]
@@ -307,15 +343,17 @@ class QueryCompiler:
         `parts` is read only then."""
         query = self.queries.get(check)
         if query is None:
-            cs = self._query(plan.agent, parts)
+            solved = self._query(plan.agent, parts)
             try:
-                result = solve(cs, self.budget)
+                result = solve(solved, self.budget)
             except BudgetExhausted:
                 evidence = None
             else:
-                evidence = (Witness(cs, result.model) if result.satisfiable
-                            else QueryConflict(cs, result.conflict))
-            query = self.queries[check] = ModalQuery(":".join(check), plan.agent, cs, evidence)
+                evidence = (Witness(solved, result.model) if result.satisfiable
+                            else QueryConflict(solved, result.conflict))
+            query = self.queries[check] = ModalQuery(
+                ":".join(check), plan.agent, solved, evidence
+            )
         return query.evidence
 
     def _action(self, plan: ActionPlan) -> tuple[tuple[Formula, str], frozenset[Atom]]:
@@ -352,7 +390,7 @@ class QueryCompiler:
         """Ground query behind the generalization check: its plan parts with
         the agent's rational-constraint theory. The plan passes iff this is
         satisfiable."""
-        return self._query(plan.agent, self._generalization_parts(plan))
+        return self._query(plan.agent, self._generalization_parts(plan)).clause_set
 
     def autonomy_pair(
         self, plan: ActionPlan, other: ActionPlan
@@ -364,8 +402,8 @@ class QueryCompiler:
         theory (pass if unsatisfiable: the plans can never come into
         conflict).
         """
-        return (self._query(plan.agent, [self._action(p)[0] for p in (plan, other)]),
-                self._query(plan.agent, [self._reasons(p) for p in (plan, other)]))
+        return (self._query(plan.agent, [self._action(p)[0] for p in (plan, other)]).clause_set,
+                self._query(plan.agent, [self._reasons(p) for p in (plan, other)]).clause_set)
 
     def check_generalization(self, plan: ActionPlan) -> PrincipleVerdict:
         """Can the agent rationally believe everyone could adopt the plan while
@@ -418,24 +456,33 @@ class QueryCompiler:
         never checked against each other. `protected` is the round's set of
         plan ids still in the clear. Each pair is decided once per compiler.
         """
-        pairs: list[tuple[str, object]] = []
-        indeterminate: PrincipleVerdict | None = None
-        for other in self.scenario.plans:
-            if other.agent == plan.agent or other.id not in protected:
-                continue
-            verdict = self.check_autonomy_pair(plan, other)
-            if verdict.status == FAIL:
-                return verdict
-            if verdict.status == INDETERMINATE and indeterminate is None:
-                indeterminate = verdict
-            pairs.append((other.id, verdict.evidence))
-        if indeterminate is not None:
-            return indeterminate
-        if not pairs:
-            return PrincipleVerdict(
-                AUTONOMY, PASS, Note("no protected plans of other agents to conflict with")
-            )
-        return PrincipleVerdict(AUTONOMY, PASS, AutonomyClear(tuple(pairs)))
+        return _autonomy_verdict(
+            (other.id, self.check_autonomy_pair(plan, other))
+            for other in self.scenario.plans
+            if other.agent != plan.agent and other.id in protected
+        )
+
+
+def _autonomy_verdict(pairs: Iterable[tuple[str, PrincipleVerdict]]) -> PrincipleVerdict:
+    """A plan's autonomy verdict from its `(other plan id, pair verdict)`s with
+    the protected plans of other agents, in plan order: the first failing
+    pair's verdict, else the first indeterminate one's, else a pass. `pairs`
+    is read only up to the first failing pair."""
+    clear: list[tuple[str, object]] = []
+    indeterminate: PrincipleVerdict | None = None
+    for other_id, verdict in pairs:
+        if verdict.status == FAIL:
+            return verdict
+        if verdict.status == INDETERMINATE and indeterminate is None:
+            indeterminate = verdict
+        clear.append((other_id, verdict.evidence))
+    if indeterminate is not None:
+        return indeterminate
+    if not clear:
+        return PrincipleVerdict(
+            AUTONOMY, PASS, Note("no protected plans of other agents to conflict with")
+        )
+    return PrincipleVerdict(AUTONOMY, PASS, AutonomyClear(tuple(clear)))
 
 
 # --------------------------------------------------------------------------
@@ -552,6 +599,9 @@ def evaluate(scenario: Scenario, budget: int = DEFAULT_BUDGET) -> VerdictSet:
     plan in full would decide it: its partner is protected and no earlier
     partner in plan order has a failing pair. So the rounds decide the same
     queries, in the same order, as rounds that check every plan in full.
+    The rounds keep each decided pair's verdict, and the final build reads
+    a plan's autonomy verdict from them as `check_autonomy` would give it,
+    without asking the compiler again.
     """
     plans = scenario.plans
     n = len(plans)
@@ -564,8 +614,10 @@ def evaluate(scenario: Scenario, budget: int = DEFAULT_BUDGET) -> VerdictSet:
 
     generalization: list[str] = []
     utility: list[str] = []
-    # Each plan's partners, by index in plan order, whose pair is not yet decided.
+    # Each plan's partners, by index in plan order, whose pair is not yet
+    # decided, and the verdicts of those whose pair is, by partner index.
     undecided = [[j for j in range(n) if owner[j] != owner[i]] for i in range(n)]
+    decided: list[dict[int, PrincipleVerdict]] = [{} for _ in plans]
     # Each plan's protected partners whose pair fails, and how many more have
     # an indeterminate pair; watchers[j] lists the (plan, status) pairs with j
     # that fail or are indeterminate, so the counts follow j's protection.
@@ -612,7 +664,8 @@ def evaluate(scenario: Scenario, budget: int = DEFAULT_BUDGET) -> VerdictSet:
             # ahead of the first protected one whose pair fails.
             for j in waiting[:bisect_left(waiting, min(fails, default=n))]:
                 if j in protected:
-                    status = compiler.check_autonomy_pair(plan, plans[j]).status
+                    verdict = decided[i][j] = compiler.check_autonomy_pair(plan, plans[j])
+                    status = verdict.status
                     waiting.remove(j)
                     if status != PASS:
                         watchers[j].append((i, status))
@@ -642,13 +695,16 @@ def evaluate(scenario: Scenario, budget: int = DEFAULT_BUDGET) -> VerdictSet:
             INDETERMINATE if status != before else status
             for status, before in zip(statuses, last_in)
         ]
-    protected_ids = frozenset(plans[i].id for i in protected)
+    # Every protected partner ahead of a plan's first failing one, or every
+    # protected partner if none fails, has its pair decided by now.
     verdicts = tuple(
         PlanVerdict(plan.id, (
             compiler.check_generalization(plan),
             _check_utility(plan, context, scenario, eligible),
-            compiler.check_autonomy(plan, protected_ids),
+            _autonomy_verdict(
+                (plans[j].id, pairs[j]) for j in sorted(pairs) if j in protected
+            ),
         ), overall)
-        for plan, context, overall in zip(plans, contexts, statuses)
+        for plan, context, overall, pairs in zip(plans, contexts, statuses, decided)
     )
     return VerdictSet(scenario.name, verdicts, rounds, stable, tuple(compiler.queries.values()))

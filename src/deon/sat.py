@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .logic import Atom, GroundClauseSet, LogicError
+from .logic import Atom, GroundClauseSet, LogicError, TheoryQuery
 
 DEFAULT_BUDGET = 10**6
 
@@ -34,7 +34,10 @@ class Model:
 
     values: tuple[bool, ...]
 
-    def satisfies(self, cs: GroundClauseSet) -> bool:
+    def satisfies(self, cs: GroundClauseSet | TheoryQuery) -> bool:
+        """Whether every clause of `cs.clauses` holds, read in the numbering
+        the clauses are stored in: a `TheoryQuery` stores its theory's, not
+        the query numbering `solve` returns its witness in."""
         # truth[lit] is the value of literal lit; a negative literal indexes
         # the mirrored upper half, which holds the negated values.
         if len(self.values) < cs.num_vars:
@@ -43,7 +46,7 @@ class Model:
         get = truth.__getitem__
         return all(any(map(get, cl)) for cl in cs.clauses)
 
-    def atom_values(self, cs: GroundClauseSet) -> dict[Atom, bool]:
+    def atom_values(self, cs: GroundClauseSet | TheoryQuery) -> dict[Atom, bool]:
         """The assignment restricted to real atoms (definitional vars dropped)."""
         return {atom: self.values[i] for i, atom in enumerate(cs.atoms)}
 
@@ -54,7 +57,7 @@ class ConflictExplanation:
 
     clause_indices: tuple[int, ...]
 
-    def render(self, cs: GroundClauseSet) -> list[str]:
+    def render(self, cs: GroundClauseSet | TheoryQuery) -> list[str]:
         lines = []
         for i in self.clause_indices:
             label = cs.label_of(i)
@@ -76,19 +79,29 @@ class SatResult:
             raise LogicError("unsatisfiable result requires a conflict explanation")
 
 
-def _verified(model: Model, cs: GroundClauseSet) -> Model:
+def _verified(model: Model, cs: GroundClauseSet | TheoryQuery) -> Model:
     if not model.satisfies(cs):
         raise LogicError("internal error: witness fails a clause")
     return model
 
 
-def solve(cs: GroundClauseSet, budget: int = DEFAULT_BUDGET) -> SatResult:
+def solve(cs: GroundClauseSet | TheoryQuery, budget: int = DEFAULT_BUDGET) -> SatResult:
     """Decide a clause set, returning a verified witness or a conflict subset.
 
     Deterministic: branches on the lowest unassigned variable, true first,
     and backtracks chronologically. Raises BudgetExhausted once more than
     `budget` decisions (including flips) have been made; it never returns a
     wrong answer.
+
+    A `TheoryQuery` is solved over its clauses as stored, in its theory's
+    numbering, and branched on in query order: "the lowest unassigned
+    variable" is the stored variable `cs.order[q]` of the lowest query
+    variable q that is unassigned. Renaming variables changes no step of
+    the search, so the decisions, the conflict clause indices and the
+    witness are those of solving `cs.clause_set`; the witness is verified
+    against every stored clause, then returned in query numbering. A
+    `GroundClauseSet` is in query numbering already: its order is the
+    identity.
 
     Unit propagation uses two watched literals per clause but visits clauses
     in the order of a sweep: passes over the clauses in index order, each
@@ -103,16 +116,19 @@ def solve(cs: GroundClauseSet, budget: int = DEFAULT_BUDGET) -> SatResult:
     n = cs.num_vars
     clauses = cs.clauses
     m = len(clauses)
+    order = cs.order if isinstance(cs, TheoryQuery) else [*range(n + 1)]
 
     # value[lit] is the truth value of literal lit (None when unassigned);
     # a negative literal indexes the upper half of the list.
     value: list[bool | None] = [None] * (2 * n + 1)
     trail: list[int] = []  # literals made true, in assignment order
     reasons: list[int | None] = []  # clause that propagated each, None for decisions
-    flipped: list[bool] = []
+    # For each decision on the trail, in order: the query variable it
+    # branched on, and whether it is the flip of an earlier decision there.
+    branched: list[tuple[int, bool]] = []
     used: set[int] = set()
     decisions = 0
-    lowest_free = 1  # every variable below it is assigned
+    lowest_free = 1  # every query variable below it is assigned
 
     # Positions 0 and 1 of watched[ci] are the clause's watches, and
     # watches[lit] lists each clause once per watch on lit. While a clause
@@ -135,12 +151,11 @@ def solve(cs: GroundClauseSet, budget: int = DEFAULT_BUDGET) -> SatResult:
     base = 0  # key of index 0 in the current pass
     pos = -1  # index of the clause being evaluated; -1 before a pass
 
-    def assign(lit: int, reason: int | None, was_flip: bool) -> None:
+    def assign(lit: int, reason: int | None) -> None:
         value[lit] = True
         value[-lit] = False
         trail.append(lit)
         reasons.append(reason)
-        flipped.append(was_flip)
         false_lit = -lit
         kept = []
         for ci in watches[false_lit]:
@@ -165,13 +180,17 @@ def solve(cs: GroundClauseSet, budget: int = DEFAULT_BUDGET) -> SatResult:
         watches[false_lit] = kept
 
     def unassign() -> tuple[int, bool]:
+        # Returns the literal and whether it was a decision not yet flipped.
+        # A decision was made on the lowest unassigned query variable, and
+        # every variable assigned after it is unassigned before it, so
+        # undoing it makes its query variable the lowest unassigned again.
         nonlocal lowest_free
         lit = trail.pop()
-        decision = reasons.pop() is None
-        flip = flipped.pop()
         value[lit] = value[-lit] = None
-        lowest_free = min(lowest_free, abs(lit))
-        return lit, decision and not flip
+        if reasons.pop() is not None:
+            return lit, False
+        lowest_free, was_flip = branched.pop()
+        return lit, not was_flip
 
     def propagate() -> int | None:
         # Evaluates each pending clause as the sweep would, in sweep order.
@@ -194,7 +213,7 @@ def solve(cs: GroundClauseSet, budget: int = DEFAULT_BUDGET) -> SatResult:
                     if count == 0:
                         return pos
                     if count == 1:
-                        assign(unassigned, pos, False)
+                        assign(unassigned, pos)
             return None
         finally:
             pending.clear()
@@ -232,15 +251,19 @@ def solve(cs: GroundClauseSet, budget: int = DEFAULT_BUDGET) -> SatResult:
             decisions += 1
             if decisions > budget:
                 raise BudgetExhausted(decisions)
-            assign(retry, None, True)
+            branched.append((lowest_free, True))
+            assign(retry, None)
             continue
 
-        while lowest_free <= n and value[lowest_free] is not None:
+        while lowest_free <= n and value[order[lowest_free]] is not None:
             lowest_free += 1
         if lowest_free > n:
-            model = Model(tuple(bool(value[v]) for v in range(1, n + 1)))
-            return SatResult(satisfiable=True, model=_verified(model, cs))
+            model = _verified(Model(tuple(bool(value[v]) for v in range(1, n + 1))), cs)
+            if isinstance(cs, TheoryQuery):
+                model = Model(tuple(bool(value[v]) for v in order[1:]))
+            return SatResult(satisfiable=True, model=model)
         decisions += 1
         if decisions > budget:
             raise BudgetExhausted(decisions)
-        assign(lowest_free, None, False)
+        branched.append((lowest_free, False))
+        assign(order[lowest_free], None)

@@ -90,6 +90,10 @@ USAGE_ERRORS = {
     "non-integer-budget": (["check", "--budget", "abc", "{theft}"], {}, None),
     "non-integer-env-budget": (["check", "{theft}"], {"DEON_BUDGET": "abc"}, None),
     "unknown-option": (["check", "--bogus", "{theft}"], {}, None),
+    "unknown-option-alone": (["--bogus"], {}, "unrecognized arguments: --bogus"),
+    "unknown-option-before-command": (
+        ["--bogus", "check", "{theft}"], {}, "unrecognized arguments: --bogus",
+    ),
     "abbreviated-format": (["check", "--form", "json", "{theft}"], {}, None),
     "abbreviated-explain": (["check", "--exp", "{theft}"], {}, None),
     "validate-explain": (["validate", "--explain", "{theft}"], {}, None),

@@ -2,8 +2,9 @@
 
 `reference_logic` builds every query from scratch: it grounds and converts
 the whole theory each time. The engine compiles each agent's theory once
-and splices it in. Both must give equal clause sets (atoms in the same
-order, aux count, clauses and labels) on every plan and every ordered pair
+and solves each query against it in place. The query-numbered clause sets
+the engine derives must equal the reference's (atoms in the same order,
+aux count, clauses and labels) on every plan and every ordered pair
 of plans of distinct agents, on every query `evaluate` asks, and on seeded
 random formulas. Compilers must not share state between scenarios or
 threads.
@@ -194,7 +195,8 @@ def test_each_built_query_is_solved_once(name, monkeypatch):
     monkeypatch.setattr(ClauseBuilder, "build", counting_build)
     monkeypatch.setattr(principles, "solve", counting_solve)
     log = evaluate(scenario).queries
-    assert solved and [q.clause_set for q in log] == solved
+    assert solved and len(log) == len(solved)
+    assert all(q.query is s for q, s in zip(log, solved))
     assert len(built) == len(solved)
     assert all(b is s for b, s in zip(built, solved))
     if name == "clash":
@@ -261,6 +263,23 @@ def test_evaluate_builds_one_plan_verdict_per_plan(source, monkeypatch):
     verdicts = evaluate(parsed.scenario)
     assert built == [p.id for p in parsed.scenario.plans] == [pv.plan_id for pv in verdicts.plans]
     assert verdicts.stable is (source != STANDOFF)
+
+
+@pytest.mark.parametrize("name", ["fixpoint_12", "chain_rule", *scenarios.NAMES])
+def test_evaluate_asks_each_autonomy_pair_once(name, monkeypatch):
+    # The rounds keep each pair's verdict; the final build reads them back
+    # instead of asking the compiler again.
+    asked = []
+    pair = QueryCompiler.check_autonomy_pair
+
+    def counting_pair(self, plan, other):
+        asked.append((plan.id, other.id))
+        return pair(self, plan, other)
+
+    monkeypatch.setattr(QueryCompiler, "check_autonomy_pair", counting_pair)
+    monkeypatch.setattr(QueryCompiler, "check_autonomy", None)
+    evaluate(load(name))
+    assert len(asked) == len(set(asked))
 
 
 # -- the query record ------------------------------------------------------------------
