@@ -390,16 +390,16 @@ class TheoryQuery:
     then the theory, without renumbering the theory.
 
     The query's own numbering, the one its evidence is printed in, is what
-    `ClauseBuilder` gives the same plan parts followed by
-    `add_fragment(theory)`: the plan's atoms by first occurrence, then the
-    theory's other atoms in theory order, then the plan's aux variables,
-    then the theory's. The solver works in the theory's numbering,
-    extended: variables 1..theory.num_vars are the theory's, then come the
-    plan's atoms the theory lacks, then the plan's aux variables. The plan
-    parts are encoded in that numbering once (`plan_clauses`, range-checked
-    then), and `clauses` is them followed by the theory's clauses as they
-    were compiled, so no theory clause is copied or renamed per query and
-    the clause order is the query's.
+    `compile_fragment` gives the same plan parts followed by the theory:
+    the plan's atoms by first occurrence, then the theory's other atoms in
+    theory order, then the plan's aux variables, then the theory's. The
+    solver works in the theory's numbering, extended: variables
+    1..theory.num_vars are the theory's, then come the plan's atoms the
+    theory lacks, then the plan's aux variables. The plan parts are encoded
+    in that numbering once (`plan_clauses`, range-checked then), and
+    `clauses` is them followed by the theory's clauses as they were
+    compiled, so no theory clause is copied or renamed per query and the
+    clause order is the query's.
 
     `order[q]` is the solver variable of query variable q (`order[0]` is
     0). `sat.solve` branches on the lowest free query variable through it
@@ -472,9 +472,10 @@ class _Encoder:
     formulas; the numbering only names the variables. So encoding a
     fragment once with its own numbering (atoms 1..k, aux from k + 1) and
     renaming its variables (`splice`) gives exactly the clauses that
-    encoding the same formulas in the query's numbering gives. Likewise a
-    `TheoryQuery` encodes its plan parts in its theory's numbering, and
-    one renaming of all its clauses gives its query-numbered clause set.
+    encoding the same formulas in the numbering it is spliced into gives.
+    Likewise a `TheoryQuery` encodes its plan parts in its theory's
+    numbering, and one renaming of all its clauses gives its query-numbered
+    clause set.
     """
 
     def __init__(self, index: Mapping[Atom, int], first_aux: int) -> None:
@@ -593,20 +594,7 @@ def _encode(
     return encoder
 
 
-def _assemble(parts: Sequence[tuple[Formula, str] | GroundClauseSet]) -> GroundClauseSet:
-    # Atoms are numbered by first occurrence across the parts, and aux
-    # variables after all atoms, in encoding order.
-    atoms = _atoms(parts)
-    encoder = _encode(parts, dict(zip(atoms, range(1, len(atoms) + 1))), len(atoms) + 1)
-    return GroundClauseSet(
-        atoms, encoder.next_var - len(atoms) - 1,
-        tuple(encoder.clauses), tuple(encoder.labels),
-    )
-
-
-def _against(
-    parts: Sequence[tuple[Formula, str] | GroundClauseSet], theory: GroundClauseSet
-) -> TheoryQuery:
+def _against(parts: Sequence[tuple[Formula, str]], theory: GroundClauseSet) -> TheoryQuery:
     # The theory's variables keep their numbers; the plan's other atoms
     # follow them, then the plan's aux variables.
     atoms = _atoms(parts)
@@ -647,56 +635,49 @@ def _against(
 def compile_fragment(
     parts: Iterable[tuple[Formula, str] | GroundClauseSet],
 ) -> GroundClauseSet:
-    """The clause set of labeled ground formulas, numbered on its own.
+    """The clause set of labeled ground formulas, numbered on its own: a
+    fragment compiled once and made the theory of many queries.
 
-    This is what `ClauseBuilder` would build from the same parts, made
-    without a builder: a fragment compiled once and added to many builders
-    with `ClauseBuilder.add_fragment`, or made the theory of many. A part
-    may itself be a fragment, so fragments nest: splicing one here is
-    identical to adding its formulas in its place. Like `build`, it checks
-    groundness over the atoms it collects, and its clauses' literal range
-    once, on construction.
+    Conversion is that of `ClauseBuilder`. Atoms are numbered by first
+    occurrence across the parts, and aux variables after all atoms, in
+    encoding order. A part may itself be a fragment, so fragments nest:
+    splicing one here renames only its variables, and the result is
+    identical to adding its formulas in its place. A fragment lists its
+    atoms in first-occurrence order, so scanning that list numbers them as
+    scanning its formulas would, and its aux variables are in its own
+    encoding order, so they take the next block of aux numbers as encoding
+    in place would. Like `build`, it checks groundness over the atoms it
+    collects, and its clauses' literal range once, on construction.
     """
-    return _assemble(list(parts))
+    listed = list(parts)
+    atoms = _atoms(listed)
+    encoder = _encode(listed, dict(zip(atoms, range(1, len(atoms) + 1))), len(atoms) + 1)
+    return GroundClauseSet(
+        atoms, encoder.next_var - len(atoms) - 1,
+        tuple(encoder.clauses), tuple(encoder.labels),
+    )
 
 
 class ClauseBuilder:
-    """Accumulates labeled ground formulas into one equisatisfiable clause set.
+    """Accumulates labeled ground formulas into one query against a theory.
 
     Conversion is definitional: fresh atoms name compound subformulas instead
     of distributing disjunctions, so size stays linear. Satisfiability, not
     logical equivalence, is the contract. `build` checks groundness over the
     atoms it collects: a non-ground atom or a `ForAll` raises `LogicError`.
 
-    A part may also be a fragment made by `compile_fragment`. `build`
-    renames only the fragments' variables, and the result is identical to
-    adding the fragment's formulas in its place. Atoms are numbered by
-    first occurrence across the parts, and a fragment lists its atoms in
-    first-occurrence order, so scanning that list numbers them as scanning
-    its formulas would. Aux variables come after all atoms, in encoding
-    order, and a fragment's aux variables are in its own encoding order,
-    so they take the next block of aux numbers as encoding in place would.
-
-    A builder made with a `theory` fragment builds a `TheoryQuery`: the
-    parts followed by the theory, solved without renaming the theory. Its
-    `clause_set` is what a builder without a theory builds from the same
-    parts followed by `add_fragment(theory)`.
+    `build` gives a `TheoryQuery`: the parts followed by the theory
+    fragment, solved without renaming the theory. Its `clause_set` is what
+    `compile_fragment` makes of the same parts followed by the theory.
     """
 
-    def __init__(self, theory: GroundClauseSet | None = None) -> None:
+    def __init__(self, theory: GroundClauseSet) -> None:
         self._theory = theory
-        self._parts: list[tuple[Formula, str] | GroundClauseSet] = []
+        self._parts: list[tuple[Formula, str]] = []
 
     def add(self, formula: Formula, label: str = "") -> "ClauseBuilder":
         self._parts.append((formula, label))
         return self
 
-    def add_fragment(self, fragment: GroundClauseSet) -> "ClauseBuilder":
-        """Add a clause set made by `compile_fragment`, as one part."""
-        self._parts.append(fragment)
-        return self
-
-    def build(self) -> GroundClauseSet | TheoryQuery:
-        if self._theory is None:
-            return _assemble(self._parts)
+    def build(self) -> TheoryQuery:
         return _against(self._parts, self._theory)

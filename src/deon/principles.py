@@ -13,7 +13,6 @@ query is recorded once, as a `ModalQuery`, in the evaluation's
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -279,7 +278,8 @@ class QueryCompiler:
     the budget is fixed, so asking a check again rebuilds its verdict from
     the recorded evidence and solves nothing. `evaluate`'s status-only
     rounds ask each plan's generalization check once and each pair's check
-    once, to feed its partner counts, and its final build asks again for
+    the first time a round's scan reaches the pair, keeping its verdict for
+    later rounds; its final build asks the generalization check again for
     the evidence. It therefore solves at most one query per plan and two
     per ordered pair of plans of distinct agents, however many rounds it
     runs.
@@ -588,96 +588,59 @@ def evaluate(scenario: Scenario, budget: int = DEFAULT_BUDGET) -> VerdictSet:
 
     The rounds compute statuses alone; each plan's `PlanVerdict`, with its
     evidence, is built once, from the final round's protected and eligible
-    sets. A plan's generalization status is fixed. Its utility status is
-    recomputed only in a round that changed which actions of its candidate
-    context are eligible. Its autonomy status is read from two counts over
-    its protected partners, the plans of other agents: those whose pair
-    fails (kept as a set, to know the first in plan order) and those whose
-    pair is indeterminate. A round updates the counts only for the plans
-    that joined or left protection; a plan can do both over the rounds,
-    since statuses can oscillate. A pair is decided where checking the
-    plan in full would decide it: its partner is protected and no earlier
-    partner in plan order has a failing pair. So the rounds decide the same
-    queries, in the same order, as rounds that check every plan in full.
-    The rounds keep each decided pair's verdict, and the final build reads
-    a plan's autonomy verdict from them as `check_autonomy` would give it,
-    without asking the compiler again.
+    sets. A plan's generalization status is fixed, and its utility status
+    is recomputed each round from the round's eligible candidates. Its
+    autonomy status comes from a scan of its protected partners, the plans
+    of other agents, in plan order: the first failing pair decides a fail,
+    else any indeterminate pair decides indeterminate. The scan decides a
+    pair on first reach and stops at the first failing one, so the rounds
+    decide the same queries, in the same order, as rounds that check every
+    plan in full. The rounds keep each decided pair's verdict, and the
+    final build reads a plan's autonomy verdict from them as
+    `check_autonomy` would give it, without asking the compiler again.
     """
     plans = scenario.plans
-    n = len(plans)
     compiler = QueryCompiler(scenario, budget)
-    agent_index: dict[Term, int] = {}
-    owner = [agent_index.setdefault(p.agent, len(agent_index)) for p in plans]
     contexts = [plan_context(scenario, p) for p in plans]
     withdrawn = [_withdrawn(p, ctx) for p, ctx in zip(plans, contexts)]
     candidates = frozenset((cs.context, act) for cs in scenario.candidates for act in cs.actions)
-
-    generalization: list[str] = []
-    utility: list[str] = []
-    # Each plan's partners, by index in plan order, whose pair is not yet
-    # decided, and the verdicts of those whose pair is, by partner index.
-    undecided = [[j for j in range(n) if owner[j] != owner[i]] for i in range(n)]
+    # Each plan's partners, the plans of other agents, by index in plan
+    # order, and the verdicts of its decided pairs, by partner index.
+    partners = [[j for j, other in enumerate(plans) if other.agent != plan.agent] for plan in plans]
     decided: list[dict[int, PrincipleVerdict]] = [{} for _ in plans]
-    # Each plan's protected partners whose pair fails, and how many more have
-    # an indeterminate pair; watchers[j] lists the (plan, status) pairs with j
-    # that fail or are indeterminate, so the counts follow j's protection.
-    failing: list[set[int]] = [set() for _ in plans]
-    indeterminate = [0] * n
-    watchers: list[list[tuple[int, str]]] = [[] for _ in plans]
-    protected: set[int] = set()
-    eligible = candidates
-    assumed = [ETHICAL] * n
+    generalization: list[str] = []
+    assumed = [ETHICAL] * len(plans)
     statuses = last_in = assumed
-    max_rounds = n + 1
+    max_rounds = len(plans) + 1
     rounds = 0
     stable = False
 
     while rounds < max_rounds:
         rounds += 1
-        now = {i for i, status in enumerate(assumed) if status != UNETHICAL}
-        for j in now ^ protected:
-            step = 1 if j in now else -1
-            for i, status in watchers[j]:
-                if status == INDETERMINATE:
-                    indeterminate[i] += step
-                elif step > 0:
-                    failing[i].add(j)
-                else:
-                    failing[i].remove(j)
-        protected = now
-        previous, eligible = eligible, candidates - {
-            w for i, w in enumerate(withdrawn) if i not in protected
-        }
-        changed = {context for context, _ in eligible ^ previous}
+        protected = {i for i, status in enumerate(assumed) if status != UNETHICAL}
+        eligible = candidates - {w for i, w in enumerate(withdrawn) if i not in protected}
         statuses = []
         for i, plan in enumerate(plans):
-            context = contexts[i]
             if rounds == 1:
                 generalization.append(compiler.check_generalization(plan).status)
-                utility.append(_check_utility(plan, context, scenario, eligible).status)
-            elif context is not None and context.context in changed:
-                utility[i] = _check_utility(plan, context, scenario, eligible).status
-
-            fails = failing[i]
-            waiting = undecided[i]
-            # Decide what a scan in plan order would: the protected partners
-            # ahead of the first protected one whose pair fails.
-            for j in waiting[:bisect_left(waiting, min(fails, default=n))]:
-                if j in protected:
-                    verdict = decided[i][j] = compiler.check_autonomy_pair(plan, plans[j])
-                    status = verdict.status
-                    waiting.remove(j)
-                    if status != PASS:
-                        watchers[j].append((i, status))
-                    if status == FAIL:
-                        fails.add(j)
-                        break
-                    if status == INDETERMINATE:
-                        indeterminate[i] += 1
+            pairs = decided[i]
+            autonomy = PASS
+            for j in partners[i]:
+                if j not in protected:
+                    continue
+                verdict = pairs.get(j)
+                if verdict is None:
+                    verdict = pairs[j] = compiler.check_autonomy_pair(plan, plans[j])
+                if verdict.status == FAIL:
+                    autonomy = FAIL
+                    break
+                if verdict.status == INDETERMINATE:
+                    autonomy = INDETERMINATE
 
             checks = (
-                generalization[i], utility[i],
-                FAIL if fails else INDETERMINATE if indeterminate[i] else PASS,
+                generalization[i],
+                _check_utility(plan, contexts[i], scenario, eligible).status,
+                autonomy,
             )
             if FAIL in checks:
                 statuses.append(UNETHICAL)

@@ -19,7 +19,7 @@ and grounds `ActionPlan.universal_adoption()` as an ordinary formula.
 The oracle for the clause conversion lives here as well:
 `evaluate_formula` gives the truth value of a ground formula under an
 assignment, and `to_clauses` converts one formula with the engine's
-`deon.logic.ClauseBuilder`, so a test can compare the two.
+`deon.logic.compile_fragment`, so a test can compare the two.
 """
 
 from __future__ import annotations
@@ -416,4 +416,4 @@ def evaluate_formula(f: Formula, assignment: Mapping[Atom, bool]) -> bool:
 
 def to_clauses(f: Formula) -> GroundClauseSet:
     """Equisatisfiable clause set for one ground formula, built by the engine."""
-    return logic.ClauseBuilder().add(f).build()
+    return logic.compile_fragment([(f, "")])

@@ -229,11 +229,11 @@ def test_to_clauses_rejects_modal_and_nonground():
     with pytest.raises(LogicError):
         compile_fragment([(atom("C", x), "")])
     with pytest.raises(LogicError):
-        ClauseBuilder().add(atom("C", x)).build()
+        ClauseBuilder(compile_fragment([])).add(atom("C", x)).build()
 
 
 def test_clause_builder_labels():
-    builder = ClauseBuilder()
+    builder = ClauseBuilder(compile_fragment([]))
     builder.add(atom("p"), "first part")
     builder.add(Or((Not(atom("p")), atom("q"))), "second part")
     cs = builder.build()

@@ -111,11 +111,8 @@ def assert_action_parts_build_to_units(scenario) -> None:
     # a query whose other parts name none of them changes no step of the
     # search (see test_sat's fresh-unit test).
     for plan in scenario.plans:
-        cs = (
-            ClauseBuilder()
-            .add(ground(plan.action_formula(), scenario.agents, scenario.objects))
-            .build()
-        )
+        action = ground(plan.action_formula(), scenario.agents, scenario.objects)
+        cs = compile_fragment([(action, "")])
         assert cs.aux_count == 0, plan.id
         assert all(len(clause) == 1 for clause in cs.clauses), plan.id
 
@@ -370,33 +367,16 @@ def test_random_formulas_with_fragments_match_reference():
         for formula, label in parts:
             reference.add(formula, label)
         expected = reference.build()
-
-        # Cut the parts into runs; each run is added as plain parts or as
-        # one fragment compiled on its own.
-        builder = ClauseBuilder()
-        i = 0
-        while i < len(parts):
-            j = rng.randint(i + 1, len(parts))
-            if rng.random() < 0.5:
-                builder.add_fragment(compile_fragment(parts[i:j]))
-            else:
-                for formula, label in parts[i:j]:
-                    builder.add(formula, label)
-            i = j
-        assert builder.build() == expected, parts
         assert compile_fragment(parts) == expected, parts
 
         # A fragment may be a part of another, as an agent's theory splices
-        # the physics fragment ahead of its beliefs, and a query adds that
-        # theory after its plan parts.
+        # the physics fragment ahead of its beliefs, and plain parts may come
+        # before a nested fragment.
         i = rng.randint(0, len(parts))
         k = rng.randint(i, len(parts))
         assert compile_fragment([compile_fragment(parts[:k]), *parts[k:]]) == expected, parts
-        builder = ClauseBuilder()
-        for formula, label in parts[:i]:
-            builder.add(formula, label)
-        builder.add_fragment(compile_fragment([compile_fragment(parts[i:k]), *parts[k:]]))
-        assert builder.build() == expected, parts
+        nested = compile_fragment([compile_fragment(parts[i:k]), *parts[k:]])
+        assert compile_fragment([*parts[:i], nested]) == expected, parts
 
 
 QUANTIFIED_TERMS = (
