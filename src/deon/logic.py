@@ -4,6 +4,10 @@ There are no modal operators here. Possibility, rational belief and rational
 requirement are decided as satisfiability queries against an agent's theory
 (see `principles`), so a formula is always a plain first-order one.
 
+`ground` builds the ground formula of a quantified one. Clause conversion
+does not need it: `compile_fragment` grounds and encodes in one pass, so a
+theory's ground formula is never built.
+
 Everything here is immutable and every operation is a pure function, so
 formulas and clause sets can be shared between concurrent evaluations
 without coordination. Clause sets and queries fill in tables derived from
@@ -12,7 +16,6 @@ their fields on first read; two threads doing so at once build equal ones.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -257,10 +260,6 @@ def ground(f: Formula, agents: Sequence[Term], objects: Sequence[Term] = ()) -> 
     if not agents:
         raise GroundingError("empty agent domain")
 
-    closed = f
-    for var in _ordered_free_vars(f):
-        closed = ForAll(var, closed)
-
     def go(node: Formula, env: dict[Term, Term]) -> Formula:
         if isinstance(node, AtomF):
             atom = node.atom
@@ -284,7 +283,15 @@ def ground(f: Formula, agents: Sequence[Term], objects: Sequence[Term] = ()) -> 
             return conj(tuple([go(node.body, {**env, node.var: c}) for c in domain]))
         raise LogicError(f"unknown formula node {type(node).__name__}")
 
-    return go(closed, {})
+    return go(_closed(f), {})
+
+
+def _closed(f: Formula) -> Formula:
+    """`f` with its free variables universally closed, in first-occurrence
+    order (the first one innermost)."""
+    for var in _ordered_free_vars(f):
+        f = ForAll(var, f)
+    return f
 
 
 def _ordered_free_vars(f: Formula) -> list[Term]:
@@ -353,7 +360,9 @@ class GroundClauseSet:
         return self.labels[clause_index] if self.labels else ""
 
     def literal_str(self, lit: int) -> str:
-        return _literal_str(self.atoms, lit)
+        idx = abs(lit) - 1
+        name = str(self.atoms[idx]) if idx < len(self.atoms) else f"aux{idx - len(self.atoms)}"
+        return f"not {name}" if lit < 0 else name
 
     def clause_str(self, clause_index: int) -> str:
         return " or ".join(self.literal_str(lit) for lit in self.clauses[clause_index])
@@ -367,12 +376,6 @@ class GroundClauseSet:
         for cl in self.clauses:
             lines.append(" ".join(str(lit) for lit in cl) + " 0")
         return "\n".join(lines) + "\n"
-
-
-def _literal_str(atoms: Sequence[Atom], lit: int) -> str:
-    idx = abs(lit) - 1
-    name = str(atoms[idx]) if idx < len(atoms) else f"aux{idx - len(atoms)}"
-    return f"not {name}" if lit < 0 else name
 
 
 def _check_range(clauses: Iterable[tuple[int, ...]], n: int) -> None:
@@ -427,14 +430,6 @@ class TheoryQuery:
     def num_vars(self) -> int:
         return len(self.order) - 1
 
-    @cached_property
-    def position(self) -> list[int]:
-        """The inverse of `order`: solver variable v is query variable `position[v]`."""
-        position = [0] * len(self.order)
-        for q, var in enumerate(self.order):
-            position[var] = q
-        return position
-
     def label_of(self, clause_index: int) -> str:
         plan = len(self.plan_clauses)
         if clause_index < plan:
@@ -442,20 +437,39 @@ class TheoryQuery:
         return self.theory.label_of(clause_index - plan)
 
     def clause_str(self, clause_index: int) -> str:
-        position, atoms = self.position, self.atoms
+        """Clause `clause_index` as `clause_set` prints it. A stored variable
+        is named by its range: a theory atom, a theory aux variable (after
+        the plan's in query numbering), a plan atom the theory lacks, or a
+        plan aux variable."""
+        theory, plan_aux = self.theory, self.plan_aux_count
+        theory_atoms, first_new = len(theory.atoms), theory.num_vars + 1
+        known = theory.variables
+        new_atoms = [atom for atom in self.plan_atoms if atom not in known]
+        first_plan_aux = first_new + len(new_atoms)
+
+        def name(var: int) -> str:
+            if var <= theory_atoms:
+                return str(theory.atoms[var - 1])
+            if var < first_new:
+                return f"aux{plan_aux + var - theory_atoms - 1}"
+            if var < first_plan_aux:
+                return str(new_atoms[var - first_new])
+            return f"aux{var - first_plan_aux}"
+
         return " or ".join(
-            _literal_str(atoms, position[lit] if lit > 0 else -position[-lit])
-            for lit in self.clauses[clause_index]
+            name(lit) if lit > 0 else f"not {name(-lit)}" for lit in self.clauses[clause_index]
         )
 
     @cached_property
     def clause_set(self) -> GroundClauseSet:
         """The query in query numbering: the clauses renamed by one table,
-        `rename[v]` the query variable of solver variable v, with the
-        negated values in its mirrored upper half."""
-        position, theory = self.position, self.theory
-        rename = position + [-q for q in reversed(position[1:])]
-        get = rename.__getitem__
+        from each solver variable to its query variable, the inverse of
+        `order`."""
+        position = [0] * len(self.order)
+        for q, var in enumerate(self.order):
+            position[var] = q
+        get = _rename_table(position[1:]).__getitem__
+        theory = self.theory
         return GroundClauseSet(
             self.atoms, self.plan_aux_count + theory.aux_count,
             tuple([tuple(map(get, cl)) for cl in self.clauses]),
@@ -464,161 +478,183 @@ class TheoryQuery:
 
 
 class _Encoder:
-    """Definitional clause encoding against a given numbering.
+    """Grounding fused with definitional clause encoding.
 
-    Atom `a` is variable `index[a]`; aux variables are numbered from
-    `first_aux` on, in the order the encoding asks for them. Which clauses
-    come out, in which order and with which labels, depends only on the
-    formulas; the numbering only names the variables. So encoding a
-    fragment once with its own numbering (atoms 1..k, aux from k + 1) and
-    renaming its variables (`splice`) gives exactly the clauses that
-    encoding the same formulas in the numbering it is spliced into gives.
-    Likewise a `TheoryQuery` encodes its plan parts in its theory's
-    numbering, and one renaming of all its clauses gives its query-numbered
-    clause set.
+    `add` walks a formula with a binding environment, as `ground` does, and
+    emits its clauses at once. A `ForAll` encodes as `conj` of its instances
+    in domain order, and at the top level splits like `And`, so the clauses,
+    their order and labels are those of encoding the ground formula, which
+    is never built. An empty domain raises `GroundingError`, and an atom
+    left non-ground `LogicError`.
+
+    Atoms take provisional ids on first sight and aux variables in encoding
+    order: `slots[p - 1]` is id p's atom index in `atoms`, or `~j` for aux
+    variable j. `renamed` gives the clauses in the caller's numbering, one
+    table lookup per literal.
     """
 
-    def __init__(self, index: Mapping[Atom, int], first_aux: int) -> None:
-        self.index = index
-        self.next_var = first_aux
+    def __init__(self, agents: Sequence[Term] = (), objects: Sequence[Term] = ()) -> None:
+        self.agents = agents
+        self.objects = objects
+        self.ids: dict[tuple[str, tuple[Term, ...]], int] = {}
+        self.atoms: list[Atom] = []
+        self.slots: list[int] = []
+        self.aux_count = 0
         self.clauses: list[tuple[int, ...]] = []
         self.labels: list[str] = []
 
+    def add(self, f: Formula, label: str) -> None:
+        before = len(self.clauses)
+        self._assert(f, {})
+        self.labels += [label] * (len(self.clauses) - before)
+
+    def _var(self, atom: Atom, env: dict[Term, Term]) -> int:
+        args = atom.args
+        if env and args:
+            args = tuple([env.get(t, t) if t.is_var else t for t in args])
+        key = (atom.predicate, args)
+        var = self.ids.get(key)
+        if var is None:
+            if args is not atom.args:
+                atom = Atom(atom.predicate, args)
+            if not atom.is_ground():
+                raise LogicError(f"non-ground atom {atom} in clause conversion")
+            self.slots.append(len(self.atoms))
+            self.atoms.append(atom)
+            var = self.ids[key] = len(self.slots)
+        return var
+
     def _new_aux(self) -> int:
-        lit = self.next_var
-        self.next_var += 1
-        return lit
+        self.slots.append(~self.aux_count)
+        self.aux_count += 1
+        return len(self.slots)
 
-    def _emit(self, lits: Sequence[int], label: str) -> None:
-        self.clauses.append(tuple(lits))
-        self.labels.append(label)
+    def _domain(self, var: Term) -> Sequence[Term]:
+        domain = self.agents if var.sort == AGENT else self.objects
+        if not domain:
+            raise GroundingError(f"empty {var.sort} domain for quantified variable {var.name}")
+        return domain
 
-    def encode(self, f: Formula, label: str) -> int:
+    def _lit(self, f: Formula, env: dict[Term, Term]) -> int:
         if isinstance(f, AtomF):
-            return self.index[f.atom]
+            return self._var(f.atom, env)
         if isinstance(f, Not):
-            return -self.encode(f.body, label)
-        if isinstance(f, Implies):
-            return self.encode(Or((Not(f.antecedent), f.consequent)), label)
-        if isinstance(f, And):
-            if not f.parts:
-                v = self._new_aux()
-                self._emit([v], label)
-                return v
-            lits = [self.encode(p, label) for p in f.parts]
-            if len(lits) == 1:
-                return lits[0]
-            v = self._new_aux()
-            for lit in lits:
-                self._emit([-v, lit], label)
-            self._emit([v] + [-lit for lit in lits], label)
-            return v
+            return -self._lit(f.body, env)
         if isinstance(f, Or):
-            if not f.parts:
-                v = self._new_aux()
-                self._emit([v], label)
-                self._emit([-v], label)
-                return v
-            lits = [self.encode(p, label) for p in f.parts]
-            if len(lits) == 1:
-                return lits[0]
-            v = self._new_aux()
-            self._emit([-v] + lits, label)
-            for lit in lits:
-                self._emit([v, -lit], label)
-            return v
+            return self._or([self._lit(p, env) for p in f.parts])
+        if isinstance(f, Implies):
+            return self._or([-self._lit(f.antecedent, env), self._lit(f.consequent, env)])
+        if isinstance(f, And):
+            return self._and([self._lit(p, env) for p in f.parts])
+        if isinstance(f, ForAll):
+            var, body = f.var, f.body
+            return self._and([self._lit(body, {**env, var: c}) for c in self._domain(var)])
         raise LogicError(f"cannot encode {type(f).__name__} node")
 
-    def assert_top(self, f: Formula, label: str) -> None:
-        # Keep top-level structure flat: conjunctions split into their
-        # parts and a top disjunction/implication becomes one clause.
+    def _and(self, lits: list[int]) -> int:
+        if len(lits) == 1:
+            return lits[0]
+        v = self._new_aux()
+        emit = self.clauses.append
+        if not lits:
+            emit((v,))
+            return v
+        for lit in lits:
+            emit((-v, lit))
+        emit((v, *[-lit for lit in lits]))
+        return v
+
+    def _or(self, lits: list[int]) -> int:
+        if len(lits) == 1:
+            return lits[0]
+        v = self._new_aux()
+        emit = self.clauses.append
+        if not lits:
+            emit((v,))
+            emit((-v,))
+            return v
+        emit((-v, *lits))
+        for lit in lits:
+            emit((v, -lit))
+        return v
+
+    def _assert(self, f: Formula, env: dict[Term, Term]) -> None:
+        # Keep top-level structure flat: conjunctions and quantifiers split
+        # into their parts and a top disjunction/implication becomes one clause.
         if isinstance(f, And):
             for p in f.parts:
-                self.assert_top(p, label)
-            return
-        if isinstance(f, Implies):
-            self.assert_top(Or((Not(f.antecedent), f.consequent)), label)
-            return
-        if isinstance(f, Or) and f.parts:
-            self._emit([self.encode(p, label) for p in f.parts], label)
-            return
-        if isinstance(f, Or):  # empty disjunction: unsatisfiable
+                self._assert(p, env)
+        elif isinstance(f, ForAll):
+            var, body = f.var, f.body
+            for c in self._domain(var):
+                self._assert(body, {**env, var: c})
+        elif isinstance(f, Implies):
+            self.clauses.append((-self._lit(f.antecedent, env), self._lit(f.consequent, env)))
+        elif isinstance(f, Or) and f.parts:
+            self.clauses.append(tuple([self._lit(p, env) for p in f.parts]))
+        elif isinstance(f, Or):  # empty disjunction: unsatisfiable
             v = self._new_aux()
-            self._emit([v], label)
-            self._emit([-v], label)
-            return
-        self._emit([self.encode(f, label)], label)
+            self.clauses += [(v,), (-v,)]
+        else:
+            self.clauses.append((self._lit(f, env),))
 
     def splice(self, fragment: GroundClauseSet) -> None:
-        """Append a fragment's clauses, renamed into this numbering.
+        """Append a fragment's clauses, renamed into the provisional ids.
 
-        Its atoms go to their variables in `index`; its aux variables
-        become the next `fragment.aux_count` aux variables here. The rename
-        table is one list indexed by the fragment's literals: `rename[v]`
-        is the new variable of variable v, and the negative literal -v
-        indexes the mirrored upper half, which holds its negation.
+        Its atoms take their ids as if first seen in its atom order, and its
+        aux variables the next `fragment.aux_count` ids. The rename table is
+        one list indexed by the fragment's literals: `rename[v]` is the new
+        id of variable v, and the negative literal -v indexes the mirrored
+        upper half, which holds its negation.
         """
-        first_aux = self.next_var
-        self.next_var += fragment.aux_count
-        variables = [*map(self.index.__getitem__, fragment.atoms)]
-        variables += range(first_aux, self.next_var)
-        rename = [0, *variables, *[-var for var in reversed(variables)]]
-        get = rename.__getitem__
-        self.clauses.extend([tuple(map(get, cl)) for cl in fragment.clauses])
-        self.labels.extend(fragment.labels or [""] * len(fragment.clauses))
+        variables = [self._var(atom, {}) for atom in fragment.atoms]
+        variables += [self._new_aux() for _ in range(fragment.aux_count)]
+        get = _rename_table(variables).__getitem__
+        self.clauses += [tuple(map(get, cl)) for cl in fragment.clauses]
+        self.labels += fragment.labels or [""] * len(fragment.clauses)
+
+    def renamed(self, atom_vars: Sequence[int], first_aux: int) -> list[tuple[int, ...]]:
+        """The clauses with atom i as variable `atom_vars[i]` and aux variable
+        j as `first_aux + j`."""
+        last = first_aux - 1
+        get = _rename_table([atom_vars[s] if s >= 0 else last - s for s in self.slots]).__getitem__
+        return [tuple(map(get, cl)) for cl in self.clauses]
 
 
-def _atoms(parts: Sequence[tuple[Formula, str] | GroundClauseSet]) -> tuple[Atom, ...]:
-    """The parts' atoms by first occurrence, in order (`dict.fromkeys` keeps
-    the first of equal keys, in order); all must be ground."""
-    atoms = tuple(dict.fromkeys(itertools.chain.from_iterable(
-        part.atoms if isinstance(part, GroundClauseSet) else atoms_of(part[0])
-        for part in parts
-    )))
-    for atom in atoms:
-        if not atom.is_ground():
-            raise LogicError(f"non-ground atom {atom} in clause conversion")
-    return atoms
-
-
-def _encode(
-    parts: Sequence[tuple[Formula, str] | GroundClauseSet], index: Mapping[Atom, int],
-    first_aux: int,
-) -> _Encoder:
-    encoder = _Encoder(index, first_aux)
-    for part in parts:
-        if isinstance(part, GroundClauseSet):
-            encoder.splice(part)
-        else:
-            encoder.assert_top(*part)
-    return encoder
+def _rename_table(variables: list[int]) -> list[int]:
+    """The table renaming variable v (1-based) to `variables[v - 1]`, with
+    the negated values in its mirrored upper half, so literal -v indexes
+    the negation of v's new variable."""
+    return [0, *variables, *[-var for var in reversed(variables)]]
 
 
 def _against(parts: Sequence[tuple[Formula, str]], theory: GroundClauseSet) -> TheoryQuery:
+    encoder = _Encoder()
+    for formula, label in parts:
+        encoder.add(formula, label)
     # The theory's variables keep their numbers; the plan's other atoms
     # follow them, then the plan's aux variables.
-    atoms = _atoms(parts)
+    atoms = tuple(encoder.atoms)
     known = theory.variables
-    index: dict[Atom, int] = {}
+    atom_vars: list[int] = []
     last = theory.num_vars
     for atom in atoms:
         var = known.get(atom)
         if var is None:
             last += 1
             var = last
-        index[atom] = var
-    encoder = _encode(parts, index, last + 1)
-    n = encoder.next_var - 1
-    plan_clauses = tuple(encoder.clauses)
+        atom_vars.append(var)
+    plan_clauses = tuple(encoder.renamed(atom_vars, last + 1))
+    n = last + encoder.aux_count
     _check_range(plan_clauses, n)
     # The query numbering: the plan's atoms, the theory's other atoms in
     # theory order (the runs between the shared ones), the plan's aux
     # variables, then the theory's.
     theory_atoms = len(theory.atoms)
-    order = [0, *index.values()]
+    order = [0, *atom_vars]
     query_atoms = list(atoms)
     start = 1
-    for var in sorted(var for var in order[1:] if var <= theory_atoms):
+    for var in sorted(var for var in atom_vars if var <= theory_atoms):
         order += range(start, var)
         query_atoms += theory.atoms[start - 1:var - 1]
         start = var + 1
@@ -627,34 +663,39 @@ def _against(parts: Sequence[tuple[Formula, str]], theory: GroundClauseSet) -> T
     order += range(last + 1, n + 1)
     order += range(theory_atoms + 1, theory.num_vars + 1)
     return TheoryQuery(
-        theory, atoms, n - last, plan_clauses, tuple(encoder.labels),
+        theory, atoms, encoder.aux_count, plan_clauses, tuple(encoder.labels),
         tuple(order), plan_clauses + theory.clauses, tuple(query_atoms),
     )
 
 
 def compile_fragment(
     parts: Iterable[tuple[Formula, str] | GroundClauseSet],
+    agents: Sequence[Term] = (),
+    objects: Sequence[Term] = (),
 ) -> GroundClauseSet:
-    """The clause set of labeled ground formulas, numbered on its own: a
-    fragment compiled once and made the theory of many queries.
+    """The clause set of labeled formulas grounded over `agents` and
+    `objects`, numbered on its own: a fragment compiled once and made the
+    theory of many queries.
 
-    Conversion is that of `ClauseBuilder`. Atoms are numbered by first
-    occurrence across the parts, and aux variables after all atoms, in
-    encoding order. A part may itself be a fragment, so fragments nest:
-    splicing one here renames only its variables, and the result is
-    identical to adding its formulas in its place. A fragment lists its
-    atoms in first-occurrence order, so scanning that list numbers them as
-    scanning its formulas would, and its aux variables are in its own
-    encoding order, so they take the next block of aux numbers as encoding
-    in place would. Like `build`, it checks groundness over the atoms it
-    collects, and its clauses' literal range once, on construction.
+    Free variables are closed as `ground` closes them, and one pass grounds
+    and encodes (`_Encoder`), giving what `ClauseBuilder`'s conversion makes
+    of the ground formulas. Atoms are numbered by first occurrence across
+    the parts, then aux variables in encoding order. A part may itself be a
+    fragment: its atoms are listed in first-occurrence order and its aux
+    variables in encoding order, so splicing it renames only its variables
+    and gives what adding its formulas in its place gives. The clauses'
+    literal range is checked once, on construction.
     """
-    listed = list(parts)
-    atoms = _atoms(listed)
-    encoder = _encode(listed, dict(zip(atoms, range(1, len(atoms) + 1))), len(atoms) + 1)
+    encoder = _Encoder(agents, objects)
+    for part in parts:
+        if isinstance(part, GroundClauseSet):
+            encoder.splice(part)
+        else:
+            encoder.add(_closed(part[0]), part[1])
+    k = len(encoder.atoms)
     return GroundClauseSet(
-        atoms, encoder.next_var - len(atoms) - 1,
-        tuple(encoder.clauses), tuple(encoder.labels),
+        tuple(encoder.atoms), encoder.aux_count,
+        tuple(encoder.renamed(range(1, k + 1), k + 1)), tuple(encoder.labels),
     )
 
 
@@ -663,8 +704,9 @@ class ClauseBuilder:
 
     Conversion is definitional: fresh atoms name compound subformulas instead
     of distributing disjunctions, so size stays linear. Satisfiability, not
-    logical equivalence, is the contract. `build` checks groundness over the
-    atoms it collects: a non-ground atom or a `ForAll` raises `LogicError`.
+    logical equivalence, is the contract. `build` encodes the parts in one
+    pass, as `compile_fragment` does but with no domains: a non-ground atom
+    raises `LogicError`, and a `ForAll` raises `GroundingError`.
 
     `build` gives a `TheoryQuery`: the parts followed by the theory
     fragment, solved without renaming the theory. Its `clause_set` is what

@@ -246,11 +246,13 @@ class QueryCompiler:
 
     A query is a list of labeled plan parts plus the acting agent's theory,
     and `_query` is the one place it is built. Each agent's theory, the
-    physics followed by the agent's belief constraints, is grounded and
-    compiled into one clause fragment on first use (`_theory`). The
-    physics is compiled once per evaluation and spliced ahead of each
-    believing agent's constraints; an agent without belief constraints
-    takes the physics fragment itself as its theory.
+    physics followed by the agent's belief constraints, is compiled into
+    one clause fragment on first use (`_theory`), grounded over the
+    scenario's domains in the same pass (`compile_fragment`), so only plan
+    parts go through `ground`. The physics is compiled once per evaluation
+    and spliced ahead of each believing agent's constraints; an agent
+    without belief constraints takes the physics fragment itself as its
+    theory.
 
     A query is a `TheoryQuery` against its agent's fragment: only its plan
     parts are encoded, in the fragment's numbering, and it is solved over
@@ -317,14 +319,15 @@ class QueryCompiler:
             if agent not in self.scenario.agents:
                 raise ScenarioError(f"unknown agent {agent.name!r}")
             constraints = self.scenario.constraints
+            domains = self.scenario.agents, self.scenario.objects
             if self._physics is None:
                 self._physics = compile_fragment(
-                    (self._ground(f), "physical constraint") for f in constraints.physical
+                    ((f, "physical constraint") for f in constraints.physical), *domains
                 )
             theory = self._physics
             if beliefs := constraints.beliefs.get(agent):
                 label = f"rational constraint of agent {agent.name}"
-                theory = compile_fragment([theory, *((self._ground(f), label) for f in beliefs)])
+                theory = compile_fragment([theory, *((f, label) for f in beliefs)], *domains)
             self._theories[agent] = theory
         return theory
 

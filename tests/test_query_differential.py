@@ -17,6 +17,7 @@ import itertools
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 import reference_logic
@@ -34,6 +35,7 @@ from deon.logic import (
     ClauseBuilder,
     ForAll,
     Formula,
+    GroundingError,
     Implies,
     Not,
     Or,
@@ -209,6 +211,26 @@ def test_each_built_query_is_solved_once(name, monkeypatch):
                     assert QueryCompiler(scenario).autonomy_pair(plan, other) == (
                         reference_logic.autonomy_pair_queries(plan, other, scenario)
                     )
+
+
+def test_no_theory_formula_is_grounded_on_its_own(monkeypatch):
+    # An agent's theory is grounded inside `compile_fragment`'s one pass;
+    # `principles.ground` sees plan parts only.
+    grounded: list = []
+
+    def recording_ground(formula, agents, objects=()):
+        grounded.append(formula)
+        return ground(formula, agents, objects)
+
+    monkeypatch.setattr(principles, "ground", recording_ground)
+    theory = []
+    for name in scenarios.NAMES:
+        scenario = load(name)
+        constraints = scenario.constraints
+        theory += [*constraints.physical, *itertools.chain(*constraints.beliefs.values())]
+        evaluate(scenario)
+    assert theory and grounded
+    assert not [f for f in grounded if any(f is t for t in theory)]
 
 
 @pytest.mark.parametrize("name", [*SOURCES, "clash"])
@@ -418,6 +440,48 @@ def test_random_quantified_formulas_ground_like_reference():
             assert ground(formula, agents, objects) == (
                 reference_logic.ground(formula, agents, objects)
             ), formula
+
+
+def reference_fragment(parts, agents, objects):
+    """The reference builder's clause set of the parts, each grounded first."""
+    builder = reference_logic.ClauseBuilder()
+    for formula, label in parts:
+        builder.add(reference_logic.ground(formula, agents, objects), label)
+    return builder.build()
+
+
+def test_random_quantified_formulas_compile_like_reference():
+    # `compile_fragment` grounds and encodes in one pass; the clause set is
+    # the reference builder's over the reference grounder's trees, also with
+    # a nested fragment placed first or mid-list. Over an empty object
+    # domain, an object quantifier (explicit, or closing a free variable)
+    # raises the same GroundingError on both paths.
+    rng = random.Random(0xF05ED)
+    outcomes: Counter = Counter()
+    for _ in range(300):
+        parts = [
+            (random_quantified(rng, rng.randint(1, 4)), rng.choice(("", "physics", "belief")))
+            for _ in range(rng.randint(1, 4))
+        ]
+        for agents, objects in (*DOMAINS, (DOMAINS[1][0], ())):
+            try:
+                expected = reference_fragment(parts, agents, objects)
+            except GroundingError as error:
+                with pytest.raises(GroundingError) as raised:
+                    compile_fragment(parts, agents, objects)
+                assert str(raised.value) == str(error), parts
+                outcomes[objects, "raises"] += 1
+                continue
+            outcomes[objects, "compiles"] += 1
+            assert compile_fragment(parts, agents, objects) == expected, parts
+            i = rng.randint(0, len(parts))
+            k = rng.randint(i, len(parts))
+            first = compile_fragment(parts[:k], agents, objects)
+            assert compile_fragment([first, *parts[k:]], agents, objects) == expected, parts
+            mid = compile_fragment(parts[i:k], agents, objects)
+            assert compile_fragment([*parts[:i], mid, *parts[k:]], agents, objects) == expected
+    # Every domain compiles some lists, and the empty object domain rejects some.
+    assert min(outcomes.values()) >= 20 and len(outcomes) == 4, outcomes
 
 
 # -- no state between calls ------------------------------------------------------------
