@@ -81,6 +81,15 @@ from .principles import (
     evaluate,
     rationally_required_to_deny_possible,
 )
-from .cli import render_human, render_structured
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str) -> object:
+    # `deon.cli` is imported on first use, not here: `python3 -m deon.cli`
+    # would otherwise find it imported before it runs as `__main__`.
+    if name in ("render_human", "render_structured"):
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -32,7 +32,7 @@ import re
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NoReturn, TypeVar
+from typing import NamedTuple, NoReturn, TypeVar
 
 from .logic import (
     AGENT,
@@ -161,8 +161,7 @@ class ParseResult:
         return self.scenario is not None
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # IDENT NUMBER ARROW EOF or a _PUNCT name
     text: str
     line: int

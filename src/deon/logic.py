@@ -38,17 +38,35 @@ class GroundingError(LogicError):
 
 @dataclass(frozen=True)
 class Term:
-    """An agent or object, either a constant or a variable."""
+    """An agent or object, either a constant or a variable.
+
+    The hash is cached on first use, as `Atom`'s is: grounding hashes each
+    bound variable and each argument of every atom instance. Its value is the
+    dataclass's, `hash((sort, name, is_var))`, so set and dict order is
+    unchanged; a pickled term leaves the cached value behind.
+    """
 
     sort: str  # AGENT or OBJECT
     name: str
     is_var: bool = False
+    _hash = None  # the cached hash; not a field, since it has no annotation
 
     def __post_init__(self) -> None:
         if self.sort not in (AGENT, OBJECT):
             raise LogicError(f"unknown term sort {self.sort!r}")
         if not self.name:
             raise LogicError("term name must be a nonempty token")
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash((self.sort, self.name, self.is_var))
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __reduce__(self) -> tuple:
+        # String hashes differ between processes: rebuild, do not copy the cache.
+        return Term, (self.sort, self.name, self.is_var)
 
     def __str__(self) -> str:
         return self.name

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import deon
 from deon import scenarios
@@ -14,6 +15,7 @@ from deon.cli import (
     EXIT_OK,
     EXIT_UNETHICAL,
     EXIT_USAGE,
+    _dump,
     main,
     render_human,
     render_structured,
@@ -171,6 +173,57 @@ def test_check_runs_without_click(paths):
     )
     assert done.returncode == EXIT_UNETHICAL, done.stderr.decode()
     assert done.stdout == (Path(__file__).parent / "snapshots" / "theft.json").read_bytes()
+
+
+def test_module_entry_point_prints_what_main_prints_and_no_warning(capsys, paths):
+    # `import deon` must not import `deon.cli`, or `runpy` warns on stderr
+    # that the module it is about to run as `__main__` is already imported.
+    src = os.path.dirname(os.path.dirname(deon.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "deon.cli", "check", paths["theft"]],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, timeout=60,
+    )
+    code, out, _ = run(capsys, "check", paths["theft"])
+    assert (done.returncode, done.stderr.decode()) == (EXIT_UNETHICAL, "")
+    assert code == EXIT_UNETHICAL and done.stdout.decode("utf-8") == out
+
+
+def _dumps(doc: object) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+# Lone surrogates and the characters JSON escapes are rare among all code
+# points, so they are drawn on their own as well.
+_TEXT = st.text(
+    st.characters(exclude_categories=())
+    | st.characters(categories=["Cs"])
+    | st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "\u2028", "😀"])
+)
+_DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**80), 10**80) | _TEXT,
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(_TEXT, inner, max_size=6),
+    max_leaves=40,
+)
+
+
+@given(_DOCUMENTS)
+@settings(max_examples=300, deadline=None)
+def test_json_writer_matches_json_dumps(doc):
+    assert _dump(doc) == _dumps(doc)
+
+
+def test_json_writer_matches_json_dumps_deep_down():
+    doc: object = {}
+    for depth in range(100):
+        doc = {"a": [doc, [], depth, -depth, True, None]} if depth % 2 else [doc, {}, False, "é"]
+    assert _dump(doc) == _dumps(doc)
+
+
+@pytest.mark.parametrize("doc", [1.5, [0.0], {"x": (1, 2)}, (1, 2), {1: "a"}, {"a": 1, 2: "b"}])
+def test_json_writer_refuses_what_no_deon_document_holds(doc):
+    with pytest.raises(TypeError):
+        _dump(doc)
 
 
 def test_indeterminate_exit_code(capsys, tmp_path):

@@ -9,6 +9,8 @@ from deon.cli import EXIT_INVALID, main
 from deon.dsl import (
     DEFAULT_MAX_SOURCE,
     ParseResult,
+    SourceSpan,
+    _lex,
     format_formula,
     parse_scenario,
     print_scenario,
@@ -156,6 +158,19 @@ def test_unknown_reference_code():
 def test_lexical_error_code():
     result = parse_scenario("scenario t\nagents a\n$$$\n")
     assert "lex" in codes(result)
+
+
+def test_lexer_yields_pinned_tokens_and_diagnostics():
+    # Read through the fields, so any token class giving the same values passes.
+    tokens, diagnostics = _lex("scenario s\r\n# a comment -> 1/2\r\nu(x) -> 1/2, -3.5 @;", "f.deon")
+    assert [(t.kind, t.text, t.line, t.column) for t in tokens] == [
+        ("IDENT", "scenario", 1, 1), ("IDENT", "s", 1, 10),
+        ("IDENT", "u", 3, 1), ("LPAREN", "(", 3, 2), ("IDENT", "x", 3, 3), ("RPAREN", ")", 3, 4),
+        ("ARROW", "->", 3, 6), ("NUMBER", "1/2", 3, 9), ("COMMA", ",", 3, 12),
+        ("NUMBER", "-3.5", 3, 14), ("SEMI", ";", 3, 20), ("EOF", "", 3, 21),
+    ]
+    assert tokens[-1].span("f.deon") == SourceSpan("f.deon", 3, 21)
+    assert [str(d) for d in diagnostics] == ["f.deon:3:19: error: unexpected character '@' [lex]"]
 
 
 def test_size_limit_is_enforced():

@@ -65,6 +65,10 @@ def test_atom_and_term_hash_is_the_field_tuple_hash():
     assert hash(p) == hash(("at", (a, y_const)))
     assert hash(p) == hash(p)  # a cached hash stays the same
     assert hash(Atom("rain")) == hash(("rain", ()))
+    for t in (a, x, y_const):
+        assert hash(t) == hash((t.sort, t.name, t.is_var)) == hash(t)  # cached, unchanged
+        copy = pickle.loads(pickle.dumps(t))
+        assert copy == t and hash(copy) == hash(t)
 
 
 def test_equal_atoms_built_apart_share_a_dict_entry():
