@@ -6,7 +6,9 @@ requirement are decided as satisfiability queries against an agent's theory
 
 `ground` builds the ground formula of a quantified one. Clause conversion
 does not need it: `compile_fragment` grounds and encodes in one pass, so a
-theory's ground formula is never built.
+theory's ground formula is never built. Both take closed formulas, as
+`scenario.validate` admits them: a free variable is never closed
+implicitly, and clause conversion rejects its atom.
 
 Everything here is immutable and every operation is a pure function, so
 formulas and clause sets can be shared between concurrent evaluations
@@ -269,11 +271,11 @@ def ground(f: Formula, agents: Sequence[Term], objects: Sequence[Term] = ()) -> 
 
     Both domains are constants used as they are, such as a scenario's
     `agents` and `objects`.
-    Free variables are universally closed over their sort's domain first
-    (in first-occurrence order), so the result never has free variables.
     Quantified variables are bound through an environment as the tree is
-    rebuilt, one pass per instance. Deterministic: identical inputs,
-    including domain order, give structurally identical output.
+    rebuilt, one pass per instance. A free variable is left in place, for
+    clause conversion to reject; `validate` reports one as
+    `unbound-variable`. Deterministic: identical inputs, including domain
+    order, give structurally identical output.
     """
     if not agents:
         raise GroundingError("empty agent domain")
@@ -301,34 +303,7 @@ def ground(f: Formula, agents: Sequence[Term], objects: Sequence[Term] = ()) -> 
             return conj(tuple([go(node.body, {**env, node.var: c}) for c in domain]))
         raise LogicError(f"unknown formula node {type(node).__name__}")
 
-    return go(_closed(f), {})
-
-
-def _closed(f: Formula) -> Formula:
-    """`f` with its free variables universally closed, in first-occurrence
-    order (the first one innermost)."""
-    for var in _ordered_free_vars(f):
-        f = ForAll(var, f)
-    return f
-
-
-def _ordered_free_vars(f: Formula) -> list[Term]:
-    seen: list[Term] = []
-
-    def go(node: Formula, bound: frozenset[Term]) -> None:
-        if isinstance(node, AtomF):
-            for t in node.atom.args:
-                if t.is_var and t not in bound and t not in seen:
-                    seen.append(t)
-            return
-        if isinstance(node, ForAll):
-            go(node.body, bound | {node.var})
-            return
-        for c in children(node):
-            go(c, bound)
-
-    go(f, frozenset())
-    return seen
+    return go(f, {})
 
 
 # --------------------------------------------------------------------------
@@ -503,7 +478,7 @@ class _Encoder:
     in domain order, and at the top level splits like `And`, so the clauses,
     their order and labels are those of encoding the ground formula, which
     is never built. An empty domain raises `GroundingError`, and an atom
-    left non-ground `LogicError`.
+    left non-ground, such as one naming a free variable, `LogicError`.
 
     Atoms take provisional ids on first sight and aux variables in encoding
     order: `slots[p - 1]` is id p's atom index in `atoms`, or `~j` for aux
@@ -616,21 +591,6 @@ class _Encoder:
         else:
             self.clauses.append((self._lit(f, env),))
 
-    def splice(self, fragment: GroundClauseSet) -> None:
-        """Append a fragment's clauses, renamed into the provisional ids.
-
-        Its atoms take their ids as if first seen in its atom order, and its
-        aux variables the next `fragment.aux_count` ids. The rename table is
-        one list indexed by the fragment's literals: `rename[v]` is the new
-        id of variable v, and the negative literal -v indexes the mirrored
-        upper half, which holds its negation.
-        """
-        variables = [self._var(atom, {}) for atom in fragment.atoms]
-        variables += [self._new_aux() for _ in range(fragment.aux_count)]
-        get = _rename_table(variables).__getitem__
-        self.clauses += [tuple(map(get, cl)) for cl in fragment.clauses]
-        self.labels += fragment.labels or [""] * len(fragment.clauses)
-
     def renamed(self, atom_vars: Sequence[int], first_aux: int) -> list[tuple[int, ...]]:
         """The clauses with atom i as variable `atom_vars[i]` and aux variable
         j as `first_aux + j`."""
@@ -687,29 +647,23 @@ def _against(parts: Sequence[tuple[Formula, str]], theory: GroundClauseSet) -> T
 
 
 def compile_fragment(
-    parts: Iterable[tuple[Formula, str] | GroundClauseSet],
+    parts: Iterable[tuple[Formula, str]],
     agents: Sequence[Term] = (),
     objects: Sequence[Term] = (),
 ) -> GroundClauseSet:
-    """The clause set of labeled formulas grounded over `agents` and
+    """The clause set of labeled closed formulas grounded over `agents` and
     `objects`, numbered on its own: a fragment compiled once and made the
     theory of many queries.
 
-    Free variables are closed as `ground` closes them, and one pass grounds
-    and encodes (`_Encoder`), giving what `ClauseBuilder`'s conversion makes
-    of the ground formulas. Atoms are numbered by first occurrence across
-    the parts, then aux variables in encoding order. A part may itself be a
-    fragment: its atoms are listed in first-occurrence order and its aux
-    variables in encoding order, so splicing it renames only its variables
-    and gives what adding its formulas in its place gives. The clauses'
+    One pass grounds and encodes (`_Encoder`), giving what `ClauseBuilder`'s
+    conversion makes of the ground formulas. Atoms are numbered by first
+    occurrence across the parts, then aux variables in encoding order. A
+    free variable is not closed: its atom raises `LogicError`. The clauses'
     literal range is checked once, on construction.
     """
     encoder = _Encoder(agents, objects)
-    for part in parts:
-        if isinstance(part, GroundClauseSet):
-            encoder.splice(part)
-        else:
-            encoder.add(_closed(part[0]), part[1])
+    for formula, label in parts:
+        encoder.add(formula, label)
     k = len(encoder.atoms)
     return GroundClauseSet(
         tuple(encoder.atoms), encoder.aux_count,

@@ -247,12 +247,12 @@ class QueryCompiler:
     A query is a list of labeled plan parts plus the acting agent's theory,
     and `_query` is the one place it is built. Each agent's theory, the
     physics followed by the agent's belief constraints, is compiled into
-    one clause fragment on first use (`_theory`), grounded over the
-    scenario's domains in the same pass (`compile_fragment`), so only plan
-    parts go through `ground`. The physics is compiled once per evaluation
-    and spliced ahead of each believing agent's constraints; an agent
-    without belief constraints takes the physics fragment itself as its
-    theory.
+    one clause fragment on first use (`_theory`), in one flat pass that
+    grounds it over the scenario's domains (`compile_fragment`), so only
+    plan parts go through `ground`. Every agent without belief constraints
+    shares one fragment of the physics alone, compiled once per evaluation;
+    each believing agent's pass grounds the physics again, ahead of its
+    beliefs.
 
     A query is a `TheoryQuery` against its agent's fragment: only its plan
     parts are encoded, in the fragment's numbering, and it is solved over
@@ -304,8 +304,8 @@ class QueryCompiler:
         self.scenario = scenario
         self.budget = budget
         self.queries: dict[tuple[str, ...], ModalQuery] = {}
-        self._physics: GroundClauseSet | None = None
-        self._theories: dict[Term, GroundClauseSet] = {}
+        # The key None holds the physics alone, shared by every agent without beliefs.
+        self._theories: dict[Term | None, GroundClauseSet] = {}
         self._actions: dict[str, tuple[tuple[Formula, str], frozenset[Atom]]] = {}
 
     def _ground(self, formula: Formula) -> Formula:
@@ -319,15 +319,16 @@ class QueryCompiler:
             if agent not in self.scenario.agents:
                 raise ScenarioError(f"unknown agent {agent.name!r}")
             constraints = self.scenario.constraints
-            domains = self.scenario.agents, self.scenario.objects
-            if self._physics is None:
-                self._physics = compile_fragment(
-                    ((f, "physical constraint") for f in constraints.physical), *domains
-                )
-            theory = self._physics
-            if beliefs := constraints.beliefs.get(agent):
+            beliefs = constraints.beliefs.get(agent, ())
+            key = agent if beliefs else None
+            theory = self._theories.get(key)
+            if theory is None:
                 label = f"rational constraint of agent {agent.name}"
-                theory = compile_fragment([theory, *((f, label) for f in beliefs)], *domains)
+                parts = [(f, "physical constraint") for f in constraints.physical]
+                parts += [(f, label) for f in beliefs]
+                theory = self._theories[key] = compile_fragment(
+                    parts, self.scenario.agents, self.scenario.objects
+                )
             self._theories[agent] = theory
         return theory
 

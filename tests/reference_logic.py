@@ -1,14 +1,14 @@
 """Query construction as it was before theory fragments, kept as an oracle.
 
 `deon.principles` compiles each agent's theory, the physics and then the
-agent's belief constraints, once into one fragment and splices it into
-every query; the clause sets must still be exactly what these functions
-build: the same atoms in the same order, the same aux count, clauses and
-labels. The bodies are the original builder and query functions,
-unchanged apart from the check for modal nodes, which no longer exist,
-the object domain, which is given as constants, and the theory, which
-they read from `scenario.constraints` themselves; they ground and
-convert the whole theory for every query.
+agent's belief constraints, once into one fragment and solves every
+query against it in place; the query-numbered clause sets it derives
+must still be exactly what these functions build: the same atoms in the
+same order, the same aux count, clauses and labels. The bodies are the
+original builder and query functions, unchanged apart from the check for
+modal nodes, which no longer exist, the object domain, which is given as
+constants, and the theory, which they read from `scenario.constraints`
+themselves; they ground and convert the whole theory for every query.
 
 The grounder is the original one too: `substitute` copies each quantifier
 body once per constant, and universal adoption is a `UniversalizedPlan`
@@ -153,10 +153,6 @@ def ground(
     if not agents:
         raise GroundingError("empty agent domain")
 
-    closed = f
-    for var in _ordered_free_vars(f):
-        closed = ForAll(var, closed)
-
     agent_terms = tuple(agent_const(a.name) for a in agents)
 
     def go(node: Formula) -> Formula:
@@ -183,7 +179,15 @@ def ground(
             return expand_universalized_plan(plans[node.plan_id], agents, objects)
         raise LogicError(f"unknown formula node {type(node).__name__}")
 
-    return go(closed)
+    return go(closed(f))
+
+
+def closed(f: Formula) -> Formula:
+    """`f` with its free variables universally closed, in first-occurrence
+    order (the first one innermost)."""
+    for var in _ordered_free_vars(f):
+        f = ForAll(var, f)
+    return f
 
 
 def _ordered_free_vars(f: Formula) -> list[Term]:

@@ -1,8 +1,9 @@
 """The verdict engine as it was before its per-evaluation memo, kept as an oracle.
 
 `deon.principles.evaluate` decides each plan's generalization query and
-each autonomy pair once per evaluation, from queries spliced together out
-of compiled theory fragments, and reuses those verdicts in later rounds.
+each autonomy pair once per evaluation, from queries solved in place
+against compiled theory fragments, and reuses those verdicts in later
+rounds.
 These functions are its checks and fixpoint loop as they were before the
 memo: every round checks every plan afresh, each query is built from
 scratch by `reference_logic` and solved by `reference_sat.solve`, and no

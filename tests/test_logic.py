@@ -185,10 +185,15 @@ def test_ground_object_variable_product():
     assert flat[0] == Not(atom("C", agent_const("a"), object_const("o1")))
 
 
-def test_ground_universal_closure_of_free_vars():
+def test_a_free_variable_is_left_for_clause_conversion_to_reject():
+    # Neither grounding nor compiling closes a free variable over its domain.
     f = atom("C", x)
-    assert ground(f, (A, B)) == And((atom("C", agent_const("a")), atom("C", agent_const("b"))))
-    assert_ground(ground(f, (A, B)))
+    assert ground(f, (A, B)) == f
+    assert ground(ForAll(y, And((f, atom("D", y)))), (A, B), (object_const("o"),)) == (
+        And((f, atom("D", object_const("o"))))
+    )
+    with pytest.raises(LogicError, match=r"^non-ground atom C\(x\) in clause conversion$"):
+        compile_fragment([(f, "")], (A, B))
 
 
 def test_ground_errors():

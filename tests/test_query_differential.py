@@ -233,6 +233,49 @@ def test_no_theory_formula_is_grounded_on_its_own(monkeypatch):
     assert not [f for f in grounded if any(f is t for t in theory)]
 
 
+def theory_parts(scenario, agent) -> list:
+    """`agent`'s theory as labeled parts: the physics, then its beliefs."""
+    constraints = scenario.constraints
+    label = f"rational constraint of agent {agent.name}"
+    parts = [(f, "physical constraint") for f in constraints.physical]
+    return parts + [(f, label) for f in constraints.beliefs.get(agent, ())]
+
+
+def test_agents_without_beliefs_share_one_physics_fragment(monkeypatch):
+    compiled: list = []
+
+    def recording_compile(parts, agents=(), objects=()):
+        compiled.append(parts)
+        return compile_fragment(parts, agents, objects)
+
+    monkeypatch.setattr(principles, "compile_fragment", recording_compile)
+    bus = load("bus")
+    assert bus.constraints.physical and not any(bus.constraints.beliefs.values())
+    evaluate(bus)
+    assert len(compiled) == 1
+    compiler = QueryCompiler(bus)
+    theory = compiler._theory(bus.agents[0])
+    assert all(compiler._theory(agent) is theory for agent in bus.agents)
+    assert len(compiled) == 2
+    assert theory == reference_fragment(theory_parts(bus, bus.agents[0]), bus.agents, bus.objects)
+
+
+def test_a_believing_agent_compiles_its_physics_then_its_beliefs_in_one_pass():
+    pedestrian = load("pedestrian")
+    agents, objects = pedestrian.agents, pedestrian.objects
+    believers = [a for a in agents if pedestrian.constraints.beliefs.get(a)]
+    assert len(believers) == 1 and pedestrian.constraints.physical
+    compiler = QueryCompiler(pedestrian)
+    for agent in agents:
+        parts = theory_parts(pedestrian, agent)
+        theory = compiler._theory(agent)
+        assert theory == compile_fragment(parts, agents, objects), agent
+        assert theory == reference_fragment(parts, agents, objects), agent
+    physics = [compiler._theory(a) for a in agents if a not in believers]
+    assert len(physics) == 2 and physics[0] is physics[1]
+    assert compiler._theory(believers[0]) != physics[0]
+
+
 @pytest.mark.parametrize("name", [*SOURCES, "clash"])
 def test_each_query_is_solved_at_most_once_per_evaluation(name):
     # Verdicts that do not depend on the round are decided in the first
@@ -391,15 +434,6 @@ def test_random_formulas_with_fragments_match_reference():
         expected = reference.build()
         assert compile_fragment(parts) == expected, parts
 
-        # A fragment may be a part of another, as an agent's theory splices
-        # the physics fragment ahead of its beliefs, and plain parts may come
-        # before a nested fragment.
-        i = rng.randint(0, len(parts))
-        k = rng.randint(i, len(parts))
-        assert compile_fragment([compile_fragment(parts[:k]), *parts[k:]]) == expected, parts
-        nested = compile_fragment([compile_fragment(parts[i:k]), *parts[k:]])
-        assert compile_fragment([*parts[:i], nested]) == expected, parts
-
 
 QUANTIFIED_TERMS = (
     agent_var("x"), agent_var("z"), object_var("y"), object_var("x"),
@@ -408,7 +442,8 @@ QUANTIFIED_TERMS = (
 
 
 def random_quantified(rng: random.Random, depth: int) -> Formula:
-    """Nested, shadowing and vacuous quantifiers over atoms with free variables."""
+    """Nested, shadowing and vacuous quantifiers over atoms with free
+    variables; the engine takes a formula closed (`reference_logic.closed`)."""
     if depth == 0 or rng.random() < 0.3:
         args = tuple(rng.choice(QUANTIFIED_TERMS) for _ in range(rng.randint(0, 3)))
         return AtomF(Atom(rng.choice("pq"), args))
@@ -435,7 +470,7 @@ def test_random_quantified_formulas_ground_like_reference():
     # `substitute`; the engine binds through an environment. The trees match.
     rng = random.Random(0xF0A11)
     for _ in range(400):
-        formula = random_quantified(rng, rng.randint(1, 5))
+        formula = reference_logic.closed(random_quantified(rng, rng.randint(1, 5)))
         for agents, objects in DOMAINS:
             assert ground(formula, agents, objects) == (
                 reference_logic.ground(formula, agents, objects)
@@ -452,15 +487,15 @@ def reference_fragment(parts, agents, objects):
 
 def test_random_quantified_formulas_compile_like_reference():
     # `compile_fragment` grounds and encodes in one pass; the clause set is
-    # the reference builder's over the reference grounder's trees, also with
-    # a nested fragment placed first or mid-list. Over an empty object
-    # domain, an object quantifier (explicit, or closing a free variable)
-    # raises the same GroundingError on both paths.
+    # the reference builder's over the reference grounder's trees. Over an
+    # empty object domain, an object quantifier (explicit, or closing a free
+    # variable) raises the same GroundingError on both paths.
     rng = random.Random(0xF05ED)
     outcomes: Counter = Counter()
     for _ in range(300):
         parts = [
-            (random_quantified(rng, rng.randint(1, 4)), rng.choice(("", "physics", "belief")))
+            (reference_logic.closed(random_quantified(rng, rng.randint(1, 4))),
+             rng.choice(("", "physics", "belief")))
             for _ in range(rng.randint(1, 4))
         ]
         for agents, objects in (*DOMAINS, (DOMAINS[1][0], ())):
@@ -474,12 +509,6 @@ def test_random_quantified_formulas_compile_like_reference():
                 continue
             outcomes[objects, "compiles"] += 1
             assert compile_fragment(parts, agents, objects) == expected, parts
-            i = rng.randint(0, len(parts))
-            k = rng.randint(i, len(parts))
-            first = compile_fragment(parts[:k], agents, objects)
-            assert compile_fragment([first, *parts[k:]], agents, objects) == expected, parts
-            mid = compile_fragment(parts[i:k], agents, objects)
-            assert compile_fragment([*parts[:i], mid, *parts[k:]], agents, objects) == expected
     # Every domain compiles some lists, and the empty object domain rejects some.
     assert min(outcomes.values()) >= 20 and len(outcomes) == 4, outcomes
 

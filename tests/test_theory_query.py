@@ -8,10 +8,9 @@ must give it exactly the outcome it gives the query-numbered set
 the decision count at which a budget runs out), which is the outcome the
 original solver in `reference_sat` gives that set, and that set must be what
 the reference builder makes from the plan parts followed by the theory's
-formulas. The theories are seeded random fragments, some nested the way an
-agent's theory holds the physics, with aux variables, and some random
-three-literal clauses, which make the search backtrack; the plan parts use
-some of the theory's atoms and some of their own.
+formulas. The theories are seeded random fragments with aux variables,
+some with random three-literal clauses, which make the search backtrack;
+the plan parts use some of the theory's atoms and some of their own.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from deon.logic import (
     Atom,
     AtomF,
     ClauseBuilder,
-    GroundClauseSet,
     Not,
     Or,
     TheoryQuery,
@@ -38,14 +36,6 @@ from deon.logic import (
 from deon.sat import DEFAULT_BUDGET, solve
 
 BUDGETS = (DEFAULT_BUDGET, 1, 2, 3, 4, 5)
-
-
-def random_theory(rng: random.Random, parts: list) -> GroundClauseSet:
-    """`parts` compiled into one fragment, or with a leading run nested in it."""
-    if len(parts) > 1 and rng.random() < 0.5:
-        k = rng.randint(1, len(parts) - 1)
-        return compile_fragment([compile_fragment(parts[:k]), *parts[k:]])
-    return compile_fragment(parts)
 
 
 def random_clause(rng: random.Random, pool: list[Atom]) -> Or:
@@ -70,7 +60,7 @@ def test_queries_solved_in_place_match_their_query_numbered_sets():
             (random_formula(rng, (shared + own) or pool, rng.randint(0, 3)), "plan")
             for _ in range(rng.randint(0, 4))
         ]
-        theory = random_theory(rng, theory_parts)
+        theory = compile_fragment(theory_parts)
         builder = ClauseBuilder(theory)
         for formula, label in plan_parts:
             builder.add(formula, label)
