@@ -339,11 +339,6 @@ class GroundClauseSet:
     def num_vars(self) -> int:
         return len(self.atoms) + self.aux_count
 
-    @property
-    def clause_set(self) -> GroundClauseSet:
-        """This set, which is in query numbering already (see `TheoryQuery`)."""
-        return self
-
     @cached_property
     def variables(self) -> dict[Atom, int]:
         """Each atom's variable, made on first use: atom i is variable i + 1."""

@@ -63,7 +63,7 @@ class Witness:
     of `clause_set`, which is built on first read.
     """
 
-    query: GroundClauseSet | TheoryQuery
+    query: TheoryQuery
     model: Model
 
     @property
@@ -79,7 +79,7 @@ class QueryConflict:
     same in `clause_set`, which is built on first read.
     """
 
-    query: GroundClauseSet | TheoryQuery
+    query: TheoryQuery
     conflict: ConflictExplanation
 
     @property
@@ -453,19 +453,6 @@ class QueryCompiler:
             return PrincipleVerdict(AUTONOMY, PASS, ReasonsContradiction(other.id, reasons))
         return PrincipleVerdict(AUTONOMY, FAIL, PlanInterference(other.id, actions, reasons))
 
-    def check_autonomy(self, plan: ActionPlan, protected: frozenset[str]) -> PrincipleVerdict:
-        """Check `plan` against every protected plan of every other agent.
-
-        The first failing pair decides a fail; plans of the agent itself are
-        never checked against each other. `protected` is the round's set of
-        plan ids still in the clear. Each pair is decided once per compiler.
-        """
-        return _autonomy_verdict(
-            (other.id, self.check_autonomy_pair(plan, other))
-            for other in self.scenario.plans
-            if other.agent != plan.agent and other.id in protected
-        )
-
 
 def _autonomy_verdict(pairs: Iterable[tuple[str, PrincipleVerdict]]) -> PrincipleVerdict:
     """A plan's autonomy verdict from its `(other plan id, pair verdict)`s with
@@ -494,27 +481,16 @@ def _autonomy_verdict(pairs: Iterable[tuple[str, PrincipleVerdict]]) -> Principl
 
 
 def check_utility(
-    plan: ActionPlan, scenario: Scenario, eligible: frozenset[tuple[str, Atom]]
-) -> PrincipleVerdict:
-    """Does the action carry at least as much utility as every eligible
-    alternative available under the same conditions?
-
-    `eligible` is the round's set of (context, action) candidates still in
-    the clear (see `eligible_actions`). The believability wrapper collapses
-    to a point comparison: the scenario supplies the agent's expected
-    utilities directly. A missing utility entry is a configuration error,
-    not a fail.
-    """
-    return _check_utility(plan, plan_context(scenario, plan), scenario, eligible)
-
-
-def _check_utility(
     plan: ActionPlan,
     context: CandidateSet | None,
     scenario: Scenario,
     eligible: frozenset[tuple[str, Atom]],
 ) -> PrincipleVerdict:
-    """`check_utility` with the plan's `plan_context` already found."""
+    """Does the action carry at least as much utility as every alternative
+    in `eligible`, the round's (context, action) candidates still in the
+    clear, under the plan's `plan_context`, `context`? The believability
+    wrapper collapses to a point comparison on the scenario's expected
+    utilities; a missing utility entry is a configuration error, not a fail."""
     if context is None:
         return PrincipleVerdict(
             UTILITY, PASS,
@@ -552,24 +528,6 @@ def _check_utility(
 # Fixpoint engine
 
 
-def eligible_actions(
-    scenario: Scenario, protected: frozenset[str]
-) -> frozenset[tuple[str, Atom]]:
-    """Candidate (context, action) pairs usable in utility comparison.
-
-    A candidate stays eligible unless some declared plan carries exactly
-    that context and action and has dropped out of the protected set;
-    candidates with no declared plan are never demonstrated unethical, so
-    they remain eligible.
-    """
-    dropped = {
-        _withdrawn(p, plan_context(scenario, p)) for p in scenario.plans if p.id not in protected
-    }
-    return frozenset(
-        (cs.context, act) for cs in scenario.candidates for act in cs.actions
-    ) - dropped
-
-
 def _withdrawn(plan: ActionPlan, context: CandidateSet | None) -> tuple[str, Atom] | None:
     """The candidate `plan` carries, which leaves utility comparison while
     the plan is unprotected; None if it carries none."""
@@ -593,15 +551,16 @@ def evaluate(scenario: Scenario, budget: int = DEFAULT_BUDGET) -> VerdictSet:
     The rounds compute statuses alone; each plan's `PlanVerdict`, with its
     evidence, is built once, from the final round's protected and eligible
     sets. A plan's generalization status is fixed, and its utility status
-    is recomputed each round from the round's eligible candidates. Its
+    is recomputed each round from the round's eligible candidates, all but
+    those that unprotected plans carry (`_withdrawn`). Its
     autonomy status comes from a scan of its protected partners, the plans
     of other agents, in plan order: the first failing pair decides a fail,
     else any indeterminate pair decides indeterminate. The scan decides a
     pair on first reach and stops at the first failing one, so the rounds
     decide the same queries, in the same order, as rounds that check every
     plan in full. The rounds keep each decided pair's verdict, and the
-    final build reads a plan's autonomy verdict from them as
-    `check_autonomy` would give it, without asking the compiler again.
+    final build reads a plan's autonomy verdict from those of its protected
+    partners, without asking the compiler again.
     """
     plans = scenario.plans
     compiler = QueryCompiler(scenario, budget)
@@ -643,7 +602,7 @@ def evaluate(scenario: Scenario, budget: int = DEFAULT_BUDGET) -> VerdictSet:
 
             checks = (
                 generalization[i],
-                _check_utility(plan, contexts[i], scenario, eligible).status,
+                check_utility(plan, contexts[i], scenario, eligible).status,
                 autonomy,
             )
             if FAIL in checks:
@@ -667,7 +626,7 @@ def evaluate(scenario: Scenario, budget: int = DEFAULT_BUDGET) -> VerdictSet:
     verdicts = tuple(
         PlanVerdict(plan.id, (
             compiler.check_generalization(plan),
-            _check_utility(plan, context, scenario, eligible),
+            check_utility(plan, context, scenario, eligible),
             _autonomy_verdict(
                 (plans[j].id, pairs[j]) for j in sorted(pairs) if j in protected
             ),

@@ -11,8 +11,9 @@ state is kept between checks, rounds or calls. They return the
 `deon.principles` verdict and evidence dataclasses, so the CLI's renderers
 can print both results and a test can compare the bytes.
 
-The utility check and the round's eligible candidates decide no query;
-the oracle uses the engine's `check_utility` and `eligible_actions`.
+The utility check decides no query, so the oracle uses the engine's
+`check_utility`. It computes each round's eligible candidates itself
+(`eligible_candidates`), apart from the engine's rounds.
 """
 
 from __future__ import annotations
@@ -41,14 +42,15 @@ from deon.principles import (
     VerdictSet,
     Witness,
     check_utility,
-    eligible_actions,
 )
 from deon.sat import DEFAULT_BUDGET, BudgetExhausted
-from deon.scenario import ActionPlan, Scenario, ScenarioError
+from deon.scenario import ActionPlan, Scenario, ScenarioError, plan_context
 
 
 def _decide(cs, budget: int) -> Witness | QueryConflict | None:
-    """The evidence for one query, or None when the budget ran out."""
+    """The evidence for one query, or None when the budget ran out. The query
+    is a reference `GroundClauseSet`, which prints as the engine's
+    `TheoryQuery` does."""
     try:
         result = reference_sat.solve(cs, budget)
     except BudgetExhausted:
@@ -114,6 +116,19 @@ def check_autonomy(
     return PrincipleVerdict(AUTONOMY, PASS, AutonomyClear(tuple(pairs)))
 
 
+def eligible_candidates(scenario: Scenario, protected: frozenset[str]) -> frozenset:
+    """Every declared (context, action) candidate, minus the context and
+    action of each unprotected plan that has a context and a plain action."""
+    dropped = set()
+    for plan in scenario.plans:
+        context = plan_context(scenario, plan)
+        if plan.id not in protected and context is not None and not plan.action.negated:
+            dropped.add((context.context, plan.instantiated_action().atom))
+    return frozenset(
+        (cs.context, act) for cs in scenario.candidates for act in cs.actions
+    ) - dropped
+
+
 def check_plan(
     plan: ActionPlan,
     scenario: Scenario,
@@ -123,7 +138,7 @@ def check_plan(
 ) -> PlanVerdict:
     checks = (
         check_generalization(plan, scenario, budget),
-        check_utility(plan, scenario, eligible),
+        check_utility(plan, plan_context(scenario, plan), scenario, eligible),
         check_autonomy(plan, scenario, protected, budget),
     )
     if any(c.status == FAIL for c in checks):
@@ -157,7 +172,7 @@ def evaluate(scenario: Scenario, budget: int = DEFAULT_BUDGET) -> VerdictSet:
         protected = frozenset(
             pid for pid, status in assumed.items() if status in (ETHICAL, INDETERMINATE)
         )
-        eligible = eligible_actions(scenario, protected)
+        eligible = eligible_candidates(scenario, protected)
         current = [check_plan(p, scenario, protected, eligible, budget) for p in plans]
         statuses = {pv.plan_id: pv.overall for pv in current}
         if statuses == assumed:

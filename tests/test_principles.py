@@ -27,11 +27,10 @@ from deon.principles import (
     Witness,
     can_rationally_believe_possible,
     check_utility,
-    eligible_actions,
     evaluate,
     rationally_required_to_deny_possible,
 )
-from deon.scenario import ScenarioError, UtilityTable
+from deon.scenario import ScenarioError, UtilityTable, plan_context
 
 
 def scen(text: str):
@@ -40,14 +39,17 @@ def scen(text: str):
     return result.scenario
 
 
-def all_protected(scenario) -> frozenset[str]:
-    """The first round's protected plans: every plan id."""
-    return frozenset(p.id for p in scenario.plans)
-
-
 def all_eligible(scenario):
-    """The first round's eligible candidates."""
-    return eligible_actions(scenario, all_protected(scenario))
+    """The first round's eligible candidates: every declared candidate."""
+    return frozenset((cs.context, act) for cs in scenario.candidates for act in cs.actions)
+
+
+def first_round_utility(scenario, plan_id: str, eligible=None):
+    """`plan_id`'s utility verdict against `eligible`, by default every candidate."""
+    plan = scenario.plan(plan_id)
+    if eligible is None:
+        eligible = all_eligible(scenario)
+    return check_utility(plan, plan_context(scenario, plan), scenario, eligible)
 
 
 # -- generalization -----------------------------------------------------------
@@ -109,7 +111,7 @@ def test_generalization_query_is_deterministic(golden):
 
 def test_merge_fails_utility_with_dominator(golden):
     merge = golden["merge"]
-    verdict = check_utility(merge.plan("merge"), merge, all_eligible(merge))
+    verdict = first_round_utility(merge, "merge")
     assert verdict.status == FAIL
     assert isinstance(verdict.evidence, Dominated)
     assert verdict.evidence.dominator == Atom("wait_for_gap", (agent_const("a"),))
@@ -125,14 +127,14 @@ def test_merge_passes_with_swapped_utilities(golden):
         ("entering", Atom("wait_for_gap", (a,))): Fraction(1),
     })
     flipped = dataclasses.replace(merge, utilities=swapped)
-    verdict = check_utility(flipped.plan("merge"), flipped, all_eligible(flipped))
+    verdict = first_round_utility(flipped, "merge")
     assert verdict.status == PASS
     assert isinstance(verdict.evidence, UtilityComparison)
 
 
 def test_plan_without_candidate_context_passes_vacuously(golden):
     theft = golden["theft"]
-    verdict = check_utility(theft.plan("steal"), theft, all_eligible(theft))
+    verdict = first_round_utility(theft, "steal")
     assert verdict.status == PASS
     assert isinstance(verdict.evidence, Note)
 
@@ -146,17 +148,16 @@ def test_sole_candidate_passes():
         "candidates lone given { ready(a) } { go(a) }\n"
         "utility lone { go(a) = 1; }\n"
     )
-    verdict = check_utility(solo.plan("move"), solo, all_eligible(solo))
+    verdict = first_round_utility(solo, "move")
     assert verdict.status == PASS
     assert verdict.evidence.alternatives == ()
 
 
 def test_ineligible_dominator_is_filtered(golden):
     merge = golden["merge"]
-    plan = merge.plan("merge")
     wait = Atom("wait_for_gap", (agent_const("a"),))
-    assert check_utility(plan, merge, eligible=frozenset()).status == PASS
-    assert check_utility(plan, merge, eligible=frozenset({("entering", wait)})).status == FAIL
+    assert first_round_utility(merge, "merge", frozenset()).status == PASS
+    assert first_round_utility(merge, "merge", frozenset({("entering", wait)})).status == FAIL
 
 
 def test_missing_utility_entry_is_a_configuration_error(golden):
@@ -165,7 +166,7 @@ def test_missing_utility_entry_is_a_configuration_error(golden):
     entries.pop(("entering", Atom("wait_for_gap", (agent_const("a"),))))
     broken = dataclasses.replace(merge, utilities=UtilityTable(entries))
     with pytest.raises(ScenarioError):
-        check_utility(broken.plan("merge"), broken, all_eligible(broken))
+        first_round_utility(broken, "merge")
 
 
 # -- autonomy -------------------------------------------------------------------
@@ -204,35 +205,47 @@ def test_autonomy_pair_requires_distinct_agents(golden):
 
 
 def test_check_autonomy_aggregates(golden):
-    ped = golden["pedestrian"]
-    ok = QueryCompiler(ped).check_autonomy(ped.plan("brake"), all_protected(ped))
+    verdicts = evaluate(golden["pedestrian"])
+    ok = verdicts.plan("brake").check(AUTONOMY)
     assert ok.status == PASS
     assert isinstance(ok.evidence, AutonomyClear)
     assert [other for other, _ in ok.evidence.pairs] == ["cross", "ride"]
 
-    bad = QueryCompiler(ped).check_autonomy(ped.plan("no_brake"), all_protected(ped))
+    bad = verdicts.plan("no_brake").check(AUTONOMY)
     assert bad.status == FAIL
     assert bad.evidence.other_plan == "cross"  # first failing pair
 
 
 def test_check_autonomy_skips_unprotected(golden):
-    ped = golden["pedestrian"]
-    verdict = QueryCompiler(ped).check_autonomy(ped.plan("no_brake"), frozenset({"ride"}))
+    # The unethical no_brake is unprotected in the final round, so cross is
+    # not checked against it.
+    verdict = evaluate(golden["pedestrian"]).plan("cross").check(AUTONOMY)
     assert verdict.status == PASS
+    assert [other for other, _ in verdict.evidence.pairs] == ["brake", "ride"]
 
 
-def test_check_autonomy_vacuous_with_empty_protected(golden):
-    ped = golden["pedestrian"]
-    verdict = QueryCompiler(ped).check_autonomy(ped.plan("no_brake"), frozenset())
-    assert verdict.status == PASS
-    assert isinstance(verdict.evidence, Note)
+def test_check_autonomy_vacuous_with_empty_protected():
+    # Both plans fail generalization, so neither protects the other.
+    verdicts = evaluate(scen(
+        "scenario hoard\n"
+        "agents a, b\n"
+        "predicates hungry(agent), take_all(agent) action\n"
+        "plan x agent a: reasons { hungry(a) } action { take_all(a) }\n"
+        "plan y agent b: reasons { hungry(b) } action { take_all(b) }\n"
+        "on_universalized x { forall z. not hungry(z); }\n"
+        "on_universalized y { forall z. not hungry(z); }\n"
+    ))
+    assert verdicts.statuses() == {"x": UNETHICAL, "y": UNETHICAL}
+    for plan_id in ("x", "y"):
+        verdict = verdicts.plan(plan_id).check(AUTONOMY)
+        assert verdict.status == PASS
+        assert verdict.evidence == Note("no protected plans of other agents to conflict with")
 
 
 def test_autonomy_never_checks_same_agent(golden):
-    merge = golden["merge"]  # single agent
-    verdict = QueryCompiler(merge).check_autonomy(merge.plan("merge"), all_protected(merge))
+    verdict = evaluate(golden["merge"]).plan("merge").check(AUTONOMY)  # single agent
     assert verdict.status == PASS
-    assert isinstance(verdict.evidence, Note)
+    assert verdict.evidence == Note("no protected plans of other agents to conflict with")
 
 
 # -- evaluate: whole-scenario fixpoint --------------------------------------------
@@ -290,7 +303,7 @@ def test_eligibility_recursion_unblocks_dominated_plan():
     # The high-utility alternative is not generalizable; once it drops out of
     # the protected set the modest plan stops being dominated.
     cake = scen(CAKE)
-    first_round = check_utility(cake.plan("share"), cake, all_eligible(cake))
+    first_round = first_round_utility(cake, "share")
     assert first_round.status == FAIL
     verdicts = evaluate(cake)
     assert verdicts.statuses() == {"grab": UNETHICAL, "share": ETHICAL}
@@ -302,16 +315,6 @@ def test_eligibility_recursion_unblocks_dominated_plan():
     )
     assert verdicts.rounds == 3
     assert verdicts.stable
-
-
-def test_eligible_actions_tracks_protected():
-    cake = scen(CAKE)
-    grab = Atom("grab_all", (agent_const("a"),))
-    share = Atom("share_half", (agent_const("a"),))
-    both = eligible_actions(cake, protected=frozenset({"grab", "share"}))
-    assert both == frozenset({("cake", grab), ("cake", share)})
-    none = eligible_actions(cake, protected=frozenset())
-    assert none == frozenset()
 
 
 STANDOFF = (

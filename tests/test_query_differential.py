@@ -339,7 +339,6 @@ def test_evaluate_asks_each_autonomy_pair_once(name, monkeypatch):
         return pair(self, plan, other)
 
     monkeypatch.setattr(QueryCompiler, "check_autonomy_pair", counting_pair)
-    monkeypatch.setattr(QueryCompiler, "check_autonomy", None)
     evaluate(load(name))
     assert len(asked) == len(set(asked))
 
