@@ -3,7 +3,10 @@
 Exit codes: 0 every plan is ethical, 1 some plan is unethical, 2 an
 indeterminate verdict is present, 3 the file failed to parse or validate,
 4 usage error. With several input files the most severe code wins
-(3, then 1, then 2, then 0) and outputs appear in argument order.
+(3, then 1, then 2, then 0) and outputs appear in argument order. An
+unexpected exception is a fault in deon, not a verdict: it prints one
+`internal error` line on stderr, without a traceback, and gives code 2 (for
+`check` and `explain`, to that file alone).
 """
 
 from __future__ import annotations
@@ -322,6 +325,10 @@ def _budget(text: str, source: str = "--budget") -> int:
     raise UsageError(f"{source}: {text!r} is not a positive integer")
 
 
+def _internal_error(source: str, exc: Exception) -> str:
+    return f"{source}: internal error: {type(exc).__name__}: {exc}"
+
+
 def check(files: list[str], fmt: str, budget: int | None, explain: bool) -> int:
     """Evaluate every plan in the given scenario files."""
     if budget is None:  # no --budget: read DEON_BUDGET on each call
@@ -331,18 +338,23 @@ def check(files: list[str], fmt: str, budget: int | None, explain: bool) -> int:
     docs: list[dict] = []
     human: list[str] = []
     for path in files:
-        scenario, messages = _load(path)
-        if scenario is None:
-            for line in messages:
-                print(line, file=sys.stderr)
-            codes.append(EXIT_INVALID)
-            continue
-        verdicts = evaluate(scenario, budget=budget)
-        codes.append(_verdict_exit(verdicts))
-        if fmt == "json":
-            docs.append(_verdict_doc(verdicts))
-        else:
-            human.append(render_human(verdicts, explain=explain))
+        try:
+            scenario, messages = _load(path)
+            if scenario is None:
+                for line in messages:
+                    print(line, file=sys.stderr)
+                codes.append(EXIT_INVALID)
+                continue
+            verdicts = evaluate(scenario, budget=budget)
+            code = _verdict_exit(verdicts)
+            if fmt == "json":
+                docs.append(_verdict_doc(verdicts))
+            else:
+                human.append(render_human(verdicts, explain=explain))
+        except Exception as exc:  # a fault in deon must not read as a verdict
+            print(_internal_error(path, exc), file=sys.stderr)
+            code = EXIT_INDETERMINATE
+        codes.append(code)
     if fmt == "json" and (docs or len(files) > 1):
         # Several files give a list, whatever number of them parsed.
         sys.stdout.write(_dump(docs if len(files) > 1 else docs[0]))
@@ -465,6 +477,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # `--help` printed the help
         return exc.code
+    except Exception as exc:  # `check` reports its own per file; this is the rest
+        print(_internal_error("deon", exc), file=sys.stderr)
+        return EXIT_INDETERMINATE
 
 
 if __name__ == "__main__":  # pragma: no cover

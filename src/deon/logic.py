@@ -320,9 +320,10 @@ class GroundClauseSet:
     which part of a query produced it (may be empty).
 
     Construction checks every clause: each is nonempty and every literal
-    is nonzero and names one of the variables. The set is immutable; only
-    `variables`, a lookup table derived from `atoms`, is filled in on first
-    use.
+    is nonzero and names one of the variables. The fields are immutable.
+    Two things are filled in on first use: `variables`, a lookup table
+    derived from `atoms`, and `solver_indexes`, where `sat.solve` keeps the
+    watch index of these clauses between solves.
     """
 
     atoms: tuple[Atom, ...]
@@ -343,6 +344,13 @@ class GroundClauseSet:
     def variables(self) -> dict[Atom, int]:
         """Each atom's variable, made on first use: atom i is variable i + 1."""
         return dict(zip(self.atoms, range(1, len(self.atoms) + 1)))
+
+    @cached_property
+    def solver_indexes(self) -> list:
+        """The watch indexes of these clauses not in use by a solve. A solve
+        pops one, or builds one if there is none, and appends it back
+        restored, so two solves never share one (see `sat.solve`)."""
+        return []
 
     def label_of(self, clause_index: int) -> str:
         return self.labels[clause_index] if self.labels else ""

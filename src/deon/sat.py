@@ -7,12 +7,17 @@ literals per clause, as in Chaff and MiniSat, but it evaluates clauses in
 the order of a Gauss-Seidel sweep over the clause list. That order decides
 which clause propagates each variable and which conflict is found first, so
 conflict explanations do not depend on how propagation is implemented.
-Solver runs are independent; inputs and outputs are immutable.
+
+Inputs and results are immutable. The one state kept between runs is each
+theory's watch index, in `GroundClauseSet.solver_indexes`: a solve borrows
+it, extends it with its own clauses, and gives it back restored, so a
+query's setup scales with its plan clauses, not with its theory (see
+`solve` for why reusing the index changes no step of the search).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from .logic import Atom, GroundClauseSet, LogicError, TheoryQuery
@@ -68,9 +73,15 @@ class ConflictExplanation:
 
 @dataclass(frozen=True)
 class SatResult:
+    """A verdict with its witness or conflict. `decisions` and
+    `propagations` count the search's decisions (flips included) and the
+    variables unit propagation set; they take no part in equality."""
+
     satisfiable: bool
     model: Model | None = None
     conflict: ConflictExplanation | None = None
+    decisions: int = field(default=0, compare=False)
+    propagations: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
         if self.satisfiable and self.model is None:
@@ -85,13 +96,32 @@ def _verified(model: Model, cs: GroundClauseSet | TheoryQuery) -> Model:
     return model
 
 
+def _index(theory: GroundClauseSet) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """The solver index of a clause set with every variable unassigned: a
+    mutable copy of each clause, whose positions 0 and 1 are its watches;
+    for each literal, the clauses watching it (a negative literal indexes
+    the upper half of the list); and the single-literal clauses, which are
+    not watched."""
+    watched = [list(cl) for cl in theory.clauses]
+    watches: list[list[int]] = [[] for _ in range(2 * theory.num_vars + 1)]
+    units = []
+    for ci, cl in enumerate(theory.clauses):
+        if len(cl) == 1:
+            units.append(ci)
+        else:
+            watches[cl[0]].append(ci)
+            watches[cl[1]].append(ci)
+    return watched, watches, units
+
+
 def solve(cs: GroundClauseSet | TheoryQuery, budget: int = DEFAULT_BUDGET) -> SatResult:
     """Decide a clause set, returning a verified witness or a conflict subset.
 
     Deterministic: branches on the lowest unassigned variable, true first,
     and backtracks chronologically. Raises BudgetExhausted once more than
     `budget` decisions (including flips) have been made; it never returns a
-    wrong answer.
+    wrong answer. The result counts the decisions made, which is the least
+    budget that reaches it, and the variables set by unit propagation.
 
     A `TheoryQuery` is solved over its clauses as stored, in its theory's
     numbering, and branched on in query order: "the lowest unassigned
@@ -100,8 +130,8 @@ def solve(cs: GroundClauseSet | TheoryQuery, budget: int = DEFAULT_BUDGET) -> Sa
     the search, so the decisions, the conflict clause indices and the
     witness are those of solving `cs.clause_set`; the witness is verified
     against every stored clause, then returned in query numbering. A
-    `GroundClauseSet` is in query numbering already: its order is the
-    identity.
+    `GroundClauseSet` is solved as a theory with no plan clauses: it is in
+    query numbering already, and its order is the identity.
 
     Unit propagation uses two watched literals per clause but visits clauses
     in the order of a sweep: passes over the clauses in index order, each
@@ -110,13 +140,31 @@ def solve(cs: GroundClauseSet | TheoryQuery, budget: int = DEFAULT_BUDGET) -> Sa
     `x or x` with `x` unassigned is not unit. The first conflict clause, the
     antecedent of every propagated variable and therefore the conflict
     explanation are those of that sweep.
+
+    The watch index of the theory's clauses is built by the first solve
+    against the theory and kept in `theory.solver_indexes`; each later
+    solve borrows it. It adds the plan clauses and the plan's variables to
+    the index, and when the search ends, with an answer or with
+    BudgetExhausted, it removes them and gives the index back. The theory
+    clauses keep the watches the search left them: watches need no repair
+    on backtracking, so with every variable unassigned again any two
+    positions of a clause are valid watches. Which positions are watched
+    changes no step of the sweep, since a clause is queued exactly when it
+    has no true literal and at most one literal that is not false, so a
+    borrowed index gives the result a fresh one gives. A solve that finds
+    no index to borrow, as one running beside another on the same theory
+    does, builds its own and leaves it for later solves.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    n = cs.num_vars
-    clauses = cs.clauses
-    m = len(clauses)
-    order = cs.order if isinstance(cs, TheoryQuery) else [*range(n + 1)]
+    if isinstance(cs, TheoryQuery):
+        theory, plan, order = cs.theory, cs.plan_clauses, cs.order
+    else:
+        theory, plan, order = cs, (), [*range(cs.num_vars + 1)]
+    n, nt = cs.num_vars, theory.num_vars
+    clauses = cs.clauses  # the plan clauses, then the theory's
+    mt, k = len(theory.clauses), len(plan)
+    m = mt + k
 
     # value[lit] is the truth value of literal lit (None when unassigned);
     # a negative literal indexes the upper half of the list.
@@ -127,7 +175,7 @@ def solve(cs: GroundClauseSet | TheoryQuery, budget: int = DEFAULT_BUDGET) -> Sa
     # branched on, and whether it is the flip of an earlier decision there.
     branched: list[tuple[int, bool]] = []
     used: set[int] = set()
-    decisions = 0
+    decisions = propagations = 0
     lowest_free = 1  # every query variable below it is assigned
 
     # Positions 0 and 1 of watched[ci] are the clause's watches, and
@@ -136,18 +184,26 @@ def solve(cs: GroundClauseSet | TheoryQuery, budget: int = DEFAULT_BUDGET) -> Sa
     # it can only become unit or false when one of them becomes false.
     # Single-literal clauses are not watched: they are pending from the
     # start, so the first propagation sets them before any decision, and
-    # backtracking never unsets them.
-    watched = [list(cl) for cl in clauses]
-    watches: list[list[int]] = [[] for _ in range(2 * n + 1)]
+    # backtracking never unsets them. The index names clauses by id:
+    # theory clause j is j and plan clause i is mt + i, so the theory's
+    # ids are the same in every query. Clause id ci is clause (ci + k) % m
+    # of the query. The plan's variables nt + 1..n get their watch lists in
+    # the middle of `watches`, where their literals index.
+    pool = theory.solver_indexes
+    index = pool.pop() if pool else _index(theory)
+    watched, watches, units = index
+    watches[nt + 1:nt + 1] = [[] for _ in range(2 * (n - nt))]
     # Clauses that may be unit or false, as a heap of keys pass * m + index:
     # the position at which the sweep reaches the clause next.
     pending: list[int] = []
-    for ci, cl in enumerate(clauses):
+    for i, cl in enumerate(plan):
+        watched.append(list(cl))
         if len(cl) == 1:
-            pending.append(ci)  # ascending keys already form a heap
+            pending.append(i)
         else:
-            watches[cl[0]].append(ci)
-            watches[cl[1]].append(ci)
+            watches[cl[0]].append(mt + i)
+            watches[cl[1]].append(mt + i)
+    pending += [k + ci for ci in units]  # ascending keys already form a heap
     base = 0  # key of index 0 in the current pass
     pos = -1  # index of the clause being evaluated; -1 before a pass
 
@@ -166,17 +222,18 @@ def solve(cs: GroundClauseSet | TheoryQuery, budget: int = DEFAULT_BUDGET) -> Sa
             if value[lits[0]] is True:
                 kept.append(ci)
                 continue
-            for k in range(2, len(lits)):
-                other = lits[k]
+            for j in range(2, len(lits)):
+                other = lits[j]
                 if value[other] is not False:
                     lits[1] = other
-                    lits[k] = false_lit
+                    lits[j] = false_lit
                     watches[other].append(ci)
                     break
             else:
                 kept.append(ci)
                 # A clause behind the sweep position waits for the next pass.
-                heappush(pending, base + ci if ci > pos else base + m + ci)
+                at = (ci + k) % m
+                heappush(pending, base + at if at > pos else base + m + at)
         watches[false_lit] = kept
 
     def unassign() -> tuple[int, bool]:
@@ -194,7 +251,8 @@ def solve(cs: GroundClauseSet | TheoryQuery, budget: int = DEFAULT_BUDGET) -> Sa
 
     def propagate() -> int | None:
         # Evaluates each pending clause as the sweep would, in sweep order.
-        nonlocal base, pos
+        nonlocal base, pos, propagations
+        start = len(trail)
         try:
             while pending:
                 key = heappop(pending)
@@ -218,6 +276,7 @@ def solve(cs: GroundClauseSet | TheoryQuery, budget: int = DEFAULT_BUDGET) -> Sa
         finally:
             pending.clear()
             base, pos = 0, -1
+            propagations += len(trail) - start
 
     def record_refutation_path(conflict_ci: int) -> None:
         # Resolve the conflict clause backwards through propagation
@@ -233,37 +292,59 @@ def solve(cs: GroundClauseSet | TheoryQuery, budget: int = DEFAULT_BUDGET) -> Sa
                 open_vars.discard(var)
                 open_vars |= {abs(lit) for lit in clauses[reason] if abs(lit) != var}
 
-    while True:
-        conflict = propagate()
-        if conflict is not None:
-            record_refutation_path(conflict)
-            retry = 0
-            while trail:
-                lit, can_flip = unassign()
-                if can_flip:
-                    retry = -lit
-                    break
-            if not retry:
-                return SatResult(
-                    satisfiable=False,
-                    conflict=ConflictExplanation(tuple(sorted(used))),
-                )
+    intact = True
+    try:
+        while True:
+            conflict = propagate()
+            if conflict is not None:
+                record_refutation_path(conflict)
+                retry = 0
+                while trail:
+                    lit, can_flip = unassign()
+                    if can_flip:
+                        retry = -lit
+                        break
+                if not retry:
+                    return SatResult(
+                        satisfiable=False,
+                        conflict=ConflictExplanation(tuple(sorted(used))),
+                        decisions=decisions,
+                        propagations=propagations,
+                    )
+                decisions += 1
+                if decisions > budget:
+                    raise BudgetExhausted(decisions)
+                branched.append((lowest_free, True))
+                assign(retry, None)
+                continue
+
+            while lowest_free <= n and value[order[lowest_free]] is not None:
+                lowest_free += 1
+            if lowest_free > n:
+                model = _verified(Model(tuple(bool(value[v]) for v in range(1, n + 1))), cs)
+                if isinstance(cs, TheoryQuery):
+                    model = Model(tuple(bool(value[v]) for v in order[1:]))
+                return SatResult(satisfiable=True, model=model,
+                                 decisions=decisions, propagations=propagations)
             decisions += 1
             if decisions > budget:
                 raise BudgetExhausted(decisions)
-            branched.append((lowest_free, True))
-            assign(retry, None)
-            continue
-
-        while lowest_free <= n and value[order[lowest_free]] is not None:
-            lowest_free += 1
-        if lowest_free > n:
-            model = _verified(Model(tuple(bool(value[v]) for v in range(1, n + 1))), cs)
-            if isinstance(cs, TheoryQuery):
-                model = Model(tuple(bool(value[v]) for v in order[1:]))
-            return SatResult(satisfiable=True, model=model)
-        decisions += 1
-        if decisions > budget:
-            raise BudgetExhausted(decisions)
-        branched.append((lowest_free, False))
-        assign(order[lowest_free], None)
+            branched.append((lowest_free, False))
+            assign(order[lowest_free], None)
+    except BudgetExhausted:
+        raise
+    except BaseException:
+        # An interruption inside `assign` can leave a watch list half
+        # rewritten, so the index is dropped, not given back.
+        intact = False
+        raise
+    finally:
+        if intact:
+            for ci in range(mt, m):
+                lits = watched[ci]
+                if len(lits) > 1:
+                    watches[lits[0]].remove(ci)
+                    watches[lits[1]].remove(ci)
+            del watched[mt:]
+            del watches[nt + 1:2 * n - nt + 1]
+            pool.append(index)

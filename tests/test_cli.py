@@ -255,6 +255,44 @@ def test_multiple_files_worst_exit_wins(capsys, paths):
     assert out.index("scenario bus") < out.index("scenario theft")
 
 
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_an_internal_error_is_reported_per_file_and_never_exits_1(capsys, paths, monkeypatch, fmt):
+    def broken(scenario, budget):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr("deon.cli.evaluate", broken)
+    code, out, err = run(capsys, "check", "--format", fmt, paths["theft"])
+    assert code == EXIT_INDETERMINATE  # never 1, which reads as "unethical"
+    assert out == ""
+    assert "Traceback" not in err
+    assert err == f"{paths['theft']}: internal error: ZeroDivisionError: division by zero\n"
+    monkeypatch.undo()
+
+    # The other files still run, and the most severe code still wins.
+    calls = []
+
+    def broken_on_bus(scenario, budget):
+        calls.append(scenario.name)
+        if scenario.name == "bus":
+            raise RuntimeError("boom")
+        return evaluate(scenario, budget)
+
+    monkeypatch.setattr("deon.cli.evaluate", broken_on_bus)
+    code, out, err = run(capsys, "check", "--format", fmt, paths["bus"], paths["theft"])
+    assert code == EXIT_UNETHICAL and calls == ["bus", "theft"]
+    assert err == f"{paths['bus']}: internal error: RuntimeError: boom\n"
+    assert "theft" in out and "bus" not in out
+
+
+def test_an_internal_error_outside_check_exits_2(capsys, paths, monkeypatch):
+    def broken(text, filename=None):
+        raise ValueError("bad state")
+
+    monkeypatch.setattr("deon.cli.parse_scenario", broken)
+    code, out, err = run(capsys, "validate", paths["theft"])
+    assert (code, out, err) == (EXIT_INDETERMINATE, "", "deon: internal error: ValueError: bad state\n")
+
+
 def test_json_of_several_files_is_a_list_however_many_parse(capsys, paths, tmp_path):
     bad = tmp_path / "empty.deon"
     bad.write_text("")

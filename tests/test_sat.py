@@ -1,10 +1,12 @@
+import itertools
 import random
 
 import pytest
 import reference_sat
 from reference_sat import brute_force
+from test_theory_query import query_of, random_plan_parts, random_theory_parts
 
-from deon.logic import Atom, GroundClauseSet, LogicError
+from deon.logic import Atom, GroundClauseSet, LogicError, compile_fragment
 from deon.sat import (
     DEFAULT_BUDGET,
     BudgetExhausted,
@@ -55,6 +57,42 @@ def test_brute_force_witness_is_first_in_counting_order():
     assert result.model.values == (False, True)
 
 
+def first_true_first(cs: GroundClauseSet) -> tuple[bool, ...] | None:
+    """The first assignment that satisfies every clause, in true-first
+    lexicographic order: variable 1 moves slowest, true before false."""
+    for values in itertools.product((True, False), repeat=cs.num_vars):
+        if all(any(values[abs(lit) - 1] == (lit > 0) for lit in cl) for cl in cs.clauses):
+            return values
+    return None
+
+
+def test_witness_is_the_first_satisfying_assignment_in_true_first_order():
+    # Depth-first search on the lowest free variable, true first, with
+    # chronological backtracking skips only subtrees that sound unit
+    # propagation proves empty. A solve that borrows a theory's watch index
+    # must keep this, and a query's witness is first in query order.
+    rng = random.Random(0xF1257)
+    seen = {True: 0, False: 0}
+    for _ in range(1500):
+        cs = random_clause_set(rng, max_atoms=9)
+        result = solve(cs)
+        assert (result.model.values if result.satisfiable else None) == first_true_first(cs)
+        seen[result.satisfiable] += 1
+    queries = 0
+    for _ in range(150):
+        pool, theory_parts = random_theory_parts(rng)
+        theory = compile_fragment(theory_parts)
+        for query in [query_of(theory, random_plan_parts(rng, pool)) for _ in range(3)]:
+            if query.num_vars > 12:
+                continue
+            result = solve(query)
+            witness = result.model.values if result.satisfiable else None
+            assert witness == first_true_first(query.clause_set)
+            seen[result.satisfiable] += 1
+            queries += 1
+    assert min(seen.values()) >= 300 and queries >= 200, (seen, queries)
+
+
 def test_solve_branches_lowest_index_true_first():
     cs = clause_set(2, [(1, 2)])
     assert solve(cs).model.values == (True, True)
@@ -76,6 +114,33 @@ def test_budget_exhaustion_raises_distinct_outcome():
     with pytest.raises(BudgetExhausted):
         solve(cs, budget=1)
     assert solve(cs, budget=100).satisfiable
+
+
+def test_counts_give_the_least_budget_and_the_propagated_variables():
+    result = solve(clause_set(3, [(1,), (-1, 2), (-2, 3)]))
+    assert (result.decisions, result.propagations) == (0, 3)
+    result = solve(clause_set(2, [(1, 2), (-1, -2)]))
+    assert (result.decisions, result.propagations) == (1, 1)
+    assert result == SatResult(True, result.model)  # the counts take no part in equality
+    rng = random.Random(0xC0DE)
+    several = 0
+    for _ in range(1000):
+        cs = random_clause_set(rng)
+        result = solve(cs)
+        again = solve(cs, max(result.decisions, 1))
+        assert (again, again.decisions, again.propagations) == (
+            result, result.decisions, result.propagations
+        )
+        assert result.propagations <= cs.num_vars * (result.decisions + 1)
+        if result.decisions > 1:
+            several += 1
+            with pytest.raises(BudgetExhausted) as exc:
+                solve(cs, result.decisions - 1)
+            assert exc.value.decisions == result.decisions
+        elif result.decisions == 1:
+            with pytest.raises(ValueError):  # a budget must be positive
+                solve(cs, 0)
+    assert several >= 100, several
 
 
 def test_budget_must_be_positive():
