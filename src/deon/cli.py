@@ -314,6 +314,23 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> NoReturn:
         raise UsageError(message)
 
+    def parse_intermixed_args(self, args: list[str], namespace=None) -> argparse.Namespace:
+        # argparse (CPython 3.10 to 3.13.0 at least) formats the whole usage
+        # on every call and holds it while the positionals are hidden, for
+        # any message it prints itself. deon prints none of them: `error` raises,
+        # and `main` formats the usage after argparse has restored it. Only
+        # `--help`, which prints the help and exits, shows the held text, so
+        # a command line without it holds a placeholder that nothing prints.
+        # The usage is not fixed once at import: argparse wraps it to the
+        # terminal width of each call, and newer versions can colour it.
+        if "--help" in args:
+            return super().parse_intermixed_args(args, namespace)
+        self.usage = argparse.SUPPRESS
+        try:
+            return super().parse_intermixed_args(args, namespace)
+        finally:
+            self.usage = None
+
 
 def _budget(text: str, source: str = "--budget") -> int:
     """A decision budget read from `source`: a positive integer, as `int` reads it."""

@@ -7,6 +7,9 @@ literals per clause, as in Chaff and MiniSat, but it evaluates clauses in
 the order of a Gauss-Seidel sweep over the clause list. That order decides
 which clause propagates each variable and which conflict is found first, so
 conflict explanations do not depend on how propagation is implemented.
+Every witness is checked against every clause before it is returned; the
+check reads the search's own table of literal values, so no model is built
+for it.
 
 Inputs and results are immutable. The one state kept between runs is each
 theory's watch index, in `GroundClauseSet.solver_indexes`: a solve borrows
@@ -17,8 +20,10 @@ query's setup scales with its plan clauses, not with its theory (see
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import repeat
 
 from .logic import Atom, GroundClauseSet, LogicError, TheoryQuery
 
@@ -90,10 +95,15 @@ class SatResult:
             raise LogicError("unsatisfiable result requires a conflict explanation")
 
 
-def _verified(model: Model, cs: GroundClauseSet | TheoryQuery) -> Model:
-    if not model.satisfies(cs):
+def _witness(value: list[bool | None], clauses: tuple[tuple[int, ...], ...],
+             order: Sequence[int]) -> Model:
+    """The model of a complete assignment, read in `order`, once it is
+    checked against every clause. `value[lit]` is the truth of literal
+    `lit` (a negative literal indexes the upper half of the list), the
+    layout of `Model.satisfies`' table, so the check reads it in place."""
+    if not all(map(any, map(map, repeat(value.__getitem__), clauses))):
         raise LogicError("internal error: witness fails a clause")
-    return model
+    return Model(tuple(map(value.__getitem__, order[1:])))
 
 
 def _index(theory: GroundClauseSet) -> tuple[list[list[int]], list[list[int]], list[int]]:
@@ -128,10 +138,11 @@ def solve(cs: GroundClauseSet | TheoryQuery, budget: int = DEFAULT_BUDGET) -> Sa
     variable" is the stored variable `cs.order[q]` of the lowest query
     variable q that is unassigned. Renaming variables changes no step of
     the search, so the decisions, the conflict clause indices and the
-    witness are those of solving `cs.clause_set`; the witness is verified
-    against every stored clause, then returned in query numbering. A
-    `GroundClauseSet` is solved as a theory with no plan clauses: it is in
-    query numbering already, and its order is the identity.
+    witness are those of solving `cs.clause_set`. The witness is checked
+    against every stored clause in `value`, the search's table of literal
+    values, and returned in query numbering. A `GroundClauseSet` is solved
+    as a theory with no plan clauses: it is in query numbering already, and
+    its order is the identity.
 
     Unit propagation uses two watched literals per clause but visits clauses
     in the order of a sweep: passes over the clauses in index order, each
@@ -295,7 +306,7 @@ def solve(cs: GroundClauseSet | TheoryQuery, budget: int = DEFAULT_BUDGET) -> Sa
     intact = True
     try:
         while True:
-            conflict = propagate()
+            conflict = propagate() if pending else None
             if conflict is not None:
                 record_refutation_path(conflict)
                 retry = 0
@@ -321,10 +332,7 @@ def solve(cs: GroundClauseSet | TheoryQuery, budget: int = DEFAULT_BUDGET) -> Sa
             while lowest_free <= n and value[order[lowest_free]] is not None:
                 lowest_free += 1
             if lowest_free > n:
-                model = _verified(Model(tuple(bool(value[v]) for v in range(1, n + 1))), cs)
-                if isinstance(cs, TheoryQuery):
-                    model = Model(tuple(bool(value[v]) for v in order[1:]))
-                return SatResult(satisfiable=True, model=model,
+                return SatResult(satisfiable=True, model=_witness(value, clauses, order),
                                  decisions=decisions, propagations=propagations)
             decisions += 1
             if decisions > budget:

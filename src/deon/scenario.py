@@ -6,9 +6,13 @@ be shared across concurrent checker runs; the principle checks only read it.
 
 from __future__ import annotations
 
+import dataclasses
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping
+from functools import cache
+from types import UnionType
+from typing import TYPE_CHECKING, get_args, get_origin, get_type_hints
 
 from .logic import (
     AGENT,
@@ -287,7 +291,63 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
     Total and deterministic: diagnostics are the output, nothing raises.
     Constants (agents, then objects) and atoms are checked by
     `declare_constant` and `atom_findings`, the rules the parser applies.
+
+    The rules read each field as its annotation types it. A scenario built
+    in Python can hold a value of another type anywhere; when that makes a
+    rule raise, the result is one `wrong-type` finding per such value
+    instead. A raise on a scenario in which every value has its type is a
+    fault in the rules, and propagates.
     """
+    try:
+        return _rule_findings(scenario)
+    except (AttributeError, TypeError, ValueError):  # what a value of another type raises
+        found = [Diagnostic(path, "wrong-type", message)
+                 for path, message in _misfits(scenario, Scenario, "scenario")]
+        if not found:
+            raise
+        return found
+
+
+@cache
+def _field_types(cls: type) -> dict[str, object]:
+    from .dsl import SourceSpan  # the spans' type; dsl imports this module
+
+    return get_type_hints(cls, localns={"SourceSpan": SourceSpan})
+
+
+def _misfits(value: object, hint: object, path: str) -> Iterator[tuple[str, str]]:
+    """Each place, with what is wrong there, where `value` (the value at
+    `path`, annotated as `hint`) or a value inside it does not have the
+    type its annotation gives."""
+    if get_origin(hint) is UnionType:  # `X | None`: read as the alternative it is
+        alternatives = get_args(hint)
+        hint = next((a for a in alternatives if isinstance(value, get_origin(a) or a)), None)
+        if hint is None:
+            names = " or ".join(a.__name__ for a in alternatives)
+            yield path, f"expected {names}, got {type(value).__name__}"
+            return
+    origin, args = get_origin(hint), get_args(hint)
+    if not isinstance(value, origin or hint):
+        yield path, f"expected {(origin or hint).__name__}, got {type(value).__name__}"
+    elif origin is tuple:
+        if args[1:] == (...,):
+            args = args[:1] * len(value)
+        if len(value) != len(args):
+            yield path, f"expected {len(args)} items, got {len(value)}"
+            return
+        for i, (item, item_hint) in enumerate(zip(value, args)):
+            yield from _misfits(item, item_hint, f"{path}[{i}]")
+    elif origin is Mapping:
+        for i, (key, item) in enumerate(value.items()):
+            yield from _misfits(key, args[0], f"{path}.keys[{i}]")
+            yield from _misfits(item, args[1], f"{path}.values[{i}]")
+    elif dataclasses.is_dataclass(value):
+        types = _field_types(type(value))
+        for f in dataclasses.fields(value):
+            yield from _misfits(getattr(value, f.name), types[f.name], f"{path}.{f.name}")
+
+
+def _rule_findings(scenario: Scenario) -> list[Diagnostic]:
     out: list[Diagnostic] = []
 
     def add(element: str, rule: str, message: str, span: SourceSpan | None = None) -> None:

@@ -21,11 +21,16 @@ from deon.sat import (
     ConflictExplanation,
     Model,
     SatResult,
-    _verified,
 )
 
 #: Largest variable universe the exhaustive oracle will enumerate.
 ENUMERATION_LIMIT = 24
+
+
+def _verified(model: Model, cs: GroundClauseSet) -> Model:
+    if not model.satisfies(cs):
+        raise LogicError("internal error: witness fails a clause")
+    return model
 
 
 def solve(cs: GroundClauseSet, budget: int = DEFAULT_BUDGET) -> SatResult:

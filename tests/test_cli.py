@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 import deon
 from deon import scenarios
 from deon.cli import (
+    _COMMANDS,
+    _DEON,
     EXIT_INDETERMINATE,
     EXIT_INVALID,
     EXIT_OK,
@@ -154,6 +157,67 @@ def test_help_goes_to_stdout_and_exits_0(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (EXIT_OK, "")
     assert out.lower().startswith("usage: ") and "--help" in out
+
+
+def parser_of(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser whose usage and help `main` prints for `argv`."""
+    return _COMMANDS[argv[0]][1] if argv and argv[0] in _COMMANDS else _DEON
+
+
+# argparse wraps usage and help to the terminal width, read from COLUMNS on
+# each call; every line below must print what the parser itself formats.
+WIDTHS = ["40", "80", "200"]
+
+
+@pytest.mark.parametrize("columns", WIDTHS)
+@pytest.mark.parametrize("case", USAGE_ERRORS)
+def test_usage_errors_print_the_parsers_own_usage(capsys, paths, monkeypatch, case, columns):
+    argv, env, _ = USAGE_ERRORS[case]
+    monkeypatch.delenv("DEON_BUDGET", raising=False)
+    monkeypatch.setenv("COLUMNS", columns)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    parser = parser_of(argv)
+    usage = parser.format_usage()
+    assert (code, out, err[:len(usage)]) == (EXIT_USAGE, "", usage)
+    error = err[len(usage):]
+    assert error.startswith(f"{parser.prog}: error: ") and error.count("\n") == 1
+    assert error.endswith("\n")
+
+
+@pytest.mark.parametrize("columns", WIDTHS)
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["check", "--help"], ["check", "--format", "json", "--help"],
+             ["explain", "--help"], ["validate", "--help"], ["sat-debug", "--help"]],
+)
+def test_help_prints_the_parsers_own_help(capsys, monkeypatch, argv, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    assert run(capsys, *argv) == (EXIT_OK, parser_of(argv).format_help(), "")
+
+
+@pytest.mark.parametrize("columns", WIDTHS)
+def test_a_file_named_help_after_a_double_dash(capsys, paths, monkeypatch, tmp_path, columns):
+    # argparse up to CPython 3.13.0 still reads `--help` after `--` as the
+    # option, and later versions read it as a file: either way the output is
+    # the parser's help or the file's check, never a usage cut short.
+    monkeypatch.setenv("COLUMNS", columns)
+    monkeypatch.chdir(tmp_path)
+    Path("--help").write_bytes(Path(paths["theft"]).read_bytes())
+    got = run(capsys, "check", "--", "--help")
+    assert got in ((EXIT_OK, parser_of(["check"]).format_help(), ""),
+                   run(capsys, "check", paths["theft"]))
+
+
+def test_a_check_formats_no_usage(capsys, paths, monkeypatch):
+    # Nothing a check prints needs the usage, so no call formats it.
+    def refuse(self):
+        raise AssertionError("format_usage called")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "format_usage", refuse)
+    code, out, err = run(capsys, "check", "--format", "json", paths["theft"])
+    assert (code, err) == (EXIT_UNETHICAL, "")
+    assert out == (Path(__file__).parent / "snapshots" / "theft.json").read_text()
 
 
 def test_check_runs_without_click(paths):

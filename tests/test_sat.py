@@ -13,7 +13,7 @@ from deon.sat import (
     ConflictExplanation,
     Model,
     SatResult,
-    _verified,
+    _witness,
     solve,
 )
 
@@ -194,13 +194,23 @@ def test_clause_set_validation_accepts_every_literal_in_range():
     assert cs.num_vars == 3
 
 
+def value_table(values: tuple[bool, ...]) -> list[bool | None]:
+    """`solve`'s table of literal values for a complete assignment."""
+    return [None, *values, *[not v for v in reversed(values)]]
+
+
 def test_verified_rejects_a_model_failing_a_negative_clause():
     cs = clause_set(3, [(1, 2), (-1, -3)])
-    assert _verified(Model((True, False, False)), cs).values == (True, False, False)
+    identity = [0, 1, 2, 3]
+    witness = _witness(value_table((True, False, False)), cs.clauses, identity)
+    assert witness.values == (True, False, False)
     with pytest.raises(LogicError, match="witness fails a clause"):
-        _verified(Model((True, False, True)), cs)
+        _witness(value_table((True, False, True)), cs.clauses, identity)
     with pytest.raises(LogicError, match="witness fails a clause"):
-        _verified(Model((False, False, False)), cs)
+        _witness(value_table((False, False, False)), cs.clauses, identity)
+    # The model is read in the given order once the check passes.
+    assert _witness(value_table((True, False, False)), cs.clauses, [0, 3, 1, 2]).values == (
+        False, True, False)
 
 
 def test_model_must_cover_every_variable():

@@ -1,19 +1,26 @@
 import dataclasses
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 import reference_logic
 from test_query_differential import fixpoint_chain
 
+from deon import scenarios
 from deon.logic import (
+    AGENT,
+    OBJECT,
     And,
     Atom,
     AtomF,
     ForAll,
     Implies,
+    LogicError,
     Not,
     SignedAtom,
     TRUE,
+    Term,
     agent_const,
     agent_var,
     ground,
@@ -24,6 +31,7 @@ from deon.logic import (
 from deon.dsl import parse_scenario
 from deon.principles import QueryCompiler, evaluate
 from deon.scenario import (
+    Diagnostic,
     ScenarioError,
     UtilityTable,
     effects_for,
@@ -244,6 +252,248 @@ def test_a_belief_key_that_is_no_agent_constant_is_unknown_agent(key):
     )
     found = validate(dataclasses.replace(scenario, constraints=constraints))
     assert [(d.element, d.rule) for d in found] == [(f"belief {key}", "unknown-agent")]
+
+
+# -- validate stays total over wrongly typed values ---------------------------------
+
+
+def places(value, path=()):
+    """Every (path, value) in a scenario's tree: the fields of its records,
+    the items of its tuples, and the keys and values of its mappings."""
+    yield path, value
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from places(getattr(value, f.name), path + (f.name,))
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from places(item, path + (i,))
+    elif isinstance(value, Mapping):
+        for i, (key, item) in enumerate(value.items()):
+            yield from places(key, path + (("key", i),))
+            yield from places(item, path + (("value", i),))
+
+
+def replaced(value, path, new):
+    """`value` with `new` at `path`, every record on the way rebuilt."""
+    if not path:
+        return new
+    step, rest = path[0], path[1:]
+    if isinstance(step, str):
+        return dataclasses.replace(value, **{step: replaced(getattr(value, step), rest, new)})
+    if isinstance(step, int):
+        return value[:step] + (replaced(value[step], rest, new),) + value[step + 1:]
+    part, i = step
+    items = list(value.items())
+    key, item = items[i]
+    if part == "key":
+        items[i] = (replaced(key, rest, new), item)
+    else:
+        items[i] = (key, replaced(item, rest, new))
+    return dict(items)
+
+
+def wrongly_typed(value) -> list:
+    """A str for a Term, a term of the wrong sort, and None, each where it
+    is of another type than `value`."""
+    if isinstance(value, Term):
+        other = OBJECT if value.sort == AGENT else AGENT
+        found = [value.name, Term(other, value.name, value.is_var)]
+    else:
+        found = ([] if isinstance(value, str) else ["x"]) + [agent_const("a")]
+    return found + ([] if value is None else [None])
+
+
+PARSED = {name: parse_scenario(scenarios.source(name)).scenario for name in scenarios.NAMES}
+
+
+@st.composite
+def mistyped_scenarios(draw):
+    scenario = PARSED[draw(st.sampled_from(sorted(PARSED)))]
+    for _ in range(draw(st.integers(1, 3))):
+        path, value = draw(st.sampled_from(list(places(scenario))[1:]))
+        new = draw(st.sampled_from(wrongly_typed(value)))
+        try:
+            scenario = replaced(scenario, path, new)
+        except (LogicError, AttributeError):  # `Term` and `ForAll` refuse some values
+            pass
+    return scenario
+
+
+@settings(max_examples=400, deadline=None)
+@given(mistyped_scenarios())
+def test_validate_never_raises_on_wrongly_typed_values(scenario):
+    found = validate(scenario)
+    assert all(isinstance(d, Diagnostic) for d in found)
+    assert [(d.element, d.rule, d.message) for d in validate(scenario)] == [
+        (d.element, d.rule, d.message) for d in found
+    ]
+
+
+# Each value that made a rule of `validate` raise, one per place it raised:
+# golden, path, value, and the one finding it gives now.
+WRONGLY_TYPED = {
+    "theft-plans.0.reasons.0.atom-str": (
+        "theft", ("plans", 0, "reasons", 0, "atom"), "x",
+        "scenario.plans[0].reasons[0].atom", "expected Atom, got str",
+    ),
+    "theft-plans.0.reasons.0.atom.args-str": (
+        "theft", ("plans", 0, "reasons", 0, "atom", "args"), "x",
+        "scenario.plans[0].reasons[0].atom.args", "expected tuple, got str",
+    ),
+    "theft-plans.0.reasons.0.atom.args-term": (
+        "theft", ("plans", 0, "reasons", 0, "atom", "args"), agent_const("a"),
+        "scenario.plans[0].reasons[0].atom.args", "expected tuple, got Term",
+    ),
+    "theft-plans.0.reasons.0-str": (
+        "theft", ("plans", 0, "reasons", 0), "x",
+        "scenario.plans[0].reasons[0]", "expected SignedAtom, got str",
+    ),
+    "theft-predicates-str": (
+        "theft", ("predicates",), "x",
+        "scenario.predicates", "expected tuple, got str",
+    ),
+    "theft-predicates.0.arg_sorts-term": (
+        "theft", ("predicates", 0, "arg_sorts"), agent_const("a"),
+        "scenario.predicates[0].arg_sorts", "expected tuple, got Term",
+    ),
+    "theft-agents-str": (
+        "theft", ("agents",), "x",
+        "scenario.agents", "expected tuple, got str",
+    ),
+    "theft-plans-str": (
+        "theft", ("plans",), "x",
+        "scenario.plans", "expected tuple, got str",
+    ),
+    "theft-utilities-str": (
+        "theft", ("utilities",), "x",
+        "scenario.utilities", "expected UtilityTable, got str",
+    ),
+    "theft-plans.0.reasons-str": (
+        "theft", ("plans", 0, "reasons"), "x",
+        "scenario.plans[0].reasons", "expected tuple, got str",
+    ),
+    "theft-plans.0.object_vars-str": (
+        "theft", ("plans", 0, "object_vars"), "x",
+        "scenario.plans[0].object_vars", "expected tuple, got str",
+    ),
+    "theft-agents-term": (
+        "theft", ("agents",), agent_const("a"),
+        "scenario.agents", "expected tuple, got Term",
+    ),
+    "theft-constraints-str": (
+        "theft", ("constraints",), "x",
+        "scenario.constraints", "expected ConstraintBase, got str",
+    ),
+    "theft-constraints.beliefs-str": (
+        "theft", ("constraints", "beliefs"), "x",
+        "scenario.constraints.beliefs", "expected Mapping, got str",
+    ),
+    "ambulance-plans.0.reasons.0.atom.args-str": (
+        "ambulance", ("plans", 0, "reasons", 0, "atom", "args"), "x",
+        "scenario.plans[0].reasons[0].atom.args", "expected tuple, got str",
+    ),
+    "theft-effects-str": (
+        "theft", ("effects",), "x",
+        "scenario.effects", "expected tuple, got str",
+    ),
+    "theft-predicates-term": (
+        "theft", ("predicates",), agent_const("a"),
+        "scenario.predicates", "expected tuple, got Term",
+    ),
+    "theft-plans-term": (
+        "theft", ("plans",), agent_const("a"),
+        "scenario.plans", "expected tuple, got Term",
+    ),
+    "theft-constraints.physical-term": (
+        "theft", ("constraints", "physical"), agent_const("a"),
+        "scenario.constraints.physical", "expected tuple, got Term",
+    ),
+    "theft-effects-term": (
+        "theft", ("effects",), agent_const("a"),
+        "scenario.effects", "expected tuple, got Term",
+    ),
+    "theft-candidates-term": (
+        "theft", ("candidates",), agent_const("a"),
+        "scenario.candidates", "expected tuple, got Term",
+    ),
+    "theft-plans.0.agent.name-term": (
+        "theft", ("plans", 0, "agent", "name"), agent_const("a"),
+        "scenario.plans[0].agent.name", "expected str, got Term",
+    ),
+    "theft-candidates-str": (
+        "theft", ("candidates",), "x",
+        "scenario.candidates", "expected tuple, got str",
+    ),
+    "merge-utilities.entries.key0.1.predicate-term": (
+        "merge", ("utilities", "entries", ("key", 0), 1, "predicate"), agent_const("a"),
+        "scenario.utilities.entries.keys[0][1].predicate", "expected str, got Term",
+    ),
+    "merge-candidates.0.condition-str": (
+        "merge", ("candidates", 0, "condition"), "x",
+        "scenario.candidates[0].condition", "expected tuple, got str",
+    ),
+    "bus-constraints.physical_spans-term": (
+        "bus", ("constraints", "physical_spans"), agent_const("a"),
+        "scenario.constraints.physical_spans", "expected tuple, got Term",
+    ),
+    "merge-utilities.entries.key0-term": (
+        "merge", ("utilities", "entries", ("key", 0)), agent_const("a"),
+        "scenario.utilities.entries.keys[0]", "expected tuple, got Term",
+    ),
+    "merge-utilities.entries.key0.1.args.0.name-term": (
+        "merge", ("utilities", "entries", ("key", 0), 1, "args", 0, "name"), agent_const("a"),
+        "scenario.utilities.entries.keys[0][1].args[0].name", "expected str, got Term",
+    ),
+    "bus-constraints.physical.0.body.parts-term": (
+        "bus", ("constraints", "physical", 0, "body", "parts"), agent_const("a"),
+        "scenario.constraints.physical[0].body.parts", "expected tuple, got Term",
+    ),
+    "merge-utilities.spans-str": (
+        "merge", ("utilities", "spans"), "x",
+        "scenario.utilities.spans", "expected Mapping, got str",
+    ),
+    "pedestrian-constraints.belief_spans-str": (
+        "pedestrian", ("constraints", "belief_spans"), "x",
+        "scenario.constraints.belief_spans", "expected Mapping, got str",
+    ),
+    "merge-utilities.entries.key0-str": (
+        "merge", ("utilities", "entries", ("key", 0)), "x",
+        "scenario.utilities.entries.keys[0]", "expected tuple, got str",
+    ),
+    "merge-candidates.0.condition-term": (
+        "merge", ("candidates", 0, "condition"), agent_const("a"),
+        "scenario.candidates[0].condition", "expected tuple, got Term",
+    ),
+    "merge-candidates.0.actions-term": (
+        "merge", ("candidates", 0, "actions"), agent_const("a"),
+        "scenario.candidates[0].actions", "expected tuple, got Term",
+    ),
+    "pedestrian-constraints.beliefs.value0-term": (
+        "pedestrian", ("constraints", "beliefs", ("value", 0)), agent_const("a"),
+        "scenario.constraints.beliefs.values[0]", "expected tuple, got Term",
+    ),
+    "pedestrian-constraints.beliefs.key0.name-term": (
+        "pedestrian", ("constraints", "beliefs", ("key", 0), "name"), agent_const("a"),
+        "scenario.constraints.beliefs.keys[0].name", "expected str, got Term",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", WRONGLY_TYPED)
+def test_a_wrongly_typed_value_is_a_wrong_type_finding(case):
+    name, path, new, element, message = WRONGLY_TYPED[case]
+    found = validate(replaced(PARSED[name], path, new))
+    assert [(d.element, d.rule, d.message) for d in found] == [(element, "wrong-type", message)]
+
+
+def test_a_raise_on_a_well_typed_scenario_still_propagates(golden, monkeypatch):
+    # A fault in the rules is not read as a wrongly typed value.
+    def broken(*args):
+        raise TypeError("fault")
+
+    monkeypatch.setattr("deon.scenario.atom_findings", broken)
+    with pytest.raises(TypeError, match="fault"):
+        validate(golden["theft"])
 
 
 def test_parsed_belief_keys_are_the_agent_constants(golden):

@@ -35,6 +35,7 @@ from deon.logic import (
     Atom,
     AtomF,
     ClauseBuilder,
+    LogicError,
     Not,
     Or,
     TheoryQuery,
@@ -223,6 +224,27 @@ def test_an_interrupted_solve_drops_the_index_it_borrowed(monkeypatch):
     assert theory.solver_indexes == []
     assert solved(query, DEFAULT_BUDGET) == expected
     assert len(theory.solver_indexes) == 1
+
+
+def test_a_witness_is_checked_against_every_clause_the_search_missed():
+    # With one clause's watches deleted from the borrowed index, propagation
+    # never sees it, so the search ends with `not t0 or not t1` false. Every
+    # witness is checked against every stored clause, so `solve` raises;
+    # the index it borrowed is dropped, and the next solve builds one.
+    pool = [Atom(f"t{i}", (agent_const("a"),)) for i in range(2)]
+    theory = compile_fragment([(Or((Not(AtomF(pool[0])), Not(AtomF(pool[1])))), "theory")])
+    own = AtomF(Atom("p0", (agent_const("a"),)))
+    for cs in (theory, query_of(theory, [(own, "plan")])):
+        expected = solved(cs, DEFAULT_BUDGET)
+        assert expected[0] is True
+        [(watched, watches, _)] = theory.solver_indexes
+        [(ci, lits)] = [(ci, lits) for ci, lits in enumerate(watched) if len(lits) > 1]
+        watches[lits[0]].remove(ci)
+        watches[lits[1]].remove(ci)
+        with pytest.raises(LogicError, match="^internal error: witness fails a clause$"):
+            solve(cs)
+        assert theory.solver_indexes == []
+        assert solved(cs, DEFAULT_BUDGET) == expected
 
 
 def test_solves_in_threads_never_share_an_index():
