@@ -15,8 +15,9 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 from .dsl import format_number, parse_scenario
 from .principles import (
@@ -305,6 +306,19 @@ class UsageError(Exception):
     """A command line deon cannot run; `main` reports it and returns 4."""
 
 
+@contextmanager
+def _not_required(actions: list[argparse.Action]) -> Iterator[None]:
+    """No action of `actions` is required while the block runs."""
+    required = [action.required for action in actions]
+    for action in actions:
+        action.required = False
+    try:
+        yield
+    finally:
+        for action, was in zip(actions, required):
+            action.required = was
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, prog: str, description: str | None, **options) -> None:
         super().__init__(prog, description=description, add_help=False, allow_abbrev=False,
@@ -315,6 +329,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
     def parse_intermixed_args(self, args: list[str], namespace=None) -> argparse.Namespace:
+        # Everything after the first `--` is an operand, on every Python. The
+        # intermixed parse of CPython 3.10 to 3.13.0 drops a `--` that no
+        # operand precedes and then reads what follows it, `--help` among
+        # them, as options. So only the arguments ahead of the `--` are parsed
+        # intermixed, with no operand required yet, and their operands and
+        # those after it go through a plain parse behind one `--`, which every
+        # version reads alike and which checks how many operands there are.
+        if "--" not in args:
+            return self._parse_intermixed(args, namespace)
+        split = args.index("--")
+        positionals = self._get_positional_actions()
+        with _not_required(positionals):
+            namespace = self._parse_intermixed(args[:split], namespace)
+        operands = []
+        for action in positionals:
+            value = getattr(namespace, action.dest)
+            operands += [value] if isinstance(value, str) else value or []
+        with _not_required(self._get_optional_actions()):  # read ahead of the `--`
+            return self.parse_args(["--", *operands, *args[split + 1:]], namespace)
+
+    def _parse_intermixed(self, args: list[str], namespace) -> argparse.Namespace:
         # argparse (CPython 3.10 to 3.13.0 at least) formats the whole usage
         # on every call and holds it while the positionals are hidden, for
         # any message it prints itself. deon prints none of them: `error` raises,

@@ -10,10 +10,12 @@ theory's ground formula is never built. Both take closed formulas, as
 `scenario.validate` admits them: a free variable is never closed
 implicitly, and clause conversion rejects its atom.
 
-Everything here is immutable and every operation is a pure function, so
-formulas and clause sets can be shared between concurrent evaluations
-without coordination. Clause sets and queries fill in tables derived from
-their fields on first read; two threads doing so at once build equal ones.
+Everything here is immutable but one cache, and every operation is a pure
+function, so formulas and clause sets can be shared between concurrent
+evaluations without coordination. Clause sets and queries fill in tables
+derived from their fields on first read; two threads doing so at once build
+equal ones. The one mutable cache is `GroundClauseSet.solver_indexes`, where
+`sat.solve` keeps a theory's watch indexes between solves.
 """
 
 from __future__ import annotations
@@ -266,6 +268,14 @@ def substitute_signed(sa: SignedAtom, binding: Mapping[Term, Term]) -> SignedAto
 # Grounding
 
 
+def _domain(var: Term, agents: Sequence[Term], objects: Sequence[Term]) -> Sequence[Term]:
+    """The constants that the quantified variable `var` ranges over, by its sort."""
+    domain = agents if var.sort == AGENT else objects
+    if not domain:
+        raise GroundingError(f"empty {var.sort} domain for quantified variable {var.name}")
+    return domain
+
+
 def ground(f: Formula, agents: Sequence[Term], objects: Sequence[Term] = ()) -> Formula:
     """Expand quantifiers over finite domains.
 
@@ -295,11 +305,7 @@ def ground(f: Formula, agents: Sequence[Term], objects: Sequence[Term] = ()) -> 
         if isinstance(node, Implies):
             return Implies(go(node.antecedent, env), go(node.consequent, env))
         if isinstance(node, ForAll):
-            domain = agents if node.var.sort == AGENT else objects
-            if not domain:
-                raise GroundingError(
-                    f"empty {node.var.sort} domain for quantified variable {node.var.name}"
-                )
+            domain = _domain(node.var, agents, objects)
             return conj(tuple([go(node.body, {**env, node.var: c}) for c in domain]))
         raise LogicError(f"unknown formula node {type(node).__name__}")
 
@@ -525,12 +531,6 @@ class _Encoder:
         self.aux_count += 1
         return len(self.slots)
 
-    def _domain(self, var: Term) -> Sequence[Term]:
-        domain = self.agents if var.sort == AGENT else self.objects
-        if not domain:
-            raise GroundingError(f"empty {var.sort} domain for quantified variable {var.name}")
-        return domain
-
     def _lit(self, f: Formula, env: dict[Term, Term]) -> int:
         if isinstance(f, AtomF):
             return self._var(f.atom, env)
@@ -544,7 +544,8 @@ class _Encoder:
             return self._and([self._lit(p, env) for p in f.parts])
         if isinstance(f, ForAll):
             var, body = f.var, f.body
-            return self._and([self._lit(body, {**env, var: c}) for c in self._domain(var)])
+            domain = _domain(var, self.agents, self.objects)
+            return self._and([self._lit(body, {**env, var: c}) for c in domain])
         raise LogicError(f"cannot encode {type(f).__name__} node")
 
     def _and(self, lits: list[int]) -> int:
@@ -582,7 +583,7 @@ class _Encoder:
                 self._assert(p, env)
         elif isinstance(f, ForAll):
             var, body = f.var, f.body
-            for c in self._domain(var):
+            for c in _domain(var, self.agents, self.objects):
                 self._assert(body, {**env, var: c})
         elif isinstance(f, Implies):
             self.clauses.append((-self._lit(f.antecedent, env), self._lit(f.consequent, env)))

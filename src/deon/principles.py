@@ -278,13 +278,12 @@ class QueryCompiler:
     The table is the evaluation's one memo: a plan's generalization
     verdict and an ordered autonomy pair's verdict read no round state, and
     the budget is fixed, so asking a check again rebuilds its verdict from
-    the recorded evidence and solves nothing. `evaluate`'s status-only
-    rounds ask each plan's generalization check once and each pair's check
-    the first time a round's scan reaches the pair, keeping its verdict for
-    later rounds; its final build asks the generalization check again for
-    the evidence. It therefore solves at most one query per plan and two
-    per ordered pair of plans of distinct agents, however many rounds it
-    runs.
+    the recorded evidence and solves nothing. `evaluate` asks neither
+    twice: its rounds ask each plan's generalization check once, in round
+    1, and each pair's check the first time a round's scan reaches the
+    pair, and keep the verdicts they get, so the last round's verdicts are
+    the result. It therefore solves at most one query per plan and two per
+    ordered pair of plans of distinct agents, however many rounds it runs.
 
     A pair whose other action names no atom of the acting plan's action or
     of its agent's theory (`_independent`, a test on atom sets alone) takes
@@ -454,28 +453,6 @@ class QueryCompiler:
         return PrincipleVerdict(AUTONOMY, FAIL, PlanInterference(other.id, actions, reasons))
 
 
-def _autonomy_verdict(pairs: Iterable[tuple[str, PrincipleVerdict]]) -> PrincipleVerdict:
-    """A plan's autonomy verdict from its `(other plan id, pair verdict)`s with
-    the protected plans of other agents, in plan order: the first failing
-    pair's verdict, else the first indeterminate one's, else a pass. `pairs`
-    is read only up to the first failing pair."""
-    clear: list[tuple[str, object]] = []
-    indeterminate: PrincipleVerdict | None = None
-    for other_id, verdict in pairs:
-        if verdict.status == FAIL:
-            return verdict
-        if verdict.status == INDETERMINATE and indeterminate is None:
-            indeterminate = verdict
-        clear.append((other_id, verdict.evidence))
-    if indeterminate is not None:
-        return indeterminate
-    if not clear:
-        return PrincipleVerdict(
-            AUTONOMY, PASS, Note("no protected plans of other agents to conflict with")
-        )
-    return PrincipleVerdict(AUTONOMY, PASS, AutonomyClear(tuple(clear)))
-
-
 # --------------------------------------------------------------------------
 # The utility check, which decides no query
 
@@ -548,19 +525,19 @@ def evaluate(scenario: Scenario, budget: int = DEFAULT_BUDGET) -> VerdictSet:
     reported indeterminate with the stability flag false. Deterministic and
     independent of plan declaration order.
 
-    The rounds compute statuses alone; each plan's `PlanVerdict`, with its
-    evidence, is built once, from the final round's protected and eligible
-    sets. A plan's generalization status is fixed, and its utility status
-    is recomputed each round from the round's eligible candidates, all but
-    those that unprotected plans carry (`_withdrawn`). Its
-    autonomy status comes from a scan of its protected partners, the plans
-    of other agents, in plan order: the first failing pair decides a fail,
-    else any indeterminate pair decides indeterminate. The scan decides a
-    pair on first reach and stops at the first failing one, so the rounds
-    decide the same queries, in the same order, as rounds that check every
-    plan in full. The rounds keep each decided pair's verdict, and the
-    final build reads a plan's autonomy verdict from those of its protected
-    partners, without asking the compiler again.
+    Each round keeps the verdicts it computes, and the last round's are the
+    result. A plan's generalization verdict is asked once, in round 1, and
+    its utility verdict is recomputed each round from the round's eligible
+    candidates, all but those that unprotected plans carry (`_withdrawn`).
+    Its autonomy verdict comes from a scan of its protected partners, the
+    plans of other agents, in plan order: the first failing pair's verdict
+    decides, else the first indeterminate one's. The scan decides a pair on
+    first reach, keeping its verdict for later rounds, and stops at the
+    first failing one, so the rounds decide the same queries, in the same
+    order, as rounds that check every plan in full. A plan whose last scan
+    found no failing or indeterminate pair passes autonomy with the
+    evidence of each protected partner's pair, every one reached by that
+    scan (`AutonomyClear`), or with a `Note` if it has no protected partner.
     """
     plans = scenario.plans
     compiler = QueryCompiler(scenario, budget)
@@ -571,7 +548,9 @@ def evaluate(scenario: Scenario, budget: int = DEFAULT_BUDGET) -> VerdictSet:
     # order, and the verdicts of its decided pairs, by partner index.
     partners = [[j for j, other in enumerate(plans) if other.agent != plan.agent] for plan in plans]
     decided: list[dict[int, PrincipleVerdict]] = [{} for _ in plans]
-    generalization: list[str] = []
+    generalization: list[PrincipleVerdict] = []
+    # Each plan's utility verdict and deciding pair verdict, or None, in the round.
+    kept: list[tuple[PrincipleVerdict, PrincipleVerdict | None]] = []
     assumed = [ETHICAL] * len(plans)
     statuses = last_in = assumed
     max_rounds = len(plans) + 1
@@ -582,12 +561,12 @@ def evaluate(scenario: Scenario, budget: int = DEFAULT_BUDGET) -> VerdictSet:
         rounds += 1
         protected = {i for i, status in enumerate(assumed) if status != UNETHICAL}
         eligible = candidates - {w for i, w in enumerate(withdrawn) if i not in protected}
-        statuses = []
+        statuses, kept = [], []
         for i, plan in enumerate(plans):
             if rounds == 1:
-                generalization.append(compiler.check_generalization(plan).status)
+                generalization.append(compiler.check_generalization(plan))
             pairs = decided[i]
-            autonomy = PASS
+            autonomy = None
             for j in partners[i]:
                 if j not in protected:
                     continue
@@ -595,15 +574,17 @@ def evaluate(scenario: Scenario, budget: int = DEFAULT_BUDGET) -> VerdictSet:
                 if verdict is None:
                     verdict = pairs[j] = compiler.check_autonomy_pair(plan, plans[j])
                 if verdict.status == FAIL:
-                    autonomy = FAIL
+                    autonomy = verdict
                     break
-                if verdict.status == INDETERMINATE:
-                    autonomy = INDETERMINATE
+                if verdict.status == INDETERMINATE and autonomy is None:
+                    autonomy = verdict
+            utility = check_utility(plan, contexts[i], scenario, eligible)
+            kept.append((utility, autonomy))
 
             checks = (
-                generalization[i],
-                check_utility(plan, contexts[i], scenario, eligible).status,
-                autonomy,
+                generalization[i].status,
+                utility.status,
+                PASS if autonomy is None else autonomy.status,
             )
             if FAIL in checks:
                 statuses.append(UNETHICAL)
@@ -621,16 +602,14 @@ def evaluate(scenario: Scenario, budget: int = DEFAULT_BUDGET) -> VerdictSet:
             INDETERMINATE if status != before else status
             for status, before in zip(statuses, last_in)
         ]
-    # Every protected partner ahead of a plan's first failing one, or every
-    # protected partner if none fails, has its pair decided by now.
-    verdicts = tuple(
-        PlanVerdict(plan.id, (
-            compiler.check_generalization(plan),
-            check_utility(plan, context, scenario, eligible),
-            _autonomy_verdict(
-                (plans[j].id, pairs[j]) for j in sorted(pairs) if j in protected
-            ),
-        ), overall)
-        for plan, context, overall, pairs in zip(plans, contexts, statuses, decided)
-    )
-    return VerdictSet(scenario.name, verdicts, rounds, stable, tuple(compiler.queries.values()))
+    verdicts = []
+    for i, (plan, (utility, autonomy)) in enumerate(zip(plans, kept)):
+        if autonomy is None:
+            clear = tuple((plans[j].id, decided[i][j].evidence)
+                          for j in partners[i] if j in protected)
+            autonomy = PrincipleVerdict(AUTONOMY, PASS, AutonomyClear(clear) if clear else Note(
+                "no protected plans of other agents to conflict with"
+            ))
+        verdicts.append(PlanVerdict(plan.id, (generalization[i], utility, autonomy), statuses[i]))
+    return VerdictSet(scenario.name, tuple(verdicts), rounds, stable,
+                      tuple(compiler.queries.values()))

@@ -11,6 +11,7 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from numbers import Rational
 from types import UnionType
 from typing import TYPE_CHECKING, get_args, get_origin, get_type_hints
 
@@ -403,6 +404,8 @@ def _rule_findings(scenario: Scenario) -> list[Diagnostic]:
                         span)
                 go(node.body, bound | {node.var})
                 return
+            if not isinstance(node, Formula):  # `children` would give it none
+                raise TypeError(f"{type(node).__name__} is not a formula")
             for c in children(node):
                 go(c, bound)
 
@@ -410,6 +413,8 @@ def _rule_findings(scenario: Scenario) -> list[Diagnostic]:
 
     plan_ids: dict[str, ActionPlan] = {}
     for plan in scenario.plans:
+        if not isinstance(plan.id, str):  # the engine names queries by it
+            raise TypeError(f"plan id {plan.id!r} is not a str")
         element, span = f"plan {plan.id}", plan.span
         if plan.id in plan_ids:
             add(element, "duplicate", f"plan id {plan.id} declared more than once", span)
@@ -480,6 +485,8 @@ def _rule_findings(scenario: Scenario) -> list[Diagnostic]:
         seen_conditions.setdefault(key, cs.context)
 
     for (context, atom), value in scenario.utilities.entries.items():
+        if not isinstance(value, Rational):  # the utility check compares them exactly
+            raise TypeError(f"utility {value!r} is not a number")
         element, span = f"utility {context}", scenario.utilities.spans.get((context, atom))
         cs = contexts.get(context)
         if cs is None:

@@ -198,15 +198,25 @@ def test_help_prints_the_parsers_own_help(capsys, monkeypatch, argv, columns):
 
 @pytest.mark.parametrize("columns", WIDTHS)
 def test_a_file_named_help_after_a_double_dash(capsys, paths, monkeypatch, tmp_path, columns):
-    # argparse up to CPython 3.13.0 still reads `--help` after `--` as the
-    # option, and later versions read it as a file: either way the output is
-    # the parser's help or the file's check, never a usage cut short.
+    # Whatever argparse does with `--` on this Python, an argument after it
+    # is a file: `--help` there is checked or validated, and its help is not
+    # printed.
     monkeypatch.setenv("COLUMNS", columns)
     monkeypatch.chdir(tmp_path)
     Path("--help").write_bytes(Path(paths["theft"]).read_bytes())
-    got = run(capsys, "check", "--", "--help")
-    assert got in ((EXIT_OK, parser_of(["check"]).format_help(), ""),
-                   run(capsys, "check", paths["theft"]))
+    Path("theft.deon").write_bytes(Path(paths["theft"]).read_bytes())
+    for argv in (["check", "--format", "json"], ["check"], ["validate"]):
+        code, out, err = run(capsys, *argv, "theft.deon")
+        assert run(capsys, *argv, "--", "--help") == (code, out.replace("theft.deon", "--help"),
+                                                      err)
+    code, _, err = run(capsys, "check", "theft.deon", "--", "--help", "-x")
+    assert (code, err.startswith("-x: cannot read: ")) == (EXIT_INVALID, True)
+
+
+def test_help_ahead_of_a_double_dash_prints_the_help(capsys):
+    assert run(capsys, "check", "--help", "--", "x.deon") == (
+        EXIT_OK, parser_of(["check"]).format_help(), ""
+    )
 
 
 def test_a_check_formats_no_usage(capsys, paths, monkeypatch):

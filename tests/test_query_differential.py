@@ -327,6 +327,34 @@ def test_evaluate_builds_one_plan_verdict_per_plan(source, monkeypatch):
     assert verdicts.stable is (source != STANDOFF)
 
 
+@pytest.mark.parametrize(
+    "source", [SOURCES["fixpoint_12"], STANDOFF], ids=["fixpoint_12", "standoff"]
+)
+def test_rounds_keep_the_generalization_and_utility_verdicts(source, monkeypatch):
+    # Each round's verdicts are kept, so the result asks neither check again:
+    # generalization once per plan, utility once per plan in each round.
+    asked = Counter()
+    generalization, utility = QueryCompiler.check_generalization, principles.check_utility
+
+    def counting_generalization(self, plan):
+        asked["generalization", plan.id] += 1
+        return generalization(self, plan)
+
+    def counting_utility(plan, *args):
+        asked["utility", plan.id] += 1
+        return utility(plan, *args)
+
+    monkeypatch.setattr(QueryCompiler, "check_generalization", counting_generalization)
+    monkeypatch.setattr(principles, "check_utility", counting_utility)
+    parsed = parse_scenario(source)
+    assert parsed.ok, [str(d) for d in parsed.diagnostics]
+    verdicts = evaluate(parsed.scenario)
+    plans = [p.id for p in parsed.scenario.plans]
+    assert verdicts.rounds > 1
+    assert asked == Counter({**{("generalization", p): 1 for p in plans},
+                             **{("utility", p): verdicts.rounds for p in plans}})
+
+
 @pytest.mark.parametrize("name", ["fixpoint_12", "chain_rule", *scenarios.NAMES])
 def test_evaluate_asks_each_autonomy_pair_once(name, monkeypatch):
     # The rounds keep each pair's verdict; the final build reads them back

@@ -329,8 +329,24 @@ def test_validate_never_raises_on_wrongly_typed_values(scenario):
     ]
 
 
-# Each value that made a rule of `validate` raise, one per place it raised:
-# golden, path, value, and the one finding it gives now.
+@pytest.mark.parametrize("name", sorted(PARSED))
+def test_a_mutant_that_validates_clean_evaluates(name):
+    # `evaluate` runs whatever `validate` passes: each wrongly typed value,
+    # put alone in each place of a golden, gets a finding or evaluates.
+    scenario = PARSED[name]
+    for path, value in list(places(scenario))[1:]:
+        for new in wrongly_typed(value):
+            try:
+                mutant = replaced(scenario, path, new)
+            except (LogicError, AttributeError):  # `Term` and `ForAll` refuse some values
+                continue
+            if not validate(mutant):
+                evaluate(mutant, budget=1000)
+
+
+# Each value that made a rule of `validate` raise, one per place it raised,
+# or that it passed to a raise in `evaluate`: golden, path, value, and the
+# one finding it gives now.
 WRONGLY_TYPED = {
     "theft-plans.0.reasons.0.atom-str": (
         "theft", ("plans", 0, "reasons", 0, "atom"), "x",
@@ -475,6 +491,30 @@ WRONGLY_TYPED = {
     "pedestrian-constraints.beliefs.key0.name-term": (
         "pedestrian", ("constraints", "beliefs", ("key", 0), "name"), agent_const("a"),
         "scenario.constraints.beliefs.keys[0].name", "expected str, got Term",
+    ),
+    "bus-constraints.physical.0-str": (
+        "bus", ("constraints", "physical", 0), "x",
+        "scenario.constraints.physical[0]", "expected Formula, got str",
+    ),
+    "pedestrian-constraints.beliefs.value0.0-none": (
+        "pedestrian", ("constraints", "beliefs", ("value", 0), 0), None,
+        "scenario.constraints.beliefs.values[0][0]", "expected Formula, got NoneType",
+    ),
+    "theft-effects.0.consequence-term": (
+        "theft", ("effects", 0, "consequence"), agent_const("a"),
+        "scenario.effects[0].consequence", "expected Formula, got Term",
+    ),
+    "bus-plans.0.id-term": (
+        "bus", ("plans", 0, "id"), agent_const("a"),
+        "scenario.plans[0].id", "expected str, got Term",
+    ),
+    "pedestrian-plans.2.id-none": (
+        "pedestrian", ("plans", 2, "id"), None,
+        "scenario.plans[2].id", "expected str, got NoneType",
+    ),
+    "merge-utilities.entries.value0-str": (
+        "merge", ("utilities", "entries", ("value", 0)), "x",
+        "scenario.utilities.entries.values[0]", "expected Fraction, got str",
     ),
 }
 
