@@ -5,8 +5,11 @@ requirement are decided as satisfiability queries against an agent's theory
 (see `principles`), so a formula is always a plain first-order one.
 
 `ground` builds the ground formula of a quantified one. Clause conversion
-does not need it: `compile_fragment` grounds and encodes in one pass, so a
-theory's ground formula is never built. Both take closed formulas, as
+does not need it: `compile_fragment` and `ClauseBuilder` ground and encode
+in one pass over the scenario's domains, so neither a theory's nor a
+query's ground formula is ever built. `ground`'s last caller in the engine
+is `principles.QueryCompiler._action`, which reads the atom set of a
+plan's ground action. All of them take closed formulas, as
 `scenario.validate` admits them: a free variable is never closed
 implicitly, and clause conversion rejects its atom.
 
@@ -73,7 +76,7 @@ class Term:
         return Term, (self.sort, self.name, self.is_var)
 
     def __str__(self) -> str:
-        return self.name
+        return str(self.name)
 
 
 def agent_const(name: str) -> Term:
@@ -610,8 +613,13 @@ def _rename_table(variables: list[int]) -> list[int]:
     return [0, *variables, *[-var for var in reversed(variables)]]
 
 
-def _against(parts: Sequence[tuple[Formula, str]], theory: GroundClauseSet) -> TheoryQuery:
-    encoder = _Encoder()
+def _against(
+    parts: Sequence[tuple[Formula, str]],
+    theory: GroundClauseSet,
+    agents: Sequence[Term],
+    objects: Sequence[Term],
+) -> TheoryQuery:
+    encoder = _Encoder(agents, objects)
     for formula, label in parts:
         encoder.add(formula, label)
     # The theory's variables keep their numbers; the plan's other atoms
@@ -676,21 +684,30 @@ def compile_fragment(
 
 
 class ClauseBuilder:
-    """Accumulates labeled ground formulas into one query against a theory.
+    """Accumulates labeled closed formulas into one query against a theory.
 
     Conversion is definitional: fresh atoms name compound subformulas instead
     of distributing disjunctions, so size stays linear. Satisfiability, not
-    logical equivalence, is the contract. `build` encodes the parts in one
-    pass, as `compile_fragment` does but with no domains: a non-ground atom
-    raises `LogicError`, and a `ForAll` raises `GroundingError`.
+    logical equivalence, is the contract. `build` grounds the parts over
+    `agents` and `objects` and encodes them in the same pass, as
+    `compile_fragment` does, so a part's clauses, labels, atoms and aux
+    variables are those of building `ground(part, agents, objects)`, which
+    is never built. A quantifier over an empty domain raises
+    `GroundingError`, and an atom left non-ground, such as one naming a free
+    variable, `LogicError`. With no domains, the default, every part must
+    already be ground.
 
     `build` gives a `TheoryQuery`: the parts followed by the theory
     fragment, solved without renaming the theory. Its `clause_set` is what
     `compile_fragment` makes of the same parts followed by the theory.
     """
 
-    def __init__(self, theory: GroundClauseSet) -> None:
+    def __init__(
+        self, theory: GroundClauseSet, agents: Sequence[Term] = (), objects: Sequence[Term] = ()
+    ) -> None:
         self._theory = theory
+        self._agents = agents
+        self._objects = objects
         self._parts: list[tuple[Formula, str]] = []
 
     def add(self, formula: Formula, label: str = "") -> "ClauseBuilder":
@@ -698,4 +715,4 @@ class ClauseBuilder:
         return self
 
     def build(self) -> TheoryQuery:
-        return _against(self._parts, self._theory)
+        return _against(self._parts, self._theory, self._agents, self._objects)

@@ -248,8 +248,11 @@ class QueryCompiler:
     and `_query` is the one place it is built. Each agent's theory, the
     physics followed by the agent's belief constraints, is compiled into
     one clause fragment on first use (`_theory`), in one flat pass that
-    grounds it over the scenario's domains (`compile_fragment`), so only
-    plan parts go through `ground`. Every agent without belief constraints
+    grounds it over the scenario's domains (`compile_fragment`). Plan parts
+    are grounded the same way, in the one pass of `ClauseBuilder` that
+    encodes them. The one ground formula a query is built from is a plan's
+    action part: `_action`, `ground`'s last caller, keeps it for the atom
+    set that `_independent` reads. Every agent without belief constraints
     shares one fragment of the physics alone, compiled once per evaluation;
     each believing agent's pass grounds the physics again, ahead of its
     beliefs.
@@ -307,9 +310,6 @@ class QueryCompiler:
         self._theories: dict[Term | None, GroundClauseSet] = {}
         self._actions: dict[str, tuple[tuple[Formula, str], frozenset[Atom]]] = {}
 
-    def _ground(self, formula: Formula) -> Formula:
-        return ground(formula, self.scenario.agents, self.scenario.objects)
-
     def _theory(self, agent: Term) -> GroundClauseSet:
         """`agent`'s theory as one fragment, compiled on first use: the
         physics, then the agent's belief constraints in declaration order."""
@@ -332,8 +332,10 @@ class QueryCompiler:
         return theory
 
     def _query(self, agent: Term, parts: Iterable[tuple[Formula, str]]) -> TheoryQuery:
-        """The ground `(formula, label)` plan parts, in order, then `agent`'s theory."""
-        builder = ClauseBuilder(self._theory(agent))
+        """The closed `(formula, label)` plan parts, in order, grounded as they
+        are encoded, then `agent`'s theory."""
+        scenario = self.scenario
+        builder = ClauseBuilder(self._theory(agent), scenario.agents, scenario.objects)
         for formula, label in parts:
             builder.add(formula, label)
         return builder.build()
@@ -360,18 +362,20 @@ class QueryCompiler:
         return query.evidence
 
     def _action(self, plan: ActionPlan) -> tuple[tuple[Formula, str], frozenset[Atom]]:
-        """`plan`'s ground action part and the atoms it names, grounded on first use."""
+        """`plan`'s ground action part and the atoms it names, grounded on first
+        use. The atom set is what `_independent` compares, so this is the one
+        part that is grounded before it is encoded."""
         action = self._actions.get(plan.id)
         if action is None:
-            formula = self._ground(plan.action_formula())
+            formula = ground(plan.action_formula(), self.scenario.agents, self.scenario.objects)
             action = self._actions[plan.id] = (
                 (formula, f"action of plan {plan.id}"), frozenset(atoms_of(formula))
             )
         return action
 
     def _reasons(self, plan: ActionPlan) -> tuple[Formula, str]:
-        """`plan`'s ground reasons part."""
-        return self._ground(plan.reasons_formula()), f"reasons of plan {plan.id}"
+        """`plan`'s reasons part."""
+        return plan.reasons_formula(), f"reasons of plan {plan.id}"
 
     def _independent(self, plan: ActionPlan, other: ActionPlan) -> bool:
         """Whether `other`'s action names no atom of `plan`'s action or its agent's theory."""
@@ -381,13 +385,13 @@ class QueryCompiler:
     def _generalization_parts(self, plan: ActionPlan) -> Iterator[tuple[Formula, str]]:
         """Every agent adopting the plan (material conditionals plus the
         universalization trigger), the plan's declared universalization
-        effects, and the plan's own reasons and action, each ground. Lazy, so
-        a recorded query grounds nothing."""
-        yield self._ground(plan.universal_adoption()), f"universal adoption of plan {plan.id}"
+        effects, and the plan's own reasons and action, each closed. Lazy, so
+        a recorded query builds none of them."""
+        yield plan.universal_adoption(), f"universal adoption of plan {plan.id}"
         effects = effects_for(self.scenario, plan.id)
         if effects != TRUE:
-            yield self._ground(effects), f"universalization effect of plan {plan.id}"
-        yield self._ground(plan.commitment_formula()), f"reasons and action of plan {plan.id}"
+            yield effects, f"universalization effect of plan {plan.id}"
+        yield plan.commitment_formula(), f"reasons and action of plan {plan.id}"
 
     def generalization(self, plan: ActionPlan) -> GroundClauseSet:
         """Ground query behind the generalization check: its plan parts with

@@ -348,6 +348,14 @@ def _misfits(value: object, hint: object, path: str) -> Iterator[tuple[str, str]
             yield from _misfits(getattr(value, f.name), types[f.name], f"{path}.{f.name}")
 
 
+def _check_name(term: Term) -> None:
+    """Raise if `term` has a name that is not a str: the rules compare and
+    print names. A value with no name at all is left to the rule reading it."""
+    name = getattr(term, "name", "")
+    if not isinstance(name, str):
+        raise TypeError(f"term name {name!r} is not a str")
+
+
 def _rule_findings(scenario: Scenario) -> list[Diagnostic]:
     out: list[Diagnostic] = []
 
@@ -359,6 +367,7 @@ def _rule_findings(scenario: Scenario) -> list[Diagnostic]:
     constants: dict[str, Term] = {}
     for sort, terms in ((AGENT, scenario.agents), (OBJECT, scenario.objects)):
         for term in terms:
+            _check_name(term)
             if finding := declare_constant(constants, term.name, sort):
                 add(f"{sort} {term.name}", *finding)
             if term != Term(sort, term.name):  # `ground` quantifies over terms as they are
@@ -387,6 +396,7 @@ def _rule_findings(scenario: Scenario) -> list[Diagnostic]:
         for rule, message in atom_findings(atom, predicates):
             add(element, rule, message, span)
         for term in atom.args:
+            _check_name(term)
             if term.is_var and term not in bound:
                 add(element, "unbound-variable", f"variable {term.name} is not bound here", span)
             elif not term.is_var and constants.get(term.name) != term:
@@ -398,6 +408,7 @@ def _rule_findings(scenario: Scenario) -> list[Diagnostic]:
                 check_atom(element, node.atom, bound, span)
                 return
             if isinstance(node, ForAll):
+                _check_name(node.var)
                 if node.var.sort == OBJECT and not scenario.objects:
                     add(element, "no-object-constants",
                         f"quantified object variable {node.var.name} ranges over no object constants",
@@ -419,6 +430,7 @@ def _rule_findings(scenario: Scenario) -> list[Diagnostic]:
         if plan.id in plan_ids:
             add(element, "duplicate", f"plan id {plan.id} declared more than once", span)
         plan_ids[plan.id] = plan
+        _check_name(plan.agent)
         if plan.agent not in agents:
             # The rules below read the agent's name, which such a value may lack.
             add(element, "unknown-agent", f"unknown agent {plan.agent}", span)
@@ -444,6 +456,7 @@ def _rule_findings(scenario: Scenario) -> list[Diagnostic]:
     for i, f in enumerate(constraints.physical):
         check_formula(f"physics constraint {i + 1}", f, span_at(constraints.physical_spans, i))
     for agent, formulas in constraints.beliefs.items():
+        _check_name(agent)
         if agent not in agents:
             add(f"belief {agent}", "unknown-agent", f"unknown agent {agent}")
         spans = constraints.belief_spans.get(agent, ())

@@ -29,6 +29,8 @@ from test_sat_differential import CHAIN_RULE
 from deon import principles, scenarios
 from deon.dsl import parse_scenario
 from deon.logic import (
+    AGENT,
+    OBJECT,
     And,
     Atom,
     AtomF,
@@ -37,14 +39,18 @@ from deon.logic import (
     Formula,
     GroundingError,
     Implies,
+    LogicError,
     Not,
     Or,
+    SignedAtom,
     agent_const,
     agent_var,
     compile_fragment,
+    conj,
     ground,
     object_const,
     object_var,
+    universalization_trigger,
 )
 from deon.principles import (
     GENERALIZATION,
@@ -58,6 +64,7 @@ from deon.principles import (
     evaluate,
 )
 from deon.sat import DEFAULT_BUDGET
+from deon.scenario import ActionPlan
 
 
 def fixpoint_chain(n: int) -> str:
@@ -214,8 +221,9 @@ def test_each_built_query_is_solved_once(name, monkeypatch):
 
 
 def test_no_theory_formula_is_grounded_on_its_own(monkeypatch):
-    # An agent's theory is grounded inside `compile_fragment`'s one pass;
-    # `principles.ground` sees plan parts only.
+    # An agent's theory is grounded inside `compile_fragment`'s one pass,
+    # and a query's plan parts inside `ClauseBuilder`'s; `principles.ground`
+    # sees only the action parts, whose atoms `_independent` compares.
     grounded: list = []
 
     def recording_ground(formula, agents, objects=()):
@@ -223,14 +231,16 @@ def test_no_theory_formula_is_grounded_on_its_own(monkeypatch):
         return ground(formula, agents, objects)
 
     monkeypatch.setattr(principles, "ground", recording_ground)
-    theory = []
+    theory, actions = [], []
     for name in scenarios.NAMES:
         scenario = load(name)
         constraints = scenario.constraints
         theory += [*constraints.physical, *itertools.chain(*constraints.beliefs.values())]
+        actions += [plan.action_formula() for plan in scenario.plans]
         evaluate(scenario)
     assert theory and grounded
     assert not [f for f in grounded if any(f is t for t in theory)]
+    assert all(f in actions for f in grounded)
 
 
 def theory_parts(scenario, agent) -> list:
@@ -310,8 +320,8 @@ def test_fixpoint_12_decides_its_queries_in_a_pinned_order():
     "source", [SOURCES["fixpoint_12"], STANDOFF], ids=["fixpoint_12", "standoff"]
 )
 def test_evaluate_builds_one_plan_verdict_per_plan(source, monkeypatch):
-    # The rounds work on statuses; only the reported verdicts are built,
-    # oscillating ones (standoff) included.
+    # Each plan's verdict is built once, after the last round, from the
+    # verdicts that round kept, oscillating ones (standoff) included.
     built = []
     init = PlanVerdict.__init__
 
@@ -538,6 +548,119 @@ def test_random_quantified_formulas_compile_like_reference():
             assert compile_fragment(parts, agents, objects) == expected, parts
     # Every domain compiles some lists, and the empty object domain rejects some.
     assert min(outcomes.values()) >= 20 and len(outcomes) == 4, outcomes
+
+
+PART_SORTS = {"want": (AGENT,), "act": (AGENT,), "at": (AGENT, OBJECT), "near": (OBJECT,), "rain": ()}
+
+
+def random_signed(rng: random.Random, agents, objects, bound) -> Formula:
+    """A possibly negated atom over constants and the bound variables, of a
+    predicate whose argument sorts these can fill."""
+    fillers = {sort: [*(t for t in bound if t.sort == sort), *domain]
+               for sort, domain in ((AGENT, agents), (OBJECT, objects))}
+    predicate = rng.choice([p for p, sorts in PART_SORTS.items() if all(fillers[s] for s in sorts)])
+    f: Formula = AtomF(Atom(predicate, tuple(rng.choice(fillers[s]) for s in PART_SORTS[predicate])))
+    return Not(f) if rng.random() < 0.4 else f
+
+
+def random_part(rng: random.Random, agents, objects, depth: int, bound=()) -> Formula:
+    """A closed formula over the domains: nested and shadowing agent and
+    object quantifiers, signed atoms, implications and disjunctions."""
+    if depth == 0 or rng.random() < 0.25:
+        return random_signed(rng, agents, objects, bound)
+    kind = rng.choice(("forall", "forall", "not", "implies", "and", "or"))
+    if kind == "forall":
+        var = rng.choice((agent_var("x"), agent_var(f"x{depth}"), object_var("y")))
+        return ForAll(var, random_part(rng, agents, objects, depth - 1, (*bound, var)))
+    if kind == "not":
+        return Not(random_part(rng, agents, objects, depth - 1, bound))
+    if kind == "implies":
+        return Implies(random_part(rng, agents, objects, depth - 1, bound),
+                       random_part(rng, agents, objects, depth - 1, bound))
+    parts = tuple(random_part(rng, agents, objects, depth - 1, bound)
+                  for _ in range(rng.choice((0, 1, 2, 3))))
+    return And(parts) if kind == "and" else Or(parts)
+
+
+def random_plan_parts(rng: random.Random, agents, objects) -> list:
+    """The labeled parts of a random plan's queries, un-ground: universal
+    adoption, trigger-guarded effects, commitment, reasons and action."""
+    agent = rng.choice(agents)
+    placeholder = agent_var(agent.name)
+    object_vars = (object_var("v"), object_var("w"))[:rng.randint(0, 2)]
+    bound = (placeholder, *object_vars)
+
+    def signed() -> SignedAtom:
+        f = random_signed(rng, agents, objects, bound)
+        return SignedAtom(f.body.atom, True) if isinstance(f, Not) else SignedAtom(f.atom)
+
+    plan = ActionPlan("p", agent, tuple(signed() for _ in range(rng.randint(1, 3))),
+                      signed(), object_vars)
+    trigger = AtomF(universalization_trigger(plan.id))
+    effects = tuple(Implies(trigger, random_part(rng, agents, objects, rng.randint(0, 3)))
+                    for _ in range(rng.randint(0, 2)))
+    parts = [(plan.universal_adoption(), "adoption"), (conj(effects), "effect"),
+             (plan.commitment_formula(), "commitment"), (plan.reasons_formula(), "reasons"),
+             (plan.action_formula(), "action"),
+             (random_part(rng, agents, objects, rng.randint(1, 4)), "")]
+    rng.shuffle(parts)
+    return parts[:rng.randint(1, len(parts))]
+
+
+def plan_query(theory, parts, agents=(), objects=()):
+    """The query of `parts` against `theory`, grounded over `agents` and
+    `objects` as they are encoded; with no domains, they must be ground."""
+    builder = ClauseBuilder(theory, agents, objects)
+    for formula, label in parts:
+        builder.add(formula, label)
+    return builder.build()
+
+
+def test_fused_plan_parts_build_like_ground_then_build():
+    # `ClauseBuilder` given the domains grounds each part as it encodes it;
+    # the query is the one built from the parts `ground` gives. Over an empty
+    # object domain both paths refuse an object quantifier with one text.
+    rng = random.Random(0xF05E)
+    outcomes: Counter = Counter()
+    for _ in range(300):
+        agents = tuple(agent_const(f"a{i}") for i in range(rng.randint(1, 3)))
+        objects = tuple(object_const(f"o{i}") for i in range(rng.randint(0, 3)))
+        physics = [(random_part(rng, agents, objects, rng.randint(0, 3)), "physical")
+                   for _ in range(rng.randint(0, 2))]
+        theory = compile_fragment(physics if objects else [], agents, objects)
+        parts = random_plan_parts(rng, agents, objects)
+        try:
+            ground_parts = [(ground(f, agents, objects), label) for f, label in parts]
+        except GroundingError as error:
+            with pytest.raises(GroundingError) as raised:
+                plan_query(theory, parts, agents, objects)
+            assert str(raised.value) == str(error), parts
+            outcomes["raises"] += 1
+            continue
+        expected = plan_query(theory, ground_parts)
+        query = plan_query(theory, parts, agents, objects)
+        assert query == expected, parts
+        assert (query.order, query.clauses, query.atoms) == (
+            expected.order, expected.clauses, expected.atoms
+        ), parts
+        assert query.clause_set == expected.clause_set, parts
+        outcomes["builds", bool(objects)] += 1
+    assert min(outcomes.values()) >= 20 and len(outcomes) == 3, outcomes
+
+
+def test_fused_plan_parts_reject_a_free_variable_like_ground_then_build():
+    agents, objects = (agent_const("a"), agent_const("b")), (object_const("o"),)
+    theory = compile_fragment([], agents, objects)
+    free = AtomF(Atom("at", (agent_var("x"), object_var("u"))))
+    parts = [(AtomF(Atom("want", (agent_const("a"),))), ""),
+             (ForAll(agent_var("x"), Implies(AtomF(Atom("want", (agent_var("x"),))), free)), "")]
+    with pytest.raises(LogicError) as fused:
+        plan_query(theory, parts, agents, objects)
+    with pytest.raises(LogicError) as grounded:
+        plan_query(theory, [(ground(f, agents, objects), label) for f, label in parts])
+    assert str(fused.value) == str(grounded.value) == (
+        "non-ground atom at(a, u) in clause conversion"
+    )
 
 
 # -- no state between calls ------------------------------------------------------------

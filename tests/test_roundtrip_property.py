@@ -1,5 +1,8 @@
 """Property tests over generated scenarios: print/parse round trips and
-engine totality on inputs the curated files do not reach."""
+engine totality on inputs the curated files do not reach, quantified
+constraints over small and empty domains included."""
+
+import itertools
 
 from hypothesis import given, settings, strategies as st
 
@@ -168,3 +171,83 @@ def test_engine_is_total_and_deterministic_on_generated_scenarios(text):
     assert first.rounds <= len(scenario.plans) + 1
     for pv in first.plans:
         assert pv.overall in ("ethical", "unethical", "indeterminate")
+
+
+#: Predicates declared beside a generated scenario's own, for the quantified
+#: constraints appended to it: name and argument sorts.
+QUANTIFIED_PREDICATES = {"qa": ("agent", "object"), "qb": ("agent",), "qc": ("object",),
+                         "qd": ("agent", "agent")}
+
+
+@st.composite
+def quantified_scenario_texts(draw) -> str:
+    """A generated scenario with physics, belief and effect constraints
+    appended that nest agent and object quantifiers. With no object
+    constants declared, an object quantifier ranges over the empty domain,
+    which `validate` refuses; every other such text validates clean."""
+    base = draw(scenario_texts())
+    scenario = parse_scenario(base).scenario
+    constants = {"agent": [a.name for a in scenario.agents],
+                 "object": [o.name for o in scenario.objects]}
+    fresh = (f"x{i}" for i in itertools.count())
+
+    def atom(bound: dict[str, str], var: str | None = None) -> str:
+        """An atom over constants and the bound variables; it names `var` if given."""
+        fillers = {sort: names + [v for v, s in bound.items() if s == sort]
+                   for sort, names in constants.items()}
+        usable = [name for name, sorts in QUANTIFIED_PREDICATES.items()
+                  if all(fillers[s] for s in sorts)
+                  and (var is None or bound[var] in sorts)]
+        name = draw(st.sampled_from(usable))
+        sorts = QUANTIFIED_PREDICATES[name]
+        args = [draw(st.sampled_from(fillers[s])) for s in sorts]
+        if var is not None:
+            args[draw(st.sampled_from([i for i, s in enumerate(sorts) if s == bound[var]]))] = var
+        return f"{name}({', '.join(args)})"
+
+    def formula(depth: int, bound: dict[str, str]) -> str:
+        kind = draw(st.integers(0, 5 if depth > 0 else 1))
+        if kind <= 1:
+            return ("not " if kind else "") + atom(bound)
+        if kind == 2:
+            op = draw(st.sampled_from(("and", "or", "->")))
+            return f"({formula(depth - 1, bound)} {op} {formula(depth - 1, bound)})"
+        return quantified(depth, bound)
+
+    def quantified(depth: int, bound: dict[str, str]) -> str:
+        """A quantifier whose variable fills a position of its sort at least once."""
+        var = next(fresh)
+        inner = {**bound, var: draw(st.sampled_from(("agent", "object")))}
+        body = atom(inner, var)
+        if draw(st.booleans()):
+            op = draw(st.sampled_from(("and", "or", "->")))
+            body = f"({body} {op} {formula(depth - 1, inner)})"
+        return f"forall {var}. {body}"
+
+    lines = [
+        base.rstrip("\n"),
+        "predicates " + ", ".join(f"{name}({', '.join(sorts)})"
+                                  for name, sorts in QUANTIFIED_PREDICATES.items()),
+        "physics { " + quantified(3, {}) + "; }",
+    ]
+    if draw(st.booleans()):
+        lines.append(f"belief {draw(st.sampled_from(constants['agent']))} {{ "
+                     + quantified(3, {}) + "; }")
+    for plan in scenario.plans:
+        if draw(st.booleans()):
+            lines.append(f"on_universalized {plan.id} {{ " + quantified(3, {}) + "; }")
+    return "\n".join(lines) + "\n"
+
+
+@given(quantified_scenario_texts())
+@settings(max_examples=80, deadline=None)
+def test_a_generated_scenario_that_validates_clean_evaluates(text):
+    parsed = parse_scenario(text)
+    if parsed.ok:
+        verdicts = evaluate(parsed.scenario, budget=1000)
+        assert set(verdicts.statuses()) == {p.id for p in parsed.scenario.plans}
+    else:
+        assert parsed.diagnostics and all(
+            d.code == "validation" and d.message.endswith("[no-object-constants]")
+            for d in parsed.diagnostics
+        ), [str(d) for d in parsed.diagnostics]

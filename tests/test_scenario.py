@@ -329,6 +329,19 @@ def test_validate_never_raises_on_wrongly_typed_values(scenario):
     ]
 
 
+def test_a_quantified_variable_named_by_a_term_is_refused_with_a_message():
+    # A variable whose name is itself a term: `validate` reports the name,
+    # and `ForAll` refuses the term once it is no longer a variable, with a
+    # message that prints that name rather than failing to.
+    path = ("effects", 0, "consequence", "var")
+    scenario = replaced(PARSED["theft"], path + ("name",), agent_const("a"))
+    assert [(d.element, d.rule, d.message) for d in validate(scenario)] == [
+        ("scenario.effects[0].consequence.var.name", "wrong-type", "expected str, got Term")
+    ]
+    with pytest.raises(LogicError, match=r"^forall binds a variable, got constant a$"):
+        replaced(scenario, path + ("is_var",), None)
+
+
 @pytest.mark.parametrize("name", sorted(PARSED))
 def test_a_mutant_that_validates_clean_evaluates(name):
     # `evaluate` runs whatever `validate` passes: each wrongly typed value,
