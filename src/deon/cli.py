@@ -15,9 +15,8 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, NoReturn
+from typing import NoReturn
 
 from .dsl import format_number, parse_scenario
 from .principles import (
@@ -306,20 +305,17 @@ class UsageError(Exception):
     """A command line deon cannot run; `main` reports it and returns 4."""
 
 
-@contextmanager
-def _not_required(actions: list[argparse.Action]) -> Iterator[None]:
-    """No action of `actions` is required while the block runs."""
-    required = [action.required for action in actions]
-    for action in actions:
-        action.required = False
-    try:
-        yield
-    finally:
-        for action, was in zip(actions, required):
-            action.required = was
-
-
 class _Parser(argparse.ArgumentParser):
+    # A command line is read with argparse's plain parses. The first reads
+    # every option, the files ahead of the first option and everything after
+    # the first `--`. What it leaves over is files that follow an option, as
+    # in `check A --format json B`, and options it cannot read. A second
+    # parse of the leftovers ahead of their first `--`, with no file
+    # required, refuses such an option in argparse's own words; then every
+    # leftover but that `--` is a file, in order. A command of one operand
+    # takes no leftovers, so one plain parse reads it.
+    files: argparse.Action | None = None  # the operands of a command of several files
+
     def __init__(self, prog: str, description: str | None, **options) -> None:
         super().__init__(prog, description=description, add_help=False, allow_abbrev=False,
                          **options)
@@ -328,43 +324,19 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> NoReturn:
         raise UsageError(message)
 
-    def parse_intermixed_args(self, args: list[str], namespace=None) -> argparse.Namespace:
-        # Everything after the first `--` is an operand, on every Python. The
-        # intermixed parse of CPython 3.10 to 3.13.0 drops a `--` that no
-        # operand precedes and then reads what follows it, `--help` among
-        # them, as options. So only the arguments ahead of the `--` are parsed
-        # intermixed, with no operand required yet, and their operands and
-        # those after it go through a plain parse behind one `--`, which every
-        # version reads alike and which checks how many operands there are.
-        if "--" not in args:
-            return self._parse_intermixed(args, namespace)
-        split = args.index("--")
-        positionals = self._get_positional_actions()
-        with _not_required(positionals):
-            namespace = self._parse_intermixed(args[:split], namespace)
-        operands = []
-        for action in positionals:
-            value = getattr(namespace, action.dest)
-            operands += [value] if isinstance(value, str) else value or []
-        with _not_required(self._get_optional_actions()):  # read ahead of the `--`
-            return self.parse_args(["--", *operands, *args[split + 1:]], namespace)
-
-    def _parse_intermixed(self, args: list[str], namespace) -> argparse.Namespace:
-        # argparse (CPython 3.10 to 3.13.0 at least) formats the whole usage
-        # on every call and holds it while the positionals are hidden, for
-        # any message it prints itself. deon prints none of them: `error` raises,
-        # and `main` formats the usage after argparse has restored it. Only
-        # `--help`, which prints the help and exits, shows the held text, so
-        # a command line without it holds a placeholder that nothing prints.
-        # The usage is not fixed once at import: argparse wraps it to the
-        # terminal width of each call, and newer versions can colour it.
-        if "--help" in args:
-            return super().parse_intermixed_args(args, namespace)
-        self.usage = argparse.SUPPRESS
-        try:
-            return super().parse_intermixed_args(args, namespace)
-        finally:
-            self.usage = None
+    def read(self, args: list[str]) -> argparse.Namespace:
+        if self.files is None:
+            return self.parse_args(args)
+        namespace, leftovers = self.parse_known_args(args)
+        if leftovers:
+            split = leftovers.index("--") if "--" in leftovers else len(leftovers)
+            self.files.required = False
+            try:
+                self.parse_args(leftovers[:split])
+            finally:
+                self.files.required = True
+            namespace.files += leftovers[:split] + leftovers[split + 1:]
+        return namespace
 
 
 def _budget(text: str, source: str = "--budget") -> int:
@@ -483,7 +455,7 @@ _EXPLAIN.set_defaults(explain=True)
 _VALIDATE = _Parser("deon validate", validate.__doc__)
 _SAT_DEBUG = _Parser("deon sat-debug", sat_debug.__doc__)
 for _command in (_CHECK, _EXPLAIN, _VALIDATE):
-    _command.add_argument("files", nargs="+", metavar="FILE")
+    _command.files = _command.add_argument("files", nargs="+", metavar="FILE")
     _command.add_argument("--format", dest="fmt", choices=("human", "json"), default="human",
                           help="output rendering (default: human)")
 for _command in (_CHECK, _EXPLAIN):
@@ -522,8 +494,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _DEON
     try:
         run, parser = _COMMANDS[_command(args)]
-        # Intermixed, so options may follow files, as in `check A --format json B`.
-        return run(**vars(parser.parse_intermixed_args(args[1:])))
+        return run(**vars(parser.read(args[1:])))
     except UsageError as exc:
         sys.stderr.write(f"{parser.format_usage()}{parser.prog}: error: {exc}\n")
         return EXIT_USAGE

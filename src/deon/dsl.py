@@ -708,50 +708,34 @@ def parse_scenario(
 # Printing
 
 
-_LEVEL_FORALL = 0
-_LEVEL_IMPLIES = 1
-_LEVEL_OR = 2
-_LEVEL_AND = 3
-_LEVEL_NOT = 4
-
-
-def _formula_level(f: Formula) -> int:
-    if isinstance(f, ForAll):
-        return _LEVEL_FORALL
-    if isinstance(f, Implies):
-        return _LEVEL_IMPLIES
-    if isinstance(f, Or):
-        return _LEVEL_OR
-    if isinstance(f, And):
-        return _LEVEL_AND
-    if isinstance(f, Not):
-        return _LEVEL_NOT
-    return _LEVEL_NOT + 1
+#: How tightly each node binds; a part that binds less tightly than its
+#: place asks for is parenthesized.
+_LEVEL = {ForAll: 0, Implies: 1, Or: 2, And: 3, Not: 4, AtomF: 5}
 
 
 def format_formula(f: Formula, min_level: int = 0) -> str:
     """Source syntax for a formula, minimal parentheses."""
-    if _formula_level(f) < min_level:
+    level = _LEVEL.get(type(f))
+    if level is None:
+        raise ValueError(f"{type(f).__name__} nodes have no source syntax")
+    if level < min_level:
         return f"({format_formula(f, 0)})"
     if isinstance(f, ForAll):
         return f"forall {f.var.name}. {format_formula(f.body, 0)}"
     if isinstance(f, Implies):
-        left = format_formula(f.antecedent, _LEVEL_IMPLIES + 1)
-        right = format_formula(f.consequent, _LEVEL_IMPLIES)
-        return f"{left} -> {right}"
+        left = format_formula(f.antecedent, level + 1)
+        return f"{left} -> {format_formula(f.consequent, level)}"
     if isinstance(f, Or):
         if len(f.parts) < 2:
             raise ValueError("degenerate disjunction has no source syntax")
-        return " or ".join(format_formula(p, _LEVEL_OR + 1) for p in f.parts)
+        return " or ".join(format_formula(p, level + 1) for p in f.parts)
     if isinstance(f, And):
         if len(f.parts) < 2:
             raise ValueError("degenerate conjunction has no source syntax")
-        return " and ".join(format_formula(p, _LEVEL_AND + 1) for p in f.parts)
+        return " and ".join(format_formula(p, level + 1) for p in f.parts)
     if isinstance(f, Not):
-        return f"not {format_formula(f.body, _LEVEL_NOT)}"
-    if isinstance(f, AtomF):
-        return str(f.atom)
-    raise ValueError(f"{type(f).__name__} nodes have no source syntax")
+        return f"not {format_formula(f.body, level)}"
+    return str(f.atom)
 
 
 def print_scenario(scenario: Scenario) -> str:

@@ -45,13 +45,15 @@ class Model:
     values: tuple[bool, ...]
 
     def satisfies(self, cs: GroundClauseSet | TheoryQuery) -> bool:
-        """Whether every clause of `cs.clauses` holds, read in the numbering
-        the clauses are stored in: a `TheoryQuery` stores its theory's, not
-        the query numbering `solve` returns its witness in."""
-        # truth[lit] is the value of literal lit; a negative literal indexes
-        # the mirrored upper half, which holds the negated values.
+        """Whether every clause of `cs` holds, read in the numbering `solve`
+        returns its witness in: a `TheoryQuery` is read through its
+        `clause_set`, the query in query numbering."""
+        if isinstance(cs, TheoryQuery):
+            cs = cs.clause_set
         if len(self.values) < cs.num_vars:
             raise LogicError("model does not cover the clause set's variables")
+        # truth[lit] is the value of literal lit; a negative literal indexes
+        # the mirrored upper half, which holds the negated values.
         truth = [False, *self.values, *[not v for v in reversed(self.values)]]
         get = truth.__getitem__
         return all(any(map(get, cl)) for cl in cs.clauses)

@@ -94,7 +94,10 @@ USAGE_ERRORS = {
     "zero-budget": (["check", "--budget", "0", "{theft}"], {}, None),
     "non-integer-budget": (["check", "--budget", "abc", "{theft}"], {}, None),
     "non-integer-env-budget": (["check", "{theft}"], {"DEON_BUDGET": "abc"}, None),
-    "unknown-option": (["check", "--bogus", "{theft}"], {}, None),
+    "unknown-option": (["check", "--bogus", "{theft}"], {}, "unrecognized arguments: --bogus"),
+    "unknown-option-between-files": (
+        ["check", "{theft}", "--bogus", "{bus}"], {}, "unrecognized arguments: --bogus",
+    ),
     "unknown-option-alone": (["--bogus"], {}, "unrecognized arguments: --bogus"),
     "unknown-option-before-command": (
         ["--bogus", "check", "{theft}"], {}, "unrecognized arguments: --bogus",
@@ -105,6 +108,10 @@ USAGE_ERRORS = {
     "explain-explain": (["explain", "--explain", "{theft}"], {}, None),
     "sat-debug-without-clauses": (["sat-debug", "{theft}"], {}, None),
     "sat-debug-two-files": (["sat-debug", "{theft}", "{bus}", "--clauses", "gen:steal"], {}, None),
+    "sat-debug-unknown-option-last": (
+        ["sat-debug", "--clauses", "gen:steal", "{theft}", "--bogus"], {},
+        "unrecognized arguments: --bogus",
+    ),
     "sat-debug-unknown-plan": (
         ["sat-debug", "{theft}", "--clauses", "gen:ghost"], {},
         "unknown plan 'ghost' in --clauses",
@@ -143,6 +150,27 @@ def test_options_may_follow_files(capsys, paths):
     assert code == EXIT_UNETHICAL
     singles = [run(capsys, "check", "--format", "json", paths[n])[1] for n in ("theft", "bus")]
     assert json.loads(out) == [json.loads(single) for single in singles]
+    # Files keep their argument order around an option and a `--`.
+    code, out, _ = run(capsys, "check", paths["bus"], "--format", "json", paths["theft"], "--",
+                       paths["merge"])
+    assert code == EXIT_UNETHICAL
+    assert [doc["scenario"] for doc in json.loads(out)] == ["bus", "theft", "merge"]
+
+
+@pytest.mark.parametrize("options", [[], ["--format", "json"]])
+def test_an_unknown_option_between_files_is_named_alone(capsys, paths, options):
+    code, out, err = run(capsys, "check", paths["theft"], *options, "--bogus", paths["bus"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.splitlines()[-1].endswith("error: unrecognized arguments: --bogus")
+
+
+def test_a_negative_number_after_an_option_is_a_file(capsys, paths, monkeypatch, tmp_path):
+    # argparse reads `-1` as an operand, as it reads `-`, wherever it stands.
+    monkeypatch.chdir(tmp_path)
+    Path("-1").write_bytes(Path(paths["bus"]).read_bytes())
+    code, out, err = run(capsys, "check", paths["theft"], "--format", "json", "-1")
+    assert (code, err) == (EXIT_UNETHICAL, "")
+    assert [doc["scenario"] for doc in json.loads(out)] == ["theft", "bus"]
 
 
 def test_budget_option_wins_over_a_bad_env_var(capsys, paths, monkeypatch):
@@ -228,6 +256,10 @@ def test_a_check_formats_no_usage(capsys, paths, monkeypatch):
     code, out, err = run(capsys, "check", "--format", "json", paths["theft"])
     assert (code, err) == (EXIT_UNETHICAL, "")
     assert out == (Path(__file__).parent / "snapshots" / "theft.json").read_text()
+    # Files after an option are left over by the first parse and read by a second.
+    code, out, err = run(capsys, "check", paths["theft"], "--format", "json", paths["bus"])
+    assert (code, err) == (EXIT_UNETHICAL, "")
+    assert [doc["scenario"] for doc in json.loads(out)] == ["theft", "bus"]
 
 
 def test_check_runs_without_click(paths):

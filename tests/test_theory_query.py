@@ -21,9 +21,11 @@ and the reference solver, and leave the theory as it was.
 from __future__ import annotations
 
 import random
+import runpy
 import sys
 import threading
 from collections import Counter
+from pathlib import Path
 
 import pytest
 import reference_logic
@@ -31,6 +33,8 @@ from reference_sat import solve as reference_solve
 from test_query_differential import random_formula
 from test_sat_differential import outcome
 
+from deon import scenarios
+from deon.dsl import parse_scenario
 from deon.logic import (
     Atom,
     AtomF,
@@ -42,6 +46,7 @@ from deon.logic import (
     agent_const,
     compile_fragment,
 )
+from deon.principles import Witness, evaluate
 from deon.sat import DEFAULT_BUDGET, BudgetExhausted, solve
 
 BUDGETS = (DEFAULT_BUDGET, 1, 2, 3, 4, 5)
@@ -274,3 +279,27 @@ def test_solves_in_threads_never_share_an_index():
     assert not any(thread.is_alive() for thread in threads)
     assert results == [expected * 20] * 4
     assert 1 <= len(theory.solver_indexes) <= 4
+
+
+def benchmark_sources() -> list[str]:
+    """The first three seed-1 `scaling` and `fixpoint` instances, drawn as
+    the benchmark draws them."""
+    generate = runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench" / "generate.py"))
+    scaling, fixpoint = random.Random("scaling:1"), random.Random("fixpoint:1")
+    return [generate["scaling_scenario"](scaling, 7, 1, 3, 3, 1 / 3).text for _ in range(3)] + [
+        generate["fixpoint_scenario"](fixpoint, 12).text for _ in range(3)
+    ]
+
+
+def test_every_recorded_witness_satisfies_its_own_query():
+    # `solve` returns a witness in query numbering, the numbering in which
+    # `Model.satisfies` reads a `TheoryQuery`: through its `clause_set`.
+    sources = [scenarios.source(name) for name in scenarios.NAMES] + benchmark_sources()
+    witnesses = 0
+    for source in sources:
+        for recorded in evaluate(parse_scenario(source).scenario).queries:
+            if isinstance(recorded.evidence, Witness):
+                witnesses += 1
+                assert recorded.evidence.model.satisfies(recorded.query), recorded.check
+                assert recorded.evidence.model.satisfies(recorded.clause_set), recorded.check
+    assert witnesses > 12
