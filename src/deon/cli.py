@@ -85,7 +85,8 @@ def _combine(codes: list[int]) -> int:
 
 
 def _model_doc(query, model) -> dict[str, bool]:
-    return {str(atom): value for atom, value in model.atom_values(query).items()}
+    # Each atom keeps its text, so a witness names its atoms without rebuilding them.
+    return dict(zip(map(str, query.atoms), model.values))
 
 
 def _pairs(model: dict[str, bool]) -> str:

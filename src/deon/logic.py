@@ -13,12 +13,17 @@ plan's ground action. All of them take closed formulas, as
 `scenario.validate` admits them: a free variable is never closed
 implicitly, and clause conversion rejects its atom.
 
-Everything here is immutable but one cache, and every operation is a pure
-function, so formulas and clause sets can be shared between concurrent
+Formulas, clause sets and queries are immutable, and every operation on
+them is a pure function, so they can be shared between concurrent
 evaluations without coordination. Clause sets and queries fill in tables
 derived from their fields on first read; two threads doing so at once build
-equal ones. The one mutable cache is `GroundClauseSet.solver_indexes`, where
-`sat.solve` keeps a theory's watch indexes between solves.
+equal ones. Two things are mutable. `GroundClauseSet.solver_indexes` is
+where `sat.solve` keeps a theory's watch indexes between solves. A
+`Grounding` is the table of one evaluation, through which all of its
+clause conversion passes ground: it numbers the constants, keys atoms by
+those numbers and makes one `Atom` per ground atom. It grows as the
+evaluation grounds, so it belongs to that evaluation alone; no value keeps
+a number of it where equality or hashing could see it.
 """
 
 from __future__ import annotations
@@ -99,15 +104,17 @@ def object_var(name: str) -> Term:
 class Atom:
     """A predicate applied to terms. Ground when all args are constants.
 
-    Atoms are hashed several times over while each query is assembled, so
-    the hash is cached on first use. Its value is the one the dataclass
-    would compute, `hash((predicate, args))`, so set and dict order is
-    unchanged; a pickled atom leaves the cached value behind.
+    The hash is cached on first use, and so is the text: one evaluation
+    makes one atom per ground atom (see `Grounding`), and prints a witness
+    atom by name in every query that has it. The hash is the one the
+    dataclass would compute, `hash((predicate, args))`, so set and dict
+    order is unchanged; a pickled atom leaves both cached values behind.
     """
 
     predicate: str
     args: tuple[Term, ...] = ()
     _hash = None  # the cached hash; not a field, since it has no annotation
+    _str = None  # the cached text, likewise
 
     def __hash__(self) -> int:
         value = self._hash
@@ -124,10 +131,12 @@ class Atom:
         return all(not t.is_var for t in self.args)
 
     def __str__(self) -> str:
-        name = self.predicate.lstrip("@")
-        if not self.args:
-            return name
-        return f"{name}({', '.join(str(t) for t in self.args)})"
+        text = self._str
+        if text is None:
+            name = self.predicate.lstrip("@")
+            text = f"{name}({', '.join(str(t) for t in self.args)})" if self.args else name
+            object.__setattr__(self, "_str", text)
+        return text
 
 
 @dataclass(frozen=True)
@@ -271,8 +280,9 @@ def substitute_signed(sa: SignedAtom, binding: Mapping[Term, Term]) -> SignedAto
 # Grounding
 
 
-def _domain(var: Term, agents: Sequence[Term], objects: Sequence[Term]) -> Sequence[Term]:
-    """The constants that the quantified variable `var` ranges over, by its sort."""
+def _domain(var: Term, agents: Sequence, objects: Sequence) -> Sequence:
+    """The domain that the quantified variable `var` ranges over, by its
+    sort: the constants, or their numbers in a `Grounding`."""
     domain = agents if var.sort == AGENT else objects
     if not domain:
         raise GroundingError(f"empty {var.sort} domain for quantified variable {var.name}")
@@ -332,13 +342,17 @@ class GroundClauseSet:
     is nonzero and names one of the variables. The fields are immutable.
     Two things are filled in on first use: `variables`, a lookup table
     derived from `atoms`, and `solver_indexes`, where `sat.solve` keeps the
-    watch index of these clauses between solves.
+    watch index of these clauses between solves. A fragment compiled
+    through an evaluation's `Grounding` also keeps that table and its key
+    table, from each atom's key to its variable, in `_keys`; neither takes
+    part in equality.
     """
 
     atoms: tuple[Atom, ...]
     aux_count: int
     clauses: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...] = ()
+    _keys = None  # (grounding, key table), set by `compile_fragment`; not a field
 
     def __post_init__(self) -> None:
         if self.labels and len(self.labels) != len(self.clauses):
@@ -446,10 +460,8 @@ class TheoryQuery:
         is named by its range: a theory atom, a theory aux variable (after
         the plan's in query numbering), a plan atom the theory lacks, or a
         plan aux variable."""
-        theory, plan_aux = self.theory, self.plan_aux_count
+        theory, plan_aux, new_atoms = self.theory, self.plan_aux_count, self._new_atoms
         theory_atoms, first_new = len(theory.atoms), theory.num_vars + 1
-        known = theory.variables
-        new_atoms = [atom for atom in self.plan_atoms if atom not in known]
         first_plan_aux = first_new + len(new_atoms)
 
         def name(var: int) -> str:
@@ -464,6 +476,13 @@ class TheoryQuery:
         return " or ".join(
             name(lit) if lit > 0 else f"not {name(-lit)}" for lit in self.clauses[clause_index]
         )
+
+    @cached_property
+    def _new_atoms(self) -> tuple[Atom, ...]:
+        """The plan's atoms the theory lacks, in solver order: those whose
+        solver variable comes after the theory's."""
+        last = self.theory.num_vars
+        return tuple([atom for atom, var in zip(self.plan_atoms, self.order[1:]) if var > last])
 
     @cached_property
     def clause_set(self) -> GroundClauseSet:
@@ -482,73 +501,202 @@ class TheoryQuery:
         )
 
 
-class _Encoder:
-    """Grounding fused with definitional clause encoding.
+class _Slots(Formula):
+    """A compiled atom: `predicate` over the frame's values at `slots`."""
 
-    `add` walks a formula with a binding environment, as `ground` does, and
-    emits its clauses at once. A `ForAll` encodes as `conj` of its instances
-    in domain order, and at the top level splits like `And`, so the clauses,
-    their order and labels are those of encoding the ground formula, which
-    is never built. An empty domain raises `GroundingError`, and an atom
-    left non-ground, such as one naming a free variable, `LogicError`.
+    __slots__ = ("predicate", "slots")
 
-    Atoms take provisional ids on first sight and aux variables in encoding
-    order: `slots[p - 1]` is id p's atom index in `atoms`, or `~j` for aux
-    variable j. `renamed` gives the clauses in the caller's numbering, one
-    table lookup per literal.
+    def __init__(self, predicate: str, slots: tuple[int, ...]) -> None:
+        self.predicate = predicate
+        self.slots = slots
+
+
+class _Bind(Formula):
+    """A compiled quantifier: `body` once per constant of `var`'s domain,
+    with the constant's number pushed on the frame."""
+
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: Term, body: Formula) -> None:
+        self.var = var
+        self.body = body
+
+
+class Grounding:
+    """The grounding table of one evaluation, shared by each of its clause
+    conversion passes: `compile_fragment`'s and `ClauseBuilder`'s.
+
+    It numbers each term once: the agents, then the objects, in domain
+    order, then any other term a formula names, on first sight, such as a
+    universalization trigger's plan object. An atom's key is its predicate
+    followed by its arguments' numbers, and `atom` makes one `Atom` per key
+    for the whole evaluation, rejecting one that is not ground, such as an
+    atom naming a free variable, when it makes it. It finds the atoms of the
+    first fragment compiled through it, its `base`, by that fragment's key
+    table, which the fragment keeps anyway, and every other atom it made in
+    `atoms`, so the largest table of atoms is not kept twice.
+
+    `template` compiles a quantifier once for all of its instances. An atom
+    becomes its predicate and one slot per argument (`_Slots`): n for the
+    term numbered n, or -k for the variable of the binder k levels out
+    from the atom, the innermost being -1. The frame a template is walked
+    in holds every term's number at its own index, and each binder pushes
+    its constant on it while the walk is inside, so an instance's key is
+    read off the frame by slot.
+
+    A table grows as its evaluation grounds, so it belongs to that
+    evaluation: `QueryCompiler` makes one, and no thread shares it.
     """
 
     def __init__(self, agents: Sequence[Term] = (), objects: Sequence[Term] = ()) -> None:
-        self.agents = agents
-        self.objects = objects
-        self.ids: dict[tuple[str, tuple[Term, ...]], int] = {}
+        self.terms: list[Term] = []
+        self.numbers: dict[Term, int] = {}
+        self.variables = False  # whether a variable has a number
+        self.agents = [self.number(t) for t in agents]
+        self.objects = [self.number(t) for t in objects]
+        self.atoms: dict[tuple, Atom] = {}
+        # The key table and atoms of the first fragment compiled through the table.
+        self.base: tuple[dict[tuple, int], Sequence[Atom]] | None = None
+
+    def number(self, term: Term) -> int:
+        n = self.numbers.get(term)
+        if n is None:
+            n = self.numbers[term] = len(self.terms)
+            self.terms.append(term)
+            self.variables = self.variables or term.is_var
+        return n
+
+    def key(self, atom: Atom) -> tuple:
+        """The key of `atom`, met where no variable is bound."""
+        try:
+            return (atom.predicate, *map(self.numbers.__getitem__, atom.args))
+        except KeyError:
+            return (atom.predicate, *map(self.number, atom.args))
+
+    def atom(self, key: tuple, atom: Atom | None = None, keep: bool = True) -> Atom:
+        """The one atom of `key`: found in `atoms` or the base fragment, or
+        else made, from `atom`, the atom keyed, if given, and kept in
+        `atoms` if `keep`."""
+        known = self.atoms.get(key)
+        if known is not None:
+            return known
+        if self.base is not None:
+            var = self.base[0].get(key)
+            if var is not None:
+                return self.base[1][var - 1]
+        if atom is None:
+            atom = Atom(key[0], tuple(map(self.terms.__getitem__, key[1:])))
+        if self.variables and not atom.is_ground():
+            raise LogicError(f"non-ground atom {atom} in clause conversion")
+        if keep:
+            self.atoms[key] = atom
+        return atom
+
+    def template(self, f: ForAll) -> tuple[_Bind, list[int]]:
+        """Quantifier `f`, met where no variable is bound, compiled, and a
+        frame to walk it in: every term's number at its own index."""
+        bind = self._compiled(f, {}, 0)
+        return bind, list(range(len(self.terms)))
+
+    def _compiled(self, node: Formula, scope: dict[Term, int], level: int) -> Formula:
+        """`node`, met under `level` binders, compiled; `scope` maps their
+        variables to their levels, an inner binder shadowing an outer one of
+        its variable. Compiling raises nothing: a node that is no formula
+        stays as it is, for the walk to reject."""
+        if isinstance(node, AtomF):
+            return _Slots(node.atom.predicate, tuple([
+                scope[t] - level if t in scope else self.number(t) for t in node.atom.args
+            ]))
+        if isinstance(node, Not):
+            return Not(self._compiled(node.body, scope, level))
+        if isinstance(node, And):
+            return And(tuple([self._compiled(p, scope, level) for p in node.parts]))
+        if isinstance(node, Or):
+            return Or(tuple([self._compiled(p, scope, level) for p in node.parts]))
+        if isinstance(node, Implies):
+            return Implies(self._compiled(node.antecedent, scope, level),
+                           self._compiled(node.consequent, scope, level))
+        if isinstance(node, ForAll):
+            return _Bind(node.var, self._compiled(node.body, {**scope, node.var: level}, level + 1))
+        return node
+
+
+class _Encoder:
+    """Grounding fused with definitional clause encoding, through one
+    `Grounding`.
+
+    `add` walks a formula and emits its clauses at once. An atom met where
+    no variable is bound is keyed as it stands (`Grounding.key`); a
+    quantifier met there is compiled (`Grounding.template`), and its
+    instances are walked with the frame of bound values, each atom keyed by
+    its slots. A quantifier encodes as `conj` of its instances in domain
+    order, and at the top level splits like `And`, so the clauses, their
+    order and labels are those of encoding the ground formula, which is
+    never built. An empty domain raises `GroundingError`, and an atom left
+    non-ground, such as one naming a free variable, `LogicError`, each when
+    the walk reaches it.
+
+    Atoms take provisional ids on first sight, in `ids` by key, and aux
+    variables in encoding order: `places[p - 1]` is id p's atom index in
+    `atoms`, or `~j` for aux variable j. `renamed` gives the clauses in the
+    caller's numbering, one table lookup per literal. The pass that compiles
+    the table's base fragment makes its atoms without `keep`ing them in the
+    table, which finds them through the fragment once it is compiled.
+    """
+
+    def __init__(self, grounding: Grounding, keep: bool = True) -> None:
+        self.grounding = grounding
+        self.keep = keep  # whether the table keeps the atoms this pass makes
+        self.ids: dict[tuple, int] = {}
         self.atoms: list[Atom] = []
-        self.slots: list[int] = []
+        self.places: list[int] = []
         self.aux_count = 0
         self.clauses: list[tuple[int, ...]] = []
         self.labels: list[str] = []
 
     def add(self, f: Formula, label: str) -> None:
         before = len(self.clauses)
-        self._assert(f, {})
+        self._assert(f, [])
         self.labels += [label] * (len(self.clauses) - before)
 
-    def _var(self, atom: Atom, env: dict[Term, Term]) -> int:
-        args = atom.args
-        if env and args:
-            args = tuple([env.get(t, t) if t.is_var else t for t in args])
-        key = (atom.predicate, args)
+    def _var(self, key: tuple, atom: Atom | None = None) -> int:
         var = self.ids.get(key)
         if var is None:
-            if args is not atom.args:
-                atom = Atom(atom.predicate, args)
-            if not atom.is_ground():
-                raise LogicError(f"non-ground atom {atom} in clause conversion")
-            self.slots.append(len(self.atoms))
+            atom = self.grounding.atom(key, atom, self.keep)
+            self.places.append(len(self.atoms))
             self.atoms.append(atom)
-            var = self.ids[key] = len(self.slots)
+            var = self.ids[key] = len(self.places)
         return var
 
     def _new_aux(self) -> int:
-        self.slots.append(~self.aux_count)
+        self.places.append(~self.aux_count)
         self.aux_count += 1
-        return len(self.slots)
+        return len(self.places)
 
-    def _lit(self, f: Formula, env: dict[Term, Term]) -> int:
+    def _lit(self, f: Formula, frame: list[int]) -> int:
+        if isinstance(f, _Slots):
+            return self._var((f.predicate, *map(frame.__getitem__, f.slots)))
         if isinstance(f, AtomF):
-            return self._var(f.atom, env)
+            return self._var(self.grounding.key(f.atom), f.atom)
         if isinstance(f, Not):
-            return -self._lit(f.body, env)
+            return -self._lit(f.body, frame)
         if isinstance(f, Or):
-            return self._or([self._lit(p, env) for p in f.parts])
+            return self._or([self._lit(p, frame) for p in f.parts])
         if isinstance(f, Implies):
-            return self._or([-self._lit(f.antecedent, env), self._lit(f.consequent, env)])
+            return self._or([-self._lit(f.antecedent, frame), self._lit(f.consequent, frame)])
         if isinstance(f, And):
-            return self._and([self._lit(p, env) for p in f.parts])
+            return self._and([self._lit(p, frame) for p in f.parts])
+        if isinstance(f, _Bind):
+            body, lits = f.body, []
+            domain = _domain(f.var, self.grounding.agents, self.grounding.objects)
+            frame.append(0)
+            for c in domain:
+                frame[-1] = c
+                lits.append(self._lit(body, frame))
+            frame.pop()
+            return self._and(lits)
         if isinstance(f, ForAll):
-            var, body = f.var, f.body
-            domain = _domain(var, self.agents, self.objects)
-            return self._and([self._lit(body, {**env, var: c}) for c in domain])
+            return self._lit(*self.grounding.template(f))
         raise LogicError(f"cannot encode {type(f).__name__} node")
 
     def _and(self, lits: list[int]) -> int:
@@ -578,31 +726,41 @@ class _Encoder:
             emit((v, -lit))
         return v
 
-    def _assert(self, f: Formula, env: dict[Term, Term]) -> None:
+    def _assert(self, f: Formula, frame: list[int]) -> None:
         # Keep top-level structure flat: conjunctions and quantifiers split
         # into their parts and a top disjunction/implication becomes one clause.
         if isinstance(f, And):
             for p in f.parts:
-                self._assert(p, env)
+                self._assert(p, frame)
+        elif isinstance(f, _Bind):
+            body = f.body
+            domain = _domain(f.var, self.grounding.agents, self.grounding.objects)
+            frame.append(0)
+            for c in domain:
+                frame[-1] = c
+                self._assert(body, frame)
+            frame.pop()
         elif isinstance(f, ForAll):
-            var, body = f.var, f.body
-            for c in _domain(var, self.agents, self.objects):
-                self._assert(body, {**env, var: c})
+            self._assert(*self.grounding.template(f))
         elif isinstance(f, Implies):
-            self.clauses.append((-self._lit(f.antecedent, env), self._lit(f.consequent, env)))
+            self.clauses.append((-self._lit(f.antecedent, frame), self._lit(f.consequent, frame)))
         elif isinstance(f, Or) and f.parts:
-            self.clauses.append(tuple([self._lit(p, env) for p in f.parts]))
+            self.clauses.append(tuple([self._lit(p, frame) for p in f.parts]))
         elif isinstance(f, Or):  # empty disjunction: unsatisfiable
             v = self._new_aux()
             self.clauses += [(v,), (-v,)]
         else:
-            self.clauses.append((self._lit(f, env),))
+            self.clauses.append((self._lit(f, frame),))
 
-    def renamed(self, atom_vars: Sequence[int], first_aux: int) -> list[tuple[int, ...]]:
-        """The clauses with atom i as variable `atom_vars[i]` and aux variable
-        j as `first_aux + j`."""
+    def table(self, atom_vars: Sequence[int], first_aux: int) -> list[int]:
+        """The renaming of provisional ids with atom i as variable
+        `atom_vars[i]` and aux variable j as `first_aux + j`."""
         last = first_aux - 1
-        get = _rename_table([atom_vars[s] if s >= 0 else last - s for s in self.slots]).__getitem__
+        return _rename_table([atom_vars[s] if s >= 0 else last - s for s in self.places])
+
+    def renamed(self, table: list[int]) -> list[tuple[int, ...]]:
+        """The clauses renamed by `table`."""
+        get = table.__getitem__
         return [tuple(map(get, cl)) for cl in self.clauses]
 
 
@@ -614,27 +772,29 @@ def _rename_table(variables: list[int]) -> list[int]:
 
 
 def _against(
-    parts: Sequence[tuple[Formula, str]],
-    theory: GroundClauseSet,
-    agents: Sequence[Term],
-    objects: Sequence[Term],
+    parts: Sequence[tuple[Formula, str]], theory: GroundClauseSet, grounding: Grounding
 ) -> TheoryQuery:
-    encoder = _Encoder(agents, objects)
+    encoder = _Encoder(grounding)
     for formula, label in parts:
         encoder.add(formula, label)
     # The theory's variables keep their numbers; the plan's other atoms
-    # follow them, then the plan's aux variables.
+    # follow them, then the plan's aux variables. A theory compiled through
+    # the same table is looked up by the plans' keys, any other by atom.
     atoms = tuple(encoder.atoms)
-    known = theory.variables
+    keys = theory._keys
+    if keys is not None and keys[0] is grounding:
+        known, plan = keys[1], encoder.ids
+    else:
+        known, plan = theory.variables, atoms
     atom_vars: list[int] = []
     last = theory.num_vars
-    for atom in atoms:
-        var = known.get(atom)
+    for item in plan:
+        var = known.get(item)
         if var is None:
             last += 1
             var = last
         atom_vars.append(var)
-    plan_clauses = tuple(encoder.renamed(atom_vars, last + 1))
+    plan_clauses = tuple(encoder.renamed(encoder.table(atom_vars, last + 1)))
     n = last + encoder.aux_count
     _check_range(plan_clauses, n)
     # The query numbering: the plan's atoms, the theory's other atoms in
@@ -662,6 +822,8 @@ def compile_fragment(
     parts: Iterable[tuple[Formula, str]],
     agents: Sequence[Term] = (),
     objects: Sequence[Term] = (),
+    *,
+    grounding: Grounding | None = None,
 ) -> GroundClauseSet:
     """The clause set of labeled closed formulas grounded over `agents` and
     `objects`, numbered on its own: a fragment compiled once and made the
@@ -672,15 +834,32 @@ def compile_fragment(
     occurrence across the parts, then aux variables in encoding order. A
     free variable is not closed: its atom raises `LogicError`. The clauses'
     literal range is checked once, on construction.
+
+    `grounding`, an evaluation's table, replaces the domains: the fragment
+    is grounded through it over its domains, and keeps the encoder's key
+    table, rewritten to map each atom's key to its variable, so a
+    `ClauseBuilder` on the same table maps its plan atoms onto the fragment
+    by key. The first fragment compiled through a table becomes its base.
     """
-    encoder = _Encoder(agents, objects)
+    base = grounding is not None and grounding.base is None
+    encoder = _Encoder(Grounding(agents, objects) if grounding is None else grounding, not base)
     for formula, label in parts:
         encoder.add(formula, label)
     k = len(encoder.atoms)
-    return GroundClauseSet(
-        tuple(encoder.atoms), encoder.aux_count,
-        tuple(encoder.renamed(range(1, k + 1), k + 1)), tuple(encoder.labels),
+    table = encoder.table(range(1, k + 1), k + 1)
+    fragment = GroundClauseSet(
+        tuple(encoder.atoms), encoder.aux_count, tuple(encoder.renamed(table)),
+        tuple(encoder.labels),
     )
+    if grounding is not None:
+        # Each key's provisional id becomes its variable, the very int the clauses hold.
+        ids = encoder.ids
+        for key, p in ids.items():
+            ids[key] = table[p]
+        object.__setattr__(fragment, "_keys", (grounding, ids))
+        if base:
+            grounding.base = ids, fragment.atoms
+    return fragment
 
 
 class ClauseBuilder:
@@ -697,17 +876,25 @@ class ClauseBuilder:
     variable, `LogicError`. With no domains, the default, every part must
     already be ground.
 
+    `grounding`, an evaluation's table, replaces the domains: the parts are
+    grounded through it, and their atoms are mapped onto a theory compiled
+    through the same table by key, onto any other theory by atom.
+
     `build` gives a `TheoryQuery`: the parts followed by the theory
     fragment, solved without renaming the theory. Its `clause_set` is what
     `compile_fragment` makes of the same parts followed by the theory.
     """
 
     def __init__(
-        self, theory: GroundClauseSet, agents: Sequence[Term] = (), objects: Sequence[Term] = ()
+        self,
+        theory: GroundClauseSet,
+        agents: Sequence[Term] = (),
+        objects: Sequence[Term] = (),
+        *,
+        grounding: Grounding | None = None,
     ) -> None:
         self._theory = theory
-        self._agents = agents
-        self._objects = objects
+        self._grounding = Grounding(agents, objects) if grounding is None else grounding
         self._parts: list[tuple[Formula, str]] = []
 
     def add(self, formula: Formula, label: str = "") -> "ClauseBuilder":
@@ -715,4 +902,4 @@ class ClauseBuilder:
         return self
 
     def build(self) -> TheoryQuery:
-        return _against(self._parts, self._theory, self._agents, self._objects)
+        return _against(self._parts, self._theory, self._grounding)

@@ -22,6 +22,7 @@ from .logic import (
     ClauseBuilder,
     Formula,
     GroundClauseSet,
+    Grounding,
     TRUE,
     Term,
     TheoryQuery,
@@ -250,12 +251,15 @@ class QueryCompiler:
     one clause fragment on first use (`_theory`), in one flat pass that
     grounds it over the scenario's domains (`compile_fragment`). Plan parts
     are grounded the same way, in the one pass of `ClauseBuilder` that
-    encodes them. The one ground formula a query is built from is a plan's
-    action part: `_action`, `ground`'s last caller, keeps it for the atom
-    set that `_independent` reads. Every agent without belief constraints
-    shares one fragment of the physics alone, compiled once per evaluation;
-    each believing agent's pass grounds the physics again, ahead of its
-    beliefs.
+    encodes them. Every pass grounds through `grounding`, the evaluation's
+    one `Grounding`: each constant is numbered once, atoms are keyed by
+    those numbers, each ground atom is one `Atom`, and a query's plan atoms
+    are mapped onto its theory by key. The one ground formula a query is
+    built from is a plan's action part: `_action`, `ground`'s last caller,
+    keeps it for the atom set that `_independent` reads. Every agent
+    without belief constraints shares one fragment of the physics alone,
+    compiled once per evaluation; each believing agent's pass grounds the
+    physics again, ahead of its beliefs.
 
     A query is a `TheoryQuery` against its agent's fragment: only its plan
     parts are encoded, in the fragment's numbering, and it is solved over
@@ -306,6 +310,7 @@ class QueryCompiler:
         self.scenario = scenario
         self.budget = budget
         self.queries: dict[tuple[str, ...], ModalQuery] = {}
+        self.grounding = Grounding(scenario.agents, scenario.objects)
         # The key None holds the physics alone, shared by every agent without beliefs.
         self._theories: dict[Term | None, GroundClauseSet] = {}
         self._actions: dict[str, tuple[tuple[Formula, str], frozenset[Atom]]] = {}
@@ -325,17 +330,14 @@ class QueryCompiler:
                 label = f"rational constraint of agent {agent.name}"
                 parts = [(f, "physical constraint") for f in constraints.physical]
                 parts += [(f, label) for f in beliefs]
-                theory = self._theories[key] = compile_fragment(
-                    parts, self.scenario.agents, self.scenario.objects
-                )
+                theory = self._theories[key] = compile_fragment(parts, grounding=self.grounding)
             self._theories[agent] = theory
         return theory
 
     def _query(self, agent: Term, parts: Iterable[tuple[Formula, str]]) -> TheoryQuery:
         """The closed `(formula, label)` plan parts, in order, grounded as they
         are encoded, then `agent`'s theory."""
-        scenario = self.scenario
-        builder = ClauseBuilder(self._theory(agent), scenario.agents, scenario.objects)
+        builder = ClauseBuilder(self._theory(agent), grounding=self.grounding)
         for formula, label in parts:
             builder.add(formula, label)
         return builder.build()

@@ -16,6 +16,9 @@ node that `ground` expands into one flat conjunction of material
 conditionals. `deon.logic.ground` binds variables through an environment
 and grounds `ActionPlan.universal_adoption()` as an ordinary formula.
 
+`conversion_error` is the oracle for the errors of the engine's one-pass
+grounding and conversion: which error it raises first, and its text.
+
 The oracle for the clause conversion lives here as well:
 `evaluate_formula` gives the truth value of a ground formula under an
 assignment, and `to_clauses` converts one formula with the engine's
@@ -208,6 +211,48 @@ def _ordered_free_vars(f: Formula) -> list[Term]:
 
     go(f, frozenset())
     return seen
+
+
+def conversion_error(
+    parts: Sequence[tuple[Formula, str]], agents: Sequence[Term], objects: Sequence[Term]
+) -> tuple[type, str] | None:
+    """The error that grounding and converting `parts` in one pass raises
+    first, as its type and text, or None if there is none.
+
+    The pass meets the parts in order, and each formula in syntactic order,
+    one instance of a quantifier after another in domain order. It stops at
+    the first quantifier over an empty domain (`GroundingError`), the first
+    atom still not ground once the bound variables are replaced
+    (`LogicError`), or the first node it cannot encode. Free variables are
+    not closed and sorts are not checked: a bound variable is replaced by
+    whatever constant the domain holds.
+    """
+
+    def go(node: Formula, env: dict[Term, Term]) -> None:
+        if isinstance(node, AtomF):
+            atom = Atom(node.atom.predicate, tuple(env.get(t, t) for t in node.atom.args))
+            if not atom.is_ground():
+                raise LogicError(f"non-ground atom {atom} in clause conversion")
+        elif isinstance(node, ForAll):
+            domain = agents if node.var.sort == AGENT else objects
+            if not domain:
+                raise GroundingError(
+                    f"empty {node.var.sort} domain for quantified variable {node.var.name}"
+                )
+            for c in domain:
+                go(node.body, {**env, node.var: c})
+        elif isinstance(node, (Not, And, Or, Implies)):
+            for child in children(node):
+                go(child, env)
+        else:
+            raise LogicError(f"cannot encode {type(node).__name__} node")
+
+    try:
+        for formula, _ in parts:
+            go(formula, {})
+    except LogicError as error:
+        return type(error), str(error)
+    return None
 
 
 class ClauseBuilder:

@@ -12,6 +12,7 @@ threads.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import random
@@ -27,6 +28,7 @@ from test_roundtrip_property import scenario_texts
 from test_sat_differential import CHAIN_RULE
 
 from deon import principles, scenarios
+from deon.cli import render_structured
 from deon.dsl import parse_scenario
 from deon.logic import (
     AGENT,
@@ -37,6 +39,7 @@ from deon.logic import (
     ClauseBuilder,
     ForAll,
     Formula,
+    Grounding,
     GroundingError,
     Implies,
     LogicError,
@@ -254,9 +257,10 @@ def theory_parts(scenario, agent) -> list:
 def test_agents_without_beliefs_share_one_physics_fragment(monkeypatch):
     compiled: list = []
 
-    def recording_compile(parts, agents=(), objects=()):
+    def recording_compile(parts, *args, **kwargs):
+        # Forwards what the engine passes: the evaluation's grounding table.
         compiled.append(parts)
-        return compile_fragment(parts, agents, objects)
+        return compile_fragment(parts, *args, **kwargs)
 
     monkeypatch.setattr(principles, "compile_fragment", recording_compile)
     bus = load("bus")
@@ -550,6 +554,33 @@ def test_random_quantified_formulas_compile_like_reference():
     assert min(outcomes.values()) >= 20 and len(outcomes) == 4, outcomes
 
 
+def test_random_unclosed_formulas_fail_or_compile_like_reference():
+    # Free variables are left in place, so some atoms stay non-ground. The
+    # one-pass conversion raises the reference's first error, with its type
+    # and text, or compiles the reference's clause set: on a table of its
+    # own, and on one table shared by every list of parts over the domains.
+    rng = random.Random(0xE440)
+    domains = (*DOMAINS, (DOMAINS[1][0], ()))
+    shared = [Grounding(agents, objects) for agents, objects in domains]
+    outcomes: Counter = Counter()
+    for _ in range(300):
+        parts = [(random_quantified(rng, rng.randint(1, 4)), "") for _ in range(rng.randint(1, 3))]
+        for (agents, objects), table in zip(domains, shared):
+            error = reference_logic.conversion_error(parts, agents, objects)
+            for compile_parts in (
+                lambda: compile_fragment(parts, agents, objects),
+                lambda: compile_fragment(parts, grounding=table),
+            ):
+                if error is None:
+                    assert compile_parts() == reference_fragment(parts, agents, objects), parts
+                else:
+                    with pytest.raises(LogicError) as raised:
+                        compile_parts()
+                    assert (type(raised.value), str(raised.value)) == error, parts
+            outcomes["compiles" if error is None else error[0].__name__] += 1
+    assert min(outcomes.values()) >= 50 and len(outcomes) == 3, outcomes
+
+
 PART_SORTS = {"want": (AGENT,), "act": (AGENT,), "at": (AGENT, OBJECT), "near": (OBJECT,), "rain": ()}
 
 
@@ -607,10 +638,11 @@ def random_plan_parts(rng: random.Random, agents, objects) -> list:
     return parts[:rng.randint(1, len(parts))]
 
 
-def plan_query(theory, parts, agents=(), objects=()):
+def plan_query(theory, parts, agents=(), objects=(), grounding=None):
     """The query of `parts` against `theory`, grounded over `agents` and
-    `objects` as they are encoded; with no domains, they must be ground."""
-    builder = ClauseBuilder(theory, agents, objects)
+    `objects`, or through `grounding`, as they are encoded; with neither,
+    they must be ground."""
+    builder = ClauseBuilder(theory, agents, objects, grounding=grounding)
     for formula, label in parts:
         builder.add(formula, label)
     return builder.build()
@@ -628,22 +660,28 @@ def test_fused_plan_parts_build_like_ground_then_build():
         physics = [(random_part(rng, agents, objects, rng.randint(0, 3)), "physical")
                    for _ in range(rng.randint(0, 2))]
         theory = compile_fragment(physics if objects else [], agents, objects)
+        # The engine's way: the theory and the query ground through one table.
+        table = Grounding(agents, objects)
+        shared = compile_fragment(physics if objects else [], grounding=table)
         parts = random_plan_parts(rng, agents, objects)
         try:
             ground_parts = [(ground(f, agents, objects), label) for f, label in parts]
         except GroundingError as error:
-            with pytest.raises(GroundingError) as raised:
-                plan_query(theory, parts, agents, objects)
-            assert str(raised.value) == str(error), parts
+            for build in (lambda: plan_query(theory, parts, agents, objects),
+                          lambda: plan_query(shared, parts, grounding=table)):
+                with pytest.raises(GroundingError) as raised:
+                    build()
+                assert str(raised.value) == str(error), parts
             outcomes["raises"] += 1
             continue
         expected = plan_query(theory, ground_parts)
-        query = plan_query(theory, parts, agents, objects)
-        assert query == expected, parts
-        assert (query.order, query.clauses, query.atoms) == (
-            expected.order, expected.clauses, expected.atoms
-        ), parts
-        assert query.clause_set == expected.clause_set, parts
+        for query in (plan_query(theory, parts, agents, objects),
+                      plan_query(shared, parts, grounding=table)):
+            assert query == expected, parts
+            assert (query.order, query.clauses, query.atoms) == (
+                expected.order, expected.clauses, expected.atoms
+            ), parts
+            assert query.clause_set == expected.clause_set, parts
         outcomes["builds", bool(objects)] += 1
     assert min(outcomes.values()) >= 20 and len(outcomes) == 3, outcomes
 
@@ -661,6 +699,90 @@ def test_fused_plan_parts_reject_a_free_variable_like_ground_then_build():
     assert str(fused.value) == str(grounded.value) == (
         "non-ground atom at(a, u) in clause conversion"
     )
+
+
+def p(*args) -> AtomF:
+    return AtomF(Atom("p", args))
+
+
+_A, _X, _Y, _Z = agent_const("a"), agent_var("x"), agent_var("y"), object_var("z")
+#: Constant outside both domains.
+_K = object_const("k")
+#: Labeled parts over agents a and b and no objects, and the error they
+#: raise first (None: they compile).
+ERROR_CASES = {
+    "free variable, then empty domain": (
+        [(And((p(_A), p(_X), ForAll(_Z, p(_Z)))), "")],
+        "non-ground atom p(x) in clause conversion",
+    ),
+    "empty domain, then free variable": (
+        [(And((p(_A), ForAll(_Z, p(_Z)), p(_X))), "")],
+        "empty object domain for quantified variable z",
+    ),
+    "free variable under a binder, then empty domain": (
+        [(ForAll(_X, Implies(p(_X, _Y), ForAll(_Z, p(_Z)))), "")],
+        "non-ground atom p(a, y) in clause conversion",
+    ),
+    "empty domain under a binder, then free variable": (
+        [(ForAll(_X, Or((ForAll(_Z, p(_X, _Z)), p(_X, _Y)))), "")],
+        "empty object domain for quantified variable z",
+    ),
+    "free variable part, then empty domain part": (
+        [(p(_Y), "one"), (ForAll(_Z, p(_Z)), "two")],
+        "non-ground atom p(y) in clause conversion",
+    ),
+    "empty domain part, then free variable part": (
+        [(ForAll(_Z, p(_Z)), "one"), (p(_Y), "two")],
+        "empty object domain for quantified variable z",
+    ),
+    "free variable under a shadowed binder": (
+        [(ForAll(_X, ForAll(_X, p(_X, _Y))), "")],
+        "non-ground atom p(a, y) in clause conversion",
+    ),
+    "shadowed binder, free variable after it": (
+        [(ForAll(_X, And((ForAll(_X, p(_X)), p(_X, _Y)))), "")],
+        "non-ground atom p(a, y) in clause conversion",
+    ),
+    "constant outside both domains, with a free variable": (
+        [(ForAll(_X, p(_X, _K, _Y)), "")],
+        "non-ground atom p(a, k, y) in clause conversion",
+    ),
+    "constant outside both domains": (
+        [(ForAll(_X, ForAll(_X, p(_X, _K))), ""), (Implies(p(_K), p(_A, _K)), "")],
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ERROR_CASES)
+def test_conversion_raises_the_first_error_with_its_text(case):
+    # Every way parts are converted raises the reference's first error, of
+    # its type and with its text: a fragment on a table of its own or on a
+    # table that earlier passes filled, and plan parts against a theory.
+    parts, text = ERROR_CASES[case]
+    agents, objects = (_A, agent_const("b")), ()
+    error = reference_logic.conversion_error(parts, agents, objects)
+    assert error == (text and (GroundingError if text.startswith("empty") else LogicError, text))
+    table = Grounding(agents, objects)
+    for earlier, _ in ERROR_CASES.values():
+        with contextlib.suppress(LogicError):
+            compile_fragment(earlier, grounding=table)
+    theory = compile_fragment([(p(_A, _K), "")], grounding=table)
+    paths = {
+        "own table": lambda: compile_fragment(parts, agents, objects),
+        "shared table": lambda: compile_fragment(parts, grounding=table),
+        "plan parts": lambda: plan_query(theory, parts, grounding=table),
+        "plan parts, own table": lambda: plan_query(theory, parts, agents, objects),
+    }
+    for path, convert in paths.items():
+        if error is None:
+            convert()
+            continue
+        with pytest.raises(LogicError) as raised:
+            convert()
+        assert (type(raised.value), str(raised.value)) == error, path
+    if error is None:
+        assert compile_fragment(parts, grounding=table) == reference_fragment(parts, agents, objects)
 
 
 # -- no state between calls ------------------------------------------------------------
@@ -725,3 +847,95 @@ def test_concurrent_evaluations_equal_sequential_runs():
     for name in names:
         assert len(results[name]) == 20
         assert all(r == expected[name] for r in results[name])
+
+
+# -- one grounding table per evaluation ------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["pedestrian", "theft", "chain_rule", "fixpoint_12"])
+def test_no_table_number_leaks_between_evaluations(name):
+    # Each evaluation numbers constants and atoms in a table of its own, and
+    # no value it returns compares or prints by those numbers: evaluating
+    # again, or in four threads at once, gives equal verdicts and the same
+    # JSON bytes.
+    scenario = load(name)
+    first = evaluate(scenario)
+    again = evaluate(scenario)
+    assert again == first and render_structured(again) == render_structured(first)
+    assert again.queries == first.queries
+    results: list = []
+    errors: list[Exception] = []
+
+    def work() -> None:
+        try:
+            results.append(evaluate(scenario))
+        except Exception as exc:  # surfaced in the main thread below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-grounding
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and len(results) == 4
+    for result in results:
+        assert result == first and result.queries == first.queries
+        assert render_structured(result) == render_structured(first)
+
+
+@pytest.mark.parametrize("name", SOURCES)
+def test_engine_queries_equal_queries_built_without_a_shared_table(name):
+    # A query the compiler builds through its evaluation's table equals, and
+    # hashes like, the same parts built against a theory compiled alone.
+    scenario = load(name)
+    agents, objects = scenario.agents, scenario.objects
+    compiler = QueryCompiler(scenario)
+    for plan in scenario.plans:
+        theory = compile_fragment(theory_parts(scenario, plan.agent), agents, objects)
+        asked = [list(compiler._generalization_parts(plan))]
+        for other in scenario.plans:
+            if other.agent != plan.agent:
+                asked.append([compiler._action(p)[0] for p in (plan, other)])
+                asked.append([compiler._reasons(p) for p in (plan, other)])
+        for parts in asked:
+            query = compiler._query(plan.agent, parts)
+            alone = plan_query(theory, parts, agents, objects)
+            assert query == alone and hash(query) == hash(alone), parts
+            assert (query.order, query.clauses, query.atoms) == (
+                alone.order, alone.clauses, alone.atoms
+            ), parts
+
+
+@pytest.mark.parametrize("name", [*SOURCES, "clash"])
+def test_conflict_clauses_are_named_as_in_the_query_numbered_set(name):
+    # A query names each clause as its `clause_set` does, without the
+    # theory's atom table: the engine maps plan atoms onto the theory by key.
+    source = CLASHING_AND_COEXISTING if name == "clash" else SOURCES[name]
+    parsed = parse_scenario(source)
+    assert parsed.ok, [str(d) for d in parsed.diagnostics]
+    conflicts = [q.query for q in evaluate(parsed.scenario).queries
+                 if isinstance(q.evidence, QueryConflict)]
+    for query in conflicts:
+        expected = query.clause_set
+        for i in range(len(query.clauses)):
+            assert query.clause_str(i) == expected.clause_str(i), i
+        assert "variables" not in vars(query.theory)
+    if name in ("clash", "fixpoint_12", "theft"):
+        assert conflicts
+
+
+@pytest.mark.parametrize("name", SOURCES)
+def test_an_evaluation_makes_one_atom_per_ground_atom(name):
+    # Every theory and query of one evaluation names a ground atom by the
+    # same object, the one its table made, whichever pass met it first.
+    made: dict = {}
+    for record in evaluate(load(name)).queries:
+        for atom in (*record.query.atoms, *record.query.theory.atoms):
+            assert made.setdefault(atom, atom) is atom, atom
+    assert made
