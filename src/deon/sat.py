@@ -7,9 +7,14 @@ literals per clause, as in Chaff and MiniSat, but it evaluates clauses in
 the order of a Gauss-Seidel sweep over the clause list. That order decides
 which clause propagates each variable and which conflict is found first, so
 conflict explanations do not depend on how propagation is implemented.
-Every witness is checked against every clause before it is returned; the
-check reads the search's own table of literal values, so no model is built
-for it.
+
+The search runs in one loop, as Chaff's and MiniSat's propagation does:
+each pass finds the next literal (a unit the sweep reaches, the flip of a
+decision after a conflict, or a new decision), assigns it and moves the
+watches off its negation in place, with no call per literal. Every witness
+is checked against every clause before it is returned: the literals the
+search's own table of values makes true are gathered into a set, and each
+clause must share one with it, so no model is built for the check.
 
 Inputs and results are immutable. The one state kept between runs is each
 theory's watch index, in `GroundClauseSet.solver_indexes`: a solve borrows
@@ -23,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import repeat
+from itertools import chain, compress
 
 from .logic import Atom, GroundClauseSet, LogicError, TheoryQuery
 
@@ -102,10 +107,31 @@ def _witness(value: list[bool | None], clauses: tuple[tuple[int, ...], ...],
     """The model of a complete assignment, read in `order`, once it is
     checked against every clause. `value[lit]` is the truth of literal
     `lit` (a negative literal indexes the upper half of the list), the
-    layout of `Model.satisfies`' table, so the check reads it in place."""
-    if not all(map(any, map(map, repeat(value.__getitem__), clauses))):
+    layout of `Model.satisfies`' table. The check gathers the literals the
+    table makes true into a set and rejects a clause that shares none of
+    them: a clause holds under the table exactly when one of its literals
+    is true, so this is the table check, made in one pass at C speed."""
+    half = len(value) // 2
+    true = set(compress(chain(range(half + 1), range(-half, 0)), value))
+    if any(map(true.isdisjoint, clauses)):
         raise LogicError("internal error: witness fails a clause")
     return Model(tuple(map(value.__getitem__, order[1:])))
+
+
+def _refutation_path(conflict: int, clauses: Sequence[Sequence[int]], trail: list[int],
+                     reasons: list[int | None], used: set[int]) -> None:
+    """Adds to `used` the clauses of the refutation of the current branch:
+    the conflict clause, resolved backwards through the antecedents of the
+    propagated variables on `trail` until only decision variables remain."""
+    used.add(conflict)
+    open_vars = {abs(lit) for lit in clauses[conflict]}
+    for at in range(len(trail) - 1, -1, -1):
+        var = abs(trail[at])
+        reason = reasons[at]
+        if var in open_vars and reason is not None:
+            used.add(reason)
+            open_vars.discard(var)
+            open_vars |= {abs(lit) for lit in clauses[reason] if abs(lit) != var}
 
 
 def _index(theory: GroundClauseSet) -> tuple[list[list[int]], list[list[int]], list[int]]:
@@ -154,6 +180,22 @@ def solve(cs: GroundClauseSet | TheoryQuery, budget: int = DEFAULT_BUDGET) -> Sa
     antecedent of every propagated variable and therefore the conflict
     explanation are those of that sweep.
 
+    The search is one loop, and each pass of it makes one assignment:
+    - It finds the literal. It pops pending clauses in sweep order until
+      one is unit, whose literal it propagates, or false. On a false clause
+      it records the refutation path and backtracks in place to the latest
+      decision not yet flipped, whose flip is the literal; with none left
+      the set is unsatisfiable. With nothing pending the sweep is over, and
+      the literal is a decision on the lowest unassigned variable, unless
+      every variable is assigned and the witness is checked and returned.
+    - It assigns the literal and rewrites the watches of the clauses that
+      watched its negation, queueing each that is left unit or false at the
+      position where the sweep reaches it next: later in this pass if it
+      lies ahead of the clause just evaluated, else in the next pass.
+    Each assignment so takes the same sweep step as it did when assigning,
+    propagating and backtracking were separate calls, and the counts and
+    the budget check fall on the same steps.
+
     The watch index of the theory's clauses is built by the first solve
     against the theory and kept in `theory.solver_indexes`; each later
     solve borrows it. It adds the plan clauses and the plan's variables to
@@ -166,7 +208,9 @@ def solve(cs: GroundClauseSet | TheoryQuery, budget: int = DEFAULT_BUDGET) -> Sa
     has no true literal and at most one literal that is not false, so a
     borrowed index gives the result a fresh one gives. A solve that finds
     no index to borrow, as one running beside another on the same theory
-    does, builds its own and leaves it for later solves.
+    does, builds its own and leaves it for later solves. A solve stopped by
+    any other exception drops the index it borrowed, since the exception
+    may have struck halfway through rewriting a watch list.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -218,143 +262,122 @@ def solve(cs: GroundClauseSet | TheoryQuery, budget: int = DEFAULT_BUDGET) -> Sa
             watches[cl[1]].append(mt + i)
     pending += [k + ci for ci in units]  # ascending keys already form a heap
     base = 0  # key of index 0 in the current pass
-    pos = -1  # index of the clause being evaluated; -1 before a pass
-
-    def assign(lit: int, reason: int | None) -> None:
-        value[lit] = True
-        value[-lit] = False
-        trail.append(lit)
-        reasons.append(reason)
-        false_lit = -lit
-        kept = []
-        for ci in watches[false_lit]:
-            lits = watched[ci]
-            if lits[0] == false_lit:
-                lits[0] = lits[1]
-                lits[1] = false_lit
-            if value[lits[0]] is True:
-                kept.append(ci)
-                continue
-            for j in range(2, len(lits)):
-                other = lits[j]
-                if value[other] is not False:
-                    lits[1] = other
-                    lits[j] = false_lit
-                    watches[other].append(ci)
-                    break
-            else:
-                kept.append(ci)
-                # A clause behind the sweep position waits for the next pass.
-                at = (ci + k) % m
-                heappush(pending, base + at if at > pos else base + m + at)
-        watches[false_lit] = kept
-
-    def unassign() -> tuple[int, bool]:
-        # Returns the literal and whether it was a decision not yet flipped.
-        # A decision was made on the lowest unassigned query variable, and
-        # every variable assigned after it is unassigned before it, so
-        # undoing it makes its query variable the lowest unassigned again.
-        nonlocal lowest_free
-        lit = trail.pop()
-        value[lit] = value[-lit] = None
-        if reasons.pop() is not None:
-            return lit, False
-        lowest_free, was_flip = branched.pop()
-        return lit, not was_flip
-
-    def propagate() -> int | None:
-        # Evaluates each pending clause as the sweep would, in sweep order.
-        nonlocal base, pos, propagations
-        start = len(trail)
-        try:
-            while pending:
-                key = heappop(pending)
-                pos = key % m
-                base = key - pos
-                unassigned = 0
-                count = 0
-                for lit in clauses[pos]:
-                    v = value[lit]
-                    if v is True:
-                        break
-                    if v is None:
-                        unassigned = lit
-                        count += 1
-                else:
-                    if count == 0:
-                        return pos
-                    if count == 1:
-                        assign(unassigned, pos)
-            return None
-        finally:
-            pending.clear()
-            base, pos = 0, -1
-            propagations += len(trail) - start
-
-    def record_refutation_path(conflict_ci: int) -> None:
-        # Resolve the conflict clause backwards through propagation
-        # antecedents until only decision variables remain; every clause
-        # used in that walk supports the refutation of this branch.
-        used.add(conflict_ci)
-        open_vars = {abs(lit) for lit in clauses[conflict_ci]}
-        for at in range(len(trail) - 1, -1, -1):
-            var = abs(trail[at])
-            reason = reasons[at]
-            if var in open_vars and reason is not None:
-                used.add(reason)
-                open_vars.discard(var)
-                open_vars |= {abs(lit) for lit in clauses[reason] if abs(lit) != var}
+    pos = -1  # index of the clause being evaluated; -1 between sweeps
 
     intact = True
     try:
         while True:
-            conflict = propagate() if pending else None
-            if conflict is not None:
-                record_refutation_path(conflict)
-                retry = 0
-                while trail:
-                    lit, can_flip = unassign()
-                    if can_flip:
-                        retry = -lit
+            # Find the literal to assign next, and its reason clause.
+            while pending:
+                key = heappop(pending)
+                pos = key % m
+                base = key - pos
+                lit = count = 0
+                for x in clauses[pos]:
+                    v = value[x]
+                    if v is True:
                         break
-                if not retry:
-                    return SatResult(
-                        satisfiable=False,
-                        conflict=ConflictExplanation(tuple(sorted(used))),
-                        decisions=decisions,
-                        propagations=propagations,
-                    )
+                    if v is None:
+                        lit = x
+                        count += 1
+                else:
+                    if count == 1:
+                        reason = pos
+                        propagations += 1
+                        break
+                    if count == 0:
+                        _refutation_path(pos, clauses, trail, reasons, used)
+                        pending.clear()
+                        base, pos = 0, -1
+                        # Undo back to the latest decision not yet flipped. A
+                        # decision was made on the lowest unassigned query
+                        # variable, and every variable assigned after it is
+                        # unassigned before it, so undoing it makes its
+                        # query variable the lowest unassigned again.
+                        lit = 0
+                        while trail:
+                            undone = trail.pop()
+                            value[undone] = value[-undone] = None
+                            if reasons.pop() is None:
+                                lowest_free, was_flip = branched.pop()
+                                if not was_flip:
+                                    lit = -undone
+                                    break
+                        if not lit:
+                            return SatResult(
+                                satisfiable=False,
+                                conflict=ConflictExplanation(tuple(sorted(used))),
+                                decisions=decisions,
+                                propagations=propagations,
+                            )
+                        decisions += 1
+                        if decisions > budget:
+                            raise BudgetExhausted(decisions)
+                        branched.append((lowest_free, True))
+                        reason = None
+                        break
+            else:
+                base, pos = 0, -1
+                while lowest_free <= n and value[order[lowest_free]] is not None:
+                    lowest_free += 1
+                if lowest_free > n:
+                    return SatResult(satisfiable=True, model=_witness(value, clauses, order),
+                                     decisions=decisions, propagations=propagations)
                 decisions += 1
                 if decisions > budget:
                     raise BudgetExhausted(decisions)
-                branched.append((lowest_free, True))
-                assign(retry, None)
-                continue
+                branched.append((lowest_free, False))
+                lit = order[lowest_free]
+                reason = None
 
-            while lowest_free <= n and value[order[lowest_free]] is not None:
-                lowest_free += 1
-            if lowest_free > n:
-                return SatResult(satisfiable=True, model=_witness(value, clauses, order),
-                                 decisions=decisions, propagations=propagations)
-            decisions += 1
-            if decisions > budget:
-                raise BudgetExhausted(decisions)
-            branched.append((lowest_free, False))
-            assign(order[lowest_free], None)
+            # Assign it, and move the watches off its negation.
+            false_lit = -lit
+            value[lit] = True
+            value[false_lit] = False
+            trail.append(lit)
+            reasons.append(reason)
+            kept = []
+            for ci in watches[false_lit]:
+                lits = watched[ci]
+                if lits[0] == false_lit:
+                    lits[0] = lits[1]
+                    lits[1] = false_lit
+                if value[lits[0]] is True:
+                    kept.append(ci)
+                    continue
+                for j in range(2, len(lits)):
+                    other = lits[j]
+                    if value[other] is not False:
+                        lits[1] = other
+                        lits[j] = false_lit
+                        watches[other].append(ci)
+                        break
+                else:
+                    kept.append(ci)
+                    # A clause behind the sweep position waits for the next pass.
+                    at = (ci + k) % m
+                    heappush(pending, base + at if at > pos else base + m + at)
+            watches[false_lit] = kept
     except BudgetExhausted:
         raise
     except BaseException:
-        # An interruption inside `assign` can leave a watch list half
+        # An interruption while assigning can leave a watch list half
         # rewritten, so the index is dropped, not given back.
         intact = False
         raise
     finally:
         if intact:
+            # A plan clause's watch on a plan variable sits in a list that
+            # is dropped whole, so only theory literals' lists are searched.
             for ci in range(mt, m):
                 lits = watched[ci]
                 if len(lits) > 1:
-                    watches[lits[0]].remove(ci)
-                    watches[lits[1]].remove(ci)
+                    lit = lits[0]
+                    if -nt <= lit <= nt:
+                        watches[lit].remove(ci)
+                    lit = lits[1]
+                    if -nt <= lit <= nt:
+                        watches[lit].remove(ci)
             del watched[mt:]
             del watches[nt + 1:2 * n - nt + 1]
             pool.append(index)

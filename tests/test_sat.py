@@ -213,6 +213,39 @@ def test_verified_rejects_a_model_failing_a_negative_clause():
         False, True, False)
 
 
+def test_witness_accepts_exactly_the_models_that_satisfy_every_clause():
+    # `_witness` checks the clauses against the set of literals the table
+    # makes true; on random complete tables, with repeated literals
+    # (`x or x`) and tautologies (`x or not x`) mixed in, it must agree with
+    # the table check of `Model.satisfies`.
+    rng = random.Random(0x5E7)
+    seen = {True: 0, False: 0}
+    for _ in range(3000):
+        n = rng.randint(1, 8)
+        clauses = []
+        for _ in range(rng.randint(1, 6)):
+            clause = [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 3))]
+            kind = rng.random()
+            if kind < 0.15:
+                clause.append(clause[0])
+            elif kind < 0.25:
+                clause.append(-clause[0])
+            rng.shuffle(clause)
+            clauses.append(tuple(clause))
+        cs = clause_set(n, clauses)
+        values = tuple(rng.choice((True, False)) for _ in range(n))
+        order = [0, *rng.sample(range(1, n + 1), n)]
+        holds = Model(values).satisfies(cs)
+        seen[holds] += 1
+        if holds:
+            got = _witness(value_table(values), cs.clauses, order)
+            assert got.values == tuple(values[i - 1] for i in order[1:])
+        else:
+            with pytest.raises(LogicError, match="^internal error: witness fails a clause$"):
+                _witness(value_table(values), cs.clauses, order)
+    assert min(seen.values()) > 500, seen
+
+
 def test_model_must_cover_every_variable():
     cs = clause_set(3, [(1, 2), (-1, -3)])
     with pytest.raises(LogicError, match="does not cover"):

@@ -209,8 +209,10 @@ def test_solves_borrowing_one_theory_index_match_fresh_and_reference_solves():
 
 
 def test_an_interrupted_solve_drops_the_index_it_borrowed(monkeypatch):
-    # An interruption can stop `assign` halfway through rewriting a watch
-    # list, so that index is never given back; the next solve builds one.
+    # An interruption can stop an assignment halfway through rewriting a
+    # watch list (`heappush` queues a clause it left unit), or strike while
+    # the sweep takes its next clause (`heappop`). Either way the index is
+    # never given back; the next solve builds one.
     rng = random.Random(0x1D7)
     pool, theory_parts = random_theory_parts(rng)
     theory_parts += [(random_clause(rng, pool), "clause") for _ in range(4 * len(pool))]
@@ -219,16 +221,17 @@ def test_an_interrupted_solve_drops_the_index_it_borrowed(monkeypatch):
     expected = solved(query, DEFAULT_BUDGET)
     assert len(theory.solver_indexes) == 1
 
-    def interrupted(heap, item):
+    def interrupted(heap, *item):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr("deon.sat.heappush", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        solve(query)
-    monkeypatch.undo()
-    assert theory.solver_indexes == []
-    assert solved(query, DEFAULT_BUDGET) == expected
-    assert len(theory.solver_indexes) == 1
+    for name in ("heappush", "heappop"):
+        monkeypatch.setattr(f"deon.sat.{name}", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            solve(query)
+        monkeypatch.undo()
+        assert theory.solver_indexes == [], name
+        assert solved(query, DEFAULT_BUDGET) == expected, name
+        assert len(theory.solver_indexes) == 1, name
 
 
 def test_a_witness_is_checked_against_every_clause_the_search_missed():
