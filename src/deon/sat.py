@@ -192,9 +192,10 @@ def solve(cs: GroundClauseSet | TheoryQuery, budget: int = DEFAULT_BUDGET) -> Sa
       watched its negation, queueing each that is left unit or false at the
       position where the sweep reaches it next: later in this pass if it
       lies ahead of the clause just evaluated, else in the next pass.
-    Each assignment so takes the same sweep step as it did when assigning,
-    propagating and backtracking were separate calls, and the counts and
-    the budget check fall on the same steps.
+    The sweep position is reset when the queue empties or a conflict clears
+    it, so a decision or a flip starts a new sweep at the first clause. A
+    propagation is counted as its unit is found, and a decision or flip
+    is counted, and checked against the budget, before it is assigned.
 
     The watch index of the theory's clauses is built by the first solve
     against the theory and kept in `theory.solver_indexes`; each later
