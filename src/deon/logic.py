@@ -15,15 +15,18 @@ implicitly, and clause conversion rejects its atom.
 
 Formulas, clause sets and queries are immutable, and every operation on
 them is a pure function, so they can be shared between concurrent
-evaluations without coordination. Clause sets and queries fill in tables
-derived from their fields on first read; two threads doing so at once build
-equal ones. Two things are mutable. `GroundClauseSet.solver_indexes` is
-where `sat.solve` keeps a theory's watch indexes between solves. A
-`Grounding` is the table of one evaluation, through which all of its
-clause conversion passes ground: it numbers the constants, keys atoms by
-those numbers and makes one `Atom` per ground atom. It grows as the
-evaluation grounds, so it belongs to that evaluation alone; no value keeps
-a number of it where equality or hashing could see it.
+evaluations without coordination. Queries fill in tables derived from their
+fields on first read; two threads doing so at once build equal ones. Two
+things are mutable. `GroundClauseSet.solver_indexes` is where `sat.solve`
+keeps a theory's watch indexes between solves. A `Grounding` is the table
+through which clause conversion grounds: it numbers the constants, keys
+atoms by those numbers and makes one `Atom` per ground atom. Every
+fragment keeps the table it was compiled through, and every query against
+it is built through that table, which grows as they are built. So one
+theory's queries, and those of theories compiled through one table, must
+be built in one thread at a time; solving them may run in any thread. An
+evaluation's `QueryCompiler` owns its table and its theories. No value
+keeps a number of a table where equality or hashing could see it.
 """
 
 from __future__ import annotations
@@ -340,12 +343,13 @@ class GroundClauseSet:
 
     Construction checks every clause: each is nonempty and every literal
     is nonzero and names one of the variables. The fields are immutable.
-    Two things are filled in on first use: `variables`, a lookup table
-    derived from `atoms`, and `solver_indexes`, where `sat.solve` keeps the
-    watch index of these clauses between solves. A fragment compiled
-    through an evaluation's `Grounding` also keeps that table and its key
-    table, from each atom's key to its variable, in `_keys`; neither takes
-    part in equality.
+    `solver_indexes`, filled in on first use, is where `sat.solve` keeps
+    the watch index of these clauses between solves. A fragment that
+    `compile_fragment` made also keeps, in `_keys`, the `Grounding` it was
+    compiled through and its key table, from each atom's key to its
+    variable; neither takes part in equality. A set made any other way, by
+    hand, as a `TheoryQuery.clause_set` or as a `dataclasses.replace`
+    copy, keeps neither, and no query can be built against it.
     """
 
     atoms: tuple[Atom, ...]
@@ -362,11 +366,6 @@ class GroundClauseSet:
     @property
     def num_vars(self) -> int:
         return len(self.atoms) + self.aux_count
-
-    @cached_property
-    def variables(self) -> dict[Atom, int]:
-        """Each atom's variable, made on first use: atom i is variable i + 1."""
-        return dict(zip(self.atoms, range(1, len(self.atoms) + 1)))
 
     @cached_property
     def solver_indexes(self) -> list:
@@ -523,8 +522,9 @@ class _Bind(Formula):
 
 
 class Grounding:
-    """The grounding table of one evaluation, shared by each of its clause
-    conversion passes: `compile_fragment`'s and `ClauseBuilder`'s.
+    """A grounding table, shared by every clause conversion pass through it:
+    `compile_fragment`'s for each fragment compiled through it, and
+    `ClauseBuilder`'s for each query built against those fragments.
 
     It numbers each term once: the agents, then the objects, in domain
     order, then any other term a formula names, on first sight, such as a
@@ -534,7 +534,9 @@ class Grounding:
     atom naming a free variable, when it makes it. It finds the atoms of the
     first fragment compiled through it, its `base`, by that fragment's key
     table, which the fragment keeps anyway, and every other atom it made in
-    `atoms`, so the largest table of atoms is not kept twice.
+    `atoms`, so the largest table of atoms is not kept twice. The pass that
+    compiles the base keeps none of the atoms it makes in `atoms`: its own
+    key table finds them until it becomes the base.
 
     `template` compiles a quantifier once for all of its instances. An atom
     becomes its predicate and one slot per argument (`_Slots`): n for the
@@ -544,8 +546,11 @@ class Grounding:
     its constant on it while the walk is inside, so an instance's key is
     read off the frame by slot.
 
-    A table grows as its evaluation grounds, so it belongs to that
-    evaluation: `QueryCompiler` makes one, and no thread shares it.
+    A table grows as fragments are compiled through it and as queries are
+    built against them, so no two threads may ground through it at once:
+    the queries against the theories compiled through one table are built
+    in one thread at a time. `QueryCompiler` makes one table per evaluation
+    and owns the theories compiled through it.
     """
 
     def __init__(self, agents: Sequence[Term] = (), objects: Sequence[Term] = ()) -> None:
@@ -573,22 +578,23 @@ class Grounding:
         except KeyError:
             return (atom.predicate, *map(self.number, atom.args))
 
-    def atom(self, key: tuple, atom: Atom | None = None, keep: bool = True) -> Atom:
+    def atom(self, key: tuple, atom: Atom | None = None) -> Atom:
         """The one atom of `key`: found in `atoms` or the base fragment, or
         else made, from `atom`, the atom keyed, if given, and kept in
-        `atoms` if `keep`."""
+        `atoms` once the table has a base."""
         known = self.atoms.get(key)
         if known is not None:
             return known
-        if self.base is not None:
-            var = self.base[0].get(key)
+        base = self.base
+        if base is not None:
+            var = base[0].get(key)
             if var is not None:
-                return self.base[1][var - 1]
+                return base[1][var - 1]
         if atom is None:
             atom = Atom(key[0], tuple(map(self.terms.__getitem__, key[1:])))
         if self.variables and not atom.is_ground():
             raise LogicError(f"non-ground atom {atom} in clause conversion")
-        if keep:
+        if base is not None:
             self.atoms[key] = atom
         return atom
 
@@ -639,14 +645,11 @@ class _Encoder:
     Atoms take provisional ids on first sight, in `ids` by key, and aux
     variables in encoding order: `places[p - 1]` is id p's atom index in
     `atoms`, or `~j` for aux variable j. `renamed` gives the clauses in the
-    caller's numbering, one table lookup per literal. The pass that compiles
-    the table's base fragment makes its atoms without `keep`ing them in the
-    table, which finds them through the fragment once it is compiled.
+    caller's numbering, one table lookup per literal.
     """
 
-    def __init__(self, grounding: Grounding, keep: bool = True) -> None:
+    def __init__(self, grounding: Grounding) -> None:
         self.grounding = grounding
-        self.keep = keep  # whether the table keeps the atoms this pass makes
         self.ids: dict[tuple, int] = {}
         self.atoms: list[Atom] = []
         self.places: list[int] = []
@@ -662,7 +665,7 @@ class _Encoder:
     def _var(self, key: tuple, atom: Atom | None = None) -> int:
         var = self.ids.get(key)
         if var is None:
-            atom = self.grounding.atom(key, atom, self.keep)
+            atom = self.grounding.atom(key, atom)
             self.places.append(len(self.atoms))
             self.atoms.append(atom)
             var = self.ids[key] = len(self.places)
@@ -771,25 +774,23 @@ def _rename_table(variables: list[int]) -> list[int]:
     return [0, *variables, *[-var for var in reversed(variables)]]
 
 
-def _against(
-    parts: Sequence[tuple[Formula, str]], theory: GroundClauseSet, grounding: Grounding
-) -> TheoryQuery:
+def _against(parts: Sequence[tuple[Formula, str]], theory: GroundClauseSet) -> TheoryQuery:
+    if theory._keys is None:
+        raise LogicError(
+            "a query's theory has no grounding table: compile the theory with compile_fragment"
+        )
+    grounding, known = theory._keys
     encoder = _Encoder(grounding)
     for formula, label in parts:
         encoder.add(formula, label)
     # The theory's variables keep their numbers; the plan's other atoms
-    # follow them, then the plan's aux variables. A theory compiled through
-    # the same table is looked up by the plans' keys, any other by atom.
+    # follow them, then the plan's aux variables. The plan is grounded
+    # through the theory's table, so each plan atom is looked up by its key.
     atoms = tuple(encoder.atoms)
-    keys = theory._keys
-    if keys is not None and keys[0] is grounding:
-        known, plan = keys[1], encoder.ids
-    else:
-        known, plan = theory.variables, atoms
     atom_vars: list[int] = []
     last = theory.num_vars
-    for item in plan:
-        var = known.get(item)
+    for key in encoder.ids:
+        var = known.get(key)
         if var is None:
             last += 1
             var = last
@@ -819,15 +820,13 @@ def _against(
 
 
 def compile_fragment(
-    parts: Iterable[tuple[Formula, str]],
-    agents: Sequence[Term] = (),
-    objects: Sequence[Term] = (),
-    *,
-    grounding: Grounding | None = None,
+    parts: Iterable[tuple[Formula, str]], grounding: Grounding | None = None
 ) -> GroundClauseSet:
-    """The clause set of labeled closed formulas grounded over `agents` and
-    `objects`, numbered on its own: a fragment compiled once and made the
-    theory of many queries.
+    """The clause set of labeled closed formulas grounded through
+    `grounding` over its domains, numbered on its own: a fragment compiled
+    once and made the theory of many queries. With no table, the default,
+    a fresh `Grounding()` without domains is used, so every quantifier is
+    refused; `Grounding(agents, objects)` gives the domains.
 
     One pass grounds and encodes (`_Encoder`), giving what `ClauseBuilder`'s
     conversion makes of the ground formulas. Atoms are numbered by first
@@ -835,14 +834,15 @@ def compile_fragment(
     free variable is not closed: its atom raises `LogicError`. The clauses'
     literal range is checked once, on construction.
 
-    `grounding`, an evaluation's table, replaces the domains: the fragment
-    is grounded through it over its domains, and keeps the encoder's key
-    table, rewritten to map each atom's key to its variable, so a
-    `ClauseBuilder` on the same table maps its plan atoms onto the fragment
-    by key. The first fragment compiled through a table becomes its base.
+    The fragment keeps its table and the encoder's key table, rewritten to
+    map each atom's key to its variable, so a `ClauseBuilder` against it
+    grounds through the same table and maps its plan atoms onto the
+    fragment by key. The first fragment compiled through a table becomes
+    its base.
     """
-    base = grounding is not None and grounding.base is None
-    encoder = _Encoder(Grounding(agents, objects) if grounding is None else grounding, not base)
+    if grounding is None:
+        grounding = Grounding()
+    encoder = _Encoder(grounding)
     for formula, label in parts:
         encoder.add(formula, label)
     k = len(encoder.atoms)
@@ -851,14 +851,13 @@ def compile_fragment(
         tuple(encoder.atoms), encoder.aux_count, tuple(encoder.renamed(table)),
         tuple(encoder.labels),
     )
-    if grounding is not None:
-        # Each key's provisional id becomes its variable, the very int the clauses hold.
-        ids = encoder.ids
-        for key, p in ids.items():
-            ids[key] = table[p]
-        object.__setattr__(fragment, "_keys", (grounding, ids))
-        if base:
-            grounding.base = ids, fragment.atoms
+    # Each key's provisional id becomes its variable, the very int the clauses hold.
+    ids = encoder.ids
+    for key, p in ids.items():
+        ids[key] = table[p]
+    object.__setattr__(fragment, "_keys", (grounding, ids))
+    if grounding.base is None:
+        grounding.base = ids, fragment.atoms
     return fragment
 
 
@@ -867,34 +866,25 @@ class ClauseBuilder:
 
     Conversion is definitional: fresh atoms name compound subformulas instead
     of distributing disjunctions, so size stays linear. Satisfiability, not
-    logical equivalence, is the contract. `build` grounds the parts over
-    `agents` and `objects` and encodes them in the same pass, as
-    `compile_fragment` does, so a part's clauses, labels, atoms and aux
-    variables are those of building `ground(part, agents, objects)`, which
-    is never built. A quantifier over an empty domain raises
-    `GroundingError`, and an atom left non-ground, such as one naming a free
-    variable, `LogicError`. With no domains, the default, every part must
-    already be ground.
-
-    `grounding`, an evaluation's table, replaces the domains: the parts are
-    grounded through it, and their atoms are mapped onto a theory compiled
-    through the same table by key, onto any other theory by atom.
+    logical equivalence, is the contract. `build` grounds the parts through
+    the theory's own `Grounding`, over its domains, and encodes them in the
+    same pass, as `compile_fragment` does, so a part's clauses, labels,
+    atoms and aux variables are those of building `ground(part, agents,
+    objects)`, which is never built, and each atom the parts share with
+    the theory is the theory's own `Atom`. A quantifier over an empty
+    domain raises `GroundingError`, and an atom left non-ground, such as
+    one naming a free variable, `LogicError`. So does a theory that
+    `compile_fragment` did not make, for it has no table.
 
     `build` gives a `TheoryQuery`: the parts followed by the theory
     fragment, solved without renaming the theory. Its `clause_set` is what
     `compile_fragment` makes of the same parts followed by the theory.
+    Building grows the theory's table, so one theory's queries are built
+    in one thread at a time; a built query may be solved in any thread.
     """
 
-    def __init__(
-        self,
-        theory: GroundClauseSet,
-        agents: Sequence[Term] = (),
-        objects: Sequence[Term] = (),
-        *,
-        grounding: Grounding | None = None,
-    ) -> None:
+    def __init__(self, theory: GroundClauseSet) -> None:
         self._theory = theory
-        self._grounding = Grounding(agents, objects) if grounding is None else grounding
         self._parts: list[tuple[Formula, str]] = []
 
     def add(self, formula: Formula, label: str = "") -> "ClauseBuilder":
@@ -902,4 +892,4 @@ class ClauseBuilder:
         return self
 
     def build(self) -> TheoryQuery:
-        return _against(self._parts, self._theory, self._grounding)
+        return _against(self._parts, self._theory)

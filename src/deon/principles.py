@@ -249,12 +249,14 @@ class QueryCompiler:
     and `_query` is the one place it is built. Each agent's theory, the
     physics followed by the agent's belief constraints, is compiled into
     one clause fragment on first use (`_theory`), in one flat pass that
-    grounds it over the scenario's domains (`compile_fragment`). Plan parts
-    are grounded the same way, in the one pass of `ClauseBuilder` that
-    encodes them. Every pass grounds through `grounding`, the evaluation's
-    one `Grounding`: each constant is numbered once, atoms are keyed by
-    those numbers, each ground atom is one `Atom`, and a query's plan atoms
-    are mapped onto its theory by key. The one ground formula a query is
+    grounds it over the scenario's domains through `grounding`, the
+    evaluation's one `Grounding` (`compile_fragment`). Plan parts are
+    grounded the same way, in the one pass of `ClauseBuilder` that encodes
+    them, through their theory's table, which is that one: each constant
+    is numbered once, atoms are keyed by those numbers, each ground atom is
+    one `Atom`, and a query's plan atoms are mapped onto its theory by key. The compiler owns the table and the
+    theories compiled through it, so one compiler builds queries in one
+    thread at a time. The one ground formula a query is
     built from is a plan's action part: `_action`, `ground`'s last caller,
     keeps it for the atom set that `_independent` reads. Every agent
     without belief constraints shares one fragment of the physics alone,
@@ -330,14 +332,14 @@ class QueryCompiler:
                 label = f"rational constraint of agent {agent.name}"
                 parts = [(f, "physical constraint") for f in constraints.physical]
                 parts += [(f, label) for f in beliefs]
-                theory = self._theories[key] = compile_fragment(parts, grounding=self.grounding)
+                theory = self._theories[key] = compile_fragment(parts, self.grounding)
             self._theories[agent] = theory
         return theory
 
     def _query(self, agent: Term, parts: Iterable[tuple[Formula, str]]) -> TheoryQuery:
         """The closed `(formula, label)` plan parts, in order, grounded as they
         are encoded, then `agent`'s theory."""
-        builder = ClauseBuilder(self._theory(agent), grounding=self.grounding)
+        builder = ClauseBuilder(self._theory(agent))
         for formula, label in parts:
             builder.add(formula, label)
         return builder.build()

@@ -187,7 +187,9 @@ class Scenario:
     """One scenario: its agent and object domains and everything empirical.
 
     `agents` and `objects` are the agent and object constants in
-    declaration order, the domains `ground` quantifies over.
+    declaration order, the domains quantifiers range over: clause
+    conversion grounds through a `Grounding` of them, and `ground` takes
+    them as they are.
     """
 
     name: str
@@ -370,7 +372,7 @@ def _rule_findings(scenario: Scenario) -> list[Diagnostic]:
             _check_name(term)
             if finding := declare_constant(constants, term.name, sort):
                 add(f"{sort} {term.name}", *finding)
-            if term != Term(sort, term.name):  # `ground` quantifies over terms as they are
+            if term != Term(sort, term.name):  # quantifiers range over the terms as they are
                 add(f"{sort} {term.name}", "kind-mismatch",
                     f"{term.name} should be an {sort} constant")
 

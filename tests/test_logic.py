@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pickle
 import random
@@ -16,6 +17,8 @@ from deon.logic import (
     AtomF,
     ClauseBuilder,
     ForAll,
+    GroundClauseSet,
+    Grounding,
     GroundingError,
     Implies,
     LogicError,
@@ -193,7 +196,7 @@ def test_a_free_variable_is_left_for_clause_conversion_to_reject():
         And((f, atom("D", object_const("o"))))
     )
     with pytest.raises(LogicError, match=r"^non-ground atom C\(x\) in clause conversion$"):
-        compile_fragment([(f, "")], (A, B))
+        compile_fragment([(f, "")], Grounding((A, B)))
 
 
 def test_ground_errors():
@@ -239,6 +242,26 @@ def test_to_clauses_rejects_modal_and_nonground():
         compile_fragment([(atom("C", x), "")])
     with pytest.raises(LogicError):
         ClauseBuilder(compile_fragment([])).add(atom("C", x)).build()
+
+
+@pytest.mark.parametrize("kind", ["by hand", "a query's clause set", "a replaced copy"])
+def test_a_query_against_a_theory_without_a_grounding_table_is_refused(kind):
+    # A query grounds through its theory's table, which only a fragment
+    # `compile_fragment` made keeps.
+    compiled = compile_fragment([(Or((atom("p"), atom("q"))), "theory")])
+    theory = {
+        "by hand": GroundClauseSet((atom("p").atom, atom("q").atom), 0, ((1, 2),), ("theory",)),
+        "a query's clause set": ClauseBuilder(compiled).add(atom("p")).build().clause_set,
+        "a replaced copy": dataclasses.replace(compiled),
+    }[kind]
+    assert theory == compiled or kind == "a query's clause set"
+    message = "^a query's theory has no grounding table: compile the theory with compile_fragment$"
+    for parts in ([], [atom("p")]):
+        builder = ClauseBuilder(theory)
+        for part in parts:
+            builder.add(part)
+        with pytest.raises(LogicError, match=message):
+            builder.build()
 
 
 def test_clause_builder_labels():

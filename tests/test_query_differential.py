@@ -283,7 +283,7 @@ def test_a_believing_agent_compiles_its_physics_then_its_beliefs_in_one_pass():
     for agent in agents:
         parts = theory_parts(pedestrian, agent)
         theory = compiler._theory(agent)
-        assert theory == compile_fragment(parts, agents, objects), agent
+        assert theory == compile_fragment(parts, Grounding(agents, objects)), agent
         assert theory == reference_fragment(parts, agents, objects), agent
     physics = [compiler._theory(a) for a in agents if a not in believers]
     assert len(physics) == 2 and physics[0] is physics[1]
@@ -544,12 +544,12 @@ def test_random_quantified_formulas_compile_like_reference():
                 expected = reference_fragment(parts, agents, objects)
             except GroundingError as error:
                 with pytest.raises(GroundingError) as raised:
-                    compile_fragment(parts, agents, objects)
+                    compile_fragment(parts, Grounding(agents, objects))
                 assert str(raised.value) == str(error), parts
                 outcomes[objects, "raises"] += 1
                 continue
             outcomes[objects, "compiles"] += 1
-            assert compile_fragment(parts, agents, objects) == expected, parts
+            assert compile_fragment(parts, Grounding(agents, objects)) == expected, parts
     # Every domain compiles some lists, and the empty object domain rejects some.
     assert min(outcomes.values()) >= 20 and len(outcomes) == 4, outcomes
 
@@ -568,8 +568,8 @@ def test_random_unclosed_formulas_fail_or_compile_like_reference():
         for (agents, objects), table in zip(domains, shared):
             error = reference_logic.conversion_error(parts, agents, objects)
             for compile_parts in (
-                lambda: compile_fragment(parts, agents, objects),
-                lambda: compile_fragment(parts, grounding=table),
+                lambda: compile_fragment(parts, Grounding(agents, objects)),
+                lambda: compile_fragment(parts, table),
             ):
                 if error is None:
                     assert compile_parts() == reference_fragment(parts, agents, objects), parts
@@ -638,45 +638,49 @@ def random_plan_parts(rng: random.Random, agents, objects) -> list:
     return parts[:rng.randint(1, len(parts))]
 
 
-def plan_query(theory, parts, agents=(), objects=(), grounding=None):
-    """The query of `parts` against `theory`, grounded over `agents` and
-    `objects`, or through `grounding`, as they are encoded; with neither,
-    they must be ground."""
-    builder = ClauseBuilder(theory, agents, objects, grounding=grounding)
+def plan_query(theory, parts):
+    """The query of `parts` against `theory`, grounded through the theory's
+    table, over its domains, as they are encoded."""
+    builder = ClauseBuilder(theory)
     for formula, label in parts:
         builder.add(formula, label)
     return builder.build()
 
 
 def test_fused_plan_parts_build_like_ground_then_build():
-    # `ClauseBuilder` given the domains grounds each part as it encodes it;
-    # the query is the one built from the parts `ground` gives. Over an empty
-    # object domain both paths refuse an object quantifier with one text.
+    # `ClauseBuilder` grounds each part through its theory's table as it
+    # encodes it; the query is the one built from the parts `ground` gives,
+    # against a theory of its own. Over an empty object domain both paths
+    # refuse an object quantifier with one text.
     rng = random.Random(0xF05E)
+    earlier_rng = random.Random(0xEA21)
     outcomes: Counter = Counter()
     for _ in range(300):
         agents = tuple(agent_const(f"a{i}") for i in range(rng.randint(1, 3)))
         objects = tuple(object_const(f"o{i}") for i in range(rng.randint(0, 3)))
         physics = [(random_part(rng, agents, objects, rng.randint(0, 3)), "physical")
                    for _ in range(rng.randint(0, 2))]
-        theory = compile_fragment(physics if objects else [], agents, objects)
-        # The engine's way: the theory and the query ground through one table.
+        physics = physics if objects else []
+        theory = compile_fragment(physics, Grounding(agents, objects))
+        # The engine's way for a believing agent: the theory is compiled on a
+        # table that an earlier pass filled, and the query grounds through it.
         table = Grounding(agents, objects)
-        shared = compile_fragment(physics if objects else [], grounding=table)
+        earlier = [(random_part(earlier_rng, agents, objects, 2), "") for _ in range(2)]
+        with contextlib.suppress(GroundingError):
+            compile_fragment(earlier, table)
+        shared = compile_fragment(physics, table)
         parts = random_plan_parts(rng, agents, objects)
         try:
             ground_parts = [(ground(f, agents, objects), label) for f, label in parts]
         except GroundingError as error:
-            for build in (lambda: plan_query(theory, parts, agents, objects),
-                          lambda: plan_query(shared, parts, grounding=table)):
+            for build in (lambda: plan_query(theory, parts), lambda: plan_query(shared, parts)):
                 with pytest.raises(GroundingError) as raised:
                     build()
                 assert str(raised.value) == str(error), parts
             outcomes["raises"] += 1
             continue
-        expected = plan_query(theory, ground_parts)
-        for query in (plan_query(theory, parts, agents, objects),
-                      plan_query(shared, parts, grounding=table)):
+        expected = plan_query(compile_fragment(physics, Grounding(agents, objects)), ground_parts)
+        for query in (plan_query(theory, parts), plan_query(shared, parts)):
             assert query == expected, parts
             assert (query.order, query.clauses, query.atoms) == (
                 expected.order, expected.clauses, expected.atoms
@@ -687,18 +691,24 @@ def test_fused_plan_parts_build_like_ground_then_build():
 
 
 def test_fused_plan_parts_reject_a_free_variable_like_ground_then_build():
+    # Against a theory on a table of its own and one on a table that an
+    # earlier pass filled.
     agents, objects = (agent_const("a"), agent_const("b")), (object_const("o"),)
-    theory = compile_fragment([], agents, objects)
     free = AtomF(Atom("at", (agent_var("x"), object_var("u"))))
+    want = AtomF(Atom("want", (agent_var("x"),)))
     parts = [(AtomF(Atom("want", (agent_const("a"),))), ""),
-             (ForAll(agent_var("x"), Implies(AtomF(Atom("want", (agent_var("x"),))), free)), "")]
-    with pytest.raises(LogicError) as fused:
-        plan_query(theory, parts, agents, objects)
-    with pytest.raises(LogicError) as grounded:
-        plan_query(theory, [(ground(f, agents, objects), label) for f, label in parts])
-    assert str(fused.value) == str(grounded.value) == (
-        "non-ground atom at(a, u) in clause conversion"
-    )
+             (ForAll(agent_var("x"), Implies(want, free)), "")]
+    table = Grounding(agents, objects)
+    compile_fragment([(ForAll(agent_var("x"), want), "")], table)
+    for theory in (compile_fragment([], Grounding(agents, objects)), compile_fragment([], table)):
+        with pytest.raises(LogicError) as fused:
+            plan_query(theory, parts)
+        with pytest.raises(LogicError) as grounded:
+            plan_query(compile_fragment([], Grounding(agents, objects)),
+                       [(ground(f, agents, objects), label) for f, label in parts])
+        assert str(fused.value) == str(grounded.value) == (
+            "non-ground atom at(a, u) in clause conversion"
+        )
 
 
 def p(*args) -> AtomF:
@@ -758,7 +768,8 @@ ERROR_CASES = {
 def test_conversion_raises_the_first_error_with_its_text(case):
     # Every way parts are converted raises the reference's first error, of
     # its type and with its text: a fragment on a table of its own or on a
-    # table that earlier passes filled, and plan parts against a theory.
+    # table that earlier passes filled, and plan parts against a theory on
+    # either kind of table.
     parts, text = ERROR_CASES[case]
     agents, objects = (_A, agent_const("b")), ()
     error = reference_logic.conversion_error(parts, agents, objects)
@@ -766,13 +777,14 @@ def test_conversion_raises_the_first_error_with_its_text(case):
     table = Grounding(agents, objects)
     for earlier, _ in ERROR_CASES.values():
         with contextlib.suppress(LogicError):
-            compile_fragment(earlier, grounding=table)
-    theory = compile_fragment([(p(_A, _K), "")], grounding=table)
+            compile_fragment(earlier, table)
+    theory = compile_fragment([(p(_A, _K), "")], table)
+    own = compile_fragment([(p(_A, _K), "")], Grounding(agents, objects))
     paths = {
-        "own table": lambda: compile_fragment(parts, agents, objects),
-        "shared table": lambda: compile_fragment(parts, grounding=table),
-        "plan parts": lambda: plan_query(theory, parts, grounding=table),
-        "plan parts, own table": lambda: plan_query(theory, parts, agents, objects),
+        "own table": lambda: compile_fragment(parts, Grounding(agents, objects)),
+        "shared table": lambda: compile_fragment(parts, table),
+        "plan parts": lambda: plan_query(theory, parts),
+        "plan parts, own table": lambda: plan_query(own, parts),
     }
     for path, convert in paths.items():
         if error is None:
@@ -782,7 +794,7 @@ def test_conversion_raises_the_first_error_with_its_text(case):
             convert()
         assert (type(raised.value), str(raised.value)) == error, path
     if error is None:
-        assert compile_fragment(parts, grounding=table) == reference_fragment(parts, agents, objects)
+        assert compile_fragment(parts, table) == reference_fragment(parts, agents, objects)
 
 
 # -- no state between calls ------------------------------------------------------------
@@ -892,12 +904,16 @@ def test_no_table_number_leaks_between_evaluations(name):
 @pytest.mark.parametrize("name", SOURCES)
 def test_engine_queries_equal_queries_built_without_a_shared_table(name):
     # A query the compiler builds through its evaluation's table equals, and
-    # hashes like, the same parts built against a theory compiled alone.
+    # hashes like, the same parts built against a theory compiled alone, on
+    # a table of its own. That query grounds through the theory's table, so
+    # each atom it shares with the theory is the theory's own object.
     scenario = load(name)
     agents, objects = scenario.agents, scenario.objects
     compiler = QueryCompiler(scenario)
+    shared = 0
     for plan in scenario.plans:
-        theory = compile_fragment(theory_parts(scenario, plan.agent), agents, objects)
+        theory = compile_fragment(theory_parts(scenario, plan.agent), Grounding(agents, objects))
+        own = dict(zip(theory.atoms, theory.atoms))
         asked = [list(compiler._generalization_parts(plan))]
         for other in scenario.plans:
             if other.agent != plan.agent:
@@ -905,17 +921,21 @@ def test_engine_queries_equal_queries_built_without_a_shared_table(name):
                 asked.append([compiler._reasons(p) for p in (plan, other)])
         for parts in asked:
             query = compiler._query(plan.agent, parts)
-            alone = plan_query(theory, parts, agents, objects)
+            alone = plan_query(theory, parts)
             assert query == alone and hash(query) == hash(alone), parts
             assert (query.order, query.clauses, query.atoms) == (
                 alone.order, alone.clauses, alone.atoms
             ), parts
+            assert all(own.get(atom, atom) is atom for atom in alone.plan_atoms), parts
+            shared += sum(atom in own for atom in alone.plan_atoms)
+    # The other scenarios' plans name no atom of their agents' theories.
+    assert shared or name in ("theft", "ambulance", "merge")
 
 
 @pytest.mark.parametrize("name", [*SOURCES, "clash"])
 def test_conflict_clauses_are_named_as_in_the_query_numbered_set(name):
-    # A query names each clause as its `clause_set` does, without the
-    # theory's atom table: the engine maps plan atoms onto the theory by key.
+    # A query names each clause as its `clause_set` does, without a table
+    # from the theory's atoms: plan atoms are mapped onto the theory by key.
     source = CLASHING_AND_COEXISTING if name == "clash" else SOURCES[name]
     parsed = parse_scenario(source)
     assert parsed.ok, [str(d) for d in parsed.diagnostics]
@@ -925,7 +945,7 @@ def test_conflict_clauses_are_named_as_in_the_query_numbered_set(name):
         expected = query.clause_set
         for i in range(len(query.clauses)):
             assert query.clause_str(i) == expected.clause_str(i), i
-        assert "variables" not in vars(query.theory)
+        assert not hasattr(query.theory, "variables")
     if name in ("clash", "fixpoint_12", "theft"):
         assert conflicts
 
@@ -939,3 +959,4 @@ def test_an_evaluation_makes_one_atom_per_ground_atom(name):
         for atom in (*record.query.atoms, *record.query.theory.atoms):
             assert made.setdefault(atom, atom) is atom, atom
     assert made
+
