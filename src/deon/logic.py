@@ -5,13 +5,15 @@ requirement are decided as satisfiability queries against an agent's theory
 (see `principles`), so a formula is always a plain first-order one.
 
 `ground` builds the ground formula of a quantified one. Clause conversion
-does not need it: `compile_fragment` and `ClauseBuilder` ground and encode
-in one pass over the scenario's domains, so neither a theory's nor a
-query's ground formula is ever built. `ground`'s last caller in the engine
-is `principles.QueryCompiler._action`, which reads the atom set of a
-plan's ground action. All of them take closed formulas, as
-`scenario.validate` admits them: a free variable is never closed
-implicitly, and clause conversion rejects its atom.
+does not need it: `compile_fragment` and `ClauseBuilder` compile each
+formula once per grounding table into a clause program, a tree of
+closures that grounds and encodes it in one run over the scenario's
+domains, so neither a theory's nor a query's ground formula is ever
+built. `ground`'s last caller in the engine is
+`principles.QueryCompiler._action`, which reads the atom keys of a plan's
+ground action. All of them take closed formulas, as `scenario.validate`
+admits them: a free variable is never closed implicitly, and clause
+conversion rejects its atom.
 
 Formulas, clause sets and queries are immutable, and every operation on
 them is a pure function, so they can be shared between concurrent
@@ -20,20 +22,22 @@ fields on first read; two threads doing so at once build equal ones. Two
 things are mutable. `GroundClauseSet.solver_indexes` is where `sat.solve`
 keeps a theory's watch indexes between solves. A `Grounding` is the table
 through which clause conversion grounds: it numbers the constants, keys
-atoms by those numbers and makes one `Atom` per ground atom. Every
-fragment keeps the table it was compiled through, and every query against
-it is built through that table, which grows as they are built. So one
-theory's queries, and those of theories compiled through one table, must
-be built in one thread at a time; solving them may run in any thread. An
-evaluation's `QueryCompiler` owns its table and its theories. No value
-keeps a number of a table where equality or hashing could see it.
+atoms by those numbers, makes one `Atom` per ground atom and keeps each
+formula's clause program. Every fragment keeps the table it was compiled
+through, and every query against it is built through that table, which
+grows as they are built. So one theory's queries, and those of theories
+compiled through one table, must be built in one thread at a time;
+solving them may run in any thread. An evaluation's `QueryCompiler` owns
+its table and its theories. No value keeps a number of a table where
+equality or hashing could see it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 AGENT = "agent"
 OBJECT = "object"
@@ -103,8 +107,16 @@ def object_var(name: str) -> Term:
     return Term(OBJECT, name, is_var=True)
 
 
-@dataclass(frozen=True)
-class Atom:
+class _AtomCaches:
+    """The slots of an atom's cached hash and text, kept in a base class so
+    that they are not among `Atom`'s dataclass fields. Each is unset until
+    it is first computed."""
+
+    __slots__ = ("_hash", "_str")
+
+
+@dataclass(frozen=True, slots=True)
+class Atom(_AtomCaches):
     """A predicate applied to terms. Ground when all args are constants.
 
     The hash is cached on first use, and so is the text: one evaluation
@@ -112,19 +124,20 @@ class Atom:
     atom by name in every query that has it. The hash is the one the
     dataclass would compute, `hash((predicate, args))`, so set and dict
     order is unchanged; a pickled atom leaves both cached values behind.
+    An atom has slots and no `__dict__`: its fields are `predicate` and
+    `args`, and the two caches live in the slots of `_AtomCaches`.
     """
 
     predicate: str
     args: tuple[Term, ...] = ()
-    _hash = None  # the cached hash; not a field, since it has no annotation
-    _str = None  # the cached text, likewise
 
     def __hash__(self) -> int:
-        value = self._hash
-        if value is None:
+        try:
+            return self._hash
+        except AttributeError:
             value = hash((self.predicate, self.args))
             object.__setattr__(self, "_hash", value)
-        return value
+            return value
 
     def __reduce__(self) -> tuple:
         # String hashes differ between processes: rebuild, do not copy the cache.
@@ -134,12 +147,13 @@ class Atom:
         return all(not t.is_var for t in self.args)
 
     def __str__(self) -> str:
-        text = self._str
-        if text is None:
+        try:
+            return self._str
+        except AttributeError:
             name = self.predicate.lstrip("@")
             text = f"{name}({', '.join(str(t) for t in self.args)})" if self.args else name
             object.__setattr__(self, "_str", text)
-        return text
+            return text
 
 
 @dataclass(frozen=True)
@@ -500,27 +514,6 @@ class TheoryQuery:
         )
 
 
-class _Slots(Formula):
-    """A compiled atom: `predicate` over the frame's values at `slots`."""
-
-    __slots__ = ("predicate", "slots")
-
-    def __init__(self, predicate: str, slots: tuple[int, ...]) -> None:
-        self.predicate = predicate
-        self.slots = slots
-
-
-class _Bind(Formula):
-    """A compiled quantifier: `body` once per constant of `var`'s domain,
-    with the constant's number pushed on the frame."""
-
-    __slots__ = ("var", "body")
-
-    def __init__(self, var: Term, body: Formula) -> None:
-        self.var = var
-        self.body = body
-
-
 class Grounding:
     """A grounding table, shared by every clause conversion pass through it:
     `compile_fragment`'s for each fragment compiled through it, and
@@ -538,13 +531,13 @@ class Grounding:
     compiles the base keeps none of the atoms it makes in `atoms`: its own
     key table finds them until it becomes the base.
 
-    `template` compiles a quantifier once for all of its instances. An atom
-    becomes its predicate and one slot per argument (`_Slots`): n for the
-    term numbered n, or -k for the variable of the binder k levels out
-    from the atom, the innermost being -1. The frame a template is walked
-    in holds every term's number at its own index, and each binder pushes
-    its constant on it while the walk is inside, so an instance's key is
-    read off the frame by slot.
+    `program` compiles a formula into its clause program (`_Compiler`) the
+    first time a pass encodes it, and keeps the program by the formula's
+    identity, beside the formula itself, so that no other formula can take
+    its id. Every later pass through the table that encodes the same
+    formula object runs the same program: the physics that several
+    believing agents' theories share, or a plan's reasons in each of its
+    pair queries, compile once per table.
 
     A table grows as fragments are compiled through it and as queries are
     built against them, so no two threads may ground through it at once:
@@ -562,6 +555,8 @@ class Grounding:
         self.atoms: dict[tuple, Atom] = {}
         # The key table and atoms of the first fragment compiled through the table.
         self.base: tuple[dict[tuple, int], Sequence[Atom]] | None = None
+        # Each formula's program by the formula's id, with the formula it was compiled from.
+        self.programs: dict[int, tuple[Formula, _Step, Sequence[int | str]]] = {}
 
     def number(self, term: Term) -> int:
         n = self.numbers.get(term)
@@ -598,55 +593,278 @@ class Grounding:
             self.atoms[key] = atom
         return atom
 
-    def template(self, f: ForAll) -> tuple[_Bind, list[int]]:
-        """Quantifier `f`, met where no variable is bound, compiled, and a
-        frame to walk it in: every term's number at its own index."""
-        bind = self._compiled(f, {}, 0)
-        return bind, list(range(len(self.terms)))
+    def program(self, f: Formula) -> tuple[Formula, _Step, Sequence[int | str]]:
+        """The clause program of formula `f`, compiled on first use: `f`,
+        the step asserting it and the frame to run that step in."""
+        program = self.programs.get(id(f))
+        if program is None:
+            program = self.programs[id(f)] = (f, *_Compiler(self).program(f))
+        return program
 
-    def _compiled(self, node: Formula, scope: dict[Term, int], level: int) -> Formula:
-        """`node`, met under `level` binders, compiled; `scope` maps their
-        variables to their levels, an inner binder shadowing an outer one of
-        its variable. Compiling raises nothing: a node that is no formula
-        stays as it is, for the walk to reject."""
+
+#: A compiled formula node: run on an encoder and a frame (see `_Compiler`),
+#: it emits the node's clauses and returns its literal, or None for an assertion.
+_Step = Callable[["_Encoder", list], "int | None"]
+
+
+class _Compiler:
+    """Compiles one formula, in one pass, into its clause program: a tree of
+    closures (`_Step`s), one per formula node, each run on the encoder that
+    runs the program and on the program's frame.
+
+    The frame holds, at index d, the number of the constant that the binder
+    at depth d (the outermost being 0) is bound to in the instance being
+    run, and, counted from its end, the program's predicates and constant
+    numbers. An atom under a binder compiles to its key builder, an
+    `itemgetter` of its predicate and its arguments off the frame, and an
+    atom under none to its constant key; either step returns the atom's id,
+    taken on first sight (`_Encoder._new_var`). A negated atom is the same
+    step with the sign turned. `Not`, `And`, `Or` and `Implies` compile to
+    steps that run their parts' steps in order, then emit the clauses
+    defining a new aux variable as `_Encoder._and` and `_or` would, the
+    common case of two parts written out without a list, and return it. A
+    quantifier compiles to a loop that sets its frame slot to each constant
+    of its domain in turn and runs its body's step. At the top level
+    (`assertion`), a conjunction or quantifier runs its parts' assertions,
+    a disjunction or implication emits one clause of its parts' literals,
+    and any other node a unit clause of its literal.
+
+    So a program emits, when run, the clauses of encoding the ground
+    formula, in its order and with its aux numbering. Compiling raises
+    nothing: a quantifier over an empty domain compiles to a step that
+    raises `GroundingError`, and a node that is no formula to one that
+    raises `LogicError`, when the run reaches it, as an atom left
+    non-ground does when it is met (`Grounding.atom`).
+
+    A step takes what it reads as parameter defaults, not as closed-over
+    cells: each step is then one function and its tuple of defaults, which
+    an evaluation keeps as long as its table, and reads them as locals.
+    """
+
+    def __init__(self, grounding: Grounding) -> None:
+        self.grounding = grounding
+        self.depth = 0  # the frame's slots for bound variables
+        self.values: list = []  # the frame's predicates and constant numbers, from its end
+        self.slots: dict = {}  # each of those values' frame index
+
+    def program(self, f: Formula) -> tuple[_Step, Sequence[int | str]]:
+        """The step asserting `f` and the frame it runs in; a program with
+        no binder and no key to build reads no frame."""
+        step = self.assertion(f, {}, 0)
+        if not (self.depth or self.values):
+            return step, ()
+        return step, [0] * self.depth + self.values[::-1]
+
+    def _slot(self, value: str | int) -> int:
+        index = self.slots.get(value)
+        if index is None:
+            self.values.append(value)
+            index = self.slots[value] = -len(self.values)
+        return index
+
+    def _atom(self, atom: Atom, scope: dict[Term, int], sign: int, unit: bool = False) -> _Step:
+        """The step returning `atom`'s literal of `sign`, or with `unit`
+        emitting it as a unit clause."""
+        if not scope or scope.keys().isdisjoint(atom.args):
+            key = self.grounding.key(atom)
+            if unit:
+                def constant_unit(encoder: _Encoder, frame: list, key=key, atom=atom,
+                                  sign=sign) -> None:
+                    var = encoder.ids.get(key)
+                    var = encoder._new_var(key, atom) if var is None else var
+                    encoder.clauses.append((sign * var,))
+
+                return constant_unit
+
+            def constant(encoder: _Encoder, frame: list, key=key, atom=atom, sign=sign) -> int:
+                var = encoder.ids.get(key)
+                return sign * (encoder._new_var(key, atom) if var is None else var)
+
+            return constant
+        number, slot = self.grounding.number, self._slot
+        build = itemgetter(slot(atom.predicate), *[
+            depth if (depth := scope.get(t)) is not None else slot(number(t)) for t in atom.args
+        ])
+        if unit:
+            def bound_unit(encoder: _Encoder, frame: list, build=build, sign=sign) -> None:
+                key = build(frame)
+                var = encoder.ids.get(key)
+                var = encoder._new_var(key) if var is None else var
+                encoder.clauses.append((sign * var,))
+
+            return bound_unit
+
+        def bound(encoder: _Encoder, frame: list, build=build, sign=sign) -> int:
+            key = build(frame)
+            var = encoder.ids.get(key)
+            return sign * (encoder._new_var(key) if var is None else var)
+
+        return bound
+
+    def _forall(self, node: ForAll, scope: dict[Term, int], depth: int, asserted: bool) -> _Step:
+        """The loop of quantifier `node` over its domain: it runs its body's
+        assertion per constant or, unless `asserted`, returns the
+        conjunction of its body's literals. Over an empty domain, a step
+        raising `GroundingError`."""
+        try:
+            domain = _domain(node.var, self.grounding.agents, self.grounding.objects)
+        except GroundingError as error:
+            return _refusal(GroundingError, str(error))
+        compile = self.assertion if asserted else self.literal
+        body = compile(node.body, {**scope, node.var: depth}, depth + 1)
+        self.depth = max(self.depth, depth + 1)
+        if asserted:
+            def forall(encoder: _Encoder, frame: list, domain=domain, depth=depth,
+                       body=body) -> None:
+                for frame[depth] in domain:
+                    body(encoder, frame)
+
+            return forall
+
+        def conjunction(encoder: _Encoder, frame: list, domain=domain, depth=depth,
+                        body=body) -> int:
+            lits = []
+            for frame[depth] in domain:
+                lits.append(body(encoder, frame))
+            return encoder._and(lits)
+
+        return conjunction
+
+    def literal(self, node: Formula, scope: dict[Term, int], depth: int) -> _Step:
+        """The step of `node`, met under `depth` binders whose variables
+        `scope` maps to their depths, that returns its literal."""
         if isinstance(node, AtomF):
-            return _Slots(node.atom.predicate, tuple([
-                scope[t] - level if t in scope else self.number(t) for t in node.atom.args
-            ]))
+            return self._atom(node.atom, scope, 1)
         if isinstance(node, Not):
-            return Not(self._compiled(node.body, scope, level))
+            return self.negation(node.body, scope, depth)
         if isinstance(node, And):
-            return And(tuple([self._compiled(p, scope, level) for p in node.parts]))
+            return _conjunction([self.literal(p, scope, depth) for p in node.parts])
         if isinstance(node, Or):
-            return Or(tuple([self._compiled(p, scope, level) for p in node.parts]))
+            return _disjunction([self.literal(p, scope, depth) for p in node.parts])
         if isinstance(node, Implies):
-            return Implies(self._compiled(node.antecedent, scope, level),
-                           self._compiled(node.consequent, scope, level))
+            return _disjunction([self.negation(node.antecedent, scope, depth),
+                                 self.literal(node.consequent, scope, depth)])
         if isinstance(node, ForAll):
-            return _Bind(node.var, self._compiled(node.body, {**scope, node.var: level}, level + 1))
-        return node
+            return self._forall(node, scope, depth, asserted=False)
+        return _refusal(LogicError, f"cannot encode {type(node).__name__} node")
+
+    def negation(self, node: Formula, scope: dict[Term, int], depth: int) -> _Step:
+        """The step returning the negated literal of `node`."""
+        if isinstance(node, AtomF):
+            return self._atom(node.atom, scope, -1)
+        if isinstance(node, Not):
+            return self.literal(node.body, scope, depth)
+        step = self.literal(node, scope, depth)
+        return lambda encoder, frame, step=step: -step(encoder, frame)
+
+    def assertion(self, node: Formula, scope: dict[Term, int], depth: int) -> _Step:
+        """The step of `node`, met at the top level, that emits its clauses
+        and returns None: conjunctions and quantifiers split into their
+        parts, and a disjunction or implication becomes one clause."""
+        if isinstance(node, AtomF):
+            return self._atom(node.atom, scope, 1, unit=True)
+        if isinstance(node, Not) and isinstance(node.body, AtomF):
+            return self._atom(node.body.atom, scope, -1, unit=True)
+        if isinstance(node, And):
+            steps = [self.assertion(p, scope, depth) for p in node.parts]
+            if len(steps) == 1:
+                return steps[0]
+
+            def conjunction(encoder: _Encoder, frame: list, steps=steps) -> None:
+                for step in steps:
+                    step(encoder, frame)
+
+            return conjunction
+        if isinstance(node, ForAll):
+            return self._forall(node, scope, depth, asserted=True)
+        if isinstance(node, Implies):
+            steps = [self.negation(node.antecedent, scope, depth),
+                     self.literal(node.consequent, scope, depth)]
+        elif isinstance(node, Or) and node.parts:
+            steps = [self.literal(p, scope, depth) for p in node.parts]
+        elif isinstance(node, Or):  # empty disjunction: unsatisfiable
+            return _unsatisfiable
+        else:
+            return lambda encoder, frame, step=self.literal(node, scope, depth): (
+                encoder.clauses.append((step(encoder, frame),))
+            )
+        if len(steps) == 2:
+            return lambda encoder, frame, first=steps[0], second=steps[1]: (
+                encoder.clauses.append((first(encoder, frame), second(encoder, frame)))
+            )
+        return lambda encoder, frame, steps=steps: encoder.clauses.append(
+            tuple([step(encoder, frame) for step in steps])
+        )
+
+
+def _conjunction(steps: list[_Step]) -> _Step:
+    if len(steps) == 1:
+        return steps[0]
+    if len(steps) != 2:
+        return lambda encoder, frame, steps=steps: (
+            encoder._and([step(encoder, frame) for step in steps])
+        )
+
+    def conjunction(encoder: _Encoder, frame: list, first=steps[0], second=steps[1]) -> int:
+        a = first(encoder, frame)
+        b = second(encoder, frame)
+        v = encoder._new_aux()
+        encoder.clauses += ((-v, a), (-v, b), (v, -a, -b))
+        return v
+
+    return conjunction
+
+
+def _disjunction(steps: list[_Step]) -> _Step:
+    if len(steps) == 1:
+        return steps[0]
+    if len(steps) != 2:
+        return lambda encoder, frame, steps=steps: (
+            encoder._or([step(encoder, frame) for step in steps])
+        )
+
+    def disjunction(encoder: _Encoder, frame: list, first=steps[0], second=steps[1]) -> int:
+        a = first(encoder, frame)
+        b = second(encoder, frame)
+        v = encoder._new_aux()
+        encoder.clauses += ((-v, a, b), (v, -a), (v, -b))
+        return v
+
+    return disjunction
+
+
+def _unsatisfiable(encoder: _Encoder, frame: list) -> None:
+    """The step of an empty disjunction at the top level."""
+    v = encoder._new_aux()
+    encoder.clauses += ((v,), (-v,))
+
+
+def _refusal(kind: type[LogicError], text: str) -> _Step:
+    def refusal(encoder: _Encoder, frame: list, kind=kind, text=text) -> None:
+        raise kind(text)
+
+    return refusal
 
 
 class _Encoder:
     """Grounding fused with definitional clause encoding, through one
     `Grounding`.
 
-    `add` walks a formula and emits its clauses at once. An atom met where
-    no variable is bound is keyed as it stands (`Grounding.key`); a
-    quantifier met there is compiled (`Grounding.template`), and its
-    instances are walked with the frame of bound values, each atom keyed by
-    its slots. A quantifier encodes as `conj` of its instances in domain
-    order, and at the top level splits like `And`, so the clauses, their
-    order and labels are those of encoding the ground formula, which is
-    never built. An empty domain raises `GroundingError`, and an atom left
-    non-ground, such as one naming a free variable, `LogicError`, each when
-    the walk reaches it.
+    `add` runs the formula's clause program (`Grounding.program`), which
+    grounds and encodes it at once: the clauses, their order and labels
+    are those of encoding the ground formula, which is never built. A
+    quantifier encodes as `conj` of its instances in domain order, and at
+    the top level splits like `And`. An empty domain raises
+    `GroundingError`, and an atom left non-ground, such as one naming a
+    free variable, `LogicError`, each when the run reaches it.
 
     Atoms take provisional ids on first sight, in `ids` by key, and aux
     variables in encoding order: `places[p - 1]` is id p's atom index in
     `atoms`, or `~j` for aux variable j. `renamed` gives the clauses in the
     caller's numbering, one table lookup per literal.
     """
+
+    __slots__ = ("grounding", "ids", "atoms", "places", "aux_count", "clauses", "labels")
 
     def __init__(self, grounding: Grounding) -> None:
         self.grounding = grounding
@@ -659,48 +877,22 @@ class _Encoder:
 
     def add(self, f: Formula, label: str) -> None:
         before = len(self.clauses)
-        self._assert(f, [])
+        _, step, frame = self.grounding.program(f)
+        step(self, frame)
         self.labels += [label] * (len(self.clauses) - before)
 
-    def _var(self, key: tuple, atom: Atom | None = None) -> int:
-        var = self.ids.get(key)
-        if var is None:
-            atom = self.grounding.atom(key, atom)
-            self.places.append(len(self.atoms))
-            self.atoms.append(atom)
-            var = self.ids[key] = len(self.places)
+    def _new_var(self, key: tuple, atom: Atom | None = None) -> int:
+        """The id of the atom of `key`, met for the first time."""
+        atom = self.grounding.atom(key, atom)
+        self.places.append(len(self.atoms))
+        self.atoms.append(atom)
+        var = self.ids[key] = len(self.places)
         return var
 
     def _new_aux(self) -> int:
         self.places.append(~self.aux_count)
         self.aux_count += 1
         return len(self.places)
-
-    def _lit(self, f: Formula, frame: list[int]) -> int:
-        if isinstance(f, _Slots):
-            return self._var((f.predicate, *map(frame.__getitem__, f.slots)))
-        if isinstance(f, AtomF):
-            return self._var(self.grounding.key(f.atom), f.atom)
-        if isinstance(f, Not):
-            return -self._lit(f.body, frame)
-        if isinstance(f, Or):
-            return self._or([self._lit(p, frame) for p in f.parts])
-        if isinstance(f, Implies):
-            return self._or([-self._lit(f.antecedent, frame), self._lit(f.consequent, frame)])
-        if isinstance(f, And):
-            return self._and([self._lit(p, frame) for p in f.parts])
-        if isinstance(f, _Bind):
-            body, lits = f.body, []
-            domain = _domain(f.var, self.grounding.agents, self.grounding.objects)
-            frame.append(0)
-            for c in domain:
-                frame[-1] = c
-                lits.append(self._lit(body, frame))
-            frame.pop()
-            return self._and(lits)
-        if isinstance(f, ForAll):
-            return self._lit(*self.grounding.template(f))
-        raise LogicError(f"cannot encode {type(f).__name__} node")
 
     def _and(self, lits: list[int]) -> int:
         if len(lits) == 1:
@@ -728,32 +920,6 @@ class _Encoder:
         for lit in lits:
             emit((v, -lit))
         return v
-
-    def _assert(self, f: Formula, frame: list[int]) -> None:
-        # Keep top-level structure flat: conjunctions and quantifiers split
-        # into their parts and a top disjunction/implication becomes one clause.
-        if isinstance(f, And):
-            for p in f.parts:
-                self._assert(p, frame)
-        elif isinstance(f, _Bind):
-            body = f.body
-            domain = _domain(f.var, self.grounding.agents, self.grounding.objects)
-            frame.append(0)
-            for c in domain:
-                frame[-1] = c
-                self._assert(body, frame)
-            frame.pop()
-        elif isinstance(f, ForAll):
-            self._assert(*self.grounding.template(f))
-        elif isinstance(f, Implies):
-            self.clauses.append((-self._lit(f.antecedent, frame), self._lit(f.consequent, frame)))
-        elif isinstance(f, Or) and f.parts:
-            self.clauses.append(tuple([self._lit(p, frame) for p in f.parts]))
-        elif isinstance(f, Or):  # empty disjunction: unsatisfiable
-            v = self._new_aux()
-            self.clauses += [(v,), (-v,)]
-        else:
-            self.clauses.append((self._lit(f, frame),))
 
     def table(self, atom_vars: Sequence[int], first_aux: int) -> list[int]:
         """The renaming of provisional ids with atom i as variable
@@ -828,11 +994,14 @@ def compile_fragment(
     a fresh `Grounding()` without domains is used, so every quantifier is
     refused; `Grounding(agents, objects)` gives the domains.
 
-    One pass grounds and encodes (`_Encoder`), giving what `ClauseBuilder`'s
-    conversion makes of the ground formulas. Atoms are numbered by first
-    occurrence across the parts, then aux variables in encoding order. A
-    free variable is not closed: its atom raises `LogicError`. The clauses'
-    literal range is checked once, on construction.
+    Each part's clause program, compiled through the table the first time
+    a pass through it encodes that formula object (`Grounding.program`),
+    grounds and encodes the part in one run (`_Encoder`), giving what
+    `ClauseBuilder`'s conversion makes of the ground formulas. Atoms are
+    numbered by first occurrence across the parts, then aux variables in
+    encoding order. A free variable is not closed: its atom raises
+    `LogicError`. The clauses' literal range is checked once, on
+    construction.
 
     The fragment keeps its table and the encoder's key table, rewritten to
     map each atom's key to its variable, so a `ClauseBuilder` against it
@@ -868,13 +1037,15 @@ class ClauseBuilder:
     of distributing disjunctions, so size stays linear. Satisfiability, not
     logical equivalence, is the contract. `build` grounds the parts through
     the theory's own `Grounding`, over its domains, and encodes them in the
-    same pass, as `compile_fragment` does, so a part's clauses, labels,
-    atoms and aux variables are those of building `ground(part, agents,
-    objects)`, which is never built, and each atom the parts share with
-    the theory is the theory's own `Atom`. A quantifier over an empty
-    domain raises `GroundingError`, and an atom left non-ground, such as
-    one naming a free variable, `LogicError`. So does a theory that
-    `compile_fragment` did not make, for it has no table.
+    same pass, as `compile_fragment` does, running each part's clause
+    program, which the table compiles once per formula object. So a part's
+    clauses, labels, atoms and aux variables are those of building
+    `ground(part, agents, objects)`, which is never built, and each atom
+    the parts share with the theory is the theory's own `Atom`. A
+    quantifier over an empty domain raises `GroundingError`, and an atom
+    left non-ground, such as one naming a free variable, `LogicError`. So
+    does a theory that `compile_fragment` did not make, for it has no
+    table.
 
     `build` gives a `TheoryQuery`: the parts followed by the theory
     fragment, solved without renaming the theory. Its `clause_set` is what

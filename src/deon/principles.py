@@ -254,14 +254,23 @@ class QueryCompiler:
     grounded the same way, in the one pass of `ClauseBuilder` that encodes
     them, through their theory's table, which is that one: each constant
     is numbered once, atoms are keyed by those numbers, each ground atom is
-    one `Atom`, and a query's plan atoms are mapped onto its theory by key. The compiler owns the table and the
-    theories compiled through it, so one compiler builds queries in one
-    thread at a time. The one ground formula a query is
-    built from is a plan's action part: `_action`, `ground`'s last caller,
-    keeps it for the atom set that `_independent` reads. Every agent
-    without belief constraints shares one fragment of the physics alone,
-    compiled once per evaluation; each believing agent's pass grounds the
-    physics again, ahead of its beliefs.
+    one `Atom`, and a query's plan atoms are mapped onto its theory by
+    key. The compiler owns the table and the theories compiled through it,
+    so one compiler builds queries in one thread at a time. The one ground
+    formula a query is built from is a plan's action part: `_action`,
+    `ground`'s last caller, keeps it for the atom keys that `_independent`
+    reads. Every agent without belief constraints shares one fragment of
+    the physics alone, compiled once per evaluation; each believing agent's
+    pass grounds the physics again, ahead of its beliefs.
+
+    The table compiles each formula object into its clause program once
+    (`Grounding.program`), and every pass that encodes that object runs the
+    same program. So each plan's parts, its action, reasons and
+    generalization parts (universal adoption, effects and commitment), are
+    built once per evaluation and kept (`_action`, `_reasons`,
+    `_generalization_parts`): a plan's reasons compile once across its pair
+    queries, and the physics, whose formulas the scenario holds, once
+    however many believing agents' theories ground it.
 
     A query is a `TheoryQuery` against its agent's fragment: only its plan
     parts are encoded, in the fragment's numbering, and it is solved over
@@ -295,7 +304,7 @@ class QueryCompiler:
     ordered pair of plans of distinct agents, however many rounds it runs.
 
     A pair whose other action names no atom of the acting plan's action or
-    of its agent's theory (`_independent`, a test on atom sets alone) takes
+    of its agent's theory (`_independent`, a test on atom keys alone) takes
     its actions evidence from the plan-alone query
     `("autonomy", plan, "actions")`: the plan's action part plus its
     agent's theory, decided once and shared by every such pair. That is
@@ -315,7 +324,11 @@ class QueryCompiler:
         self.grounding = Grounding(scenario.agents, scenario.objects)
         # The key None holds the physics alone, shared by every agent without beliefs.
         self._theories: dict[Term | None, GroundClauseSet] = {}
-        self._actions: dict[str, tuple[tuple[Formula, str], frozenset[Atom]]] = {}
+        # Each plan's parts by plan id, built on first use: the action part and
+        # its atoms' keys, the reasons part and the generalization parts.
+        self._actions: dict[str, tuple[tuple[Formula, str], frozenset[tuple]]] = {}
+        self._reasons_parts: dict[str, tuple[Formula, str]] = {}
+        self._generalizations: dict[str, tuple[tuple[Formula, str], ...]] = {}
 
     def _theory(self, agent: Term) -> GroundClauseSet:
         """`agent`'s theory as one fragment, compiled on first use: the
@@ -365,37 +378,50 @@ class QueryCompiler:
             )
         return query.evidence
 
-    def _action(self, plan: ActionPlan) -> tuple[tuple[Formula, str], frozenset[Atom]]:
-        """`plan`'s ground action part and the atoms it names, grounded on first
-        use. The atom set is what `_independent` compares, so this is the one
-        part that is grounded before it is encoded."""
+    def _action(self, plan: ActionPlan) -> tuple[tuple[Formula, str], frozenset[tuple]]:
+        """`plan`'s ground action part and the keys of the atoms it names,
+        grounded on first use. The key set is what `_independent` compares,
+        so this is the one part that is grounded before it is encoded."""
         action = self._actions.get(plan.id)
         if action is None:
             formula = ground(plan.action_formula(), self.scenario.agents, self.scenario.objects)
             action = self._actions[plan.id] = (
-                (formula, f"action of plan {plan.id}"), frozenset(atoms_of(formula))
+                (formula, f"action of plan {plan.id}"),
+                frozenset(map(self.grounding.key, atoms_of(formula))),
             )
         return action
 
     def _reasons(self, plan: ActionPlan) -> tuple[Formula, str]:
-        """`plan`'s reasons part."""
-        return plan.reasons_formula(), f"reasons of plan {plan.id}"
+        """`plan`'s reasons part, built on first use."""
+        reasons = self._reasons_parts.get(plan.id)
+        if reasons is None:
+            reasons = self._reasons_parts[plan.id] = (
+                plan.reasons_formula(), f"reasons of plan {plan.id}"
+            )
+        return reasons
 
     def _independent(self, plan: ActionPlan, other: ActionPlan) -> bool:
-        """Whether `other`'s action names no atom of `plan`'s action or its agent's theory."""
+        """Whether `other`'s action names no atom of `plan`'s action or its
+        agent's theory: its few atom keys are looked up in the theory's key
+        table, which holds every theory atom's key."""
         ours, theirs = self._action(plan)[1], self._action(other)[1]
-        return theirs.isdisjoint(ours) and theirs.isdisjoint(self._theory(plan.agent).atoms)
+        known = self._theory(plan.agent)._keys[1]
+        return theirs.isdisjoint(ours) and known.keys().isdisjoint(theirs)
 
     def _generalization_parts(self, plan: ActionPlan) -> Iterator[tuple[Formula, str]]:
         """Every agent adopting the plan (material conditionals plus the
         universalization trigger), the plan's declared universalization
         effects, and the plan's own reasons and action, each closed. Lazy, so
-        a recorded query builds none of them."""
-        yield plan.universal_adoption(), f"universal adoption of plan {plan.id}"
-        effects = effects_for(self.scenario, plan.id)
-        if effects != TRUE:
-            yield effects, f"universalization effect of plan {plan.id}"
-        yield plan.commitment_formula(), f"reasons and action of plan {plan.id}"
+        a recorded query builds none of them; built once per plan."""
+        parts = self._generalizations.get(plan.id)
+        if parts is None:
+            parts = [(plan.universal_adoption(), f"universal adoption of plan {plan.id}")]
+            effects = effects_for(self.scenario, plan.id)
+            if effects != TRUE:
+                parts.append((effects, f"universalization effect of plan {plan.id}"))
+            parts.append((plan.commitment_formula(), f"reasons and action of plan {plan.id}"))
+            parts = self._generalizations[plan.id] = tuple(parts)
+        yield from parts
 
     def generalization(self, plan: ActionPlan) -> GroundClauseSet:
         """Ground query behind the generalization check: its plan parts with

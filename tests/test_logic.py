@@ -74,6 +74,18 @@ def test_atom_and_term_hash_is_the_field_tuple_hash():
         assert copy == t and hash(copy) == hash(t)
 
 
+def test_an_atom_has_slots_and_no_instance_dict():
+    # One evaluation keeps one atom per ground atom, so an atom holds its
+    # two fields and its two caches in slots; the caches are no fields.
+    p = Atom("at", (agent_const("a"), object_const("y")))
+    assert not hasattr(p, "__dict__")
+    assert [f.name for f in dataclasses.fields(Atom)] == ["predicate", "args"]
+    assert str(p) == "at(a, y)" and hash(p) == hash(("at", p.args))
+    assert str(p) is str(p)  # the cached text
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.predicate = "in"
+
+
 def test_equal_atoms_built_apart_share_a_dict_entry():
     first = Atom("at", (agent_const("a"), object_const("y")))
     second = Atom("at", (Term("agent", "a"), Term(OBJECT, "y")))

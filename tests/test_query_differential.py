@@ -27,7 +27,7 @@ from test_principles import STANDOFF
 from test_roundtrip_property import scenario_texts
 from test_sat_differential import CHAIN_RULE
 
-from deon import principles, scenarios
+from deon import logic, principles, scenarios
 from deon.cli import render_structured
 from deon.dsl import parse_scenario
 from deon.logic import (
@@ -960,3 +960,141 @@ def test_an_evaluation_makes_one_atom_per_ground_atom(name):
             assert made.setdefault(atom, atom) is atom, atom
     assert made
 
+
+
+# -- clause programs, compiled once per evaluation --------------------------------------
+
+#: Pedestrian with two more believing agents, so three theories encode the
+#: same physics formula objects ahead of their own beliefs.
+THREE_BELIEVERS = SOURCES["pedestrian"] + (
+    "\nbelief b {\n  heading_across(b) -> not arrives_safely(c);\n}\n"
+    "\nbelief c {\n  riding_along(c) or not car_close_behind;\n}\n"
+)
+PROGRAM_SOURCES = {**SOURCES, "three_believers": THREE_BELIEVERS}
+
+
+def recording_programs(monkeypatch) -> tuple[list, list]:
+    """Record every formula compiled to a program and every formula encoded,
+    in order; the records keep each formula alive, so no two share an id."""
+    compiled: list = []
+    encoded: list = []
+    compile_program, add = logic._Compiler.program, logic._Encoder.add
+
+    def recording_compile(self, f):
+        compiled.append(f)
+        return compile_program(self, f)
+
+    def recording_add(self, f, label):
+        encoded.append(f)
+        return add(self, f, label)
+
+    monkeypatch.setattr(logic._Compiler, "program", recording_compile)
+    monkeypatch.setattr(logic._Encoder, "add", recording_add)
+    return compiled, encoded
+
+
+@pytest.mark.parametrize("name", PROGRAM_SOURCES)
+def test_each_encoded_formula_compiles_to_one_program_per_evaluation(name, monkeypatch):
+    # Every distinct formula object that an evaluation encodes, a theory
+    # constraint or a plan part, is compiled once, however many theories or
+    # queries encode it: a plan's reasons in each of its pair queries, the
+    # physics in each believing agent's theory.
+    compiled, encoded = recording_programs(monkeypatch)
+    parsed = parse_scenario(PROGRAM_SOURCES[name])
+    assert parsed.ok, [str(d) for d in parsed.diagnostics]
+    scenario = parsed.scenario
+    evaluate(scenario)
+    assert compiled and len({id(f) for f in compiled}) == len(compiled)
+    assert {id(f) for f in encoded} == {id(f) for f in compiled}
+    assert len(encoded) > len(compiled) or len(scenario.plans) == 1
+    believers = [a for a in scenario.agents if scenario.constraints.beliefs.get(a)]
+    if name == "three_believers":
+        assert len(believers) == 3
+        for f in scenario.constraints.physical:
+            # One pass per believing agent, and every agent believes.
+            assert sum(g is f for g in encoded) == 3
+            assert sum(g is f for g in compiled) == 1
+
+
+@pytest.mark.parametrize("name", ["three_believers", "chain_rule", "fixpoint_12"])
+def test_a_second_evaluation_compiles_its_programs_anew(name, monkeypatch):
+    # Programs are kept on an evaluation's own grounding table, so another
+    # evaluation of the same scenario compiles every formula again, even the
+    # scenario's own constraint objects that both encode.
+    compiled, _ = recording_programs(monkeypatch)
+    scenario = parse_scenario(PROGRAM_SOURCES[name]).scenario
+    first = evaluate(scenario)
+    once = len(compiled)
+    again = evaluate(scenario)
+    assert again == first and again.queries == first.queries
+    assert len(compiled) == 2 * once
+    constraints = [*scenario.constraints.physical,
+                   *itertools.chain(*scenario.constraints.beliefs.values())]
+    for f in constraints:
+        assert sum(g is f for g in compiled) == 2
+    # Each evaluation's queries are built through its one table.
+    first_table, second_table = (
+        {id(q.query.theory._keys[0]): q.query.theory._keys[0] for q in result.queries}
+        for result in (first, again)
+    )
+    assert len(first_table) == len(second_table) == 1
+    (first_table,), (second_table,) = first_table.values(), second_table.values()
+    assert first_table is not second_table
+    for f in constraints:
+        assert first_table.programs[id(f)][1] is not second_table.programs[id(f)][1]
+
+
+@pytest.mark.parametrize("name", PROGRAM_SOURCES)
+def test_a_query_built_from_cached_programs_equals_one_built_on_a_fresh_table(name):
+    # Each of a compiler's queries is built twice, the second time from the
+    # programs the first build cached, and equals the same parts built
+    # against the agent's theory compiled alone on a fresh table.
+    scenario = parse_scenario(PROGRAM_SOURCES[name]).scenario
+    agents, objects = scenario.agents, scenario.objects
+    compiler = QueryCompiler(scenario)
+    for plan in scenario.plans:
+        asked = [list(compiler._generalization_parts(plan))]
+        for other in scenario.plans:
+            if other.agent != plan.agent:
+                asked.append([compiler._action(p)[0] for p in (plan, other)])
+                asked.append([compiler._reasons(p) for p in (plan, other)])
+        for parts in asked:
+            first = compiler._query(plan.agent, parts)
+            programs = compiler.grounding.programs
+            cached = {id(f): programs[id(f)] for f, _ in parts}
+            second = compiler._query(plan.agent, parts)
+            assert all(programs[id(f)] is cached[id(f)] for f, _ in parts)
+            theory = compile_fragment(theory_parts(scenario, plan.agent),
+                                      Grounding(agents, objects))
+            fresh = plan_query(theory, parts)
+            for query in (first, second):
+                assert query == fresh and hash(query) == hash(fresh), parts
+                assert (query.order, query.clauses, query.atoms) == (
+                    fresh.order, fresh.clauses, fresh.atoms
+                ), parts
+                assert query.clause_set == fresh.clause_set, parts
+
+
+def test_independence_reads_the_theory_key_table_as_the_atom_sets_would():
+    # `_independent` looks the other action's atom keys up in the theory's
+    # key table; comparing the ground actions' atoms with the theory's atoms
+    # gives the same answer on every ordered pair of plans of distinct agents.
+    answers = Counter()
+    for source in PROGRAM_SOURCES.values():
+        scenario = parse_scenario(source).scenario
+        compiler = QueryCompiler(scenario)
+
+        def atoms(plan):
+            return set(logic.atoms_of(ground(plan.action_formula(), scenario.agents,
+                                             scenario.objects)))
+
+        for plan in scenario.plans:
+            for other in scenario.plans:
+                if other.agent != plan.agent:
+                    theirs = atoms(other)
+                    expected = theirs.isdisjoint(atoms(plan)) and theirs.isdisjoint(
+                        compiler._theory(plan.agent).atoms
+                    )
+                    assert compiler._independent(plan, other) is expected, (plan.id, other.id)
+                    answers[expected] += 1
+    assert answers[True] and answers[False], answers
