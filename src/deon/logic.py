@@ -109,13 +109,12 @@ def object_var(name: str) -> Term:
 
 class _AtomCaches:
     """The slots of an atom's cached hash and text, kept in a base class so
-    that they are not among `Atom`'s dataclass fields. Each is unset until
-    it is first computed."""
+    that they are not among `Atom`'s dataclass fields."""
 
     __slots__ = ("_hash", "_str")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Atom(_AtomCaches):
     """A predicate applied to terms. Ground when all args are constants.
 
@@ -125,19 +124,26 @@ class Atom(_AtomCaches):
     dataclass would compute, `hash((predicate, args))`, so set and dict
     order is unchanged; a pickled atom leaves both cached values behind.
     An atom has slots and no `__dict__`: its fields are `predicate` and
-    `args`, and the two caches live in the slots of `_AtomCaches`.
+    `args`, and the two caches live in the slots of `_AtomCaches`, which
+    `__init__` sets to None, so that reading an empty cache raises nothing.
     """
 
     predicate: str
     args: tuple[Term, ...] = ()
 
+    def __init__(self, predicate: str, args: tuple[Term, ...] = ()) -> None:
+        set_ = object.__setattr__
+        set_(self, "predicate", predicate)
+        set_(self, "args", args)
+        set_(self, "_hash", None)
+        set_(self, "_str", None)
+
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
+        value = self._hash
+        if value is None:
             value = hash((self.predicate, self.args))
             object.__setattr__(self, "_hash", value)
-            return value
+        return value
 
     def __reduce__(self) -> tuple:
         # String hashes differ between processes: rebuild, do not copy the cache.
@@ -147,13 +153,12 @@ class Atom(_AtomCaches):
         return all(not t.is_var for t in self.args)
 
     def __str__(self) -> str:
-        try:
-            return self._str
-        except AttributeError:
+        text = self._str
+        if text is None:
             name = self.predicate.lstrip("@")
             text = f"{name}({', '.join(str(t) for t in self.args)})" if self.args else name
             object.__setattr__(self, "_str", text)
-            return text
+        return text
 
 
 @dataclass(frozen=True)

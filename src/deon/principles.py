@@ -645,5 +645,7 @@ def evaluate(scenario: Scenario, budget: int = DEFAULT_BUDGET) -> VerdictSet:
                 "no protected plans of other agents to conflict with"
             ))
         verdicts.append(PlanVerdict(plan.id, (generalization[i], utility, autonomy), statuses[i]))
+    # The returned theories keep the table; its programs served this evaluation only.
+    compiler.grounding.programs.clear()
     return VerdictSet(scenario.name, tuple(verdicts), rounds, stable,
                       tuple(compiler.queries.values()))

@@ -1020,7 +1020,8 @@ def test_each_encoded_formula_compiles_to_one_program_per_evaluation(name, monke
 def test_a_second_evaluation_compiles_its_programs_anew(name, monkeypatch):
     # Programs are kept on an evaluation's own grounding table, so another
     # evaluation of the same scenario compiles every formula again, even the
-    # scenario's own constraint objects that both encode.
+    # scenario's own constraint objects that both encode. An evaluation drops
+    # its programs when it returns, though its theories keep the table.
     compiled, _ = recording_programs(monkeypatch)
     scenario = parse_scenario(PROGRAM_SOURCES[name]).scenario
     first = evaluate(scenario)
@@ -1033,15 +1034,12 @@ def test_a_second_evaluation_compiles_its_programs_anew(name, monkeypatch):
     for f in constraints:
         assert sum(g is f for g in compiled) == 2
     # Each evaluation's queries are built through its one table.
-    first_table, second_table = (
-        {id(q.query.theory._keys[0]): q.query.theory._keys[0] for q in result.queries}
-        for result in (first, again)
-    )
-    assert len(first_table) == len(second_table) == 1
-    (first_table,), (second_table,) = first_table.values(), second_table.values()
+    tables = [{id(q.query.theory._keys[0]): q.query.theory._keys[0] for q in result.queries}
+              for result in (first, again)]
+    assert [len(table) for table in tables] == [1, 1]
+    (first_table,), (second_table,) = (table.values() for table in tables)
     assert first_table is not second_table
-    for f in constraints:
-        assert first_table.programs[id(f)][1] is not second_table.programs[id(f)][1]
+    assert first_table.programs == second_table.programs == {}
 
 
 @pytest.mark.parametrize("name", PROGRAM_SOURCES)
